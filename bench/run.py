@@ -2,12 +2,13 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --workload verify-ladder --seed 1 --seconds 25 --trace 0
+    python3 bench/run.py --workload verify-ladder --seed 1 --seconds 35 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics: set-up time, throughput, job
 latency, the share of jobs that succeed, peak memory and the cost of a cold
-``python -m framelab`` call.  ``--trace 1`` runs the same job pass untraced
-and then traced and prints per-layer calls and self times instead.  The last
+``python -m framelab`` call.  ``--trace 1`` runs one pass over the jobs traced,
+between two untraced passes, and prints per-layer calls and self times
+instead.  The last
 line of stdout is one JSON object with the keys correct, attempted, failed
 and metrics; the lines before it name every metric with its unit and sample
 count, the environment, and the reason of each kind of failed job.
@@ -139,7 +140,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if args.seed < 0 or args.seconds < 1:

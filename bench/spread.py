@@ -33,7 +33,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--flag", type=float, default=0.1)
     parser.add_argument("--out")

@@ -8,8 +8,8 @@ loop    closed loop: one client runs whole passes over the job list, each job
         after the previous one returns, until ``--seconds`` have passed and
         the workload's minimum number of passes is done, with cold
         ``python -m framelab`` runs of a few cheap jobs spread over the loop;
-trace   one untraced pass, then the same pass traced, for the per-layer
-        metrics and the tracing overhead.
+trace   the same pass untraced, traced, and untraced again, for the
+        per-layer metrics and the tracing overhead.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import spans
 import workloads
 
 # Cold CLI runs per timed run, spread evenly over the loop.
-COLD_RUNS = 9
+COLD_RUNS = 15
 # Percentiles the latency tail may be read at: the highest one with at least
 # TAIL_BEYOND jobs above it, or the slowest job (100) when there are too few.
 TAIL_PERCENTILES = (75.0, 90.0, 95.0, 99.0)
@@ -243,14 +243,17 @@ IDENTITY_CHECKS = {"duality.check_dual_subset_identity",
 
 
 def trace_mode(args, work, ledger):
+    """One pass traced, between two untraced passes of the same jobs in the same
+    order; the faster untraced pass is the baseline of the tracing overhead."""
     order = np.random.Generator(np.random.PCG64(args.seed)).permutation(len(work.jobs))
-    untraced_s, reports = timed_pass(work, order, ledger)
+    before_s, reports = timed_pass(work, order, ledger)
     tracer = spans.Tracer()
     patches = spans.install(tracer)
     try:
         traced_s, traced_reports = timed_pass(work, order, ledger, tracer)
     finally:
         spans.uninstall(patches)
+    untraced_s = min(before_s, timed_pass(work, order, ledger)[0])
 
     summary = spans.Summary(tracer)
     totals = summary.layers()

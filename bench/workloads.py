@@ -18,7 +18,7 @@ verify-ladder
     subset sweep runs.  Writes (``gen``, ``dual --out``) sit beside reads.
 identity-sweep
     ``identities`` on dims 6-10 with 4-7 members (16-128 exhaustive subsets)
-    and ``identities --parsevalize`` at 4 and 5 members: the per-(subset,
+    and ``identities --parsevalize`` at 4-6 members: the per-(subset,
     probe) path in ``duality`` dominates, and the member ladder shows how it
     grows.  Larger parsevalized sweeps take seconds each, too few repeats
     per run to time them steadily on a shared machine.
@@ -58,7 +58,7 @@ IDENTITY_TRIALS = 5
 # (dim, members): a member ladder at dim 6 and a dimension ladder at 5 members.
 IDENTITY_SIZES = ((6, 4), (6, 5), (6, 6), (6, 7), (8, 5), (10, 5))
 # Sizes that also run with --parsevalize.
-PARSEVALIZED_SIZES = ((6, 4), (6, 5))
+PARSEVALIZED_SIZES = ((6, 4), (6, 5), (6, 6))
 PERTURB_DIM = 6
 PERTURB_MEMBERS = (6, 10, 12, 14)
 # Relative perturbation sizes: the first typically keeps every hypothesis,
