@@ -33,9 +33,10 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("verify-ladder", "identity-sweep", "perturb-search")
-# Set-up is timed this many times per run, in fresh processes spread over the
-# run; the median is reported.
-SETUP_SAMPLES = 3
+# Set-up is timed this many times per run, in fresh processes: half of them
+# before the loop, one in the loop's own process and the rest after it.  The
+# median is reported.
+SETUP_SAMPLES = 7
 # Every worker must be done within this many seconds of the run's start.
 BUDGET_S = 170.0
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -89,15 +90,19 @@ def start_worker(args, mode, workdir, deadline):
     return spawned, result
 
 
+def time_setup(args, workdir, deadline):
+    """Seconds from spawning a set-up worker to its first timed job."""
+    spawned, result = start_worker(args, "setup", workdir, deadline)
+    return result["ready"] - spawned
+
+
 def end_to_end(args, workdir, deadline):
     """Set-up is timed before, during and after the loop run, and the median kept."""
-    spawned, result = start_worker(args, "setup", workdir, deadline)
-    setups = [result["ready"] - spawned]
+    setups = [time_setup(args, workdir, deadline) for _ in range(SETUP_SAMPLES // 2)]
     spawned, result = start_worker(args, "loop", workdir, deadline)
     setups.append(result["ready"] - spawned)
-    for _ in range(SETUP_SAMPLES - 2):
-        spawned, after = start_worker(args, "setup", workdir, deadline)
-        setups.append(after["ready"] - spawned)
+    while len(setups) < SETUP_SAMPLES:
+        setups.append(time_setup(args, workdir, deadline))
     tail = result["tail_percentile"]
     jobs = f"{result['jobs']} runs of {result['jobs_per_cycle']} jobs in {result['cycles']} passes"
     cold = result["cli_cold_ms"]
@@ -112,7 +117,8 @@ def end_to_end(args, workdir, deadline):
         ("cli_cold_ms.p50", statistics.median(cold), "ms",
          f"median over {len(cold)} commands of each one's best of its cold runs"),
     ]
-    info = {"fail_frac": result["failed"] / result["attempted"], "cli_cold_ms": cold}
+    info = {"fail_frac": result["failed"] / result["attempted"], "cli_cold_ms": cold,
+            "setup_s": setups}
     return rows, result, info
 
 
@@ -131,8 +137,7 @@ def per_layer(args, workdir, deadline):
     jobs = result["metrics"]["trace.jobs"]
     rows = [(name, value, layer_unit(name), f"one pass of {jobs} jobs")
             for name, value in result["metrics"].items()]
-    info = {"spans": result["spans"], "untraced_s": result["untraced_s"],
-            "traced_s": result["traced_s"]}
+    info = {name: result[name] for name in ("spans", "untraced_s", "traced_s", "span_total_s")}
     return rows, result, info
 
 
@@ -175,8 +180,8 @@ def main() -> int:
         print(f"failed: {reason} (e.g. {example})")
     print(json.dumps({
         "correct": result["wrong"] == 0,
-        "attempted": result["attempted"],
-        "failed": result["failed"],
+        "attempted": result["attempted"] + result["cold_attempted"],
+        "failed": result["failed"] + result["cold_failed"],
         "metrics": {name: {"value": value, "unit": unit} for name, value, unit, _ in rows},
     }))
     return 0

@@ -149,7 +149,7 @@ class Summary:
         return sum(1 for i in self.by_name.get(name, ()) if self._has_ancestor(i, ancestors))
 
     def layers(self) -> dict:
-        """Calls and self time per layer, plus the job roots' own time and wall time."""
+        """Calls and self time per layer, plus the job roots' own time."""
         t = self.tracer
         out = {layer: [0, 0.0] for layer in LAYERS + ("linalg",)}
         for name, indices in self.by_name.items():
@@ -158,6 +158,4 @@ class Summary:
                 out[layer][0] += len(indices)
                 out[layer][1] += sum(self.self_time[i] for i in indices)
         roots = self.by_name.get(ROOT, ())
-        return {"layers": out,
-                "unattributed_s": sum(self.self_time[i] for i in roots),
-                "traced_wall_s": sum(t.end[i] - t.start[i] for i in roots)}
+        return {"layers": out, "unattributed_s": sum(self.self_time[i] for i in roots)}

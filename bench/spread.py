@@ -6,8 +6,8 @@
 Runs ``bench/run.py`` once per seed (``--repeat`` times each, in sequence),
 then prints for every metric its median, its quartiles and the distance
 between them as a share of the median, the figure a bound is compared with.
-Metrics whose spread exceeds ``--flag`` (default a tenth) are marked.  With
-``--out`` the runs and the table are also written as JSON.
+Metrics whose spread exceeds FLAG are marked.  With ``--out`` the runs and the
+table are also written as JSON.
 """
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# Spreads above this share of the median are marked.
+FLAG = 0.1
 
 
 def spread(values):
@@ -35,7 +37,6 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--flag", type=float, default=0.1)
     parser.add_argument("--out")
     args = parser.parse_args()
 
@@ -58,7 +59,7 @@ def main() -> int:
         median, q1, q3, rel = spread(values)
         table[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
                        "spread": rel, "min": min(values), "max": max(values)}
-        mark = "  <-- over" if rel > args.flag else ""
+        mark = "  <-- over" if rel > FLAG else ""
         print(f"{name:45s} {median:12.6g} {first['unit']:6s} q1 {q1:.6g} q3 {q3:.6g} "
               f"spread {rel:.4f}{mark}")
     if args.out:

@@ -36,6 +36,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +71,17 @@ PERTURB_MODES = {
     "C-p2-normsum": ["--R", "0.2"],
     "T-sqsum": ["--R", "0.05"],
 }
+# Defects of the program that some jobs hit, as (job key, failure) patterns.
+# Such a job counts as failed; any other failure, a crash or a refusal
+# included, is a wrong answer and makes the run incorrect.
+KNOWN_DEFECTS = (
+    # optimal_bounds finds A > B for the 1e-3*k target (ROADMAP open item 3).
+    (r"analyze:.*:k_milli", r"error: optimal lower bound \S+ exceeded upper bound "),
+    # `dual --method canonical --out` cannot write the dual of fixture FIX-A.
+    (r"dual-canonical:fix_a", r'exit code 2: .*"error":"subspace 0 vectors must have length '),
+    # transform_invertible certifies (A, B |u|^2) with A > B |u|^2 for some u.
+    (r"transform-invertible:.*", r"uncaught InputError: lower bound \S+ exceeds upper bound "),
+)
 # Mirrors the perturbation module's published sampling policy.
 EXHAUSTIVE_LIMIT = 12
 SAMPLED_SUBSETS = 512
@@ -91,9 +103,11 @@ class Workload:
     jobs: list
     # argv of a few cheap jobs, run again as fresh `python -m framelab` processes.
     cold_argvs: list
-    # Minimum whole passes over ``jobs`` per timed run; sets the sample
-    # count the latency tail is taken from.
-    min_cycles: int
+
+
+def known_defect(key: str, error: str) -> bool:
+    return any(re.fullmatch(job, key) and re.match(failure, error)
+               for job, failure in KNOWN_DEFECTS)
 
 
 def run_cli(argv) -> tuple:
@@ -396,7 +410,7 @@ def verify_ladder(seed: int) -> Workload:
                             check_transform(kind, refs["k"])))
     cold = [["analyze", os.path.join("docs", f"ladder_{name}.json")]
             for name in ("real_d4_m3", "complex_d8_m6", "real_d16_m10")]
-    return Workload(jobs, cold, min_cycles=3)
+    return Workload(jobs, cold)
 
 
 def identity_sweep(seed: int) -> Workload:
@@ -415,7 +429,7 @@ def identity_sweep(seed: int) -> Workload:
                                  check_identities(2**members, probes, parseval)))
     cold = [["identities", os.path.join("docs", f"sweep_{name}.json"),
              "--trials", str(IDENTITY_TRIALS)] for name in ("d6_m4", "d6_m5", "d8_m5")]
-    return Workload(jobs, cold, min_cycles=3)
+    return Workload(jobs, cold)
 
 
 def perturbed(doc: FrameDocument, rng, eps: float) -> FrameDocument:
@@ -454,7 +468,7 @@ def perturb_search(seed: int) -> Workload:
              *PERTURB_MODES[mode]]
             for label, mode in (("keep", "T-sqsum"), ("break", "P1-sqrt-sum"),
                                 ("keep", "C-p2-normsum"))]
-    return Workload(jobs, cold, min_cycles=3)
+    return Workload(jobs, cold)
 
 
 WORKLOADS = {
