@@ -2,16 +2,20 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --workload verify-ladder --seed 1 --seconds 35 --trace 0
+    python3 bench/run.py --workload verify-ladder --seed 1 --seconds 30 --trace 0
 
-``--trace 0`` prints the end-to-end metrics: set-up time, throughput, job
-latency, the share of jobs that succeed, peak memory and the cost of a cold
-``python -m framelab`` call.  ``--trace 1`` runs one pass over the jobs traced,
+``--trace 0`` prints the end-to-end metrics: set-up time, job latency (mean,
+p50 and tail), the cost of a cold ``python -m framelab`` call and peak
+memory.  Latencies are in ``ref``, multiples of the reference kernel of
+``reference.py`` timed next to each job, because the shared machine's speed
+moves more between runs than the bounds allow; the same figures in ms follow
+on the ``info:`` line.  ``--trace 1`` runs one pass over the jobs traced,
 between two untraced passes, and prints per-layer calls and self times
-instead.  The last
-line of stdout is one JSON object with the keys correct, attempted, failed
-and metrics; the lines before it name every metric with its unit and sample
-count, the environment, and the reason of each kind of failed job.
+instead.  The last line of stdout is one JSON object with the keys correct,
+attempted, failed and metrics; the lines before it name every metric with
+its unit and sample count, the environment, the jobs set aside at set-up
+because they hit a known program defect, and the reason of each kind of
+failed job.
 
 The program runs from ``src/`` of the checkout, in worker processes started
 with BLAS and OpenMP pinned to one thread.  Without ``src/framelab`` the
@@ -104,21 +108,21 @@ def end_to_end(args, workdir, deadline):
     while len(setups) < SETUP_SAMPLES:
         setups.append(time_setup(args, workdir, deadline))
     tail = result["tail_percentile"]
-    jobs = f"{result['jobs']} runs of {result['jobs_per_cycle']} jobs in {result['cycles']} passes"
-    cold = result["cli_cold_ms"]
+    runs = f"{result['jobs']} runs of {result['jobs_per_cycle']} jobs in {result['cycles']} passes"
+    ref = result["job_ref"]
     rows = [
         ("setup_s", statistics.median(setups), "s", f"median of {len(setups)} set-ups"),
-        ("jobs_per_s", result["jobs_per_s"], "1/s", f"best run of each job; {jobs}"),
-        ("job_ms.p50", result["job_ms_p50"], "ms", f"best run of each job; {jobs}"),
-        ("job_ms.tail", result["job_ms_tail"], "ms", f"p{tail:g} of best runs; {jobs}"),
-        ("ok_frac", 1.0 - result["failed"] / result["attempted"], "frac",
-         f"{result['attempted'] - result['failed']} of {result['attempted']} jobs"),
+        ("job_ref.mean", ref["mean"], "ref", f"mean over jobs of each one's median; {runs}"),
+        ("job_ref.p50", ref["p50"], "ref", f"p50 over jobs of each one's median; {runs}"),
+        ("job_ref.tail", ref["tail"], "ref", f"p{tail:g} over jobs of each one's median; {runs}"),
+        ("cli_cold_ref.p50", result["cli_cold_ref"], "ref",
+         f"median of {result['cold_runs']} cold runs of `{result['cold_command']}`"),
         ("peak_rss_mb", result["peak_rss_mb"], "MB", "workload process"),
-        ("cli_cold_ms.p50", statistics.median(cold), "ms",
-         f"median over {len(cold)} commands of each one's best of its cold runs"),
     ]
-    info = {"fail_frac": result["failed"] / result["attempted"], "cli_cold_ms": cold,
-            "setup_s": setups}
+    raw = result["job_ms"]
+    info = {"setup_s": setups, "job_ms": raw, "jobs_per_s": 1e3 / raw["mean"],
+            "cli_cold_ms": result["cli_cold_ms"],
+            "kernel_ms": dict(zip(("median", "min", "runs"), result["kernel_ms"]))}
     return rows, result, info
 
 
@@ -145,7 +149,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=35)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if args.seed < 0 or args.seconds < 1:
@@ -169,13 +173,16 @@ def main() -> int:
     print("env: " + json.dumps({
         "python": platform.python_version(), "numpy": result["numpy"],
         "framelab": result["framelab"], "nproc": os.cpu_count(),
-        "affinity": len(os.sched_getaffinity(0)), "git_sha": git_sha(),
+        "affinity": len(os.sched_getaffinity(0)), "worker_cpu": result["cpu"],
+        "git_sha": git_sha(),
         "workload_threads": env, "workload": args.workload, "seed": args.seed}))
     for name, value, unit, note in rows:
         print(f"{name} = {value:.6g} {unit} ({note})")
     print("info: " + json.dumps(info))
     for name, (calls, inclusive, own) in result.get("span_table", {}).items():
         print(f"span {name}: calls={calls} s={inclusive:.6g} self_s={own:.6g}")
+    for defect, keys in sorted(result["defects"].items()):
+        print(f"known defect {defect}: {len(keys)} jobs set aside (e.g. {keys[0]})")
     for reason, example in sorted(result["reasons"].items()):
         print(f"failed: {reason} (e.g. {example})")
     print(json.dumps({

@@ -35,7 +35,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=35)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out")
     args = parser.parse_args()

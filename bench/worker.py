@@ -1,13 +1,16 @@
 """One workload process: set up, run the closed loop or the traced pass, report.
 
-Started by ``run.py`` with BLAS threads pinned in its environment.  Writes one
-JSON result file and nothing to stdout.  Modes:
+Started by ``run.py`` with BLAS threads pinned in its environment; it pins
+itself, and so the cold runs it starts, to one CPU.  Writes one JSON result
+file and nothing to stdout.  Every mode first builds the inputs, sets aside
+the jobs that hit a known program defect, and runs one warm-up job.  Modes:
 
-setup   build the inputs and run the warm-up job, then stop (times set-up);
+setup   stop there (times set-up);
 loop    closed loop: one client runs whole passes over the job list, each job
         after the previous one returns, until ``--seconds`` have passed and
         at least MIN_CYCLES passes are done, with cold ``python -m framelab``
-        runs of a few cheap jobs spread over the loop;
+        runs of one cheap job spread over the loop, and the reference kernel
+        timed between jobs;
 trace   the same pass untraced, traced, and untraced again, for the
         per-layer metrics and the tracing overhead.
 """
@@ -18,6 +21,7 @@ import hashlib
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -25,11 +29,12 @@ import time
 import numpy as np
 
 import framelab
+import reference
 import spans
 import workloads
 
 # Cold CLI runs per timed run, spread evenly over the loop.
-COLD_RUNS = 15
+COLD_RUNS = 20
 # Minimum whole passes over the jobs per timed run; sets the sample count the
 # latency tail is taken from.
 MIN_CYCLES = 3
@@ -37,6 +42,8 @@ MIN_CYCLES = 3
 # TAIL_BEYOND jobs above it, or the slowest job (100) when there are too few.
 TAIL_PERCENTILES = (75.0, 90.0, 95.0, 99.0)
 TAIL_BEYOND = 10
+# The reference kernel runs once per this many seconds of jobs timed.
+REF_EVERY_S = 0.02
 # Largest relative gap allowed between the span total of the traced pass and
 # its jobs' wall time timed from outside.
 TRACE_CLOCK_TOL = 0.01
@@ -58,12 +65,13 @@ def tail_percentile(samples: int) -> float:
 class Ledger:
     """Outcome of every job run: failures, reasons, and stdout digests.
 
-    ``attempted`` and ``failed`` count in-process job runs only, so their
-    ratio is the same for every run of a seed; cold runs are counted apart.
+    ``attempted`` and ``failed`` count in-process job runs, cold runs apart.
     A failure is wrong unless it is one of the workloads' known defects.
+    ``defects`` holds the jobs set aside at set-up, by defect name.
     """
 
     def __init__(self):
+        self.defects = {}
         self.attempted = 0
         self.failed = 0
         self.wrong = 0
@@ -82,7 +90,7 @@ class Ledger:
             if first != digest:
                 error = "report bytes differ between repeats"
         if error is not None:
-            known = workloads.known_defect(job.key, error)
+            known = workloads.known_defect(job.key, error) is not None
             self.failed += 1
             self.wrong += not known
             kind = "known defect" if known else "wrong"
@@ -116,6 +124,24 @@ def execute(job):
     return code, text, None
 
 
+def set_aside_defects(work, ledger):
+    """Run once, untimed, each job a known program defect may hit, and take
+    the jobs that do hit one out of the timed list.  A job that fails in any
+    other way stays, so the timed runs report it."""
+    timed = []
+    for job in work.jobs:
+        if workloads.may_hit_defect(job.key):
+            code, text, error = execute(job)
+            if error is None:
+                error = job.check(code, text)
+            defect = error and workloads.known_defect(job.key, error)
+            if defect:
+                ledger.defects.setdefault(defect, []).append(job.key)
+                continue
+        timed.append(job)
+    work.jobs = timed
+
+
 def code_digest(root) -> str:
     """Digest of the benchmark and program sources, to key saved report digests."""
     h = hashlib.sha256()
@@ -141,26 +167,61 @@ def cold_run(argv, expected_text, ledger):
     return elapsed
 
 
+class Scaled:
+    """Job times as multiples of the reference kernel timed around them.
+
+    Once the jobs timed since the kernel last ran add up to REF_EVERY_S, the
+    kernel runs once per REF_EVERY_S of them, so it takes about a tenth of
+    the loop wherever the loop is.  Each of those jobs is divided by the
+    mean kernel time over that block of kernel runs and the block before.
+    """
+
+    def __init__(self):
+        self.kernel_s = []
+        self.block = [reference.kernel_s()]
+        self.pending = []
+        self.pending_s = 0.0
+        self.raw = {}
+        self.ref = {}
+
+    def add(self, key, seconds):
+        self.raw.setdefault(key, []).append(seconds)
+        self.pending.append((key, seconds))
+        self.pending_s += seconds
+        if self.pending_s >= REF_EVERY_S:
+            self.settle()
+
+    def settle(self):
+        """Run the next block of kernel runs and scale the jobs before it."""
+        before = self.block
+        self.block = [reference.kernel_s()
+                      for _ in range(max(1, round(self.pending_s / REF_EVERY_S)))]
+        self.kernel_s += self.block
+        unit = statistics.fmean(before + self.block)
+        for key, seconds in self.pending:
+            self.ref.setdefault(key, []).append(seconds / unit)
+        self.pending.clear()
+        self.pending_s = 0.0
+
+
 def loop_mode(args, work, ledger):
     """Closed loop over whole passes, with cold runs spread over the loop.
 
     The machine's speed changes for seconds at a time under other tenants'
-    load, so each job's latency is its best time over its repeats in the
-    run, and each cold command's its best over its runs; every repeat is
-    still run, checked and hashed.
+    load, so every job is also timed in units of the reference kernel run
+    next to it, and each job's figure is the median over its repeats in
+    the run; the latency figures are then taken over the jobs.  Every
+    repeat is run, checked and hashed.
     """
     order_rng = np.random.Generator(np.random.PCG64(args.seed))
-    expected = [workloads.run_cli(argv)[1] for argv in work.cold_argvs]
-    samples = {job.key: [] for job in work.jobs}
-    cold = [[] for _ in work.cold_argvs]
-
-    def cold_due(elapsed):
-        taken = sum(map(len, cold))
-        return taken < COLD_RUNS and elapsed >= taken * args.seconds / COLD_RUNS
+    expected = workloads.run_cli(work.cold_argv)[1]
+    scaled = Scaled()
+    colds = 0
 
     def take_cold():
-        i = sum(map(len, cold)) % len(cold)
-        cold[i].append(cold_run(work.cold_argvs[i], expected[i], ledger))
+        nonlocal colds
+        scaled.add("cold", cold_run(work.cold_argv, expected, ledger))
+        colds += 1
 
     passes = 0
     start = time.perf_counter()
@@ -169,24 +230,39 @@ def loop_mode(args, work, ledger):
             job = work.jobs[index]
             t0 = time.perf_counter()
             outcome = execute(job)
-            samples[job.key].append(time.perf_counter() - t0)
+            scaled.add(job.key, time.perf_counter() - t0)
             ledger.record(job, outcome)
-            if cold_due(time.perf_counter() - start):
+            if colds < COLD_RUNS and time.perf_counter() - start >= colds * args.seconds / COLD_RUNS:
                 take_cold()
         passes += 1
-    while sum(map(len, cold)) < COLD_RUNS:
+    while colds < COLD_RUNS:
         take_cold()
-    best = sorted(min(v) for v in samples.values())
-    tail_q = tail_percentile(len(best))
+    scaled.settle()
+    cold_ref = statistics.median(scaled.ref.pop("cold"))
+    cold_ms = 1e3 * statistics.median(scaled.raw.pop("cold"))
+
+    def figures(per_job, scale):
+        """Mean, p50 and tail over jobs of each job's median over its runs."""
+        jobs = sorted(scale * statistics.median(v) for v in per_job.values())
+        tail_q = tail_percentile(len(jobs))
+        return {"mean": statistics.fmean(jobs), "p50": percentile(jobs, 50.0),
+                "tail": percentile(jobs, tail_q)}, tail_q
+
+    ref, tail_q = figures(scaled.ref, 1.0)
+    raw_ms, _ = figures(scaled.raw, 1e3)
     return {
-        "jobs": sum(map(len, samples.values())),
+        "jobs": sum(map(len, scaled.raw.values())),
         "cycles": passes,
         "jobs_per_cycle": len(work.jobs),
-        "jobs_per_s": len(best) / sum(best),
-        "job_ms_p50": 1e3 * percentile(best, 50.0),
-        "job_ms_tail": 1e3 * percentile(best, tail_q),
+        "job_ref": ref,
+        "job_ms": raw_ms,
         "tail_percentile": tail_q,
-        "cli_cold_ms": [1e3 * min(c) for c in cold],
+        "kernel_ms": [1e3 * statistics.median(scaled.kernel_s), 1e3 * min(scaled.kernel_s),
+                      len(scaled.kernel_s)],
+        "cli_cold_ref": cold_ref,
+        "cli_cold_ms": cold_ms,
+        "cold_runs": colds,
+        "cold_command": "python -m framelab " + " ".join(work.cold_argv),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -293,6 +369,7 @@ def trace_mode(args, work, ledger):
     metrics["trace_coverage_frac"] = attributed / traced_s
     metrics["trace_overhead_frac"] = (traced_s - untraced_s) / untraced_s
     metrics["trace.jobs"] = jobs
+    metrics["known_defect.jobs"] = sum(map(len, ledger.defects.values()))
     metrics["checks_per_s"] = sum(map(workloads.sweep_pairs, reports)) / untraced_s
     for metric, kind, name in NAMED:
         if kind == "calls":
@@ -333,14 +410,20 @@ def main():
     args = parser.parse_args()
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # The jobs, the reference kernel and the cold runs all run on one CPU, so
+    # the kernel measures the speed of the CPU the jobs ran on.
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
     os.makedirs(args.workdir, exist_ok=True)
     os.chdir(args.workdir)
     work = workloads.WORKLOADS[args.workload](args.seed)
+    ledger = Ledger()
+    set_aside_defects(work, ledger)
     execute(work.jobs[0])
     ready = time.clock_gettime(time.CLOCK_MONOTONIC)
 
-    result = {"ready": ready, "numpy": np.__version__, "framelab": framelab.__version__}
-    ledger = Ledger()
+    result = {"ready": ready, "numpy": np.__version__, "framelab": framelab.__version__,
+              "cpu": cpu, "defects": ledger.defects}
     if args.mode == "loop":
         result.update(loop_mode(args, work, ledger))
     elif args.mode == "trace":
