@@ -25,7 +25,6 @@ from .duality import (
     complement_residual,
     construct_q_dual,
     parsevalize,
-    partial_operator,
     qdual_bound_corollary,
     verify_kgf_dual,
     verify_q_dual,
@@ -53,13 +52,12 @@ from .numerics import (
 from .perturbation import (
     PerturbationMode,
     PerturbationParams,
+    _subset_masks,
     perturb_hypothesis,
     verify_perturbation_theorem,
 )
 
 __all__ = ["main", "build_parser"]
-
-MAX_EXHAUSTIVE_MEMBERS = 12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,16 +142,6 @@ def _operator(operators: dict, name: str) -> BoundedOperator:
         raise InputError(
             f"document has no operator named {name!r}; available: {sorted(operators)}")
     return operators[name]
-
-
-def _subsets(size: int):
-    """All index subsets, ascending by bitmask; sampled beyond 12 members."""
-    if size <= MAX_EXHAUSTIVE_MEMBERS:
-        span = range(2**size)
-    else:
-        span = range(512)
-    for bits in span:
-        yield tuple(j for j in range(size) if bits >> j & 1)
 
 
 def _frame_section(report) -> dict:
@@ -283,7 +271,9 @@ def cmd_identities(args, tol):
     else:
         k = _operator(operators, args.k)
     probes = _identity_probes(system, args.trials)
-    subsets = list(_subsets(system.size))
+    # the empty set, then the nonempty subsets perturb tests, in its order
+    subsets = [()] + [tuple(int(j) for j in np.flatnonzero(mask))
+                      for mask in _subset_masks(system.size)]
     body = {"notes": notes, "subsets_tested": len(subsets), "probes": int(probes.shape[0])}
     all_ok = True
 

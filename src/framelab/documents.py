@@ -5,8 +5,9 @@ significant digits (which round-trips IEEE doubles exactly), and a trailing
 newline, so that regenerating a committed file is byte-identical.  Real
 documents store plain numbers; complex documents store every matrix entry as
 an [re, im] pair.  Subspaces are stored as lists of basis vectors (each of
-ambient length), local operators as row-major d_j x n matrices, and named
-square operators (such as "k") in the ``operators`` map.
+ambient length; an empty list is a zero-dimensional subspace), local
+operators as row-major d_j x n matrices, and named square operators (such as
+"k") in the ``operators`` map.
 """
 from __future__ import annotations
 
@@ -173,7 +174,8 @@ def loads(text: str) -> FrameDocument:
     weights = data["weights"]
     if not isinstance(weights, list):
         raise InputError("weights must be a list")
-    subspaces = [_decode_matrix(vs, complex_field, f"subspace {i}")
+    # an empty vector list is a zero-dimensional subspace
+    subspaces = [vs if vs == [] else _decode_matrix(vs, complex_field, f"subspace {i}")
                  for i, vs in enumerate(data["subspaces"])]
     local_ops = [_decode_matrix(m, complex_field, f"local operator {i}")
                  for i, m in enumerate(data["local_operators"])]
@@ -212,7 +214,7 @@ def to_system(doc: FrameDocument):
     members = []
     for i, (weight, vectors, local) in enumerate(
             zip(doc.weights, doc.subspaces, doc.local_operators)):
-        basis_rows = np.asarray(vectors)
+        basis_rows = np.asarray(vectors) if len(vectors) else np.zeros((0, doc.dim))
         if basis_rows.ndim != 2 or basis_rows.shape[1] != doc.dim:
             raise InputError(f"subspace {i} vectors must have length {doc.dim}")
         basis = basis_rows.T.astype(space.dtype)

@@ -22,7 +22,7 @@ from .frame_ops import (
     synthesis,
     verify_k_g_fusion,
 )
-from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace, projection
+from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace
 from .numerics import (
     DEFAULT_TOL,
     InputError,
@@ -35,6 +35,7 @@ from .numerics import (
     operator_norm,
     orthonormalize,
     pinv,
+    psd_check,
     unit_probes,
 )
 
@@ -256,34 +257,13 @@ class KGFDualPair:
     exploratory: bool = False
 
 
-def _coupling_matrix(pair: KGFDualPair) -> np.ndarray:
-    """Assemble sum_j v_j^2 pi_Wj Lj* Ltilde_j pi_Wtilde_j in ascending j."""
-    if pair.base.size != pair.dual.size:
-        raise InputError(
-            f"base has {pair.base.size} members but the dual has {pair.dual.size}")
-    if pair.base.dim != pair.dual.dim:
-        raise InputError("base and dual live in different ambient dimensions")
-    n = pair.base.dim
-    dtype = np.result_type(
-        pair.base.space.dtype,
-        *(op.matrix.dtype for _, op in pair.base.members),
-        *(op.matrix.dtype for _, op in pair.dual.members),
-    )
-    m = np.zeros((n, n), dtype=dtype)
-    for (sub, op), (dsub, dop) in zip(pair.base.members, pair.dual.members):
-        term = projection(sub) @ adjoint(op.matrix) @ dop.matrix @ projection(dsub)
-        m = m + (sub.weight**2) * term
-    return m
-
-
-def _probe_residual(pair: KGFDualPair, probes: int = 50) -> float:
-    m = _coupling_matrix(pair)
+def _probe_residual(pair: KGFDualPair, coupling: np.ndarray, probes: int = 50) -> float:
     k = pair.k.matrix
-    complex_field = np.iscomplexobj(m) or np.iscomplexobj(k)
+    complex_field = np.iscomplexobj(coupling) or np.iscomplexobj(k)
     worst = 0.0
     for f in unit_probes(pair.base.dim, probes, complex_field=complex_field, seed=0xCAFE):
         kf = k @ f
-        defect = float(np.linalg.norm(kf - m @ f)) / (1.0 + float(np.linalg.norm(kf)))
+        defect = float(np.linalg.norm(kf - coupling @ f)) / (1.0 + float(np.linalg.norm(kf)))
         worst = max(worst, defect)
     return worst
 
@@ -305,15 +285,14 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
     p_img = ri.image_basis @ adjoint(ri.image_basis)
     k_mat = k.matrix
     members = []
-    for sub, op in system.members:
-        p_j = projection(sub)
+    for (sub, _), lp in zip(system.members, system.local_factors):
         basis = orthonormalize(adjoint(k_mat) @ (x @ (p_img @ sub.basis)), tol)
-        local = op.matrix @ p_j @ p_img @ adjoint(x) @ k_mat
+        local = lp @ p_img @ adjoint(x) @ k_mat
         members.append((WeightedSubspace(basis, sub.weight, tol=tol), LocalOperator(local)))
     dual = GFusionSystem(system.space, tuple(members))
     exploratory = not k.is_invertible(tol)
     pair = KGFDualPair(system, dual, k, 0.0, exploratory=exploratory)
-    pair.residual = _probe_residual(pair)
+    pair.residual = _probe_residual(pair, frame_operator(system, dual))
     return pair
 
 
@@ -337,9 +316,9 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
     frame for k* with lower bound 1/B, B the base optimal upper bound.
     """
     tol = tol or DEFAULT_TOL
-    m = _coupling_matrix(pair)
-    operator_residual = operator_norm(m - pair.k.matrix)
-    probe_residual = _probe_residual(pair)
+    coupling = frame_operator(pair.base, pair.dual)
+    operator_residual = operator_norm(coupling - pair.k.matrix)
+    probe_residual = _probe_residual(pair, coupling)
     passed = operator_residual <= tol.for_scale(pair.k.norm)
     report = KGFDualReport(float(operator_residual), float(probe_residual),
                            bool(passed), pair.exploratory)
@@ -349,8 +328,6 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
         report.certified_lower = 1.0 / base_upper
         s_dual = frame_operator(pair.dual)
         ksk = adjoint(pair.k.matrix) @ pair.k.matrix
-        from .numerics import psd_check
-
         report.certified_lower_ok = psd_check(s_dual - report.certified_lower * ksk, tol)
     return report
 
@@ -363,39 +340,34 @@ class PartialOperator:
     matrix: np.ndarray
 
 
-def _check_subset(pair, index_set) -> frozenset:
-    size = pair.base.size
+def _split(size: int, index_set):
+    """The index set I and its complement in range(size).
+
+    :func:`frame_operator` rejects an I that escapes range(size).
+    """
     idx = frozenset(int(j) for j in index_set)
-    if any(j < 0 or j >= size for j in idx):
-        raise InputError(f"index set {sorted(idx)} escapes range(0, {size})")
-    return idx
+    return idx, frozenset(range(size)) - idx
+
+
+def _probe_vector(f, dim: int) -> np.ndarray:
+    f = np.asarray(f).reshape(-1)
+    if f.shape[0] != dim:
+        raise InputError("probe vector has wrong dimension")
+    return f
 
 
 def partial_operator(pair: KGFDualPair, index_set) -> PartialOperator:
     """S_I = sum over j in I of v_j^2 pi_Wj Lj* Ltilde_j pi_Wtilde_j."""
-    idx = _check_subset(pair, index_set)
-    n = pair.base.dim
-    dtype = np.result_type(
-        pair.base.space.dtype,
-        *(op.matrix.dtype for _, op in pair.base.members),
-        *(op.matrix.dtype for _, op in pair.dual.members),
-    )
-    m = np.zeros((n, n), dtype=dtype)
-    for j in sorted(idx):
-        sub, op = pair.base.members[j]
-        dsub, dop = pair.dual.members[j]
-        term = projection(sub) @ adjoint(op.matrix) @ dop.matrix @ projection(dsub)
-        m = m + (sub.weight**2) * term
-    return PartialOperator(idx, m)
+    idx = frozenset(int(j) for j in index_set)
+    return PartialOperator(idx, frame_operator(pair.base, pair.dual, idx))
 
 
 def complement_residual(pair: KGFDualPair, index_set,
                         tol: ToleranceProfile | None = None) -> float:
     """Defect of S_I + S_{I^c} = k in operator norm."""
-    idx = _check_subset(pair, index_set)
-    comp = frozenset(range(pair.base.size)) - idx
-    s_i = partial_operator(pair, idx).matrix
-    s_c = partial_operator(pair, comp).matrix
+    idx, comp = _split(pair.base.size, index_set)
+    s_i = frame_operator(pair.base, pair.dual, idx)
+    s_c = frame_operator(pair.base, pair.dual, comp)
     return float(operator_norm(s_i + s_c - pair.k.matrix))
 
 
@@ -416,29 +388,22 @@ def check_dual_subset_identity(pair: KGFDualPair, index_set, f,
     For a certified reconstruction dual,
     ``sum_{j in I} v_j^2 <Ltilde_j pi~_j f, Lj pi_j k f> - |S_I f|^2`` equals
     the conjugate-complement expression with I replaced by its complement.
-    The identity needs S_I + S_{I^c} = k, so an uncertified pair is rejected.
+    The coefficient sum over I is ``<S_I f, k f>``.  The identity needs
+    S_I + S_{I^c} = k, so an uncertified pair is rejected.
     """
     tol = tol or DEFAULT_TOL
-    coupling_defect = operator_norm(_coupling_matrix(pair) - pair.k.matrix)
+    coupling_defect = operator_norm(frame_operator(pair.base, pair.dual) - pair.k.matrix)
     if coupling_defect > tol.for_scale(pair.k.norm):
         raise PreconditionError(
             f"reconstruction defect {coupling_defect:g} exceeds tolerance; "
             "the subset identity needs a certified dual pair")
-    idx = _check_subset(pair, index_set)
-    comp = frozenset(range(pair.base.size)) - idx
-    f = np.asarray(f).reshape(-1)
-    if f.shape[0] != pair.base.dim:
-        raise InputError("probe vector has wrong dimension")
+    idx, comp = _split(pair.base.size, index_set)
+    f = _probe_vector(f, pair.base.dim)
     kf = pair.k.matrix @ f
-    coeffs = []
-    for (sub, op), (dsub, dop) in zip(pair.base.members, pair.dual.members):
-        af = dop.matrix @ (projection(dsub) @ f)
-        bf = op.matrix @ (projection(sub) @ kf)
-        coeffs.append((sub.weight**2) * inner(af, bf))
-    s_i_f = partial_operator(pair, idx).matrix @ f
-    s_c_f = partial_operator(pair, comp).matrix @ f
-    lhs = sum((coeffs[j] for j in sorted(idx)), 0j) - float(np.linalg.norm(s_i_f))**2
-    rhs = sum((np.conj(coeffs[j]) for j in sorted(comp)), 0j) - float(np.linalg.norm(s_c_f))**2
+    s_i_f = frame_operator(pair.base, pair.dual, idx) @ f
+    s_c_f = frame_operator(pair.base, pair.dual, comp) @ f
+    lhs = inner(s_i_f, kf) - float(np.linalg.norm(s_i_f))**2
+    rhs = np.conj(inner(s_c_f, kf)) - float(np.linalg.norm(s_c_f))**2
     residual = abs(lhs - rhs)
     passed = residual <= tol.for_scale(1.0) * (1.0 + abs(lhs))
     return SubsetIdentityResult(lhs, rhs, float(residual), bool(passed))
@@ -454,18 +419,6 @@ def _require_parseval(system: GFusionSystem, k: BoundedOperator, tol: ToleranceP
     return kk
 
 
-def _partial_frame_operator(system: GFusionSystem, idx) -> np.ndarray:
-    n = system.dim
-    dtype = np.result_type(system.space.dtype,
-                           *(op.matrix.dtype for _, op in system.members))
-    m = np.zeros((n, n), dtype=dtype)
-    for j in sorted(idx):
-        sub, op = system.members[j]
-        lp = op.matrix @ projection(sub)
-        m = m + (sub.weight**2) * (adjoint(lp) @ lp)
-    return m
-
-
 def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
                                    index_set, extension_set, f,
                                    tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
@@ -473,33 +426,24 @@ def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
 
     With S_J = k k*, extending I by a disjoint E inside its complement shifts
     the difference of squared partial-operator norms by twice the real part of
-    the E-indexed coefficient sum.
+    the E-indexed coefficient sum ``<S_E f, k k* f>``.
     """
     tol = tol or DEFAULT_TOL
     kk = _require_parseval(system, k, tol)
-    size = system.size
-    idx = frozenset(int(j) for j in index_set)
+    idx, comp = _split(system.size, index_set)
     ext = frozenset(int(j) for j in extension_set)
-    if any(j < 0 or j >= size for j in idx | ext):
-        raise InputError("index sets escape the member range")
-    comp = frozenset(range(size)) - idx
     if not ext <= comp:
-        raise InputError("extension set must avoid the base index set")
-    f = np.asarray(f).reshape(-1)
-    if f.shape[0] != system.dim:
-        raise InputError("probe vector has wrong dimension")
-    kkf = kk @ f
-    coeffs = []
-    for sub, op in system.members:
-        lp = op.matrix @ projection(sub)
-        coeffs.append((sub.weight**2) * inner(lp @ f, lp @ kkf))
+        raise InputError("extension set must lie in the complement of the base index set")
+    f = _probe_vector(f, system.dim)
+
+    def partial_f(subset):
+        return frame_operator(system, index_set=subset) @ f
 
     def norms2(subset):
-        v = _partial_frame_operator(system, subset) @ f
-        return float(np.linalg.norm(v))**2
+        return float(np.linalg.norm(partial_f(subset)))**2
 
     lhs = norms2(idx | ext) - norms2(comp - ext)
-    rhs = norms2(idx) - norms2(comp) + 2.0 * sum(coeffs[j] for j in sorted(ext)).real
+    rhs = norms2(idx) - norms2(comp) + 2.0 * inner(partial_f(ext), kk @ f).real
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     passed = residual <= tol.for_scale(1.0)
     return SubsetIdentityResult(complex(lhs), complex(rhs), float(residual), bool(passed))
@@ -522,31 +466,19 @@ def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
                                tol: ToleranceProfile | None = None) -> ThreeQuartersResult:
     """Lower bound |S_I f|^2 + Re sum_{I^c} coeff >= (3/4) |k k* f|^2.
 
-    Requires a Parseval system.  Both subset orientations are evaluated; they
+    Requires a Parseval system; the coefficient sum over I^c is
+    ``<S_{I^c} f, k k* f>``.  Both subset orientations are evaluated; they
     agree identically and each clears three quarters of |k k* f|^2.
     """
     tol = tol or DEFAULT_TOL
     kk = _require_parseval(system, k, tol)
-    size = system.size
-    idx = frozenset(int(j) for j in index_set)
-    if any(j < 0 or j >= size for j in idx):
-        raise InputError("index set escapes the member range")
-    comp = frozenset(range(size)) - idx
-    f = np.asarray(f).reshape(-1)
-    if f.shape[0] != system.dim:
-        raise InputError("probe vector has wrong dimension")
+    idx, comp = _split(system.size, index_set)
+    f = _probe_vector(f, system.dim)
     kkf = kk @ f
-    coeffs = []
-    for sub, op in system.members:
-        lp = op.matrix @ projection(sub)
-        coeffs.append((sub.weight**2) * inner(lp @ f, lp @ kkf))
-
-    def side(subset, other):
-        v = _partial_frame_operator(system, subset) @ f
-        return float(np.linalg.norm(v))**2 + sum(coeffs[j] for j in sorted(other)).real
-
-    lhs = side(idx, comp)
-    rhs = side(comp, idx)
+    s_i_f = frame_operator(system, index_set=idx) @ f
+    s_c_f = frame_operator(system, index_set=comp) @ f
+    lhs = float(np.linalg.norm(s_i_f))**2 + inner(s_c_f, kkf).real
+    rhs = float(np.linalg.norm(s_c_f))**2 + inner(s_i_f, kkf).real
     target = 0.75 * float(np.linalg.norm(kkf))**2
     scale = 1.0 + abs(lhs) + abs(rhs) + target
     symmetry_residual = abs(lhs - rhs)

@@ -51,7 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """A (lower, upper) bound pair; lower <= upper whenever both are finite."""
+    """A (lower, upper) bound pair.
+
+    The pair is not ordered: the k-frame inequality only implies
+    ``lower * |k|^2 <= upper``, so a small target can give lower > upper.
+    """
 
     lower: float
     upper: float
@@ -62,8 +66,6 @@ class FrameBounds:
             raise InputError("bounds must not be NaN")
         if lo < 0.0 or up < 0.0:
             raise InputError("bounds must be nonnegative")
-        if math.isfinite(lo) and math.isfinite(up) and lo > up * (1.0 + 1e-12) + 1e-12:
-            raise InputError(f"lower bound {lo} exceeds upper bound {up}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
@@ -109,16 +111,31 @@ def synthesis(system: GFusionSystem) -> SynthesisOperator:
     return SynthesisOperator(t, tuple(offsets))
 
 
-def frame_operator(system: GFusionSystem) -> np.ndarray:
-    """S = sum_j v_j^2 pi_Wj Lj* Lj pi_Wj, summed in ascending j."""
-    n = system.dim
+def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
+                   index_set=None) -> np.ndarray:
+    """S_I = sum_{j in I} v_j^2 (Lj pi_Wj)* (L'j pi_W'j), summed in ascending j.
+
+    With ``other`` omitted this is the frame operator of ``system``; with a
+    dual system it is the reconstruction coupling.  ``index_set`` defaults to
+    every member.  The weights are always those of ``system``.
+    """
+    other = system if other is None else other
+    if other.size != system.size:
+        raise InputError(
+            f"base has {system.size} members but the dual has {other.size}")
+    if other.dim != system.dim:
+        raise InputError("base and dual live in different ambient dimensions")
+    if index_set is None:
+        index_set = range(system.size)
+    idx = sorted(frozenset(int(j) for j in index_set))
+    if any(j < 0 or j >= system.size for j in idx):
+        raise InputError(f"index set {idx} escapes range(0, {system.size})")
     dtype = np.result_type(system.space.dtype,
-                           *(op.matrix.dtype for _, op in system.members))
-    s = np.zeros((n, n), dtype=dtype)
-    for sub, op in system.members:
-        p = projection(sub)
-        lp = op.matrix @ p
-        s = s + (sub.weight**2) * (adjoint(lp) @ lp)
+                           *(op.matrix.dtype for _, op in system.members + other.members))
+    s = np.zeros((system.dim, system.dim), dtype=dtype)
+    for j in idx:
+        weight = system.members[j][0].weight
+        s = s + (weight**2) * (adjoint(system.local_factors[j]) @ other.local_factors[j])
     return s
 
 
@@ -184,10 +201,11 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
         raise InternalConsistencyError(
             "Parseval verdict held while the range-inclusion verdict failed")
     lower = 1.0 / dg.lambda_min**2 if is_frame else 0.0
-    if lower > upper * (1.0 + 1e-9) + tol.tau_abs:
+    if lower * k.norm**2 > upper * (1.0 + 1e-9) + tol.tau_abs:
         raise InternalConsistencyError(
-            f"optimal lower bound {lower} exceeded upper bound {upper}")
-    optimal = FrameBounds(min(lower, upper), upper)
+            f"optimal lower bound {lower} times |k|^2 = {k.norm**2} exceeded "
+            f"upper bound {upper}")
+    optimal = FrameBounds(lower, upper)
     claimed_lower_ok = claimed_upper_ok = None
     if claimed is not None:
         claimed_lower_ok = psd_check(s - claimed.lower * kk, tol)
@@ -327,11 +345,7 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     projected = distance > tol.for_scale(float(np.linalg.norm(f)))
     kf = k.matrix @ f_used
     lhs = inner(kf, f_used)
-    rhs = 0.0 + 0.0j
-    for sub, op in system.members:
-        p = projection(sub)
-        term = ri.matrix @ (p @ (adjoint(op.matrix) @ (op.matrix @ (p @ kf))))
-        rhs += (sub.weight**2) * inner(term, f_used)
+    rhs = inner(ri.matrix @ (frame_operator(system) @ kf), f_used)
     residual = abs(lhs - rhs)
     passed = residual <= tol.for_scale(1.0) * (1.0 + abs(lhs))
     return ReconstructionReport(float(residual), bool(passed), projected, distance)

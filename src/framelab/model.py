@@ -21,6 +21,8 @@ from .numerics import (
     as_matrix,
     operator_norm,
     orthonormalize,
+    pinv_from_svd,
+    significant_rank,
 )
 
 __all__ = [
@@ -148,8 +150,10 @@ class GFusionSystem:
     def local_dims(self) -> tuple:
         return tuple(op.local_dim for _, op in self.members)
 
-    def projections(self) -> list:
-        return [projection(sub) for sub, _ in self.members]
+    @cached_property
+    def local_factors(self) -> tuple:
+        """``L_j pi_Wj`` for every member, in member order, built once."""
+        return tuple(op.matrix @ projection(sub) for sub, op in self.members)
 
     def with_local_operators(self, operators) -> "GFusionSystem":
         """Same subspaces and weights, new local operators (dims must agree)."""
@@ -201,30 +205,18 @@ class BoundedOperator:
         return BoundedOperator(adjoint(self.matrix))
 
     def pinv(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        tol = tol or DEFAULT_TOL
-        u, s, vh = self.svd
-        cutoff = tol.rank_cutoff(s[0] if s.size else 0.0)
-        inv = np.zeros_like(s)
-        keep = s > cutoff
-        inv[keep] = 1.0 / s[keep]
-        return adjoint(vh) @ (inv[:, None] * adjoint(u))
+        return pinv_from_svd(*self.svd, tol or DEFAULT_TOL)
 
     def range_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        tol = tol or DEFAULT_TOL
         u, s, _ = self.svd
-        cutoff = tol.rank_cutoff(s[0] if s.size else 0.0)
-        r = int(np.count_nonzero(s > cutoff))
-        return u[:, :r]
+        return u[:, :significant_rank(s, tol or DEFAULT_TOL)]
 
     def rank(self, tol: ToleranceProfile | None = None) -> int:
-        return self.range_basis(tol).shape[1]
+        return significant_rank(self.singular_values, tol or DEFAULT_TOL)
 
     def is_invertible(self, tol: ToleranceProfile | None = None) -> bool:
-        tol = tol or DEFAULT_TOL
         s = self.singular_values
-        if not s.size:
-            return False
-        return bool(s[-1] > tol.rank_cutoff(s[0]))
+        return bool(s.size) and significant_rank(s, tol or DEFAULT_TOL) == s.size
 
     def __repr__(self):
         return f"BoundedOperator(dim={self.dim})"

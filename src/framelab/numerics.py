@@ -25,6 +25,8 @@ __all__ = [
     "operator_norm",
     "is_hermitian",
     "hermitian_eig",
+    "significant_rank",
+    "pinv_from_svd",
     "pinv",
     "numerical_rank",
     "orthonormalize",
@@ -147,6 +149,26 @@ def hermitian_eig(m, tol: ToleranceProfile | None = None):
     return w, v
 
 
+def significant_rank(s: np.ndarray, tol: ToleranceProfile) -> int:
+    """Number of singular values (descending) above ``tol.rank_cutoff(s[0])``.
+
+    Every rank, range and pseudo-inverse decision in the package keeps exactly
+    these leading directions and treats the rest as exact zeros.
+    """
+    if not s.size:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_cutoff(s[0])))
+
+
+def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray,
+                  tol: ToleranceProfile) -> np.ndarray:
+    """Pseudo-inverse from an SVD, inverting only the significant directions."""
+    inv = np.zeros_like(s)
+    r = significant_rank(s, tol)
+    inv[:r] = 1.0 / s[:r]
+    return adjoint(vh) @ (inv[:, None] * adjoint(u))
+
+
 def pinv(m, tol: ToleranceProfile | None = None) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the profile's rank cutoff.
 
@@ -154,26 +176,16 @@ def pinv(m, tol: ToleranceProfile | None = None) -> np.ndarray:
     exact zeros.
     """
     m = as_matrix(m)
-    tol = tol or DEFAULT_TOL
-    rows, cols = m.shape
     if m.size == 0:
-        return np.zeros((cols, rows), dtype=m.dtype)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol.rank_cutoff(s[0] if s.size else 0.0)
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return adjoint(vh) @ (inv[:, None] * adjoint(u))
+        return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
+    return pinv_from_svd(*np.linalg.svd(m, full_matrices=False), tol or DEFAULT_TOL)
 
 
 def numerical_rank(m, tol: ToleranceProfile | None = None) -> int:
     m = as_matrix(m)
-    tol = tol or DEFAULT_TOL
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    cutoff = tol.rank_cutoff(s[0] if s.size else 0.0)
-    return int(np.count_nonzero(s > cutoff))
+    return significant_rank(np.linalg.svd(m, compute_uv=False), tol or DEFAULT_TOL)
 
 
 def orthonormalize(columns, tol: ToleranceProfile | None = None) -> np.ndarray:
@@ -183,13 +195,10 @@ def orthonormalize(columns, tol: ToleranceProfile | None = None) -> np.ndarray:
     input collapses, and a zero matrix yields a basis with no columns.
     """
     a = as_matrix(columns, "columns")
-    tol = tol or DEFAULT_TOL
     if a.shape[1] == 0 or a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=a.dtype)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol.rank_cutoff(s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    return u[:, :r]
+    return u[:, :significant_rank(s, tol or DEFAULT_TOL)]
 
 
 def psd_check(m, tol: ToleranceProfile | None = None) -> bool:

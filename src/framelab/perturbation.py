@@ -23,12 +23,17 @@ from enum import Enum
 
 import numpy as np
 
-from .frame_ops import FrameBounds, FrameReport, optimal_bounds, verify_k_g_fusion
-from .model import BoundedOperator, GFusionSystem, LocalOperator, projection
+from .frame_ops import (
+    FrameBounds,
+    FrameReport,
+    frame_operator,
+    optimal_bounds,
+    verify_k_g_fusion,
+)
+from .model import BoundedOperator, GFusionSystem
 from .numerics import (
     DEFAULT_TOL,
     InputError,
-    as_matrix,
     InternalConsistencyError,
     PreconditionError,
     ToleranceProfile,
@@ -191,32 +196,23 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
     return report
 
 
-def _perturbed_operators(base: GFusionSystem, theta):
-    """Normalize the perturbed family: a system sharing the base geometry,
-    or a plain sequence of local operators/matrices."""
+def _on_base(base: GFusionSystem, theta) -> GFusionSystem:
+    """The perturbed local operators over the base subspaces and weights.
+
+    ``theta`` is a system of the base shape (only its local operators are
+    read) or a plain sequence of local operators/matrices.
+    """
     if isinstance(theta, GFusionSystem):
         if theta.size != base.size or theta.dim != base.dim:
             raise InputError("perturbed system does not match the base shape")
-        return [op for _, op in theta.members]
-    return list(theta)
+        theta = [op for _, op in theta.members]
+    return base.with_local_operators(theta)
 
 
-def _member_data(base: GFusionSystem, theta, k: BoundedOperator):
-    """Per-member vectors and scalars the hypotheses are assembled from."""
-    theta = _perturbed_operators(base, theta)
-    if len(theta) != base.size:
-        raise InputError(f"expected {base.size} perturbed operators, got {len(theta)}")
-    mats = []
-    for (sub, op), th in zip(base.members, theta):
-        th_mat = th.matrix if isinstance(th, LocalOperator) else as_matrix(th, "perturbed operator")
-        if th_mat.shape[1] != base.dim:
-            raise InputError("perturbed operator domain dimension mismatch")
-        p = projection(sub)
-        lp = op.matrix @ p
-        tp = th_mat @ p
-        w2 = sub.weight**2
-        mats.append((w2, lp, tp))
-    return mats
+def _member_data(base: GFusionSystem, theta):
+    """Per-member weights and factors the hypotheses are assembled from."""
+    return [(sub.weight**2, lp, tp) for (sub, _), lp, tp
+            in zip(base.members, base.local_factors, _on_base(base, theta).local_factors)]
 
 
 def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
@@ -282,7 +278,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     evidence over the tested pairs, never a proof.
     """
     tol = tol or DEFAULT_TOL
-    data = _member_data(base, theta, k)
+    data = _member_data(base, theta)
     k_mat = k.matrix
     masks = _subset_masks(base.size)
     n = base.dim
@@ -378,8 +374,8 @@ def predicted_bounds(params: PerturbationParams, lower: float, upper: float,
     scales with |k| (see :func:`variant_gamma_readings` for the alternative
     reading its admissibility condition suggests).
     """
-    if lower <= 0.0 or upper <= 0.0 or lower > upper:
-        raise InputError("base bounds must satisfy 0 < lower <= upper")
+    if lower <= 0.0 or upper <= 0.0:
+        raise InputError("base bounds must be positive")
     _require_admissible(params, lower, k_norm)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
     mode = params.mode
@@ -450,13 +446,9 @@ class PerturbationReport:
 def _square_sum_certificate(base: GFusionSystem, theta, k: BoundedOperator,
                             r: float, tol: ToleranceProfile) -> bool:
     """Exact spectral test of the T-sqsum hypothesis: S_delta <= R k k*."""
-    n = base.dim
-    dtype = complex if base.space.field == "complex" else float
-    s_delta = np.zeros((n, n), dtype=dtype)
-    for (sub, op), th in zip(base.members, _perturbed_operators(base, theta)):
-        th_mat = th.matrix if isinstance(th, LocalOperator) else as_matrix(th, "perturbed operator")
-        gap = (op.matrix - th_mat) @ projection(sub)
-        s_delta = s_delta + (sub.weight**2) * (adjoint(gap) @ gap)
+    gaps = [op.matrix - th.matrix
+            for (_, op), (_, th) in zip(base.members, _on_base(base, theta).members)]
+    s_delta = frame_operator(base.with_local_operators(gaps))
     kk = k.matrix @ adjoint(k.matrix)
     return psd_check(r * kk - s_delta, tol)
 
@@ -484,8 +476,7 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
     if isinstance(theta, GFusionSystem):
         theta_system = theta
     else:
-        ops = tuple(th if isinstance(th, LocalOperator) else LocalOperator(th) for th in theta)
-        theta_system = base.with_local_operators(ops)
+        theta_system = base.with_local_operators(theta)
     theta_report = verify_k_g_fusion(theta_system, k, tol=tol)
     report = PerturbationReport(params=params, verdict=verdict,
                                 base_bounds=base_bounds, theta_report=theta_report)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame_ops import FrameBounds, FrameReport, frame_operator, optimal_bounds, verify_k_g_fusion
-from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace, projection
+from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace
 from .numerics import (
     DEFAULT_TOL,
     InputError,
@@ -71,8 +71,7 @@ def transform_invertible(system: GFusionSystem, k: BoundedOperator, u: BoundedOp
         raise PreconditionError("transform operator is numerically singular")
     if bounds is None:
         bounds = optimal_bounds(system, k, tol)
-    local_maps = [op.matrix @ projection(sub) @ adjoint(u.matrix)
-                  for sub, op in system.members]
+    local_maps = [lp @ adjoint(u.matrix) for lp in system.local_factors]
     moved = GFusionSystem(system.space, _moved_members(system, u.matrix, local_maps, tol))
     target = BoundedOperator(u.matrix @ k.matrix)
     certified = FrameBounds(bounds.lower, bounds.upper * u.norm**2)

@@ -23,8 +23,13 @@ from framelab import (
     synthesis,
     verify_k_g_fusion,
 )
+from framelab.documents import load_packaged_fixture
 from framelab.numerics import unit_probes
-from framelab.oracle import reference_lower_bound
+from framelab.oracle import (
+    reference_frame_operator,
+    reference_lower_bound,
+    reference_upper_bound,
+)
 from conftest import fix_r_names, load_sidecar
 
 
@@ -195,3 +200,63 @@ def test_tightened_tolerance_changes_verdict(fix_i):
     loose = verify_k_g_fusion(theta, k, tol=ToleranceProfile(tau_abs=1e-4, tau_rel=1e-4))
     assert not strict.is_parseval
     assert loose.is_parseval
+
+
+def test_frame_operator_matches_oracle_on_random_fixtures():
+    names = fix_r_names()
+    assert len(names) == 20
+    fields = set()
+    for name in names:
+        doc = load_packaged_fixture(name)
+        fields.add(doc.field)
+        reference = reference_frame_operator(doc)
+        s = frame_operator(fixture(name).system)
+        assert np.linalg.norm(s - reference, 2) <= 1e-12 * np.linalg.norm(reference, 2), name
+    assert fields == {"real", "complex"}
+
+
+def test_partial_frame_operators_split_the_frame_operator():
+    rng = np.random.Generator(np.random.PCG64(0x5B1))
+    for name in fix_r_names():
+        system = fixture(name).system
+        s = frame_operator(system)
+        for _ in range(4):
+            mask = rng.random(system.size) < 0.5
+            subset = np.flatnonzero(mask)
+            complement = np.flatnonzero(~mask)
+            s_i = frame_operator(system, index_set=subset)
+            s_c = frame_operator(system, index_set=complement)
+            assert np.linalg.norm(s_i + s_c - s, 2) <= 1e-12 * np.linalg.norm(s, 2), name
+
+
+def test_frame_operator_rejects_foreign_index_sets(fix_i):
+    with pytest.raises(InputError):
+        frame_operator(fix_i.system, index_set=(0, 2))
+    with pytest.raises(InputError):
+        frame_operator(fix_i.system, fixture("FIX-A").system)
+
+
+def test_frame_bounds_need_not_be_ordered():
+    # A |k* f|^2 <= sum <= B |f|^2 only implies A |k|^2 <= B
+    bounds = FrameBounds(2.0, 1.0)
+    assert (bounds.lower, bounds.upper) == (2.0, 1.0)
+    with pytest.raises(InputError):
+        FrameBounds(-1.0, 1.0)
+    with pytest.raises(InputError):
+        FrameBounds(float("nan"), 1.0)
+
+
+def test_small_target_gives_lower_bound_above_upper():
+    bundle = fixture("FIX-R000")
+    small = BoundedOperator(0.2 * bundle.operators["k"].matrix)
+    report = verify_k_g_fusion(bundle.system, small)
+    assert report.is_frame
+    doc = load_packaged_fixture("FIX-R000")
+    s = reference_frame_operator(doc)
+    oracle_lower = reference_lower_bound(s, 0.2 * np.asarray(doc.operators["k"]))
+    assert oracle_lower == pytest.approx(6.98846, rel=1e-6)
+    assert report.optimal.lower == pytest.approx(oracle_lower, rel=1e-8)
+    assert report.optimal.upper == pytest.approx(reference_upper_bound(s), rel=1e-12)
+    assert report.optimal.upper == pytest.approx(4.11186, rel=1e-6)
+    assert report.optimal.lower > report.optimal.upper
+    assert report.optimal.lower * small.norm**2 <= report.optimal.upper

@@ -9,9 +9,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import InputError
+from framelab import InputError, cli
 from framelab.cli import fixture_document, main
 from framelab.documents import (
+    FrameDocument,
     canonical_json,
     dumps,
     load_document,
@@ -239,3 +240,42 @@ def test_perturb_require_hypothesis_gate(repo_cwd):
     assert json.loads(out)["verdict"] == "hypothesis falsified"
     code, _ = run_cli(argv + ["--require-hypothesis"])
     assert code == 1
+
+
+def test_canonical_dual_with_empty_subspace_is_written_and_reloaded(repo_cwd, tmp_path):
+    out_path = tmp_path / "dual_a.json"
+    code, out = run_cli(["dual", "src/framelab/fixtures/fix_a.json",
+                         "--method", "canonical", "--out", str(out_path)])
+    assert code == 0, out
+    text = out_path.read_text(encoding="utf-8")
+    doc = loads(text)
+    system, _ = to_system(doc)
+    assert 0 in [sub.subspace_dim for sub, _ in system.members]
+    assert dumps(doc) == text
+
+
+def test_identities_visits_every_member_beyond_exhaustive_limit(tmp_path, monkeypatch):
+    size = 13
+    angles = np.pi * np.arange(size) / size
+    doc = FrameDocument(
+        field="real", dim=2, weights=[1.0] * size,
+        subspaces=[[[1.0, 0.0], [0.0, 1.0]]] * size,
+        local_operators=[[[float(np.cos(a)), float(np.sin(a))]] for a in angles],
+        operators={"k": [[1.0, 0.0], [0.0, 1.0]]})
+    path = tmp_path / "thirteen.json"
+    save_document(doc, path)
+    visited = []
+    real_complement_residual = cli.complement_residual
+
+    def recording(pair, subset, tol=None):
+        visited.append(tuple(subset))
+        return real_complement_residual(pair, subset, tol)
+
+    monkeypatch.setattr(cli, "complement_residual", recording)
+    code, out = run_cli(["identities", str(path), "--trials", "0"])
+    report = json.loads(out)
+    assert code == 0, out
+    assert report["subsets_tested"] == len(visited) == len(set(visited))
+    assert () in visited
+    assert tuple(range(size)) in visited
+    assert any(size - 1 in subset for subset in visited)

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import InputError, ToleranceProfile, douglas_factor
+from framelab import BoundedOperator, InputError, ToleranceProfile, douglas_factor
 from framelab.numerics import (
     adjoint,
     as_matrix,
@@ -104,6 +104,24 @@ def test_numerical_rank_with_tolerance_cutoff():
     assert numerical_rank(base) == 2
     assert numerical_rank(base, ToleranceProfile(tau_abs=1e-15, tau_rel=1e-15)) == 3
     assert numerical_rank(np.zeros((4, 2))) == 0
+
+
+def test_rank_cutoff_is_shared_by_every_range_routine():
+    # a square operator with one direction straddling each profile's cutoff
+    rng = np.random.Generator(np.random.PCG64(0xC0F))
+    q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    m = q1 @ np.diag([2.0, 1.0, 1e-3, 1e-12]) @ q2
+    op = BoundedOperator(m)
+    for tol, rank in ((ToleranceProfile(), 3),
+                      (ToleranceProfile(tau_abs=1e-15, tau_rel=1e-15), 4)):
+        assert numerical_rank(m, tol) == rank
+        assert orthonormalize(m, tol).shape == (4, rank)
+        assert op.rank(tol) == op.range_basis(tol).shape[1] == rank
+        assert op.is_invertible(tol) == (rank == 4)
+        npt.assert_allclose(op.pinv(tol), pinv(m, tol), rtol=1e-6, atol=1e-9)
+        # pinv(m) m projects onto the kept directions, so its trace is the rank
+        assert np.trace(pinv(m, tol) @ m) == pytest.approx(rank, abs=1e-3)
 
 
 def test_hermitian_eig_against_characteristic_polynomial_oracle():

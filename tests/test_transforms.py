@@ -101,3 +101,14 @@ def test_reduce_operator_sharpness_identity_case(fix_i):
     assert report.lambda_min == pytest.approx(0.5, abs=1e-12)
     assert report.certified_lower == pytest.approx(4.0, abs=1e-9)
     assert report.certified_ok
+
+
+def test_transform_invertible_allows_certified_lower_above_upper():
+    bundle = fixture("FIX-R000")
+    k = bundle.operators["k"]
+    shrink = BoundedOperator(0.2 * np.eye(bundle.system.dim))
+    moved = transform_invertible(bundle.system, k, shrink)
+    assert moved.certified.lower == pytest.approx(0.2795, abs=1e-4)
+    assert moved.certified.upper == pytest.approx(0.1645, abs=1e-4)
+    assert moved.report.is_frame
+    assert moved.report.claimed_valid
