@@ -19,12 +19,10 @@ from .duality import (
     DualConstructionError,
     KGFDualPair,
     canonical_dual,
-    check_dual_subset_identity,
-    check_parseval_subset_identity,
-    check_three_quarters_bound,
-    complement_residual,
     construct_q_dual,
+    dual_subset_sweep,
     parsevalize,
+    parseval_subset_sweep,
     qdual_bound_corollary,
     verify_kgf_dual,
     verify_q_dual,
@@ -272,9 +270,10 @@ def cmd_identities(args, tol):
         k = _operator(operators, args.k)
     probes = _identity_probes(system, args.trials)
     # the empty set, then the nonempty subsets perturb tests, in its order
-    subsets = [()] + [tuple(int(j) for j in np.flatnonzero(mask))
-                      for mask in _subset_masks(system.size)]
-    body = {"notes": notes, "subsets_tested": len(subsets), "probes": int(probes.shape[0])}
+    masks = np.vstack([np.zeros((1, system.size), dtype=bool),
+                       _subset_masks(system.size)])
+    body = {"notes": notes, "subsets_tested": int(masks.shape[0]),
+            "probes": int(probes.shape[0])}
     all_ok = True
 
     pair = None
@@ -318,21 +317,13 @@ def cmd_identities(args, tol):
                 pair = None
 
     if pair is not None:
-        worst_identity = 0.0
-        worst_complement = 0.0
-        ok = True
-        for subset in subsets:
-            worst_complement = max(worst_complement,
-                                   complement_residual(pair, subset, tol))
-            for f in probes:
-                result = check_dual_subset_identity(pair, subset, f, tol)
-                worst_identity = max(worst_identity, result.residual)
-                ok = ok and result.passed
-        scale = tol.for_scale(k.norm)
-        complement_ok = worst_complement <= scale
+        sweep = dual_subset_sweep(pair, masks, probes, tol)
+        ok = bool(sweep.identity.passed.all())
+        worst_complement = float(sweep.complement_residual.max())
+        complement_ok = worst_complement <= tol.for_scale(k.norm)
         body["dual_subset_identity"] = {
-            "max_residual": _real(worst_identity),
-            "passed": bool(ok),
+            "max_residual": _real(sweep.identity.residual.max()),
+            "passed": ok,
         }
         body["complement_identity"] = {
             "max_residual": _real(worst_complement),
@@ -346,39 +337,22 @@ def cmd_identities(args, tol):
     parseval = parseval_defect <= tol.for_scale(operator_norm(kk))
     body["parseval_defect"] = _real(parseval_defect)
     if parseval:
-        worst_ti = 0.0
-        ti_ok = True
-        worst_slack = None
-        worst_symmetry = 0.0
-        tq_ok = True
-        for subset in subsets:
-            comp = tuple(sorted(set(range(system.size)) - set(subset)))
-            extensions = [()]
-            if comp:
-                extensions.append(comp)
-                extensions.append((comp[0],))
-            seen = set()
-            for ext in extensions:
-                if ext in seen:
-                    continue
-                seen.add(ext)
-                for f in probes:
-                    result = check_parseval_subset_identity(system, k, subset, ext, f, tol)
-                    worst_ti = max(worst_ti, result.residual)
-                    ti_ok = ti_ok and result.passed
-            for f in probes:
-                tq = check_three_quarters_bound(system, k, subset, f, tol)
-                worst_symmetry = max(worst_symmetry, tq.symmetry_residual)
-                worst_slack = tq.slack if worst_slack is None else min(worst_slack, tq.slack)
-                tq_ok = tq_ok and tq.passed
+        # extensions of each I: the empty set, I^c, and the first member of I^c
+        comp = ~masks
+        first = comp & (np.cumsum(comp, axis=1) == 1)
+        extensions = np.stack([np.zeros_like(masks), comp, first], axis=1)
+        sweep = parseval_subset_sweep(system, k, masks, extensions, probes, tol)
+        ti_ok = bool(sweep.identity.passed.all())
+        tq = sweep.three_quarters
+        tq_ok = bool(tq.passed.all())
         body["parseval_subset_identity"] = {
-            "max_residual": _real(worst_ti),
-            "passed": bool(ti_ok),
+            "max_residual": _real(sweep.identity.residual.max()),
+            "passed": ti_ok,
         }
         body["three_quarters_bound"] = {
-            "min_slack": _real(worst_slack if worst_slack is not None else 0.0),
-            "max_symmetry_residual": _real(worst_symmetry),
-            "passed": bool(tq_ok),
+            "min_slack": _real(tq.slack.min()),
+            "max_symmetry_residual": _real(tq.symmetry_residual.max()),
+            "passed": tq_ok,
         }
         all_ok = all_ok and ti_ok and tq_ok
     else:

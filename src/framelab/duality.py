@@ -10,15 +10,19 @@ and the three-quarters lower bound) are evaluated on probe vectors.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frame_ops import (
     FrameReport,
+    _index_mask,
+    _require_masks,
     frame_operator,
     optimal_bounds,
     restricted_inverse,
+    subset_frame_operators,
     synthesis,
     verify_k_g_fusion,
 )
@@ -59,6 +63,10 @@ __all__ = [
     "check_parseval_subset_identity",
     "ThreeQuartersResult",
     "check_three_quarters_bound",
+    "DualSubsetSweep",
+    "dual_subset_sweep",
+    "ParsevalSubsetSweep",
+    "parseval_subset_sweep",
     "parsevalize",
 ]
 
@@ -340,20 +348,75 @@ class PartialOperator:
     matrix: np.ndarray
 
 
-def _split(size: int, index_set):
-    """The index set I and its complement in range(size).
-
-    :func:`frame_operator` rejects an I that escapes range(size).
-    """
-    idx = frozenset(int(j) for j in index_set)
-    return idx, frozenset(range(size)) - idx
-
-
-def _probe_vector(f, dim: int) -> np.ndarray:
-    f = np.asarray(f).reshape(-1)
-    if f.shape[0] != dim:
+def _probe_block(probes, dim: int) -> np.ndarray:
+    """Probe vectors as the rows of a (probes, dim) block."""
+    block = np.asarray(probes)
+    if block.ndim != 2 or block.shape[1] != dim:
         raise InputError("probe vector has wrong dimension")
-    return f
+    if block.shape[0] == 0:
+        raise InputError("at least one probe vector is needed")
+    return block
+
+
+def _one_probe(f, dim: int) -> np.ndarray:
+    return _probe_block(np.asarray(f).reshape(1, -1), dim)
+
+
+def _inners(a, b):
+    """<a, b> along the last axis, with the bits of :func:`inner` per pair."""
+    return (np.conj(b)[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
+def _sq_norms(x):
+    """|x|^2 along the last axis, with the bits of ``float(norm(x))**2``.
+
+    ``np.linalg.norm`` takes the square root of ``x.x`` (of the real and
+    imaginary parts for complex x), and Python's ``**2`` calls the C ``pow``,
+    which ``float_power`` reproduces where ``x * x`` can differ in the last bit.
+    """
+    if np.iscomplexobj(x):
+        sq = _inners(x.real, x.real) + _inners(x.imag, x.imag)
+    else:
+        sq = _inners(x, x)
+    return np.float_power(np.sqrt(sq), 2.0)
+
+
+def _modulus(z):
+    """|z| with the bits of Python's ``abs(complex)``; ``np.abs`` can differ."""
+    return np.hypot(z.real, z.imag)
+
+
+def _partial_tables(system: GFusionSystem, other, groups, probes, target):
+    """Products of every distinct partial operator named in ``groups`` with the probes.
+
+    ``groups`` are boolean arrays of shape (..., members).  The distinct masks
+    among them are stacked once; per distinct subset I and probe f the tables
+    hold ``|S_I f|^2`` and ``<S_I f, target f>``.  Returns the stack of S_I,
+    the two (distinct subsets, probes) tables, the ``target f`` rows, and per
+    group the table row of each of its masks.
+    """
+    size = system.size
+    flat = np.concatenate([g.reshape(-1, size) for g in groups])
+    # bitmask lookup: each distinct mask gets one row of the stack
+    index = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in flat],
+                       dtype=np.intp)
+    distinct = np.frombuffer(b"".join(index), dtype=bool).reshape(-1, size)
+    stack = subset_frame_operators(system, distinct, other)
+    # one stacked matrix-vector product per probe keeps the bits of S_I @ f
+    products = np.stack([stack @ f for f in probes], axis=1)
+    target_f = np.array([target @ f for f in probes])
+    rows, start = [], 0
+    for g in groups:
+        count = math.prod(g.shape[:-1])
+        rows.append(inverse[start:start + count].reshape(g.shape[:-1]))
+        start += count
+    return stack, _sq_norms(products), _inners(products, target_f), target_f, rows
+
+
+def _complement_defects(stack, rows, rows_c, k_mat):
+    """|S_I + S_{I^c} - k| per subset, with the bits of :func:`operator_norm`."""
+    return np.linalg.svd(stack[rows] + stack[rows_c] - k_mat, compute_uv=False).max(axis=-1)
 
 
 def partial_operator(pair: KGFDualPair, index_set) -> PartialOperator:
@@ -364,16 +427,23 @@ def partial_operator(pair: KGFDualPair, index_set) -> PartialOperator:
 
 def complement_residual(pair: KGFDualPair, index_set,
                         tol: ToleranceProfile | None = None) -> float:
-    """Defect of S_I + S_{I^c} = k in operator norm."""
-    idx, comp = _split(pair.base.size, index_set)
-    s_i = frame_operator(pair.base, pair.dual, idx)
-    s_c = frame_operator(pair.base, pair.dual, comp)
-    return float(operator_norm(s_i + s_c - pair.k.matrix))
+    """Defect of S_I + S_{I^c} = k in operator norm.
+
+    The one-subset view of :func:`dual_subset_sweep`'s complement residual;
+    unlike the sweep it does not require a certified pair.
+    """
+    mask = _index_mask(pair.base.size, index_set)
+    stack = subset_frame_operators(pair.base, np.stack([mask, ~mask]), pair.dual)
+    return float(_complement_defects(stack, 0, 1, pair.k.matrix))
 
 
 @dataclass
 class SubsetIdentityResult:
-    """Two sides of a subset identity and their normalized disagreement."""
+    """Two sides of a subset identity and their normalized disagreement.
+
+    The scalar checks return one (subset, probe) pair; in a sweep each field
+    is an array over the swept subsets (and extensions) and probes.
+    """
 
     lhs: complex
     rhs: complex
@@ -381,32 +451,64 @@ class SubsetIdentityResult:
     passed: bool
 
 
-def check_dual_subset_identity(pair: KGFDualPair, index_set, f,
-                               tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
-    """Complementary-subset identity coupling dual coefficients and S_I norms.
+def _identity_entry(result: SubsetIdentityResult, index) -> SubsetIdentityResult:
+    return SubsetIdentityResult(complex(result.lhs[index]), complex(result.rhs[index]),
+                                float(result.residual[index]), bool(result.passed[index]))
+
+
+@dataclass
+class DualSubsetSweep:
+    """The dual subset identity over subsets x probes, and the complement residuals.
+
+    ``identity`` holds (subsets, probes) arrays; ``complement_residual`` is
+    ``|S_I + S_{I^c} - k|`` per subset.
+    """
+
+    identity: SubsetIdentityResult
+    complement_residual: np.ndarray
+
+
+def dual_subset_sweep(pair: KGFDualPair, masks, probes,
+                      tol: ToleranceProfile | None = None) -> DualSubsetSweep:
+    """Complementary-subset identity on every (subset, probe) pair at once.
 
     For a certified reconstruction dual,
     ``sum_{j in I} v_j^2 <Ltilde_j pi~_j f, Lj pi_j k f> - |S_I f|^2`` equals
     the conjugate-complement expression with I replaced by its complement.
     The coefficient sum over I is ``<S_I f, k f>``.  The identity needs
-    S_I + S_{I^c} = k, so an uncertified pair is rejected.
+    S_I + S_{I^c} = k, so an uncertified pair is rejected, once per sweep.
+    ``masks`` is a boolean (subsets, members) array and ``probes`` a
+    (probes, dim) block; each entry carries the bits of the one-subset check.
     """
     tol = tol or DEFAULT_TOL
-    coupling_defect = operator_norm(frame_operator(pair.base, pair.dual) - pair.k.matrix)
+    masks = _require_masks(masks, pair.base.size)
+    probes = _probe_block(probes, pair.base.dim)
+    k_mat = pair.k.matrix
+    coupling_defect = operator_norm(frame_operator(pair.base, pair.dual) - k_mat)
     if coupling_defect > tol.for_scale(pair.k.norm):
         raise PreconditionError(
             f"reconstruction defect {coupling_defect:g} exceeds tolerance; "
             "the subset identity needs a certified dual pair")
-    idx, comp = _split(pair.base.size, index_set)
-    f = _probe_vector(f, pair.base.dim)
-    kf = pair.k.matrix @ f
-    s_i_f = frame_operator(pair.base, pair.dual, idx) @ f
-    s_c_f = frame_operator(pair.base, pair.dual, comp) @ f
-    lhs = inner(s_i_f, kf) - float(np.linalg.norm(s_i_f))**2
-    rhs = np.conj(inner(s_c_f, kf)) - float(np.linalg.norm(s_c_f))**2
-    residual = abs(lhs - rhs)
-    passed = residual <= tol.for_scale(1.0) * (1.0 + abs(lhs))
-    return SubsetIdentityResult(lhs, rhs, float(residual), bool(passed))
+    stack, norms2, coeffs, _, (rows, rows_c) = _partial_tables(
+        pair.base, pair.dual, (masks, ~masks), probes, k_mat)
+    lhs = coeffs[rows] - norms2[rows]
+    rhs = np.conj(coeffs[rows_c]) - norms2[rows_c]
+    residual = _modulus(lhs - rhs)
+    passed = residual <= tol.for_scale(1.0) * (1.0 + _modulus(lhs))
+    return DualSubsetSweep(SubsetIdentityResult(lhs, rhs, residual, passed),
+                           _complement_defects(stack, rows, rows_c, k_mat))
+
+
+def check_dual_subset_identity(pair: KGFDualPair, index_set, f,
+                               tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
+    """Complementary-subset identity at one subset and one probe.
+
+    The one-pair view of :func:`dual_subset_sweep`: an uncertified pair is
+    rejected with :class:`PreconditionError`.
+    """
+    mask = _index_mask(pair.base.size, index_set)
+    sweep = dual_subset_sweep(pair, mask[None, :], _one_probe(f, pair.base.dim), tol)
+    return _identity_entry(sweep.identity, (0, 0))
 
 
 def _require_parseval(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile):
@@ -419,39 +521,12 @@ def _require_parseval(system: GFusionSystem, k: BoundedOperator, tol: ToleranceP
     return kk
 
 
-def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
-                                   index_set, extension_set, f,
-                                   tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
-    """Subset-extension identity for Parseval systems.
-
-    With S_J = k k*, extending I by a disjoint E inside its complement shifts
-    the difference of squared partial-operator norms by twice the real part of
-    the E-indexed coefficient sum ``<S_E f, k k* f>``.
-    """
-    tol = tol or DEFAULT_TOL
-    kk = _require_parseval(system, k, tol)
-    idx, comp = _split(system.size, index_set)
-    ext = frozenset(int(j) for j in extension_set)
-    if not ext <= comp:
-        raise InputError("extension set must lie in the complement of the base index set")
-    f = _probe_vector(f, system.dim)
-
-    def partial_f(subset):
-        return frame_operator(system, index_set=subset) @ f
-
-    def norms2(subset):
-        return float(np.linalg.norm(partial_f(subset)))**2
-
-    lhs = norms2(idx | ext) - norms2(comp - ext)
-    rhs = norms2(idx) - norms2(comp) + 2.0 * inner(partial_f(ext), kk @ f).real
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-    passed = residual <= tol.for_scale(1.0)
-    return SubsetIdentityResult(complex(lhs), complex(rhs), float(residual), bool(passed))
-
-
 @dataclass
 class ThreeQuartersResult:
-    """Both orientations of the three-quarters bound and the attained slack."""
+    """Both orientations of the three-quarters bound and the attained slack.
+
+    Scalar for one (subset, probe) pair; (subsets, probes) arrays in a sweep.
+    """
 
     lhs: float
     rhs: float
@@ -461,6 +536,95 @@ class ThreeQuartersResult:
     passed: bool
 
 
+@dataclass
+class ParsevalSubsetSweep:
+    """The Parseval extension identity and the three-quarters bound, swept.
+
+    ``identity`` holds (subsets, extensions, probes) arrays and
+    ``three_quarters`` (subsets, probes) arrays.
+    """
+
+    identity: SubsetIdentityResult
+    three_quarters: ThreeQuartersResult
+
+
+def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
+                          extensions, probes,
+                          tol: ToleranceProfile | None = None) -> ParsevalSubsetSweep:
+    """Parseval-side subset identities on every subset, extension and probe.
+
+    Requires S = k k*, checked once per sweep.  ``masks`` is a boolean
+    (subsets, members) array of index sets I, ``extensions`` a boolean
+    (subsets, extensions, members) array of sets E inside each I^c, and
+    ``probes`` a (probes, dim) block.
+
+    * Extension identity: extending I by E shifts the difference of squared
+      partial-operator norms by twice the real part of the E-indexed
+      coefficient sum ``<S_E f, k k* f>``.
+    * Three-quarters bound:
+      ``|S_I f|^2 + Re <S_{I^c} f, k k* f> >= (3/4) |k k* f|^2``; both subset
+      orientations are evaluated, they agree identically and each clears
+      three quarters of ``|k k* f|^2``.
+
+    The partial operators I, I^c, I u E, I^c - E and E are looked up in one
+    stack of their distinct masks; each entry carries the bits of the
+    one-subset check.
+    """
+    tol = tol or DEFAULT_TOL
+    masks = _require_masks(masks, system.size)
+    extensions = np.asarray(extensions)
+    if (extensions.dtype != bool or extensions.ndim != 3
+            or extensions.shape[0] != masks.shape[0] or extensions.shape[2] != system.size):
+        raise InputError(
+            f"extensions must be a boolean ({masks.shape[0]}, extensions, "
+            f"{system.size}) array, got {extensions.dtype} {extensions.shape}")
+    if (extensions & masks[:, None, :]).any():
+        raise InputError("extension set must lie in the complement of the base index set")
+    probes = _probe_block(probes, system.dim)
+    kk = _require_parseval(system, k, tol)
+    comp = ~masks
+    _, norms2, coeffs, kkf, (rows, rows_c, grown, shrunk, ext) = _partial_tables(
+        system, None,
+        (masks, comp, masks[:, None, :] | extensions, comp[:, None, :] & ~extensions,
+         extensions),
+        probes, kk)
+    coeffs = coeffs.real
+    floor = tol.for_scale(1.0)
+
+    lhs = norms2[grown] - norms2[shrunk]
+    rhs = (norms2[rows] - norms2[rows_c])[:, None, :] + 2.0 * coeffs[ext]
+    residual = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+    identity = SubsetIdentityResult(lhs, rhs, residual, residual <= floor)
+
+    tq_lhs = norms2[rows] + coeffs[rows_c]
+    tq_rhs = norms2[rows_c] + coeffs[rows]
+    target = np.zeros_like(tq_lhs) + 0.75 * _sq_norms(kkf)
+    scale = 1.0 + np.abs(tq_lhs) + np.abs(tq_rhs) + target
+    symmetry_residual = np.abs(tq_lhs - tq_rhs)
+    slack = tq_lhs - target
+    passed = (symmetry_residual <= floor * scale) & (slack >= -floor * scale)
+    return ParsevalSubsetSweep(
+        identity,
+        ThreeQuartersResult(tq_lhs, tq_rhs, target, symmetry_residual, slack, passed))
+
+
+def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
+                                   index_set, extension_set, f,
+                                   tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
+    """Subset-extension identity for Parseval systems at one (I, E, f).
+
+    With S_J = k k*, extending I by a disjoint E inside its complement shifts
+    the difference of squared partial-operator norms by twice the real part of
+    the E-indexed coefficient sum ``<S_E f, k k* f>``.  The one-entry view of
+    :func:`parseval_subset_sweep`.
+    """
+    mask = _index_mask(system.size, index_set)
+    ext = _index_mask(system.size, extension_set)
+    sweep = parseval_subset_sweep(system, k, mask[None, :], ext[None, None, :],
+                                  _one_probe(f, system.dim), tol)
+    return _identity_entry(sweep.identity, (0, 0, 0))
+
+
 def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
                                index_set, f,
                                tol: ToleranceProfile | None = None) -> ThreeQuartersResult:
@@ -468,25 +632,17 @@ def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
 
     Requires a Parseval system; the coefficient sum over I^c is
     ``<S_{I^c} f, k k* f>``.  Both subset orientations are evaluated; they
-    agree identically and each clears three quarters of |k k* f|^2.
+    agree identically and each clears three quarters of |k k* f|^2.  The
+    one-pair view of :func:`parseval_subset_sweep`.
     """
-    tol = tol or DEFAULT_TOL
-    kk = _require_parseval(system, k, tol)
-    idx, comp = _split(system.size, index_set)
-    f = _probe_vector(f, system.dim)
-    kkf = kk @ f
-    s_i_f = frame_operator(system, index_set=idx) @ f
-    s_c_f = frame_operator(system, index_set=comp) @ f
-    lhs = float(np.linalg.norm(s_i_f))**2 + inner(s_c_f, kkf).real
-    rhs = float(np.linalg.norm(s_c_f))**2 + inner(s_i_f, kkf).real
-    target = 0.75 * float(np.linalg.norm(kkf))**2
-    scale = 1.0 + abs(lhs) + abs(rhs) + target
-    symmetry_residual = abs(lhs - rhs)
-    slack = lhs - target
-    passed = (symmetry_residual <= tol.for_scale(1.0) * scale
-              and slack >= -tol.for_scale(1.0) * scale)
-    return ThreeQuartersResult(float(lhs), float(rhs), float(target),
-                               float(symmetry_residual), float(slack), bool(passed))
+    mask = _index_mask(system.size, index_set)
+    sweep = parseval_subset_sweep(system, k, mask[None, :],
+                                  np.zeros((1, 0, system.size), dtype=bool),
+                                  _one_probe(f, system.dim), tol)
+    tq = sweep.three_quarters
+    return ThreeQuartersResult(*(float(getattr(tq, name)[0, 0]) for name in
+                                 ("lhs", "rhs", "target", "symmetry_residual", "slack")),
+                               bool(tq.passed[0, 0]))
 
 
 def parsevalize(system: GFusionSystem, tol: ToleranceProfile | None = None) -> BoundedOperator:

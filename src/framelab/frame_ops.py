@@ -38,6 +38,7 @@ __all__ = [
     "FrameReport",
     "synthesis",
     "frame_operator",
+    "subset_frame_operators",
     "verify_k_g_fusion",
     "optimal_bounds",
     "RestrictedInverse",
@@ -111,13 +112,38 @@ def synthesis(system: GFusionSystem) -> SynthesisOperator:
     return SynthesisOperator(t, tuple(offsets))
 
 
-def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
-                   index_set=None) -> np.ndarray:
-    """S_I = sum_{j in I} v_j^2 (Lj pi_Wj)* (L'j pi_W'j), summed in ascending j.
+def _index_mask(size: int, index_set=None) -> np.ndarray:
+    """Boolean row selecting ``index_set`` (every member when None)."""
+    if index_set is None:
+        return np.ones(size, dtype=bool)
+    idx = sorted(frozenset(int(j) for j in index_set))
+    if any(j < 0 or j >= size for j in idx):
+        raise InputError(f"index set {idx} escapes range(0, {size})")
+    mask = np.zeros(size, dtype=bool)
+    mask[idx] = True
+    return mask
 
-    With ``other`` omitted this is the frame operator of ``system``; with a
-    dual system it is the reconstruction coupling.  ``index_set`` defaults to
-    every member.  The weights are always those of ``system``.
+
+def _require_masks(masks, size: int) -> np.ndarray:
+    """``masks`` as a boolean (subsets, size) array, else InputError."""
+    masks = np.asarray(masks)
+    if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != size:
+        raise InputError(
+            f"masks must be a boolean (subsets, {size}) array, got "
+            f"{masks.dtype} {masks.shape}")
+    return masks
+
+
+def subset_frame_operators(system: GFusionSystem, masks,
+                           other: GFusionSystem | None = None) -> np.ndarray:
+    """The stack of S_I = sum_{j in I} v_j^2 (Lj pi_Wj)* (L'j pi_W'j), one per mask.
+
+    ``masks`` is a (subsets, members) boolean array whose row i selects I_i.
+    Each member term G_j is formed once and added, in ascending j, to every
+    S_I that holds j, so each S_I carries the bits of its own one-subset sum.
+    With ``other`` omitted these are partial frame operators of ``system``;
+    with a dual system they are partial reconstruction couplings.  The
+    weights are always those of ``system``.
     """
     other = system if other is None else other
     if other.size != system.size:
@@ -125,18 +151,27 @@ def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
             f"base has {system.size} members but the dual has {other.size}")
     if other.dim != system.dim:
         raise InputError("base and dual live in different ambient dimensions")
-    if index_set is None:
-        index_set = range(system.size)
-    idx = sorted(frozenset(int(j) for j in index_set))
-    if any(j < 0 or j >= system.size for j in idx):
-        raise InputError(f"index set {idx} escapes range(0, {system.size})")
-    dtype = np.result_type(system.space.dtype,
-                           *(op.matrix.dtype for _, op in system.members + other.members))
-    s = np.zeros((system.dim, system.dim), dtype=dtype)
-    for j in idx:
-        weight = system.members[j][0].weight
-        s = s + (weight**2) * (adjoint(system.local_factors[j]) @ other.local_factors[j])
-    return s
+    masks = _require_masks(masks, system.size)
+    dtype = np.result_type(system.space.dtype, *system.local_factors, *other.local_factors)
+    out = np.zeros((masks.shape[0], system.dim, system.dim), dtype=dtype)
+    for j in np.flatnonzero(masks.any(axis=0)):
+        term = (system.members[j][0].weight**2) * (
+            adjoint(system.local_factors[j]) @ other.local_factors[j])
+        np.add(out, term, out=out, where=masks[:, j, None, None])
+    return out
+
+
+def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
+                   index_set=None) -> np.ndarray:
+    """S_I = sum_{j in I} v_j^2 (Lj pi_Wj)* (L'j pi_W'j), summed in ascending j.
+
+    With ``other`` omitted this is the frame operator of ``system``; with a
+    dual system it is the reconstruction coupling.  ``index_set`` defaults to
+    every member.  The weights are always those of ``system``.  This is the
+    one-subset view of :func:`subset_frame_operators`.
+    """
+    mask = _index_mask(system.size, index_set)
+    return subset_frame_operators(system, mask[None, :], other)[0]
 
 
 @dataclass

@@ -34,6 +34,9 @@ def reference_frame_operator(doc: FrameDocument) -> np.ndarray:
     s = np.zeros((n, n), dtype=dtype)
     for weight, vectors, local in zip(doc.weights, doc.subspaces, doc.local_operators):
         rows = np.asarray(vectors, dtype=dtype)
+        if rows.shape == (0,):
+            # an empty vector list is a zero-dimensional subspace
+            rows = rows.reshape(0, n)
         if rows.ndim != 2 or rows.shape[1] != n:
             raise InputError("subspace vectors must be rows of ambient length")
         basis = rows.T

@@ -459,12 +459,14 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
     """Check a perturbation theorem's conclusion against measured bounds.
 
     Preconditions: the base is a frame for k and the hypothesis is not
-    falsified.  The perturbed family is verified as a frame for k and its
-    optimal bounds are compared with :func:`predicted_bounds`.  For the
-    square-sum mode with a spectrally certified hypothesis a containment
-    failure raises :class:`InternalConsistencyError`; in every other case
-    failures are recorded in ``erratum_log`` and reported, because the
-    constants in those conclusions are not independently established.
+    falsified.  The perturbed family -- theta's local operators over the base
+    subspaces and weights, the family the hypothesis was tested on -- is
+    verified as a frame for k and its optimal bounds are compared with
+    :func:`predicted_bounds`.  For the square-sum mode with a spectrally
+    certified hypothesis a containment failure raises
+    :class:`InternalConsistencyError`; in every other case failures are
+    recorded in ``erratum_log`` and reported, because the constants in those
+    conclusions are not independently established.
     """
     tol = tol or DEFAULT_TOL
     base_bounds = optimal_bounds(base, k, tol)
@@ -473,10 +475,7 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
         raise PreconditionError(
             f"hypothesis falsified with worst violation {verdict.worst_violation:g}; "
             "the theorem's conclusion is not in play")
-    if isinstance(theta, GFusionSystem):
-        theta_system = theta
-    else:
-        theta_system = base.with_local_operators(theta)
+    theta_system = _on_base(base, theta)
     theta_report = verify_k_g_fusion(theta_system, k, tol=tol)
     report = PerturbationReport(params=params, verdict=verdict,
                                 base_bounds=base_bounds, theta_report=theta_report)

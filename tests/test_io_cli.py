@@ -9,7 +9,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import InputError, cli
+from framelab import InputError, cli, oracle
+from framelab.frame_ops import frame_operator
 from framelab.cli import fixture_document, main
 from framelab.documents import (
     FrameDocument,
@@ -254,6 +255,21 @@ def test_canonical_dual_with_empty_subspace_is_written_and_reloaded(repo_cwd, tm
     assert dumps(doc) == text
 
 
+def test_oracle_accepts_the_written_canonical_dual_of_fix_a(repo_cwd, tmp_path):
+    out_path = tmp_path / "dual_a.json"
+    code, out = run_cli(["dual", "src/framelab/fixtures/fix_a.json",
+                         "--method", "canonical", "--out", str(out_path)])
+    assert code == 0, out
+    doc = load_document(out_path)
+    payload = oracle.oracle_payload(doc)
+    system, _ = to_system(doc)
+    s = frame_operator(system)
+    reference = oracle.reference_frame_operator(doc)
+    assert np.linalg.norm(s - reference, 2) <= 1e-12 * np.linalg.norm(s, 2)
+    npt.assert_allclose(payload["spectrum"], np.linalg.eigvalsh(s),
+                        atol=1e-12 * np.linalg.norm(s, 2))
+
+
 def test_identities_visits_every_member_beyond_exhaustive_limit(tmp_path, monkeypatch):
     size = 13
     angles = np.pi * np.arange(size) / size
@@ -265,13 +281,13 @@ def test_identities_visits_every_member_beyond_exhaustive_limit(tmp_path, monkey
     path = tmp_path / "thirteen.json"
     save_document(doc, path)
     visited = []
-    real_complement_residual = cli.complement_residual
+    real_sweep = cli.dual_subset_sweep
 
-    def recording(pair, subset, tol=None):
-        visited.append(tuple(subset))
-        return real_complement_residual(pair, subset, tol)
+    def recording(pair, masks, probes, tol=None):
+        visited.extend(tuple(int(j) for j in np.flatnonzero(row)) for row in masks)
+        return real_sweep(pair, masks, probes, tol)
 
-    monkeypatch.setattr(cli, "complement_residual", recording)
+    monkeypatch.setattr(cli, "dual_subset_sweep", recording)
     code, out = run_cli(["identities", str(path), "--trials", "0"])
     report = json.loads(out)
     assert code == 0, out

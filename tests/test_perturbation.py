@@ -6,6 +6,7 @@ import pytest
 
 from framelab import (
     BoundedOperator,
+    GFusionSystem,
     InputError,
     PreconditionError,
     fixture,
@@ -106,6 +107,20 @@ def test_zero_perturbation_fixed_point(fix_i):
     assert report.erratum_log == []
     npt.assert_allclose((report.predicted.lower, report.predicted.upper),
                         (1.0, 1.0), atol=1e-12)
+
+
+def test_conclusion_is_checked_on_the_family_the_hypothesis_tested(fix_i):
+    # theta's subspaces are swapped, but only its local operators enter the
+    # hypothesis; the conclusion must be verified on that same family
+    (sub0, op0), (sub1, op1) = fix_i.system.members
+    swapped = GFusionSystem(fix_i.system.space, ((sub1, op0), (sub0, op1)))
+    params = PerturbationParams(0.0, 0.0, 0.0, 0.01, "T-sqsum")
+    report = verify_perturbation_theorem(fix_i.system, swapped,
+                                         fix_i.operators["k"], params)
+    assert report.hypothesis_certified
+    assert report.theta_report.is_frame
+    assert report.lower_contained and report.upper_contained
+    assert report.erratum_log == []
 
 
 def test_square_sum_scaling_family_exact_bound(fix_i):
