@@ -370,8 +370,9 @@ def cmd_perturb(args, tol):
         raise InputError(
             f"perturbed document has {len(theta_doc.local_operators)} local "
             f"operators, expected {system.size}")
-    theta = [LocalOperator(np.asarray(m).astype(system.space.dtype))
-             for m in theta_doc.local_operators]
+    theta = system.with_local_operators(
+        [LocalOperator(np.asarray(m).astype(system.space.dtype))
+         for m in theta_doc.local_operators])
     params = PerturbationParams(args.lambda1, args.lambda2, args.gamma, args.R,
                                 PerturbationMode(args.mode))
     verdict = perturb_hypothesis(system, theta, k, params, tol)
@@ -390,7 +391,7 @@ def cmd_perturb(args, tol):
         return (1 if args.require_hypothesis else 0), body
     body["verdict"] = "hypothesis not falsified"
     try:
-        report = verify_perturbation_theorem(system, theta, k, params, tol)
+        report = verify_perturbation_theorem(system, theta, k, params, tol, verdict)
     except InternalConsistencyError as exc:
         body["error"] = str(exc)
         return 1, body

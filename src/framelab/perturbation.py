@@ -14,6 +14,12 @@ partial frame operators of the base and perturbed families, and
 q_I(f) = sum_I v^2 |L pi f|^2.  Hypotheses are falsified by search, never
 proved, except T-sqsum whose hypothesis is equivalent to the spectral
 containment S_delta <= R k k* and can be certified exactly.
+
+The search evaluates probes in blocks: one kernel takes a ``(p, n)`` block
+of probes, forms the member terms as stacked matvecs and every subset sum
+as a stacked ``weights @ terms``, and returns lhs - rhs for each (probe,
+subset) pair.  Each entry keeps the bits of the same inequality evaluated
+at its probe alone, so the verdict does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -60,6 +66,9 @@ EXHAUSTIVE_SUBSET_LIMIT = 12
 SAMPLED_SUBSETS = 512
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
+# Entries of each (probes, subsets, dim) temporary of one probe block, so
+# that the search's memory stays flat however many subsets it walks.
+PROBE_BLOCK_ENTRIES = 65_536
 
 
 class PerturbationMode(Enum):
@@ -200,29 +209,31 @@ def _on_base(base: GFusionSystem, theta) -> GFusionSystem:
     """The perturbed local operators over the base subspaces and weights.
 
     ``theta`` is a system of the base shape (only its local operators are
-    read) or a plain sequence of local operators/matrices.
+    read) or a plain sequence of local operators/matrices.  A system already
+    built over the base's own subspaces is returned as it is, so its cached
+    factors are reused.
     """
     if isinstance(theta, GFusionSystem):
         if theta.size != base.size or theta.dim != base.dim:
             raise InputError("perturbed system does not match the base shape")
+        if theta.space == base.space and all(
+                sub is base_sub for (sub, _), (base_sub, _) in zip(theta.members, base.members)):
+            return theta
         theta = [op for _, op in theta.members]
     return base.with_local_operators(theta)
 
 
-def _member_data(base: GFusionSystem, theta):
+def _member_data(base: GFusionSystem, family: GFusionSystem):
     """Per-member weights and factors the hypotheses are assembled from."""
     return [(sub.weight**2, lp, tp) for (sub, _), lp, tp
-            in zip(base.members, base.local_factors, _on_base(base, theta).local_factors)]
+            in zip(base.members, base.local_factors, family.local_factors)]
 
 
 def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
     """Deterministic family of index subsets as boolean rows."""
     if size <= EXHAUSTIVE_SUBSET_LIMIT:
-        masks = np.zeros((2**size - 1, size), dtype=bool)
-        for row, bits in enumerate(range(1, 2**size)):
-            for j in range(size):
-                masks[row, j] = bool(bits >> j & 1)
-        return masks
+        # row b - 1 holds the bits of b, member j at bit j
+        return (np.arange(1, 2**size)[:, None] >> np.arange(size) & 1).astype(bool)
     chosen = {tuple([True] * size)}
     for j in range(size):
         single = [False] * size
@@ -237,30 +248,59 @@ def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
     return np.array(sorted(chosen), dtype=bool)
 
 
-def _violations(masks, data, k_mat, f, params: PerturbationParams):
-    """lhs - rhs and scale for every subset mask at one probe, vectorized."""
+def _row_norms(rows):
+    """|x| of every row x of a (p, d) block, as ``np.linalg.norm(x)`` rounds it.
+
+    That is a BLAS dot of x with itself, taken over the strided real and
+    imaginary views when complex; a contiguous copy would round differently.
+    """
+    def dots(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    if np.iscomplexobj(rows):
+        return np.sqrt(dots(rows.real) + dots(rows.imag))
+    return np.sqrt(dots(rows))
+
+
+def _violations(masks, data, k_mat, probes, params: PerturbationParams):
+    """lhs - rhs and scale for every (probe, subset) pair of a probe block.
+
+    ``probes`` is a ``(p, n)`` block; both results are ``(p, subsets)``.
+    Member terms are stacked matvecs over the block, subset sums stacked
+    ``weights @ terms`` and norms run along rows, so every entry carries
+    the bits of the same inequality evaluated at its probe alone.
+    """
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
-    diff_rows = np.array([w2 * (adjoint(lp) @ (lp @ f) - adjoint(tp) @ (tp @ f))
-                          for w2, lp, tp in data])
-    kf_norm = float(np.linalg.norm(adjoint(k_mat) @ f))
+    column = probes[:, :, None]
     weights = masks.astype(float)
+
+    def subset_sums(rows):
+        return weights @ np.stack(rows, axis=1)
+
+    def squared(rows):
+        # Python's float ** 2 is C pow, as np.float_power is
+        return np.float_power(_row_norms(rows[..., 0]), 2.0)[:, None]
+
+    kf_norm = _row_norms((adjoint(k_mat) @ column)[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
-        sq = np.array([w2 * float(np.linalg.norm(lp @ f - tp @ f))**2
-                       for w2, lp, tp in data])
-        lhs = weights @ sq
-        rhs = np.full_like(lhs, r * kf_norm**2)
+        lhs = subset_sums([w2 * squared(lp @ column - tp @ column)
+                           for w2, lp, tp in data])[..., 0]
+        rhs = r * np.float_power(kf_norm, 2.0)
         return lhs - rhs, 1.0 + lhs + rhs
-    lhs = np.linalg.norm(weights @ diff_rows, axis=1)
+    images = [lp @ column for _, lp, _ in data]
+    base_terms = [(adjoint(lp) @ lf)[..., 0] for (_, lp, _), lf in zip(data, images)]
+    pert_terms = [(adjoint(tp) @ (tp @ column))[..., 0] for _, _, tp in data]
+    lhs = np.linalg.norm(subset_sums([w2 * (a - b) for (w2, _, _), a, b
+                                      in zip(data, base_terms, pert_terms)]), axis=-1)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
-        rhs = np.full_like(lhs, r * kf_norm)
+        rhs = r * kf_norm
         return lhs - rhs, 1.0 + lhs + rhs
-    base_rows = np.array([w2 * (adjoint(lp) @ (lp @ f)) for w2, lp, tp in data])
-    pert_rows = np.array([w2 * (adjoint(tp) @ (tp @ f)) for w2, lp, tp in data])
-    rhs = lam1 * np.linalg.norm(weights @ base_rows, axis=1)
-    rhs = rhs + lam2 * np.linalg.norm(weights @ pert_rows, axis=1)
+    rhs = lam1 * np.linalg.norm(
+        subset_sums([w2 * a for (w2, _, _), a in zip(data, base_terms)]), axis=-1)
+    rhs = rhs + lam2 * np.linalg.norm(
+        subset_sums([w2 * b for (w2, _, _), b in zip(data, pert_terms)]), axis=-1)
     if params.mode is PerturbationMode.SQRT_SUM:
-        q = np.array([w2 * float(np.linalg.norm(lp @ f))**2 for w2, lp, tp in data])
-        rhs = rhs + gamma * np.sqrt(weights @ q)
+        q = subset_sums([w2 * squared(lf) for (w2, _, _), lf in zip(data, images)])
+        rhs = rhs + gamma * np.sqrt(q[..., 0])
     else:
         rhs = rhs + gamma * kf_norm
     return lhs - rhs, 1.0 + lhs + rhs
@@ -274,17 +314,23 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     Subsets are exhaustive up to 12 members, otherwise a deterministic sample
     of 512 including the full set, singletons, and their complements.  Probes
     are the standard basis, 200 seeded unit vectors, and a gradient-ascent
-    refinement of the worst probe found.  A verdict of not-falsified is
+    refinement of the worst probe found.  The basis and the seeded probes
+    are evaluated in blocks of consecutive probes, each block sized so that
+    a (probes, subsets, dim) temporary holds about ``PROBE_BLOCK_ENTRIES``
+    entries, and folded in probe order; the refinement evaluates one probe
+    per step.  Ties go to the earliest probe.  A verdict of not-falsified is
     evidence over the tested pairs, never a proof.
     """
     tol = tol or DEFAULT_TOL
-    data = _member_data(base, theta)
+    family = _on_base(base, theta)
+    data = _member_data(base, family)
     k_mat = k.matrix
     masks = _subset_masks(base.size)
     n = base.dim
     complex_field = base.space.field == "complex" or any(
         np.iscomplexobj(tp) for _, _, tp in data)
-    probes = list(unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15))
+    probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
+    block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
 
     worst = -math.inf
     worst_subset = ()
@@ -292,23 +338,24 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     falsified = False
     probes_tested = 0
 
-    def consider(f):
+    def consider(fs):
+        """Fold a block of probes into the search; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
-        probes_tested += 1
-        gaps, scales = _violations(masks, data, k_mat, f, params)
-        row = int(np.argmax(gaps))
-        gap = float(gaps[row])
-        # ties go to the earliest probe: noise-level gains never displace it
-        if worst_probe is None or gap > worst + 1e-12 * max(1.0, abs(worst)):
-            worst = gap
-            worst_subset = tuple(int(j) for j in np.flatnonzero(masks[row]))
-            worst_probe = np.array(f)
+        gaps, scales = _violations(masks, data, k_mat, fs, params)
         if (gaps > tol.tau_abs + tol.tau_rel * scales).any():
             falsified = True
+        for f, row_gaps, row in zip(fs, gaps, np.argmax(gaps, axis=1)):
+            probes_tested += 1
+            gap = float(row_gaps[row])
+            # ties go to the earliest probe: noise-level gains never displace it
+            if worst_probe is None or gap > worst + 1e-12 * max(1.0, abs(worst)):
+                worst = gap
+                worst_subset = tuple(int(j) for j in np.flatnonzero(masks[row]))
+                worst_probe = np.array(f)
         return gap
 
-    for f in probes:
-        consider(f)
+    for start in range(0, probes.shape[0], block):
+        consider(probes[start:start + block])
 
     if worst_probe is not None:
         f = worst_probe.astype(complex if complex_field else float)
@@ -323,7 +370,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
             norm = np.linalg.norm(candidate)
             if norm == 0.0:
                 continue
-            gap = consider(candidate / norm)
+            gap = consider((candidate / norm)[None, :])
             if gap > current:
                 current = gap
                 f = candidate / norm
@@ -443,11 +490,11 @@ class PerturbationReport:
     gamma_readings: dict | None = None
 
 
-def _square_sum_certificate(base: GFusionSystem, theta, k: BoundedOperator,
-                            r: float, tol: ToleranceProfile) -> bool:
+def _square_sum_certificate(base: GFusionSystem, family: GFusionSystem,
+                            k: BoundedOperator, r: float, tol: ToleranceProfile) -> bool:
     """Exact spectral test of the T-sqsum hypothesis: S_delta <= R k k*."""
     gaps = [op.matrix - th.matrix
-            for (_, op), (_, th) in zip(base.members, _on_base(base, theta).members)]
+            for (_, op), (_, th) in zip(base.members, family.members)]
     s_delta = frame_operator(base.with_local_operators(gaps))
     kk = k.matrix @ adjoint(k.matrix)
     return psd_check(r * kk - s_delta, tol)
@@ -455,13 +502,16 @@ def _square_sum_certificate(base: GFusionSystem, theta, k: BoundedOperator,
 
 def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
                                 params: PerturbationParams,
-                                tol: ToleranceProfile | None = None) -> PerturbationReport:
+                                tol: ToleranceProfile | None = None,
+                                verdict: HypothesisVerdict | None = None) -> PerturbationReport:
     """Check a perturbation theorem's conclusion against measured bounds.
 
     Preconditions: the base is a frame for k and the hypothesis is not
-    falsified.  The perturbed family -- theta's local operators over the base
-    subspaces and weights, the family the hypothesis was tested on -- is
-    verified as a frame for k and its optimal bounds are compared with
+    falsified.  ``verdict``, when given, is the result of
+    :func:`perturb_hypothesis` on the same arguments and is used instead of
+    searching again.  The perturbed family -- theta's local operators over
+    the base subspaces and weights, the family the hypothesis was tested on
+    -- is verified as a frame for k and its optimal bounds are compared with
     :func:`predicted_bounds`.  For the square-sum mode with a spectrally
     certified hypothesis a containment failure raises
     :class:`InternalConsistencyError`; in every other case failures are
@@ -470,17 +520,18 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
     """
     tol = tol or DEFAULT_TOL
     base_bounds = optimal_bounds(base, k, tol)
-    verdict = perturb_hypothesis(base, theta, k, params, tol)
+    theta_system = _on_base(base, theta)
+    if verdict is None:
+        verdict = perturb_hypothesis(base, theta_system, k, params, tol)
     if verdict.falsified:
         raise PreconditionError(
             f"hypothesis falsified with worst violation {verdict.worst_violation:g}; "
             "the theorem's conclusion is not in play")
-    theta_system = _on_base(base, theta)
     theta_report = verify_k_g_fusion(theta_system, k, tol=tol)
     report = PerturbationReport(params=params, verdict=verdict,
                                 base_bounds=base_bounds, theta_report=theta_report)
     if params.mode is PerturbationMode.SQUARE_SUM:
-        report.hypothesis_certified = _square_sum_certificate(base, theta, k, params.R, tol)
+        report.hypothesis_certified = _square_sum_certificate(base, theta_system, k, params.R, tol)
     if params.mode is PerturbationMode.ADJOINT_TERM:
         report.gamma_readings = variant_gamma_readings(
             params, base_bounds.lower, base_bounds.upper, k.norm)

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import InputError, cli, oracle
+from framelab import InputError, cli, oracle, perturbation
 from framelab.frame_ops import frame_operator
 from framelab.cli import fixture_document, main
 from framelab.documents import (
@@ -241,6 +241,25 @@ def test_perturb_require_hypothesis_gate(repo_cwd):
     assert json.loads(out)["verdict"] == "hypothesis falsified"
     code, _ = run_cli(argv + ["--require-hypothesis"])
     assert code == 1
+
+
+def test_perturb_searches_once_per_job(repo_cwd, monkeypatch):
+    case = next(c for c in json.loads((DATA_DIR / "cli_reports" / "cases.json")
+                                      .read_text(encoding="utf-8"))["cases"]
+                if c["name"] == "perturb_tsq_fix_i")
+    searches = []
+    real_search = perturbation.perturb_hypothesis
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "perturb_hypothesis", counting)
+    monkeypatch.setattr(cli, "perturb_hypothesis", counting)
+    code, out = run_cli(case["argv"])
+    assert code == case["exit_code"]
+    assert json.loads(out)["verdict"] == "hypothesis not falsified"
+    assert len(searches) == 1
 
 
 def test_canonical_dual_with_empty_subspace_is_written_and_reloaded(repo_cwd, tmp_path):

@@ -12,10 +12,18 @@ from framelab import (
     fixture,
     frame_operator,
     optimal_bounds,
+    perturbation,
 )
+from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
+from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
+from framelab.numerics import adjoint, unit_probes
 from framelab.perturbation import (
     PerturbationMode,
     PerturbationParams,
+    _member_data,
+    _on_base,
+    _subset_masks,
+    _violations,
     paley_wiener_check,
     perturb_hypothesis,
     predicted_bounds,
@@ -23,6 +31,13 @@ from framelab.perturbation import (
     verify_perturbation_theorem,
 )
 from conftest import decode_case_matrix, fix_r_names, load_suite
+
+MODE_PARAMS = [
+    PerturbationParams(0.2, 0.2, 0.1, 0.0, "P1-sqrt-sum"),
+    PerturbationParams(0.2, 0.2, 0.1, 0.0, "P-variant-kstar"),
+    PerturbationParams(0.0, 0.0, 0.0, 0.2, "C-p2-normsum"),
+    PerturbationParams(0.0, 0.0, 0.0, 0.05, "T-sqsum"),
+]
 
 
 def scaled_system(bundle, c):
@@ -305,3 +320,159 @@ def test_theta_shape_mismatch_rejected(fix_i, fix_a):
     with pytest.raises(InputError):
         perturb_hypothesis(fix_i.system, [np.eye(2)], fix_i.operators["k"],
                            params)
+
+
+# -- the probe-block kernel against the one-probe, member-by-member loop ----
+
+
+def reference_violations(masks, data, k_mat, f, params):
+    """lhs - rhs and scale for every subset mask at one probe, member by member."""
+    lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
+    diff_rows = np.array([w2 * (adjoint(lp) @ (lp @ f) - adjoint(tp) @ (tp @ f))
+                          for w2, lp, tp in data])
+    kf_norm = float(np.linalg.norm(adjoint(k_mat) @ f))
+    weights = masks.astype(float)
+    if params.mode is PerturbationMode.SQUARE_SUM:
+        sq = np.array([w2 * float(np.linalg.norm(lp @ f - tp @ f))**2
+                       for w2, lp, tp in data])
+        lhs = weights @ sq
+        rhs = np.full_like(lhs, r * kf_norm**2)
+        return lhs - rhs, 1.0 + lhs + rhs
+    lhs = np.linalg.norm(weights @ diff_rows, axis=1)
+    if params.mode is PerturbationMode.AGGREGATE_NORM:
+        rhs = np.full_like(lhs, r * kf_norm)
+        return lhs - rhs, 1.0 + lhs + rhs
+    base_rows = np.array([w2 * (adjoint(lp) @ (lp @ f)) for w2, lp, tp in data])
+    pert_rows = np.array([w2 * (adjoint(tp) @ (tp @ f)) for w2, lp, tp in data])
+    rhs = lam1 * np.linalg.norm(weights @ base_rows, axis=1)
+    rhs = rhs + lam2 * np.linalg.norm(weights @ pert_rows, axis=1)
+    if params.mode is PerturbationMode.SQRT_SUM:
+        q = np.array([w2 * float(np.linalg.norm(lp @ f))**2 for w2, lp, tp in data])
+        rhs = rhs + gamma * np.sqrt(weights @ q)
+    else:
+        rhs = rhs + gamma * kf_norm
+    return lhs - rhs, 1.0 + lhs + rhs
+
+
+def assert_bits(value, reference):
+    assert value.dtype == reference.dtype and value.shape == reference.shape
+    assert value.tobytes() == reference.tobytes()
+
+
+def nudged(system, eps=0.05, seed=11):
+    """Each L_j moved by eps times a seeded draw of the system's field."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    operators = []
+    for _, op in system.members:
+        g = rng.standard_normal(op.matrix.shape)
+        if np.iscomplexobj(op.matrix):
+            g = g + 1j * rng.standard_normal(op.matrix.shape)
+        operators.append(op.matrix + eps * g)
+    return system.with_local_operators(operators)
+
+
+def fourteen_member_system():
+    # past the exhaustive limit: the search walks the sampled 512 subsets
+    rng = np.random.Generator(np.random.PCG64(14))
+    members = []
+    for j in range(14):
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 1 + j % 3)))
+        members.append((WeightedSubspace(basis, 1.0 + 0.1 * j),
+                        LocalOperator(rng.standard_normal((2, 3)))))
+    return GFusionSystem(HilbertSpace("real", 3), tuple(members))
+
+
+def kernel_case(system, trials=8):
+    family = nudged(system)
+    complex_field = system.space.field == "complex"
+    probes = unit_probes(system.dim, trials, complex_field=complex_field, seed=0xFA15)
+    return _subset_masks(system.size), _member_data(system, family), probes
+
+
+def assert_kernel_matches_reference(system, k_mat):
+    masks, data, probes = kernel_case(system)
+    for params in MODE_PARAMS:
+        gaps, scales = _violations(masks, data, k_mat, probes, params)
+        assert gaps.shape == scales.shape == (probes.shape[0], masks.shape[0])
+        for f, row_gaps, row_scales in zip(probes, gaps, scales):
+            ref_gaps, ref_scales = reference_violations(masks, data, k_mat, f, params)
+            assert_bits(row_gaps, ref_gaps)
+            assert_bits(row_scales, ref_scales)
+
+
+@pytest.mark.parametrize("name", packaged_fixture_names())
+def test_block_kernel_matches_member_loop_on_fixtures(name):
+    system, operators = to_system(load_packaged_fixture(name))
+    assert_kernel_matches_reference(system, operators["k"].matrix)
+
+
+def test_block_kernel_matches_member_loop_on_sampled_subsets():
+    system = fourteen_member_system()
+    assert _subset_masks(system.size).shape == (perturbation.SAMPLED_SUBSETS, 14)
+    assert_kernel_matches_reference(system, np.eye(3))
+
+
+@pytest.mark.parametrize("name", ["FIX-R003", "FIX-R005"])
+def test_block_kernel_does_not_depend_on_the_blocking(name):
+    system, operators = to_system(load_packaged_fixture(name))
+    masks, data, probes = kernel_case(system, trials=20)
+    k_mat = operators["k"].matrix
+    for params in MODE_PARAMS:
+        whole = _violations(masks, data, k_mat, probes, params)
+        single = [_violations(masks, data, k_mat, probes[i:i + 1], params)
+                  for i in range(probes.shape[0])]
+        for part, together in zip(zip(*single), whole):
+            assert_bits(np.concatenate(part), together)
+
+
+@pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
+def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monkeypatch):
+    bundle = fixture("FIX-R005")
+    system, k = bundle.system, bundle.operators["k"]
+    masks, data, probes = kernel_case(system, trials=12)
+    gaps, _ = _violations(masks, data, k.matrix, probes, params)
+    first = int(np.argmax(gaps.max(axis=1)))
+    # -f has the same gap as f at every subset; it opens the next block
+    crafted = np.insert(probes, first + 1, -probes[first], axis=0)
+    monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: crafted)
+    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
+    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES",
+                        (first + 1) * masks.shape[0] * system.dim)
+    verdict = perturb_hypothesis(system, _on_base(system, nudged(system)), k, params)
+    assert verdict.probes_tested == crafted.shape[0]
+    assert verdict.worst_violation == float(gaps.max())
+    assert_bits(verdict.worst_probe, probes[first])
+
+
+def test_exhaustive_subset_masks_keep_the_enumeration_order():
+    for size in range(1, 13):
+        old = np.zeros((2**size - 1, size), dtype=bool)
+        for row, bits in enumerate(range(1, 2**size)):
+            for j in range(size):
+                old[row, j] = bool(bits >> j & 1)
+        assert_bits(_subset_masks(size), old)
+
+
+def test_built_family_is_reused(fix_i):
+    family = nudged(fix_i.system)
+    assert _on_base(fix_i.system, family) is family
+    swapped = GFusionSystem(fix_i.system.space, tuple(reversed(family.members)))
+    rebuilt = _on_base(fix_i.system, swapped)
+    assert rebuilt is not swapped
+    assert [sub for sub, _ in rebuilt.members] == [sub for sub, _ in fix_i.system.members]
+
+
+def test_theorem_check_reuses_a_given_verdict(fix_i, monkeypatch):
+    theta = scaled_system(fix_i, 1.1)
+    k = fix_i.operators["k"]
+    params = PerturbationParams(0.0, 0.0, 0.0, 0.21, "C-p2-normsum")
+    searched = verify_perturbation_theorem(fix_i.system, theta, k, params)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(perturbation, "perturb_hypothesis", no_search)
+    reused = verify_perturbation_theorem(fix_i.system, theta, k, params,
+                                         verdict=searched.verdict)
+    assert reused.verdict is searched.verdict
+    assert (reused.theta_bounds, reused.predicted) == (searched.theta_bounds, searched.predicted)
