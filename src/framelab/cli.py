@@ -25,7 +25,6 @@ from .duality import (
     parseval_subset_sweep,
     qdual_bound_corollary,
     verify_kgf_dual,
-    verify_q_dual,
 )
 from .frame_ops import FrameBounds, frame_operator, verify_k_g_fusion
 from .model import (
@@ -124,13 +123,6 @@ def _real(x) -> float:
     return float(x)
 
 
-def _cnum(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        return float(z.real)
-    return [float(z.real), float(z.imag)]
-
-
 def _bounds_dict(bounds) -> dict:
     return {"lower": _real(bounds.lower), "upper": _real(bounds.upper)}
 
@@ -197,9 +189,8 @@ def cmd_dual(args, tol):
                 "error": str(exc),
             }
             return 1, body
-        forms = verify_q_dual(pair, tol)
         corollary = qdual_bound_corollary(pair, tol)
-        dual_frame = verify_k_g_fusion(pair.dual, k.adjoint(), tol=tol)
+        forms, dual_frame = corollary.coupling, corollary.dual_report
         body = {
             "method": "q",
             "certified": bool(forms.passed),
@@ -278,43 +269,28 @@ def cmd_identities(args, tol):
 
     pair = None
     if args.dual:
-        dual_doc = documents.load_document(args.dual)
-        dual_system, _ = documents.to_system(dual_doc)
+        dual_system, _ = documents.to_system(documents.load_document(args.dual))
         pair = KGFDualPair(system, dual_system, k, float("nan"))
-        report = verify_kgf_dual(pair, tol)
-        pair.residual = report.probe_residual
-        body["dual"] = {
-            "source": "document",
-            "operator_residual": _real(report.operator_residual),
-            "probe_residual": _real(report.probe_residual),
-            "certified": bool(report.passed),
-        }
-        if not report.passed:
-            all_ok = False
-            pair = None
+        source = {"source": "document"}
     else:
         try:
             pair = canonical_dual(system, k, tol)
+            source = {"source": "canonical", "exploratory": bool(pair.exploratory)}
         except PreconditionError as exc:
             notes.append(f"no dual: {exc}")
-            pair = None
             all_ok = False
-        if pair is not None:
-            report = verify_kgf_dual(pair, tol)
-            body["dual"] = {
-                "source": "canonical",
-                "exploratory": bool(pair.exploratory),
-                "operator_residual": _real(report.operator_residual),
-                "probe_residual": _real(report.probe_residual),
-                "certified": bool(report.passed),
-            }
-            if pair.exploratory:
-                notes.append("rank-deficient target: dual is exploratory; "
-                             "subset identity checks skipped")
-                pair = None
-            elif not report.passed:
-                all_ok = False
-                pair = None
+    if pair is not None:
+        report = verify_kgf_dual(pair, tol)
+        body["dual"] = dict(source, operator_residual=_real(report.operator_residual),
+                            probe_residual=_real(report.probe_residual),
+                            certified=bool(report.passed))
+        if pair.exploratory:
+            notes.append("rank-deficient target: dual is exploratory; "
+                         "subset identity checks skipped")
+            pair = None
+        elif not report.passed:
+            all_ok = False
+            pair = None
 
     if pair is not None:
         sweep = dual_subset_sweep(pair, masks, probes, tol)

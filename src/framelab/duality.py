@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame_ops import (
+    FrameBounds,
     FrameReport,
     _index_mask,
     _require_masks,
@@ -35,11 +36,13 @@ from .numerics import (
     ToleranceProfile,
     adjoint,
     hermitian_eig,
-    inner,
     operator_norm,
     orthonormalize,
     pinv,
     psd_check,
+    row_inners,
+    row_norms,
+    row_sq_norms,
     unit_probes,
 )
 
@@ -87,7 +90,8 @@ class QDualPair:
     defining identity reads T_base Q* T_dual* = k.  ``reading`` records which
     subspace construction produced the dual; ``well_defined_residual`` is the
     mass of the factor u on ker(T_dual*), which the construction must
-    annihilate for the coupling to be canonical.
+    annihilate for the coupling to be canonical.  :func:`construct_q_dual`
+    records the base report and coupling verdict it made under ``tolerance``.
     """
 
     base: GFusionSystem
@@ -97,6 +101,9 @@ class QDualPair:
     residual: float
     reading: str = "given"
     well_defined_residual: float = float("nan")
+    base_report: FrameReport | None = None
+    forms: QDualReport | None = None
+    tolerance: ToleranceProfile | None = None
 
 
 @dataclass
@@ -131,13 +138,12 @@ def verify_q_dual(pair: QDualPair, tol: ToleranceProfile | None = None,
     form2 = operator_norm(t_dual @ q @ adjoint(t_base) - adjoint(k))
     n = pair.base.dim
     complex_field = any(np.iscomplexobj(m) for m in (t_base, t_dual, q, k))
-    fs = unit_probes(n, probes, complex_field=complex_field, seed=0xD0A)
-    gs = unit_probes(n, probes, complex_field=complex_field, seed=0xD0B)
-    form3 = 0.0
-    for f, g in zip(fs, gs):
-        lhs = inner(k @ f, g)
-        rhs = inner(adjoint(q) @ (adjoint(t_dual) @ f), adjoint(t_base) @ g)
-        form3 = max(form3, abs(lhs - rhs))
+    fs = unit_probes(n, probes, complex_field=complex_field, seed=0xD0A)[:, :, None]
+    gs = unit_probes(n, probes, complex_field=complex_field, seed=0xD0B)[:, :, None]
+    lhs = row_inners((k @ fs)[..., 0], gs[..., 0])
+    rhs = row_inners((adjoint(q) @ (adjoint(t_dual) @ fs))[..., 0],
+                     (adjoint(t_base) @ gs)[..., 0])
+    form3 = max(0.0, float(_modulus(lhs - rhs).max()))
     threshold = tol.for_scale(pair.k.norm)
     verdicts = [form1 <= threshold, form2 <= threshold, form3 <= threshold]
     if len(set(verdicts)) != 1:
@@ -199,8 +205,9 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
         if residual <= threshold:
             well_defined = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
             pair = QDualPair(system, dual, adjoint(phi), k, float(residual),
-                             reading=name, well_defined_residual=float(well_defined))
-            verify_q_dual(pair, tol)
+                             reading=name, well_defined_residual=float(well_defined),
+                             base_report=report, tolerance=tol)
+            pair.forms = verify_q_dual(pair, tol)
             return pair
     raise DualConstructionError(
         "no subspace reading certified the coupling identity", residuals)
@@ -212,6 +219,7 @@ class QDualBoundReport:
 
     The dual of a k-frame is a k*-frame; its optimal bounds (C, D) must
     dominate (B^-1 |Q|^-2, A^-1 |Q|^-2) with (A, B) the base optimal bounds.
+    ``coupling`` and ``dual_report`` are the verdicts the bounds rest on.
     """
 
     dual_lower: float
@@ -221,18 +229,23 @@ class QDualBoundReport:
     q_norm: float
     lower_ok: bool
     upper_ok: bool
+    coupling: QDualReport
+    dual_report: FrameReport
 
 
 def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile | None = None) -> QDualBoundReport:
+    """The bound corollary; the pair's recorded verdicts are reused under its tolerance."""
     tol = tol or DEFAULT_TOL
-    coupling = verify_q_dual(pair, tol)
+    built = pair.tolerance == tol
+    coupling = (pair.forms if built else None) or verify_q_dual(pair, tol)
     if not coupling.passed:
         raise PreconditionError(
             f"coupling identity residual {coupling.synthesis_residual:g} is not "
             "certified; the bound corollary needs a certified pair")
-    base_bounds = optimal_bounds(pair.base, pair.k, tol)
+    base_bounds = optimal_bounds(pair.base, pair.k, tol, pair.base_report if built else None)
     k_adj = pair.k.adjoint()
-    dual_bounds = optimal_bounds(pair.dual, k_adj, tol)
+    dual_report = verify_k_g_fusion(pair.dual, k_adj, tol=tol)
+    dual_bounds = optimal_bounds(pair.dual, k_adj, tol, dual_report)
     q_norm = operator_norm(pair.q)
     lower_floor = 1.0 / (base_bounds.upper * q_norm**2)
     upper_floor = 1.0 / (base_bounds.lower * q_norm**2)
@@ -245,6 +258,8 @@ def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile | None = None) 
         q_norm=float(q_norm),
         lower_ok=bool(dual_bounds.lower >= lower_floor - slack),
         upper_ok=bool(dual_bounds.upper >= upper_floor - slack),
+        coupling=coupling,
+        dual_report=dual_report,
     )
 
 
@@ -255,7 +270,8 @@ class KGFDualPair:
     ``residual`` is the worst probe defect of
     ``k f = sum_j v_j^2 pi_Wj Lj* Ltilde_j pi_Wtilde_j f`` normalized by
     1 + |k f|.  ``exploratory`` marks pairs built over a rank-deficient k,
-    where the defect is reported rather than asserted.
+    where the defect is reported rather than asserted.  :func:`canonical_dual`
+    records the base optimal bounds it certified under ``tolerance``.
     """
 
     base: GFusionSystem
@@ -263,17 +279,19 @@ class KGFDualPair:
     k: BoundedOperator
     residual: float
     exploratory: bool = False
+    base_bounds: FrameBounds | None = None
+    tolerance: ToleranceProfile | None = None
 
 
 def _probe_residual(pair: KGFDualPair, coupling: np.ndarray, probes: int = 50) -> float:
+    """Worst |k f - coupling f| / (1 + |k f|) over the probes, as one block."""
     k = pair.k.matrix
     complex_field = np.iscomplexobj(coupling) or np.iscomplexobj(k)
-    worst = 0.0
-    for f in unit_probes(pair.base.dim, probes, complex_field=complex_field, seed=0xCAFE):
-        kf = k @ f
-        defect = float(np.linalg.norm(kf - coupling @ f)) / (1.0 + float(np.linalg.norm(kf)))
-        worst = max(worst, defect)
-    return worst
+    fs = unit_probes(pair.base.dim, probes, complex_field=complex_field,
+                     seed=0xCAFE)[:, :, None]
+    kf = (k @ fs)[..., 0]
+    defects = row_norms(kf - (coupling @ fs)[..., 0]) / (1.0 + row_norms(kf))
+    return max(0.0, float(defects.max()))
 
 
 def canonical_dual(system: GFusionSystem, k: BoundedOperator,
@@ -298,8 +316,8 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
         local = lp @ p_img @ adjoint(x) @ k_mat
         members.append((WeightedSubspace(basis, sub.weight, tol=tol), LocalOperator(local)))
     dual = GFusionSystem(system.space, tuple(members))
-    exploratory = not k.is_invertible(tol)
-    pair = KGFDualPair(system, dual, k, 0.0, exploratory=exploratory)
+    pair = KGFDualPair(system, dual, k, 0.0, exploratory=not k.is_invertible(tol),
+                       base_bounds=FrameBounds(ri.lower, ri.upper), tolerance=tol)
     pair.residual = _probe_residual(pair, frame_operator(system, dual))
     return pair
 
@@ -321,7 +339,8 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
     """Operator-norm check of the reconstruction identity.
 
     When the identity certifies, the dual is additionally verified to be a
-    frame for k* with lower bound 1/B, B the base optimal upper bound.
+    frame for k* with lower bound 1/B, B the base optimal upper bound.  B is
+    read from the pair when it was built under ``tol``, else computed.
     """
     tol = tol or DEFAULT_TOL
     coupling = frame_operator(pair.base, pair.dual)
@@ -331,7 +350,8 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
     report = KGFDualReport(float(operator_residual), float(probe_residual),
                            bool(passed), pair.exploratory)
     if passed:
-        base_upper = optimal_bounds(pair.base, pair.k, tol).upper
+        base_bounds = pair.base_bounds if pair.tolerance == tol else None
+        base_upper = (base_bounds or optimal_bounds(pair.base, pair.k, tol)).upper
         report.dual_report = verify_k_g_fusion(pair.dual, pair.k.adjoint(), tol=tol)
         report.certified_lower = 1.0 / base_upper
         s_dual = frame_operator(pair.dual)
@@ -360,25 +380,6 @@ def _probe_block(probes, dim: int) -> np.ndarray:
 
 def _one_probe(f, dim: int) -> np.ndarray:
     return _probe_block(np.asarray(f).reshape(1, -1), dim)
-
-
-def _inners(a, b):
-    """<a, b> along the last axis, with the bits of :func:`inner` per pair."""
-    return (np.conj(b)[..., None, :] @ a[..., :, None])[..., 0, 0]
-
-
-def _sq_norms(x):
-    """|x|^2 along the last axis, with the bits of ``float(norm(x))**2``.
-
-    ``np.linalg.norm`` takes the square root of ``x.x`` (of the real and
-    imaginary parts for complex x), and Python's ``**2`` calls the C ``pow``,
-    which ``float_power`` reproduces where ``x * x`` can differ in the last bit.
-    """
-    if np.iscomplexobj(x):
-        sq = _inners(x.real, x.real) + _inners(x.imag, x.imag)
-    else:
-        sq = _inners(x, x)
-    return np.float_power(np.sqrt(sq), 2.0)
 
 
 def _modulus(z):
@@ -411,7 +412,7 @@ def _partial_tables(system: GFusionSystem, other, groups, probes, target):
         count = math.prod(g.shape[:-1])
         rows.append(inverse[start:start + count].reshape(g.shape[:-1]))
         start += count
-    return stack, _sq_norms(products), _inners(products, target_f), target_f, rows
+    return stack, row_sq_norms(products), row_inners(products, target_f), target_f, rows
 
 
 def _complement_defects(stack, rows, rows_c, k_mat):
@@ -598,7 +599,7 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
 
     tq_lhs = norms2[rows] + coeffs[rows_c]
     tq_rhs = norms2[rows_c] + coeffs[rows]
-    target = np.zeros_like(tq_lhs) + 0.75 * _sq_norms(kkf)
+    target = np.zeros_like(tq_lhs) + 0.75 * row_sq_norms(kkf)
     scale = 1.0 + np.abs(tq_lhs) + np.abs(tq_rhs) + target
     symmetry_residual = np.abs(tq_lhs - tq_rhs)
     slack = tq_lhs - target

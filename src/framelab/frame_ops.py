@@ -29,6 +29,9 @@ from .numerics import (
     operator_norm,
     orthonormalize,
     psd_check,
+    row_inners,
+    row_norms,
+    row_sq_norms,
     unit_probes,
 )
 
@@ -261,15 +264,22 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
 
 
 def optimal_bounds(system: GFusionSystem, k: BoundedOperator,
-                   tol: ToleranceProfile | None = None) -> FrameBounds:
+                   tol: ToleranceProfile | None = None,
+                   report: FrameReport | None = None) -> FrameBounds:
     """Optimal bound pair for a k-relative frame, PSD-certified.
 
     Raises :class:`NotAFrameError` when ran(k) is not contained in ran(T).
     The returned lower bound A satisfies S - A k k* >= 0 while inflating A by
     a relative 1e-6 breaks positivity; the upper bound is |S| exactly.
+    ``report``, when given, is the result of :func:`verify_k_g_fusion` on the
+    same system and k under ``tol`` and is used instead of verifying again;
+    the PSD certificate still runs.
     """
     tol = tol or DEFAULT_TOL
-    report = verify_k_g_fusion(system, k, tol=tol)
+    if report is None:
+        report = verify_k_g_fusion(system, k, tol=tol)
+    elif report.tolerance != tol:
+        raise InputError("the frame report was made under a different tolerance")
     if not report.is_frame:
         raise NotAFrameError(
             f"range inclusion fails: residual {report.range_inclusion_residual:g} "
@@ -323,24 +333,22 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
     image_basis = orthonormalize(sbk, tol)
     complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
     r = bk.shape[1]
+    # stacked matvecs over a probe block keep the bits of each one-probe check
     coeffs = unit_probes(r, probes, complex_field=complex_field, seed=0xB0B)
-    inverse_residual = 0.0
-    for c in coeffs:
-        g = bk @ c
-        defect = np.linalg.norm(x @ (s @ g) - g) / max(np.linalg.norm(g), 1e-300)
-        inverse_residual = max(inverse_residual, float(defect))
+    g = bk @ coeffs[:, :, None]
+    defects = row_norms((x @ (s @ g) - g)[..., 0]) / np.maximum(row_norms(g[..., 0]), 1e-300)
+    inverse_residual = max(0.0, float(defects.max()))
     kdag_norm = operator_norm(k.pinv(tol))
     slack_min = math.inf
     m = image_basis.shape[1]
     if m:
         coeffs = unit_probes(m, probes, complex_field=complex_field, seed=0xB0C)
-        for c in coeffs:
-            f = image_basis @ c
-            quad = inner(x @ f, f).real
-            nf2 = float(np.linalg.norm(f))**2
-            slack_lo = quad - nf2 / bounds.upper
-            slack_hi = (kdag_norm**2 / bounds.lower) * nf2 - quad
-            slack_min = min(slack_min, float(slack_lo), float(slack_hi))
+        f = image_basis @ coeffs[:, :, None]
+        quad = row_inners((x @ f)[..., 0], f[..., 0]).real
+        nf2 = row_sq_norms(f[..., 0])
+        slack_lo = quad - nf2 / bounds.upper
+        slack_hi = (kdag_norm**2 / bounds.lower) * nf2 - quad
+        slack_min = min(float(slack_lo.min()), float(slack_hi.min()))
     return RestrictedInverse(
         matrix=x,
         range_basis=bk,

@@ -22,6 +22,9 @@ __all__ = [
     "as_matrix",
     "adjoint",
     "inner",
+    "row_inners",
+    "row_norms",
+    "row_sq_norms",
     "operator_norm",
     "is_hermitian",
     "hermitian_eig",
@@ -111,6 +114,29 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def inner(a, b) -> complex:
     """Inner product <a, b>, linear in the first argument."""
     return complex(np.vdot(np.asarray(b), np.asarray(a)))
+
+
+def row_inners(a, b) -> np.ndarray:
+    """<a, b> along the last axis, with the bits of :func:`inner` per pair."""
+    return (np.conj(b)[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
+def row_norms(x) -> np.ndarray:
+    """|x| along the last axis, with the bits of ``np.linalg.norm`` per vector.
+
+    That is a BLAS dot of x with itself, over the strided real and imaginary
+    views when x is complex; a contiguous copy of them would round otherwise.
+    """
+    def dots(y):
+        return (y[..., None, :] @ y[..., :, None])[..., 0, 0]
+    if np.iscomplexobj(x):
+        return np.sqrt(dots(x.real) + dots(x.imag))
+    return np.sqrt(dots(x))
+
+
+def row_sq_norms(x) -> np.ndarray:
+    """|x|^2 with the bits of ``float(norm(x))**2``: C ``pow``, not ``x * x``."""
+    return np.float_power(row_norms(x), 2.0)
 
 
 def operator_norm(m) -> float:

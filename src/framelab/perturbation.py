@@ -46,6 +46,8 @@ from .numerics import (
     adjoint,
     operator_norm,
     psd_check,
+    row_norms,
+    row_sq_norms,
     unit_probes,
 )
 
@@ -248,19 +250,6 @@ def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
     return np.array(sorted(chosen), dtype=bool)
 
 
-def _row_norms(rows):
-    """|x| of every row x of a (p, d) block, as ``np.linalg.norm(x)`` rounds it.
-
-    That is a BLAS dot of x with itself, taken over the strided real and
-    imaginary views when complex; a contiguous copy would round differently.
-    """
-    def dots(x):
-        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-    if np.iscomplexobj(rows):
-        return np.sqrt(dots(rows.real) + dots(rows.imag))
-    return np.sqrt(dots(rows))
-
-
 def _violations(masks, data, k_mat, probes, params: PerturbationParams):
     """lhs - rhs and scale for every (probe, subset) pair of a probe block.
 
@@ -277,10 +266,9 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams):
         return weights @ np.stack(rows, axis=1)
 
     def squared(rows):
-        # Python's float ** 2 is C pow, as np.float_power is
-        return np.float_power(_row_norms(rows[..., 0]), 2.0)[:, None]
+        return row_sq_norms(rows[..., 0])[:, None]
 
-    kf_norm = _row_norms((adjoint(k_mat) @ column)[..., 0])[:, None]
+    kf_norm = row_norms((adjoint(k_mat) @ column)[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
         lhs = subset_sums([w2 * squared(lp @ column - tp @ column)
                            for w2, lp, tp in data])[..., 0]
@@ -556,7 +544,7 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
             raise InternalConsistencyError(record["detail"])
         report.erratum_log.append(record)
         return report
-    report.theta_bounds = optimal_bounds(theta_system, k, tol)
+    report.theta_bounds = optimal_bounds(theta_system, k, tol, theta_report)
     slack = tol.for_scale(max(report.predicted.upper, report.theta_bounds.upper))
     report.lower_contained = bool(report.predicted.lower <= report.theta_bounds.lower + slack)
     report.upper_contained = bool(report.theta_bounds.upper <= report.predicted.upper + slack)

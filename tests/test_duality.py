@@ -12,16 +12,19 @@ from framelab import (
     HilbertSpace,
     LocalOperator,
     PreconditionError,
+    ToleranceProfile,
     WeightedSubspace,
     fixture,
     frame_operator,
     optimal_bounds,
     verify_k_g_fusion,
 )
+from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
 from framelab.duality import (
     DualConstructionError,
     KGFDualPair,
     QDualPair,
+    _probe_residual,
     canonical_dual,
     check_dual_subset_identity,
     check_parseval_subset_identity,
@@ -34,7 +37,8 @@ from framelab.duality import (
     verify_kgf_dual,
     verify_q_dual,
 )
-from framelab.numerics import unit_probes
+from framelab.frame_ops import synthesis
+from framelab.numerics import adjoint, inner, unit_probes
 from conftest import fix_r_names
 
 
@@ -325,3 +329,72 @@ def test_canonical_dual_on_random_fixtures():
         assert report.operator_residual <= 1e-9
         base_upper = optimal_bounds(bundle.system, bundle.operators["k"]).upper
         assert report.certified_lower == pytest.approx(1.0 / base_upper, rel=1e-9)
+
+
+# -- the dual-side probe blocks against the one-probe loops -------------------
+
+
+def reference_probe_residual(pair, coupling, probes=50):
+    """The reconstruction probe residual, one probe at a time."""
+    k = pair.k.matrix
+    complex_field = np.iscomplexobj(coupling) or np.iscomplexobj(k)
+    worst = 0.0
+    for f in unit_probes(pair.base.dim, probes, complex_field=complex_field, seed=0xCAFE):
+        kf = k @ f
+        defect = float(np.linalg.norm(kf - coupling @ f)) / (1.0 + float(np.linalg.norm(kf)))
+        worst = max(worst, defect)
+    return worst
+
+
+def reference_bilinear_residual(pair, probes=25):
+    """The bilinear coupling residual, one probe pair at a time."""
+    t_base = synthesis(pair.base).matrix
+    t_dual = synthesis(pair.dual).matrix
+    q, k = pair.q, pair.k.matrix
+    complex_field = any(np.iscomplexobj(m) for m in (t_base, t_dual, q, k))
+    fs = unit_probes(pair.base.dim, probes, complex_field=complex_field, seed=0xD0A)
+    gs = unit_probes(pair.base.dim, probes, complex_field=complex_field, seed=0xD0B)
+    worst = 0.0
+    for f, g in zip(fs, gs):
+        lhs = inner(k @ f, g)
+        rhs = inner(adjoint(q) @ (adjoint(t_dual) @ f), adjoint(t_base) @ g)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def seeded_coupling(pair, seed=7):
+    """A coupling of the pair's shape that certifies nothing."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q = rng.standard_normal(pair.q.shape)
+    if np.iscomplexobj(pair.q):
+        q = q + 1j * rng.standard_normal(pair.q.shape)
+    return QDualPair(pair.base, pair.dual, q, pair.k, float("nan"))
+
+
+@pytest.mark.parametrize("name", packaged_fixture_names())
+def test_probe_residual_block_matches_the_probe_loop(name):
+    system, operators = to_system(load_packaged_fixture(name))
+    pair = canonical_dual(system, operators["k"])
+    for other in (pair.dual, system):
+        coupling = frame_operator(system, other)
+        assert _probe_residual(pair, coupling) == reference_probe_residual(pair, coupling)
+    assert pair.residual == reference_probe_residual(pair, frame_operator(system, pair.dual))
+    assert verify_kgf_dual(pair).probe_residual == pair.residual
+
+
+@pytest.mark.parametrize("name", packaged_fixture_names())
+def test_bilinear_residual_block_matches_the_probe_loop(name):
+    system, operators = to_system(load_packaged_fixture(name))
+    built = construct_q_dual(system, operators["k"])
+    for pair in (built, seeded_coupling(built)):
+        assert verify_q_dual(pair).bilinear_residual == reference_bilinear_residual(pair)
+
+
+def test_q_dual_bound_corollary_reuses_the_construction_only_under_its_tolerance(fix_a):
+    pair = construct_q_dual(fix_a.system, fix_a.operators["k"])
+    assert pair.tolerance == ToleranceProfile() and pair.forms.passed
+    same = qdual_bound_corollary(pair)
+    assert same.coupling is pair.forms
+    other = qdual_bound_corollary(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
+    assert other.coupling is not pair.forms
+    assert (other.dual_lower, other.dual_upper) == (same.dual_lower, same.dual_upper)

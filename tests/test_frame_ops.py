@@ -17,14 +17,15 @@ from framelab import (
     cross_frame_check,
     fixture,
     frame_operator,
+    frame_ops,
     optimal_bounds,
     reconstruction_check,
     restricted_inverse,
     synthesis,
     verify_k_g_fusion,
 )
-from framelab.documents import load_packaged_fixture
-from framelab.numerics import unit_probes
+from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
+from framelab.numerics import inner, operator_norm, unit_probes
 from framelab.oracle import (
     reference_frame_operator,
     reference_lower_bound,
@@ -158,6 +159,48 @@ def test_restricted_inverse_respects_range(fix_a):
     assert ri.inverse_residual <= 1e-12
     # the restriction lives on ran(k), a 2-dimensional subspace here
     assert ri.range_basis.shape == (3, 2)
+
+
+def reference_restricted_inverse_checks(system, k, ri, probes=50):
+    """inverse_residual and bound_slack_min, one probe at a time."""
+    s = frame_operator(system)
+    x, bk, image_basis = ri.matrix, ri.range_basis, ri.image_basis
+    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
+    inverse_residual = 0.0
+    for c in unit_probes(bk.shape[1], probes, complex_field=complex_field, seed=0xB0B):
+        g = bk @ c
+        defect = np.linalg.norm(x @ (s @ g) - g) / max(np.linalg.norm(g), 1e-300)
+        inverse_residual = max(inverse_residual, float(defect))
+    kdag_norm = operator_norm(k.pinv())
+    slack_min = float("inf")
+    if image_basis.shape[1]:
+        for c in unit_probes(image_basis.shape[1], probes, complex_field=complex_field,
+                             seed=0xB0C):
+            f = image_basis @ c
+            quad = inner(x @ f, f).real
+            nf2 = float(np.linalg.norm(f))**2
+            slack_lo = quad - nf2 / ri.upper
+            slack_hi = (kdag_norm**2 / ri.lower) * nf2 - quad
+            slack_min = min(slack_min, float(slack_lo), float(slack_hi))
+    return inverse_residual, slack_min
+
+
+@pytest.mark.parametrize("name", packaged_fixture_names())
+def test_restricted_inverse_probe_blocks_match_the_probe_loop(name):
+    system, operators = to_system(load_packaged_fixture(name))
+    for k in operators.values():
+        ri = restricted_inverse(system, k)
+        assert (ri.inverse_residual, ri.bound_slack_min) == \
+            reference_restricted_inverse_checks(system, k, ri)
+
+
+def test_optimal_bounds_reuses_a_given_report(fix_a, monkeypatch):
+    k = fix_a.operators["u"]
+    report = verify_k_g_fusion(fix_a.system, k)
+    monkeypatch.setattr(frame_ops, "verify_k_g_fusion", None)
+    assert optimal_bounds(fix_a.system, k, report=report) == report.optimal
+    with pytest.raises(InputError):
+        optimal_bounds(fix_a.system, k, ToleranceProfile(tau_abs=1e-9), report)
 
 
 def test_reconstruction_check(fix_i):

@@ -4,12 +4,14 @@ import io
 import contextlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import InputError, cli, oracle, perturbation
+from framelab import (InputError, ToleranceProfile, cli, duality, fixture, frame_ops, oracle,
+                      perturbation)
 from framelab.frame_ops import frame_operator
 from framelab.cli import fixture_document, main
 from framelab.documents import (
@@ -244,9 +246,7 @@ def test_perturb_require_hypothesis_gate(repo_cwd):
 
 
 def test_perturb_searches_once_per_job(repo_cwd, monkeypatch):
-    case = next(c for c in json.loads((DATA_DIR / "cli_reports" / "cases.json")
-                                      .read_text(encoding="utf-8"))["cases"]
-                if c["name"] == "perturb_tsq_fix_i")
+    case = pinned_case("perturb_tsq_fix_i")
     searches = []
     real_search = perturbation.perturb_hypothesis
 
@@ -260,6 +260,79 @@ def test_perturb_searches_once_per_job(repo_cwd, monkeypatch):
     assert code == case["exit_code"]
     assert json.loads(out)["verdict"] == "hypothesis not falsified"
     assert len(searches) == 1
+
+
+def pinned_case(name):
+    return next(c for c in json.loads((DATA_DIR / "cli_reports" / "cases.json")
+                                      .read_text(encoding="utf-8"))["cases"]
+                if c["name"] == name)
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to ``module.name``, from any framelab module."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for holder in (frame_ops, duality, perturbation, cli):
+        if getattr(holder, name, None) is real:
+            monkeypatch.setattr(holder, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case_name", ["identities_fix_i", "identities_fix_a_parsevalize",
+                                       "dual_canonical_fix_r000"])
+def test_canonical_dual_jobs_verify_each_system_once(repo_cwd, monkeypatch, case_name):
+    case = pinned_case(case_name)
+    verified = count_calls(monkeypatch, frame_ops, "verify_k_g_fusion")
+    bounded = count_calls(monkeypatch, frame_ops, "optimal_bounds")
+    code, out = run_cli(case["argv"])
+    assert code == case["exit_code"]
+    body = json.loads(out)
+    assert body.get("dual", body)["certified"]
+    # the base once (inside the restricted inverse), the dual once
+    assert len(verified) == 2
+    assert sorted(Counter(id(args[0]) for args in verified).values()) == [1, 1]
+    assert len(bounded) == 1
+
+
+def test_dual_q_verifies_the_coupling_once(repo_cwd, monkeypatch):
+    case = pinned_case("dual_q_fix_i")
+    coupled = count_calls(monkeypatch, duality, "verify_q_dual")
+    verified = count_calls(monkeypatch, frame_ops, "verify_k_g_fusion")
+    code, out = run_cli(case["argv"])
+    assert code == case["exit_code"]
+    assert json.loads(out)["certified"]
+    assert len(coupled) == 1
+    assert len(verified) == 2
+    assert sorted(Counter(id(args[0]) for args in verified).values()) == [1, 1]
+
+
+def test_perturb_verifies_each_family_once(repo_cwd, monkeypatch):
+    case = pinned_case("perturb_tsq_fix_i")
+    verified = count_calls(monkeypatch, frame_ops, "verify_k_g_fusion")
+    code, out = run_cli(case["argv"])
+    assert code == case["exit_code"]
+    assert "theta_bounds" in json.loads(out)
+    # the base once, the perturbed family once
+    assert len(verified) == 2
+    assert sorted(Counter(id(args[0]) for args in verified).values()) == [1, 1]
+
+
+def test_kgf_dual_recomputes_base_bounds_under_another_tolerance(monkeypatch):
+    bundle = fixture("FIX-R003")
+    built_under = ToleranceProfile()
+    pair = duality.canonical_dual(bundle.system, bundle.operators["k"], built_under)
+    bounded = count_calls(monkeypatch, frame_ops, "optimal_bounds")
+    same = duality.verify_kgf_dual(pair, ToleranceProfile())
+    assert bounded == []
+    other = duality.verify_kgf_dual(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
+    assert len(bounded) == 1 and bounded[0][0] is bundle.system
+    assert same.passed and other.passed
+    assert same.certified_lower == other.certified_lower == 1.0 / pair.base_bounds.upper
 
 
 def test_canonical_dual_with_empty_subspace_is_written_and_reloaded(repo_cwd, tmp_path):
