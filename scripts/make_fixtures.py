@@ -6,9 +6,10 @@ Run from the repository root:
 
 Writes, deterministically:
 
-  src/framelab/fixtures/        fix_a / fix_i / fix_r000..fix_r019 documents
-                                plus .oracle.json sidecars with reference
-                                spectra and bisection lower bounds
+  src/framelab/fixtures/        fix_r000..fix_r019 documents, and for them and
+                                the committed fix_a / fix_i documents the
+                                .oracle.json sidecars with reference spectra
+                                and bisection lower bounds
   tests/data/mp_suite.json      200 matrices of varied rank
   tests/data/douglas_suite.json 100 range-inclusion pairs + 20 negatives
   tests/data/projection_lemma_suite.json  100 (subspace, unitary) pairs
@@ -32,12 +33,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from framelab.cli import fixture_document, main
+from framelab.cli import main
 from framelab.documents import (
     FrameDocument,
     _encode_matrix,
     canonical_json,
     dumps,
+    load_packaged_fixture,
     oracle_sidecar_path,
     to_system,
 )
@@ -174,23 +176,25 @@ def make_fix_r(index):
     raise RuntimeError(f"FIX-R{index:03d}: no admissible system in 400 attempts")
 
 
-def write_fixture(doc):
-    path = FIXTURE_DIR / (doc.meta["name"].lower().replace("-", "_") + ".json")
-    path.write_text(dumps(doc), encoding="utf-8")
-    sidecar = oracle_sidecar_path(path)
+def fixture_path(doc):
+    return FIXTURE_DIR / (doc.meta["name"].lower().replace("-", "_") + ".json")
+
+
+def write_sidecar(doc):
+    sidecar = oracle_sidecar_path(fixture_path(doc))
     sidecar.write_text(canonical_json(oracle_payload(doc)), encoding="utf-8")
-    return path
 
 
 def build_fixtures():
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+    # the committed FIX-A and FIX-I documents are the source; only their sidecars are derived
     for name in ("FIX-A", "FIX-I"):
-        doc = fixture_document(name)
-        write_fixture(doc)
-        print(f"  {name}: written")
+        write_sidecar(load_packaged_fixture(name))
+        print(f"  {name}: sidecar written")
     for index in range(20):
         doc, attempts, _ = make_fix_r(index)
-        write_fixture(doc)
+        fixture_path(doc).write_text(dumps(doc), encoding="utf-8")
+        write_sidecar(doc)
         system, ops = to_system(doc)
         b = optimal_bounds(system, ops["k"], TOL)
         print(f"  {doc.meta['name']}: dim {doc.dim}, {system.size} members, "
@@ -317,7 +321,7 @@ def build_paley_wiener_suite(rng):
 def build_cli_documents():
     cli_dir = DATA_DIR / "cli"
     cli_dir.mkdir(parents=True, exist_ok=True)
-    base = fixture_document("FIX-I")
+    base = load_packaged_fixture("FIX-I")
 
     def scale_locals(doc, factor, name):
         locals_scaled = [[[v * factor for v in row] for row in m]

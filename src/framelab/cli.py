@@ -9,6 +9,7 @@ asserted checks pass, 1 when a check fails, 2 on input or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -26,14 +27,13 @@ from .duality import (
     qdual_bound_corollary,
     verify_kgf_dual,
 )
-from .frame_ops import FrameBounds, frame_operator, verify_k_g_fusion
+from .frame_ops import FrameBounds, verify_k_g_fusion
 from .model import (
     BoundedOperator,
     GFusionSystem,
     HilbertSpace,
     LocalOperator,
     WeightedSubspace,
-    fixture,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -41,8 +41,6 @@ from .numerics import (
     InternalConsistencyError,
     PreconditionError,
     ToleranceProfile,
-    adjoint,
-    operator_norm,
     orthonormalize,
     unit_probes,
 )
@@ -307,12 +305,9 @@ def cmd_identities(args, tol):
         }
         all_ok = all_ok and ok and complement_ok
 
-    s = frame_operator(system)
-    kk = k.matrix @ adjoint(k.matrix)
-    parseval_defect = operator_norm(s - kk)
-    parseval = parseval_defect <= tol.for_scale(operator_norm(kk))
-    body["parseval_defect"] = _real(parseval_defect)
-    if parseval:
+    report = verify_k_g_fusion(system, k, tol=tol)
+    body["parseval_defect"] = _real(report.parseval_residual)
+    if report.is_parseval:
         # extensions of each I: the empty set, I^c, and the first member of I^c
         comp = ~masks
         first = comp & (np.cumsum(comp, axis=1) == 1)
@@ -434,24 +429,9 @@ def _spec_document(tokens, seed: int) -> documents.FrameDocument:
     return documents.from_system(system, {"k": k}, meta)
 
 
-def _builtin_fixture_document(name: str) -> documents.FrameDocument:
-    bundle = fixture(name)
-    meta = {"name": name}
-    if bundle.errata:
-        meta["errata"] = [dict(record) for record in bundle.errata]
-    return documents.from_system(bundle.system, bundle.operators, meta)
-
-
-def fixture_document(name: str) -> documents.FrameDocument:
-    """Document for a named fixture, built or loaded from package data."""
-    if name in ("FIX-A", "FIX-I"):
-        return _builtin_fixture_document(name)
-    return documents.load_packaged_fixture(name)
-
-
 def cmd_gen(args, tol):
     if args.fixture:
-        doc = fixture_document(args.fixture)
+        doc = documents.load_packaged_fixture(args.fixture)
         stem = args.fixture.lower().replace("-", "_")
     else:
         doc = _spec_document(args.spec, args.seed)
@@ -492,10 +472,15 @@ def _render(report: dict, human: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     tau_abs = args.tol_abs if args.tol_abs is not None else DEFAULT_TOL.tau_abs
     tau_rel = args.tol_rel
     if tau_rel is None:

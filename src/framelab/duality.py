@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .frame_ops import (
-    FrameBounds,
     FrameReport,
     _index_mask,
+    _memoized,
     _require_masks,
     frame_operator,
     optimal_bounds,
@@ -27,7 +28,7 @@ from .frame_ops import (
     synthesis,
     verify_k_g_fusion,
 )
-from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace
+from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace, _read_only
 from .numerics import (
     DEFAULT_TOL,
     InputError,
@@ -90,8 +91,7 @@ class QDualPair:
     defining identity reads T_base Q* T_dual* = k.  ``reading`` records which
     subspace construction produced the dual; ``well_defined_residual`` is the
     mass of the factor u on ker(T_dual*), which the construction must
-    annihilate for the coupling to be canonical.  :func:`construct_q_dual`
-    records the base report and coupling verdict it made under ``tolerance``.
+    annihilate for the coupling to be canonical.
     """
 
     base: GFusionSystem
@@ -101,12 +101,9 @@ class QDualPair:
     residual: float
     reading: str = "given"
     well_defined_residual: float = float("nan")
-    base_report: FrameReport | None = None
-    forms: QDualReport | None = None
-    tolerance: ToleranceProfile | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QDualReport:
     """Residuals of the three equivalent forms of the coupling identity."""
 
@@ -123,9 +120,14 @@ def verify_q_dual(pair: QDualPair, tol: ToleranceProfile | None = None,
     The forms are the synthesis identity T Q* Ttilde* = k, its adjoint, and
     the bilinear probe identity <k f, g> = <Q* Ttilde* f, T* g>.  They are
     mathematically equivalent; verdict disagreement raises
-    :class:`InternalConsistencyError`.
+    :class:`InternalConsistencyError`.  The check runs once per
+    (pair, tol, probes).
     """
     tol = tol or DEFAULT_TOL
+    return _memoized(pair, ("forms", tol, probes), lambda: _q_dual_forms(pair, tol, probes))
+
+
+def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile, probes: int) -> QDualReport:
     t_base = synthesis(pair.base).matrix
     t_dual = synthesis(pair.dual).matrix
     q = pair.q
@@ -205,9 +207,8 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
         if residual <= threshold:
             well_defined = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
             pair = QDualPair(system, dual, adjoint(phi), k, float(residual),
-                             reading=name, well_defined_residual=float(well_defined),
-                             base_report=report, tolerance=tol)
-            pair.forms = verify_q_dual(pair, tol)
+                             reading=name, well_defined_residual=float(well_defined))
+            verify_q_dual(pair, tol)
             return pair
     raise DualConstructionError(
         "no subspace reading certified the coupling identity", residuals)
@@ -234,18 +235,17 @@ class QDualBoundReport:
 
 
 def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile | None = None) -> QDualBoundReport:
-    """The bound corollary; the pair's recorded verdicts are reused under its tolerance."""
+    """The bound corollary for a certified Q-dual pair."""
     tol = tol or DEFAULT_TOL
-    built = pair.tolerance == tol
-    coupling = (pair.forms if built else None) or verify_q_dual(pair, tol)
+    coupling = verify_q_dual(pair, tol)
     if not coupling.passed:
         raise PreconditionError(
             f"coupling identity residual {coupling.synthesis_residual:g} is not "
             "certified; the bound corollary needs a certified pair")
-    base_bounds = optimal_bounds(pair.base, pair.k, tol, pair.base_report if built else None)
+    base_bounds = optimal_bounds(pair.base, pair.k, tol)
     k_adj = pair.k.adjoint()
     dual_report = verify_k_g_fusion(pair.dual, k_adj, tol=tol)
-    dual_bounds = optimal_bounds(pair.dual, k_adj, tol, dual_report)
+    dual_bounds = optimal_bounds(pair.dual, k_adj, tol)
     q_norm = operator_norm(pair.q)
     lower_floor = 1.0 / (base_bounds.upper * q_norm**2)
     upper_floor = 1.0 / (base_bounds.lower * q_norm**2)
@@ -270,8 +270,8 @@ class KGFDualPair:
     ``residual`` is the worst probe defect of
     ``k f = sum_j v_j^2 pi_Wj Lj* Ltilde_j pi_Wtilde_j f`` normalized by
     1 + |k f|.  ``exploratory`` marks pairs built over a rank-deficient k,
-    where the defect is reported rather than asserted.  :func:`canonical_dual`
-    records the base optimal bounds it certified under ``tolerance``.
+    where the defect is reported rather than asserted.  ``coupling`` and
+    ``coupling_defect`` are built from base, dual and k on first use.
     """
 
     base: GFusionSystem
@@ -279,8 +279,16 @@ class KGFDualPair:
     k: BoundedOperator
     residual: float
     exploratory: bool = False
-    base_bounds: FrameBounds | None = None
-    tolerance: ToleranceProfile | None = None
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """The reconstruction coupling ``frame_operator(base, dual)``; built once, read-only."""
+        return _read_only(frame_operator(self.base, self.dual))
+
+    @cached_property
+    def coupling_defect(self) -> float:
+        """``|coupling - k|`` in operator norm."""
+        return operator_norm(self.coupling - self.k.matrix)
 
 
 def _probe_residual(pair: KGFDualPair, coupling: np.ndarray, probes: int = 50) -> float:
@@ -316,9 +324,8 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
         local = lp @ p_img @ adjoint(x) @ k_mat
         members.append((WeightedSubspace(basis, sub.weight, tol=tol), LocalOperator(local)))
     dual = GFusionSystem(system.space, tuple(members))
-    pair = KGFDualPair(system, dual, k, 0.0, exploratory=not k.is_invertible(tol),
-                       base_bounds=FrameBounds(ri.lower, ri.upper), tolerance=tol)
-    pair.residual = _probe_residual(pair, frame_operator(system, dual))
+    pair = KGFDualPair(system, dual, k, 0.0, exploratory=not k.is_invertible(tol))
+    pair.residual = _probe_residual(pair, pair.coupling)
     return pair
 
 
@@ -339,22 +346,19 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
     """Operator-norm check of the reconstruction identity.
 
     When the identity certifies, the dual is additionally verified to be a
-    frame for k* with lower bound 1/B, B the base optimal upper bound.  B is
-    read from the pair when it was built under ``tol``, else computed.
+    frame for k* with lower bound 1/B, B the base optimal upper bound.
     """
     tol = tol or DEFAULT_TOL
-    coupling = frame_operator(pair.base, pair.dual)
-    operator_residual = operator_norm(coupling - pair.k.matrix)
-    probe_residual = _probe_residual(pair, coupling)
+    operator_residual = pair.coupling_defect
+    probe_residual = _probe_residual(pair, pair.coupling)
     passed = operator_residual <= tol.for_scale(pair.k.norm)
     report = KGFDualReport(float(operator_residual), float(probe_residual),
                            bool(passed), pair.exploratory)
     if passed:
-        base_bounds = pair.base_bounds if pair.tolerance == tol else None
-        base_upper = (base_bounds or optimal_bounds(pair.base, pair.k, tol)).upper
+        base_upper = optimal_bounds(pair.base, pair.k, tol).upper
         report.dual_report = verify_k_g_fusion(pair.dual, pair.k.adjoint(), tol=tol)
         report.certified_lower = 1.0 / base_upper
-        s_dual = frame_operator(pair.dual)
+        s_dual = pair.dual.frame_matrix
         ksk = adjoint(pair.k.matrix) @ pair.k.matrix
         report.certified_lower_ok = psd_check(s_dual - report.certified_lower * ksk, tol)
     return report
@@ -485,10 +489,9 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
     masks = _require_masks(masks, pair.base.size)
     probes = _probe_block(probes, pair.base.dim)
     k_mat = pair.k.matrix
-    coupling_defect = operator_norm(frame_operator(pair.base, pair.dual) - k_mat)
-    if coupling_defect > tol.for_scale(pair.k.norm):
+    if pair.coupling_defect > tol.for_scale(pair.k.norm):
         raise PreconditionError(
-            f"reconstruction defect {coupling_defect:g} exceeds tolerance; "
+            f"reconstruction defect {pair.coupling_defect:g} exceeds tolerance; "
             "the subset identity needs a certified dual pair")
     stack, norms2, coeffs, _, (rows, rows_c) = _partial_tables(
         pair.base, pair.dual, (masks, ~masks), probes, k_mat)
@@ -513,13 +516,11 @@ def check_dual_subset_identity(pair: KGFDualPair, index_set, f,
 
 
 def _require_parseval(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile):
-    s = frame_operator(system)
-    kk = k.matrix @ adjoint(k.matrix)
-    defect = operator_norm(s - kk)
-    if defect > tol.for_scale(operator_norm(kk)):
+    report = verify_k_g_fusion(system, k, tol=tol)
+    if not report.is_parseval:
         raise PreconditionError(
-            f"system is not Parseval for k: |S - k k*| = {defect:g}")
-    return kk
+            f"system is not Parseval for k: |S - k k*| = {report.parseval_residual:g}")
+    return k.times_adjoint
 
 
 @dataclass
@@ -649,8 +650,7 @@ def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
 def parsevalize(system: GFusionSystem, tol: ToleranceProfile | None = None) -> BoundedOperator:
     """The operator k = S^(1/2), which makes the system Parseval for k."""
     tol = tol or DEFAULT_TOL
-    s = frame_operator(system)
-    w, v = hermitian_eig(s, tol)
+    w, v = hermitian_eig(system.frame_matrix, tol)
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ adjoint(v)
     return BoundedOperator(root)

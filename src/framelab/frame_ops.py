@@ -11,11 +11,12 @@ is range-inclusion driven: a system is a k-relative frame exactly when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .model import BoundedOperator, GFusionSystem, projection
+from .model import BoundedOperator, GFusionSystem
 from .numerics import (
     DEFAULT_TOL,
     DouglasFactorization,
@@ -98,21 +99,9 @@ class SynthesisOperator:
 
 
 def synthesis(system: GFusionSystem) -> SynthesisOperator:
-    """Assemble T with column block j equal to v_j pi_Wj Lj* (ascending j)."""
-    n = system.dim
-    dims = system.local_dims()
-    total = int(sum(dims))
-    dtype = np.result_type(system.space.dtype,
-                           *(op.matrix.dtype for _, op in system.members))
-    t = np.zeros((n, total), dtype=dtype)
-    offsets = []
-    start = 0
-    for (sub, op) in system.members:
-        stop = start + op.local_dim
-        t[:, start:stop] = sub.weight * (projection(sub) @ adjoint(op.matrix))
-        offsets.append((start, stop))
-        start = stop
-    return SynthesisOperator(t, tuple(offsets))
+    """T with column block j equal to v_j pi_Wj Lj* (ascending j), and its block offsets."""
+    stops = tuple(accumulate(system.local_dims()))
+    return SynthesisOperator(system.synthesis_matrix, tuple(zip((0,) + stops[:-1], stops)))
 
 
 def _index_mask(size: int, index_set=None) -> np.ndarray:
@@ -177,7 +166,19 @@ def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
     return subset_frame_operators(system, mask[None, :], other)[0]
 
 
-@dataclass
+def _memoized(owner, key, compute):
+    """``compute()`` once per ``(owner, key)``, kept on ``owner`` for its lifetime.
+
+    The one memo of the package's tolerance-dependent results; a computation
+    that raises stores nothing, so it raises again on the next call.
+    """
+    memo = vars(owner).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+@dataclass(frozen=True)
 class FrameReport:
     """Verdicts and residuals from verifying a system against an operator k.
 
@@ -221,18 +222,28 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
     Bessel always holds on a finite family; the frame verdict is decided by
     the range-inclusion test ran(k) in ran(T); Parseval means S = k k*.
     The optimal lower bound is |u0|^-2 for the minimal-norm solution
-    u0 = pinv(T) k, the optimal upper bound is |S|.
+    u0 = pinv(T) k, the optimal upper bound is |S|.  The analysis runs once
+    per (system, k, tol); claimed bounds add their two PSD verdicts to it.
     """
     tol = tol or DEFAULT_TOL
     _require_compatible(system, k)
+    report = _memoized(system, ("analysis", k, tol), lambda: _analyze(system, k, tol))
+    if claimed is None:
+        return report
+    s = system.frame_matrix
+    return replace(report, claimed=claimed,
+                   claimed_lower_ok=psd_check(s - claimed.lower * k.times_adjoint, tol),
+                   claimed_upper_ok=psd_check(claimed.upper * np.eye(system.dim) - s, tol))
+
+
+def _analyze(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile) -> FrameReport:
     if k.norm <= tol.rank_cutoff(1.0):
         raise InputError("operator k is numerically zero; the frame condition degenerates")
-    t = synthesis(system)
-    s = frame_operator(system)
+    s = system.frame_matrix
     upper = operator_norm(s)
-    dg = douglas_factor(k.matrix, t.matrix, tol)
+    dg = douglas_factor(k.matrix, system.synthesis_matrix, tol)
     is_frame = dg.included
-    kk = k.matrix @ adjoint(k.matrix)
+    kk = k.times_adjoint
     parseval_residual = operator_norm(s - kk)
     is_parseval = parseval_residual <= tol.for_scale(operator_norm(kk))
     if is_parseval and not is_frame:
@@ -243,51 +254,41 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
         raise InternalConsistencyError(
             f"optimal lower bound {lower} times |k|^2 = {k.norm**2} exceeded "
             f"upper bound {upper}")
-    optimal = FrameBounds(lower, upper)
-    claimed_lower_ok = claimed_upper_ok = None
-    if claimed is not None:
-        claimed_lower_ok = psd_check(s - claimed.lower * kk, tol)
-        claimed_upper_ok = psd_check(claimed.upper * np.eye(system.dim) - s, tol)
     return FrameReport(
         is_bessel=True,
         is_frame=bool(is_frame),
         is_parseval=bool(is_parseval),
-        optimal=optimal,
+        optimal=FrameBounds(lower, upper),
         range_inclusion_residual=dg.range_residual,
         parseval_residual=float(parseval_residual),
         tolerance=tol,
         douglas=dg,
-        claimed=claimed,
-        claimed_lower_ok=claimed_lower_ok,
-        claimed_upper_ok=claimed_upper_ok,
     )
 
 
 def optimal_bounds(system: GFusionSystem, k: BoundedOperator,
-                   tol: ToleranceProfile | None = None,
-                   report: FrameReport | None = None) -> FrameBounds:
+                   tol: ToleranceProfile | None = None) -> FrameBounds:
     """Optimal bound pair for a k-relative frame, PSD-certified.
 
     Raises :class:`NotAFrameError` when ran(k) is not contained in ran(T).
     The returned lower bound A satisfies S - A k k* >= 0 while inflating A by
-    a relative 1e-6 breaks positivity; the upper bound is |S| exactly.
-    ``report``, when given, is the result of :func:`verify_k_g_fusion` on the
-    same system and k under ``tol`` and is used instead of verifying again;
-    the PSD certificate still runs.
+    a relative 1e-6 breaks positivity; the upper bound is |S| exactly.  The
+    bounds are read from :func:`verify_k_g_fusion`'s report, and the PSD
+    certificate runs once per (system, k, tol).
     """
     tol = tol or DEFAULT_TOL
-    if report is None:
-        report = verify_k_g_fusion(system, k, tol=tol)
-    elif report.tolerance != tol:
-        raise InputError("the frame report was made under a different tolerance")
+    report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
         raise NotAFrameError(
             f"range inclusion fails: residual {report.range_inclusion_residual:g} "
             "outside ran(T)")
-    bounds = report.optimal
-    s = frame_operator(system)
-    kk = k.matrix @ adjoint(k.matrix)
-    if not psd_check(s - bounds.lower * kk, tol):
+    return _memoized(system, ("certificate", k, tol),
+                     lambda: _certified_lower(system, k, report.optimal, tol))
+
+
+def _certified_lower(system: GFusionSystem, k: BoundedOperator, bounds: FrameBounds,
+                     tol: ToleranceProfile) -> FrameBounds:
+    if not psd_check(system.frame_matrix - bounds.lower * k.times_adjoint, tol):
         raise InternalConsistencyError(
             "optimal lower bound failed its own PSD certification")
     return bounds
@@ -324,7 +325,7 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
     """
     tol = tol or DEFAULT_TOL
     bounds = optimal_bounds(system, k, tol)
-    s = frame_operator(system)
+    s = system.frame_matrix
     bk = k.range_basis(tol)
     if bk.shape[1] == 0:
         raise InputError("operator k is numerically zero; nothing to invert along")
@@ -388,7 +389,7 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     projected = distance > tol.for_scale(float(np.linalg.norm(f)))
     kf = k.matrix @ f_used
     lhs = inner(kf, f_used)
-    rhs = inner(ri.matrix @ (frame_operator(system) @ kf), f_used)
+    rhs = inner(ri.matrix @ (system.frame_matrix @ kf), f_used)
     residual = abs(lhs - rhs)
     passed = residual <= tol.for_scale(1.0) * (1.0 + abs(lhs))
     return ReconstructionReport(float(residual), bool(passed), projected, distance)
@@ -423,18 +424,17 @@ def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
         raise InputError("systems must share their local coordinate dimensions blockwise")
     t_lambda = synthesis(lambda_system)
     t_theta = synthesis(theta_system)
-    s_lambda = frame_operator(lambda_system)
-    s_theta = frame_operator(theta_system)
+    s_lambda = lambda_system.frame_matrix
+    s_theta = theta_system.frame_matrix
     b1 = operator_norm(s_lambda)
     b2 = operator_norm(s_theta)
     premise_residual = operator_norm(t_theta.matrix @ t_lambda.analysis() - adjoint(k.matrix))
     premise_ok = premise_residual <= tol.for_scale(k.norm)
     report = CrossFrameReport(bool(premise_ok), float(premise_residual), float(b1), float(b2))
     if premise_ok:
-        kk = k.matrix @ adjoint(k.matrix)
         ksk = adjoint(k.matrix) @ k.matrix
         report.lambda_lower = 1.0 / b2
         report.theta_lower = 1.0 / b1
-        report.lambda_certified = psd_check(s_lambda - report.lambda_lower * kk, tol)
+        report.lambda_certified = psd_check(s_lambda - report.lambda_lower * k.times_adjoint, tol)
         report.theta_certified = psd_check(s_theta - report.theta_lower * ksk, tol)
     return report

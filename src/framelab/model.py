@@ -155,6 +155,25 @@ class GFusionSystem:
         """``L_j pi_Wj`` for every member, in member order, built once."""
         return tuple(op.matrix @ projection(sub) for sub, op in self.members)
 
+    @cached_property
+    def synthesis_matrix(self) -> np.ndarray:
+        """T, column block j equal to ``v_j pi_Wj Lj*`` in member order; built once, read-only."""
+        dtype = np.result_type(self.space.dtype, *(op.matrix.dtype for _, op in self.members))
+        t = np.zeros((self.dim, sum(self.local_dims())), dtype=dtype)
+        start = 0
+        for sub, op in self.members:
+            stop = start + op.local_dim
+            t[:, start:stop] = sub.weight * (projection(sub) @ adjoint(op.matrix))
+            start = stop
+        return _read_only(t)
+
+    @cached_property
+    def frame_matrix(self) -> np.ndarray:
+        """S = T T*, summed by :func:`frame_ops.frame_operator`; built once, read-only."""
+        from .frame_ops import frame_operator
+
+        return _read_only(frame_operator(self))
+
     def with_local_operators(self, operators) -> "GFusionSystem":
         """Same subspaces and weights, new local operators (dims must agree)."""
         operators = list(operators)
@@ -192,6 +211,11 @@ class BoundedOperator:
     def svd(self):
         return np.linalg.svd(self.matrix)
 
+    @cached_property
+    def times_adjoint(self) -> np.ndarray:
+        """``k k*`` for this operator k; built once, read-only."""
+        return _read_only(self.matrix @ adjoint(self.matrix))
+
     @property
     def singular_values(self) -> np.ndarray:
         return self.svd[1]
@@ -220,6 +244,12 @@ class BoundedOperator:
 
     def __repr__(self):
         return f"BoundedOperator(dim={self.dim})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, no longer writable: cached values are shared by every reader."""
+    a.flags.writeable = False
+    return a
 
 
 def projection(subspace: WeightedSubspace) -> np.ndarray:
@@ -301,55 +331,16 @@ class FixtureBundle:
     errata: tuple = ()
 
 
-def _coordinate_system(dim: int) -> GFusionSystem:
-    space = HilbertSpace("real", dim)
-    eye = np.eye(dim)
-    members = []
-    for j in range(dim):
-        basis = eye[:, j:j + 1].copy()
-        row = eye[j:j + 1, :].copy()
-        members.append((WeightedSubspace(basis, 1.0), LocalOperator(row)))
-    return GFusionSystem(space, tuple(members))
-
-
 def fixture(name: str) -> FixtureBundle:
-    """Committed reference systems.
+    """Committed reference systems, loaded from the package fixture data.
 
     ``FIX-A``: coordinate system on R^3 with a rank-2 shift ``k`` (bounds 1/2
-    and 1) and a second shift ``u``; carries the E1 discrepancy record, see
-    below.  ``FIX-I``: coordinate system on R^2 with ``k = I``, tight with
-    bound 1.  ``FIX-R<id>``: committed randomly generated systems loaded from
-    the package fixture data, e.g. ``FIX-R000``.
+    and 1) and a second shift ``u``; carries the E1 discrepancy record.
+    ``FIX-I``: coordinate system on R^2 with ``k = I``, tight with bound 1.
+    ``FIX-R<id>``: committed randomly generated systems, e.g. ``FIX-R000``.
     """
-    if name == "FIX-A":
-        system = _coordinate_system(3)
-        k = BoundedOperator(np.array([[0.0, 0.0, 0.0],
-                                      [1.0, 0.0, 0.0],
-                                      [0.0, 1.0, 1.0]]))
-        u = BoundedOperator(np.array([[0.0, 1.0, 0.0],
-                                      [0.0, 0.0, 1.0],
-                                      [0.0, 0.0, 0.0]]))
-        errata = (
-            {
-                "code": "E1",
-                "operator": "u",
-                "documented_claim": "the worked example this fixture reproduces asserts the "
-                                    "system is not a 'u'-relative frame, arguing its frame "
-                                    "operator equals k k*",
-                "computed_finding": "the frame operator equals the identity, S - u u* is PSD, "
-                                    "and the optimal lower bound for 'u' is 1.0",
-                "verified_range_facts": "e1 lies in ran(u) and not in ran(k)",
-            },
-        )
-        return FixtureBundle("FIX-A", system, {"k": k, "u": u}, errata)
-    if name == "FIX-I":
-        system = _coordinate_system(2)
-        k = BoundedOperator(np.eye(2))
-        return FixtureBundle("FIX-I", system, {"k": k})
-    if name.startswith("FIX-R"):
-        from . import documents
+    from . import documents
 
-        doc = documents.load_packaged_fixture(name)
-        system, operators = documents.to_system(doc)
-        return FixtureBundle(name, system, operators, tuple(doc.meta.get("errata", ())))
-    raise InputError(f"unknown fixture {name!r}")
+    doc = documents.load_packaged_fixture(name)
+    system, operators = documents.to_system(doc)
+    return FixtureBundle(name, system, operators, tuple(doc.meta.get("errata", ())))

@@ -144,7 +144,7 @@ def operator_norm(m) -> float:
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False).max())
 
 
 def is_hermitian(m, tol: ToleranceProfile | None = None) -> bool:
@@ -242,7 +242,7 @@ def psd_check(m, tol: ToleranceProfile | None = None) -> bool:
     return bool(w.min() >= tol.psd_floor(norm))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DouglasFactorization:
     """Outcome of the range-inclusion / factorization test L1 = L2 u.
 

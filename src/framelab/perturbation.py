@@ -484,8 +484,7 @@ def _square_sum_certificate(base: GFusionSystem, family: GFusionSystem,
     gaps = [op.matrix - th.matrix
             for (_, op), (_, th) in zip(base.members, family.members)]
     s_delta = frame_operator(base.with_local_operators(gaps))
-    kk = k.matrix @ adjoint(k.matrix)
-    return psd_check(r * kk - s_delta, tol)
+    return psd_check(r * k.times_adjoint - s_delta, tol)
 
 
 def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
@@ -544,7 +543,7 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
             raise InternalConsistencyError(record["detail"])
         report.erratum_log.append(record)
         return report
-    report.theta_bounds = optimal_bounds(theta_system, k, tol, theta_report)
+    report.theta_bounds = optimal_bounds(theta_system, k, tol)
     slack = tol.for_scale(max(report.predicted.upper, report.theta_bounds.upper))
     report.lower_contained = bool(report.predicted.lower <= report.theta_bounds.lower + slack)
     report.upper_contained = bool(report.theta_bounds.upper <= report.predicted.upper + slack)

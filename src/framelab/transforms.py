@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_ops import FrameBounds, FrameReport, frame_operator, optimal_bounds, verify_k_g_fusion
+from .frame_ops import FrameBounds, FrameReport, optimal_bounds, verify_k_g_fusion
 from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace
 from .numerics import (
     DEFAULT_TOL,
@@ -136,9 +136,7 @@ def reduce_operator(system: GFusionSystem, k: BoundedOperator, u: BoundedOperato
         if lam == 0.0:
             raise InputError("target operator u is numerically zero")
         certified_lower = bounds.lower / lam**2
-        s = frame_operator(system)
-        uu = u.matrix @ adjoint(u.matrix)
-        certified_ok = psd_check(s - certified_lower * uu, tol)
+        certified_ok = psd_check(system.frame_matrix - certified_lower * u.times_adjoint, tol)
         return ReduceOperatorReport(True, float(lam), float(certified_lower),
                                     bool(certified_ok), None)
     fallback = verify_k_g_fusion(system, u, tol=tol)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelab import ToleranceProfile, fixture
+from framelab import ToleranceProfile, cli, duality, fixture, frame_ops, perturbation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -32,6 +32,26 @@ def decode(rows, complex_field):
 
 def decode_case_matrix(case, key):
     return decode(case[key], case["field"] == "complex")
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to ``module.name``, from any framelab module.
+
+    Counted on the uncached workers (``_analyze``, ``_certified_lower``,
+    ``_q_dual_forms``), this counts the work done, not the entries into the
+    memoized public functions.
+    """
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for holder in (frame_ops, duality, perturbation, cli):
+        if getattr(holder, name, None) is real:
+            monkeypatch.setattr(holder, name, counting)
+    return calls
 
 
 def fix_r_names():

@@ -8,6 +8,8 @@ import pytest
 
 from framelab import (
     BoundedOperator,
+    duality,
+    frame_ops,
     GFusionSystem,
     HilbertSpace,
     LocalOperator,
@@ -39,7 +41,7 @@ from framelab.duality import (
 )
 from framelab.frame_ops import synthesis
 from framelab.numerics import adjoint, inner, unit_probes
-from conftest import fix_r_names
+from conftest import count_calls, fix_r_names
 
 
 def all_subsets(size):
@@ -390,11 +392,41 @@ def test_bilinear_residual_block_matches_the_probe_loop(name):
         assert verify_q_dual(pair).bilinear_residual == reference_bilinear_residual(pair)
 
 
-def test_q_dual_bound_corollary_reuses_the_construction_only_under_its_tolerance(fix_a):
-    pair = construct_q_dual(fix_a.system, fix_a.operators["k"])
-    assert pair.tolerance == ToleranceProfile() and pair.forms.passed
+def test_q_dual_forms_run_once_per_pair_and_tolerance(monkeypatch):
+    bundle = fixture("FIX-A")
+    pair = construct_q_dual(bundle.system, bundle.operators["k"])
+    checked = count_calls(monkeypatch, duality, "_q_dual_forms")
+    certified = count_calls(monkeypatch, frame_ops, "_certified_lower")
     same = qdual_bound_corollary(pair)
-    assert same.coupling is pair.forms
+    assert checked == [] and same.coupling is verify_q_dual(pair)
+    assert [id(args[0]) for args in certified] == [id(bundle.system), id(pair.dual)]
     other = qdual_bound_corollary(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
-    assert other.coupling is not pair.forms
+    assert [id(args[0]) for args in checked] == [id(pair)] and other.coupling == same.coupling
     assert (other.dual_lower, other.dual_upper) == (same.dual_lower, same.dual_upper)
+
+
+def test_kgf_dual_certifies_the_base_once_per_tolerance(monkeypatch):
+    bundle = fixture("FIX-R003")
+    pair = canonical_dual(bundle.system, bundle.operators["k"])
+    analyzed = count_calls(monkeypatch, frame_ops, "_analyze")
+    certified = count_calls(monkeypatch, frame_ops, "_certified_lower")
+    same = verify_kgf_dual(pair)
+    assert [id(args[0]) for args in analyzed] == [id(pair.dual)] and certified == []
+    other = verify_kgf_dual(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
+    assert [id(args[0]) for args in analyzed] == [id(pair.dual), id(bundle.system), id(pair.dual)]
+    assert [id(args[0]) for args in certified] == [id(bundle.system)]
+    assert same.passed and other.passed
+    assert same.certified_lower == other.certified_lower == \
+        1.0 / optimal_bounds(bundle.system, bundle.operators["k"]).upper
+
+
+def test_cached_operators_are_read_only():
+    bundle = fixture("FIX-R003")
+    system, k = bundle.system, bundle.operators["k"]
+    pair = canonical_dual(system, k)
+    assert np.array_equal(system.frame_matrix, frame_operator(system))
+    assert np.array_equal(pair.coupling, frame_operator(system, pair.dual))
+    for cached in (system.frame_matrix, system.synthesis_matrix, k.times_adjoint,
+                   pair.coupling):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0

@@ -31,7 +31,7 @@ from framelab.oracle import (
     reference_lower_bound,
     reference_upper_bound,
 )
-from conftest import fix_r_names, load_sidecar
+from conftest import count_calls, fix_r_names, load_sidecar
 
 
 def single_member_system():
@@ -194,13 +194,22 @@ def test_restricted_inverse_probe_blocks_match_the_probe_loop(name):
             reference_restricted_inverse_checks(system, k, ri)
 
 
-def test_optimal_bounds_reuses_a_given_report(fix_a, monkeypatch):
-    k = fix_a.operators["u"]
-    report = verify_k_g_fusion(fix_a.system, k)
-    monkeypatch.setattr(frame_ops, "verify_k_g_fusion", None)
-    assert optimal_bounds(fix_a.system, k, report=report) == report.optimal
-    with pytest.raises(InputError):
-        optimal_bounds(fix_a.system, k, ToleranceProfile(tau_abs=1e-9), report)
+def test_one_factorization_per_system_target_and_tolerance(monkeypatch):
+    bundle = fixture("FIX-R003")
+    system, k = bundle.system, bundle.operators["k"]
+    factored = count_calls(monkeypatch, frame_ops, "douglas_factor")
+    report = verify_k_g_fusion(system, k)
+    bounds = optimal_bounds(system, k)
+    claimed = verify_k_g_fusion(system, k, FrameBounds(bounds.lower, bounds.upper))
+    assert verify_k_g_fusion(system, k, tol=ToleranceProfile()) is report
+    assert len(factored) == 1
+    assert claimed.claimed_valid and claimed.optimal == report.optimal
+    assert report.claimed is None
+    other_tol = ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8)
+    assert optimal_bounds(system, k, other_tol) == bounds
+    other_k = BoundedOperator(k.matrix.copy())
+    assert optimal_bounds(system, other_k) == bounds
+    assert len(factored) == 3
 
 
 def test_reconstruction_check(fix_i):

@@ -10,22 +10,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import (InputError, ToleranceProfile, cli, duality, fixture, frame_ops, oracle,
-                      perturbation)
+from framelab import InputError, cli, duality, frame_ops, oracle, perturbation
 from framelab.frame_ops import frame_operator
-from framelab.cli import fixture_document, main
+from framelab.cli import main
 from framelab.documents import (
     FrameDocument,
     canonical_json,
     dumps,
     load_document,
+    load_packaged_fixture,
     loads,
     oracle_sidecar_path,
     packaged_fixture_names,
     save_document,
     to_system,
 )
-from conftest import REPO_ROOT, DATA_DIR
+from conftest import REPO_ROOT, DATA_DIR, count_calls
 
 
 def run_cli(argv, env=None):
@@ -54,14 +54,14 @@ def repo_cwd(monkeypatch):
 
 def test_document_round_trip_is_byte_stable():
     for name in ("FIX-A", "FIX-I", "FIX-R002"):
-        doc = fixture_document(name)
+        doc = load_packaged_fixture(name)
         text = dumps(doc)
         assert dumps(loads(text)) == text
         assert text.endswith("\n")
 
 
 def test_loads_rejects_malformed_documents():
-    doc = fixture_document("FIX-I")
+    doc = load_packaged_fixture("FIX-I")
     data = json.loads(dumps(doc))
     broken = dict(data)
     del broken["weights"]
@@ -79,7 +79,7 @@ def test_loads_rejects_malformed_documents():
 
 
 def test_complex_document_entries_are_pairs():
-    doc = fixture_document("FIX-R002")
+    doc = load_packaged_fixture("FIX-R002")
     assert doc.field == "complex"
     data = json.loads(dumps(doc))
     entry = data["local_operators"][0][0][0]
@@ -89,7 +89,7 @@ def test_complex_document_entries_are_pairs():
 
 
 def test_save_and_load_document(tmp_path):
-    doc = fixture_document("FIX-I")
+    doc = load_packaged_fixture("FIX-I")
     target = tmp_path / "fix_i_copy.json"
     save_document(doc, target)
     again = load_document(target)
@@ -119,7 +119,7 @@ def test_packaged_fixture_inventory():
 
 
 def test_to_system_rejects_operator_shape_mismatch():
-    doc = fixture_document("FIX-I")
+    doc = load_packaged_fixture("FIX-I")
     data = json.loads(dumps(doc))
     data["operators"]["k"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(InputError):
@@ -268,27 +268,12 @@ def pinned_case(name):
                 if c["name"] == name)
 
 
-def count_calls(monkeypatch, module, name):
-    """The argument tuples of every call to ``module.name``, from any framelab module."""
-    real = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for holder in (frame_ops, duality, perturbation, cli):
-        if getattr(holder, name, None) is real:
-            monkeypatch.setattr(holder, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("case_name", ["identities_fix_i", "identities_fix_a_parsevalize",
                                        "dual_canonical_fix_r000"])
 def test_canonical_dual_jobs_verify_each_system_once(repo_cwd, monkeypatch, case_name):
     case = pinned_case(case_name)
-    verified = count_calls(monkeypatch, frame_ops, "verify_k_g_fusion")
-    bounded = count_calls(monkeypatch, frame_ops, "optimal_bounds")
+    verified = count_calls(monkeypatch, frame_ops, "_analyze")
+    bounded = count_calls(monkeypatch, frame_ops, "_certified_lower")
     code, out = run_cli(case["argv"])
     assert code == case["exit_code"]
     body = json.loads(out)
@@ -301,8 +286,8 @@ def test_canonical_dual_jobs_verify_each_system_once(repo_cwd, monkeypatch, case
 
 def test_dual_q_verifies_the_coupling_once(repo_cwd, monkeypatch):
     case = pinned_case("dual_q_fix_i")
-    coupled = count_calls(monkeypatch, duality, "verify_q_dual")
-    verified = count_calls(monkeypatch, frame_ops, "verify_k_g_fusion")
+    coupled = count_calls(monkeypatch, duality, "_q_dual_forms")
+    verified = count_calls(monkeypatch, frame_ops, "_analyze")
     code, out = run_cli(case["argv"])
     assert code == case["exit_code"]
     assert json.loads(out)["certified"]
@@ -313,26 +298,13 @@ def test_dual_q_verifies_the_coupling_once(repo_cwd, monkeypatch):
 
 def test_perturb_verifies_each_family_once(repo_cwd, monkeypatch):
     case = pinned_case("perturb_tsq_fix_i")
-    verified = count_calls(monkeypatch, frame_ops, "verify_k_g_fusion")
+    verified = count_calls(monkeypatch, frame_ops, "_analyze")
     code, out = run_cli(case["argv"])
     assert code == case["exit_code"]
     assert "theta_bounds" in json.loads(out)
     # the base once, the perturbed family once
     assert len(verified) == 2
     assert sorted(Counter(id(args[0]) for args in verified).values()) == [1, 1]
-
-
-def test_kgf_dual_recomputes_base_bounds_under_another_tolerance(monkeypatch):
-    bundle = fixture("FIX-R003")
-    built_under = ToleranceProfile()
-    pair = duality.canonical_dual(bundle.system, bundle.operators["k"], built_under)
-    bounded = count_calls(monkeypatch, frame_ops, "optimal_bounds")
-    same = duality.verify_kgf_dual(pair, ToleranceProfile())
-    assert bounded == []
-    other = duality.verify_kgf_dual(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
-    assert len(bounded) == 1 and bounded[0][0] is bundle.system
-    assert same.passed and other.passed
-    assert same.certified_lower == other.certified_lower == 1.0 / pair.base_bounds.upper
 
 
 def test_canonical_dual_with_empty_subspace_is_written_and_reloaded(repo_cwd, tmp_path):

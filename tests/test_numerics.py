@@ -191,6 +191,17 @@ def test_operator_norm_values():
     u = np.array([[1.0], [2.0]])
     v = np.array([[3.0, 4.0]])
     assert operator_norm(u @ v) == pytest.approx(np.sqrt(5.0) * 5.0)
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_operator_norm_has_the_bits_of_the_spectral_norm():
+    rng = np.random.Generator(np.random.PCG64(0x2A0B))
+    for _ in range(200):
+        rows, cols = rng.integers(1, 17, size=2)
+        m = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-6, 6)
+        if rng.random() < 0.5:
+            m = m + 1j * rng.standard_normal((rows, cols))
+        assert operator_norm(m) == float(np.linalg.norm(m, 2))
 
 
 def test_douglas_factor_positive_pair():
