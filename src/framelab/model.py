@@ -226,7 +226,13 @@ class BoundedOperator:
         return float(s[0]) if s.size else 0.0
 
     def adjoint(self) -> "BoundedOperator":
-        return BoundedOperator(adjoint(self.matrix))
+        """``k*`` for this operator k; the same read-only operator on every
+        call, so an analysis against it runs once (``frame_ops._memoized``)."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "BoundedOperator":
+        return BoundedOperator(_read_only(adjoint(self.matrix)))
 
     def pinv(self, tol: ToleranceProfile | None = None) -> np.ndarray:
         return pinv_from_svd(*self.svd, tol or DEFAULT_TOL)

@@ -19,7 +19,9 @@ The search evaluates probes in blocks: one kernel takes a ``(p, n)`` block
 of probes, forms the member terms as stacked matvecs and every subset sum
 as a stacked ``weights @ terms``, and returns lhs - rhs for each (probe,
 subset) pair.  Each entry keeps the bits of the same inequality evaluated
-at its probe alone, so the verdict does not depend on the block size.
+at its probe alone, so the verdict does not depend on the block size.  The
+float subset weights and the buffers of the ``(p, subsets, dim)`` subset
+sums are allocated once per search, and every block writes into them.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .numerics import (
     PreconditionError,
     ToleranceProfile,
     adjoint,
+    last_axis_norms,
     operator_norm,
     psd_check,
     row_norms,
@@ -68,8 +71,8 @@ EXHAUSTIVE_SUBSET_LIMIT = 12
 SAMPLED_SUBSETS = 512
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
-# Entries of each (probes, subsets, dim) temporary of one probe block, so
-# that the search's memory stays flat however many subsets it walks.
+# Entries of each (probes, subsets, dim) buffer a search allocates for its
+# probe blocks, so that its memory stays flat however many subsets it walks.
 PROBE_BLOCK_ENTRIES = 65_536
 
 
@@ -250,48 +253,88 @@ def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
     return np.array(sorted(chosen), dtype=bool)
 
 
-def _violations(masks, data, k_mat, probes, params: PerturbationParams):
+class _Workspace:
+    """The buffers of one search, reused by every probe block it evaluates.
+
+    ``weights`` holds the subset masks as floats, ``sums`` and ``squares``
+    the ``(probes, subsets, dim)`` subset sums of one block and their
+    squared entries, ``column_sums`` the ``(probes, subsets, 1)`` sums of
+    scalar member terms, and ``norms`` three ``(probes, subsets)`` results.
+    Built for blocks of up to ``len(probes)`` probes of that dtype; a smaller
+    block writes into leading views, which keep the layout of a fresh array
+    and so its bits.
+    """
+
+    def __init__(self, masks, data, probes):
+        rows, n = probes.shape
+        subsets = masks.shape[0]
+        dtype = np.result_type(probes, *(m for _, lp, tp in data for m in (lp, tp)))
+        self.weights = masks.astype(float)
+        self.sums = np.empty((rows, subsets, n), dtype)
+        self.squares = np.empty_like(self.sums)
+        self.column_sums = np.empty((rows, subsets, 1))
+        self.norms = np.empty((3, rows, subsets))
+
+
+def _gap_and_scale(lhs, rhs):
+    """lhs - rhs and 1 + lhs + rhs, as new arrays."""
+    scale = np.add(1.0, lhs)
+    scale += rhs
+    return lhs - rhs, scale
+
+
+def _violations(masks, data, k_mat, probes, params: PerturbationParams,
+                work: _Workspace | None = None):
     """lhs - rhs and scale for every (probe, subset) pair of a probe block.
 
-    ``probes`` is a ``(p, n)`` block; both results are ``(p, subsets)``.
-    Member terms are stacked matvecs over the block, subset sums stacked
-    ``weights @ terms`` and norms run along rows, so every entry carries
-    the bits of the same inequality evaluated at its probe alone.
+    ``probes`` is a ``(p, n)`` block; both results are new ``(p, subsets)``
+    arrays.  Member terms are stacked matvecs over the block, subset sums
+    stacked ``weights @ terms`` and norms run along rows, so every entry
+    carries the bits of the same inequality evaluated at its probe alone.
+    Every larger intermediate is written into ``work``, the buffers of the
+    search (built here when not given).
     """
+    work = work or _Workspace(masks, data, probes)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
+    p = probes.shape[0]
     column = probes[:, :, None]
-    weights = masks.astype(float)
-
-    def subset_sums(rows):
-        return weights @ np.stack(rows, axis=1)
 
     def squared(rows):
         return row_sq_norms(rows[..., 0])[:, None]
 
+    def scalar_sums(rows):
+        """(p, subsets) subset sums of (p, 1) member terms."""
+        stacked = np.stack(rows, axis=1)
+        return np.matmul(work.weights, stacked, out=work.column_sums[:p])[..., 0]
+
+    def sum_norms(rows, slot):
+        """(p, subsets) norms of the subset sums of (p, n) member terms."""
+        sums = np.matmul(work.weights, np.stack(rows, axis=1), out=work.sums[:p])
+        return last_axis_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p])
+
     kf_norm = row_norms((adjoint(k_mat) @ column)[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
-        lhs = subset_sums([w2 * squared(lp @ column - tp @ column)
-                           for w2, lp, tp in data])[..., 0]
-        rhs = r * np.float_power(kf_norm, 2.0)
-        return lhs - rhs, 1.0 + lhs + rhs
+        lhs = scalar_sums([w2 * squared(lp @ column - tp @ column) for w2, lp, tp in data])
+        return _gap_and_scale(lhs, r * np.float_power(kf_norm, 2.0))
     images = [lp @ column for _, lp, _ in data]
     base_terms = [(adjoint(lp) @ lf)[..., 0] for (_, lp, _), lf in zip(data, images)]
     pert_terms = [(adjoint(tp) @ (tp @ column))[..., 0] for _, _, tp in data]
-    lhs = np.linalg.norm(subset_sums([w2 * (a - b) for (w2, _, _), a, b
-                                      in zip(data, base_terms, pert_terms)]), axis=-1)
+    lhs = sum_norms([w2 * (a - b) for (w2, _, _), a, b in zip(data, base_terms, pert_terms)], 0)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
-        rhs = r * kf_norm
-        return lhs - rhs, 1.0 + lhs + rhs
-    rhs = lam1 * np.linalg.norm(
-        subset_sums([w2 * a for (w2, _, _), a in zip(data, base_terms)]), axis=-1)
-    rhs = rhs + lam2 * np.linalg.norm(
-        subset_sums([w2 * b for (w2, _, _), b in zip(data, pert_terms)]), axis=-1)
+        return _gap_and_scale(lhs, r * kf_norm)
+    rhs = sum_norms([w2 * a for (w2, _, _), a in zip(data, base_terms)], 1)
+    rhs *= lam1
+    term = sum_norms([w2 * b for (w2, _, _), b in zip(data, pert_terms)], 2)
+    term *= lam2
+    rhs += term
     if params.mode is PerturbationMode.SQRT_SUM:
-        q = subset_sums([w2 * squared(lf) for (w2, _, _), lf in zip(data, images)])
-        rhs = rhs + gamma * np.sqrt(q[..., 0])
+        term = np.sqrt(scalar_sums([w2 * squared(lf) for (w2, _, _), lf in zip(data, images)]),
+                       out=work.norms[2, :p])
+        term *= gamma
+        rhs += term
     else:
-        rhs = rhs + gamma * kf_norm
-    return lhs - rhs, 1.0 + lhs + rhs
+        rhs += gamma * kf_norm
+    return _gap_and_scale(lhs, rhs)
 
 
 def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
@@ -304,10 +347,11 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     are the standard basis, 200 seeded unit vectors, and a gradient-ascent
     refinement of the worst probe found.  The basis and the seeded probes
     are evaluated in blocks of consecutive probes, each block sized so that
-    a (probes, subsets, dim) temporary holds about ``PROBE_BLOCK_ENTRIES``
+    a (probes, subsets, dim) buffer holds about ``PROBE_BLOCK_ENTRIES``
     entries, and folded in probe order; the refinement evaluates one probe
-    per step.  Ties go to the earliest probe.  A verdict of not-falsified is
-    evidence over the tested pairs, never a proof.
+    per step.  The buffers are allocated once per search and shared by
+    every block and step.  Ties go to the earliest probe.  A verdict of
+    not-falsified is evidence over the tested pairs, never a proof.
     """
     tol = tol or DEFAULT_TOL
     family = _on_base(base, theta)
@@ -319,6 +363,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         np.iscomplexobj(tp) for _, _, tp in data)
     probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
+    work = _Workspace(masks, data, probes[:block])
 
     worst = -math.inf
     worst_subset = ()
@@ -329,7 +374,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     def consider(fs):
         """Fold a block of probes into the search; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
-        gaps, scales = _violations(masks, data, k_mat, fs, params)
+        gaps, scales = _violations(masks, data, k_mat, fs, params, work)
         if (gaps > tol.tau_abs + tol.tau_rel * scales).any():
             falsified = True
         for f, row_gaps, row in zip(fs, gaps, np.argmax(gaps, axis=1)):

@@ -420,6 +420,16 @@ def test_kgf_dual_certifies_the_base_once_per_tolerance(monkeypatch):
         1.0 / optimal_bounds(bundle.system, bundle.operators["k"]).upper
 
 
+def test_kgf_dual_analyses_the_dual_once_per_pair(monkeypatch):
+    bundle = fixture("FIX-R003")
+    pair = canonical_dual(bundle.system, bundle.operators["k"])
+    analyzed = count_calls(monkeypatch, frame_ops, "_analyze")
+    first, second = verify_kgf_dual(pair), verify_kgf_dual(pair)
+    assert [id(args[0]) for args in analyzed] == [id(pair.dual)]
+    assert pair.k.adjoint() is pair.k.adjoint()
+    assert first.dual_report is second.dual_report
+
+
 def test_cached_operators_are_read_only():
     bundle = fixture("FIX-R003")
     system, k = bundle.system, bundle.operators["k"]
@@ -427,6 +437,6 @@ def test_cached_operators_are_read_only():
     assert np.array_equal(system.frame_matrix, frame_operator(system))
     assert np.array_equal(pair.coupling, frame_operator(system, pair.dual))
     for cached in (system.frame_matrix, system.synthesis_matrix, k.times_adjoint,
-                   pair.coupling):
+                   k.adjoint().matrix, pair.coupling):
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0

@@ -11,6 +11,7 @@ from framelab.numerics import (
     hermitian_eig,
     inner,
     is_hermitian,
+    last_axis_norms,
     numerical_rank,
     operator_norm,
     orthonormalize,
@@ -202,6 +203,26 @@ def test_operator_norm_has_the_bits_of_the_spectral_norm():
         if rng.random() < 0.5:
             m = m + 1j * rng.standard_normal((rows, cols))
         assert operator_norm(m) == float(np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_last_axis_norms_have_the_bits_of_numpy_norm(complex_field):
+    # pins numpy's pairwise summation order, which the perturbation kernel relies on
+    rng = np.random.Generator(np.random.PCG64(0x1A57))
+    for width in [*range(21), 131]:
+        for scale in (1e-6, 1.0, 1e6):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 300)), width)
+            x = rng.standard_normal(shape) * scale
+            if complex_field:
+                x = x + 1j * rng.standard_normal(shape) * scale
+            reference = np.linalg.norm(x, axis=-1)
+            fresh = last_axis_norms(x)
+            out = np.empty(shape[:-1])
+            written = last_axis_norms(x, out=out, squares=np.empty_like(x))
+            assert written is out
+            for norms in (fresh, written):
+                assert norms.dtype == reference.dtype and norms.shape == reference.shape
+                assert norms.tobytes() == reference.tobytes(), (width, scale)
 
 
 def test_douglas_factor_positive_pair():

@@ -425,6 +425,33 @@ def test_block_kernel_does_not_depend_on_the_blocking(name):
             assert_bits(np.concatenate(part), together)
 
 
+@pytest.mark.parametrize("name", ["FIX-R003", "FIX-R011", "fourteen-members"])
+def test_blocks_through_one_workspace_match_fresh_calls(name):
+    if name == "fourteen-members":
+        system, k_mat = fourteen_member_system(), np.eye(3)
+    else:
+        system, operators = to_system(load_packaged_fixture(name))
+        k_mat = operators["k"].matrix
+    masks, data, probes = kernel_case(system, trials=12)
+    # full blocks, a shorter last block, and a one-probe refinement step
+    blocks = [probes[i:i + 5] for i in range(0, probes.shape[0], 5)] + [probes[3:4]]
+    for params in MODE_PARAMS:
+        work = perturbation._Workspace(masks, data, probes[:5])
+        for buffer in (work.sums, work.squares, work.column_sums, work.norms):
+            buffer.fill(np.nan)
+        kept = []
+        for block in blocks:
+            gaps, scales = _violations(masks, data, k_mat, block, params, work)
+            fresh_gaps, fresh_scales = _violations(masks, data, k_mat, block, params)
+            assert_bits(gaps, fresh_gaps)
+            assert_bits(scales, fresh_scales)
+            kept.append((gaps, scales, fresh_gaps, fresh_scales))
+        # later blocks reuse the buffers, never the arrays an earlier block returned
+        for gaps, scales, fresh_gaps, fresh_scales in kept:
+            assert_bits(gaps, fresh_gaps)
+            assert_bits(scales, fresh_scales)
+
+
 @pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
 def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monkeypatch):
     bundle = fixture("FIX-R005")
