@@ -337,13 +337,16 @@ def cmd_perturb(args, tol):
     system, operators = documents.to_system(doc)
     k = _operator(operators, args.k)
     theta_doc = documents.load_document(args.theta)
+    if (theta_doc.field, theta_doc.dim) != (doc.field, doc.dim):
+        raise InputError(
+            f"perturbed document is over a {theta_doc.field} space of dim "
+            f"{theta_doc.dim}, expected {doc.field} of dim {doc.dim}")
     if len(theta_doc.local_operators) != system.size:
         raise InputError(
             f"perturbed document has {len(theta_doc.local_operators)} local "
             f"operators, expected {system.size}")
     theta = system.with_local_operators(
-        [LocalOperator(np.asarray(m).astype(system.space.dtype))
-         for m in theta_doc.local_operators])
+        [LocalOperator(m) for m in theta_doc.local_operators])
     params = PerturbationParams(args.lambda1, args.lambda2, args.gamma, args.R,
                                 PerturbationMode(args.mode))
     verdict = perturb_hypothesis(system, theta, k, params, tol)

@@ -16,12 +16,18 @@ proved, except T-sqsum whose hypothesis is equivalent to the spectral
 containment S_delta <= R k k* and can be certified exactly.
 
 The search evaluates probes in blocks: one kernel takes a ``(p, n)`` block
-of probes, forms the member terms as stacked matvecs and every subset sum
-as a stacked ``weights @ terms``, and returns lhs - rhs for each (probe,
-subset) pair.  Each entry keeps the bits of the same inequality evaluated
-at its probe alone, so the verdict does not depend on the block size.  The
-float subset weights and the buffers of the ``(p, subsets, dim)`` subset
-sums are allocated once per search, and every block writes into them.
+of probes, forms the member terms and every subset sum as a stacked
+``weights @ terms``, and returns lhs - rhs for each (probe, subset) pair.
+Each entry keeps the bits of the same inequality evaluated at its probe
+alone, so the verdict does not depend on the block size.  The member stage
+runs per group of members with equal factor shapes and dtypes, not per
+member: the factors ``L_j P_j`` and ``Th_j P_j`` of a group and their
+adjoints are stacked once per search, and each block makes a few stacked
+matvecs per group, scatters them into the members' columns of
+``(p, members, dim)`` term buffers and applies the squared weights as one
+broadcast multiply.  Its cost per block grows with the number of groups,
+not members.  The float subset weights, the member stacks and every buffer
+are built once per search, and every block writes into the buffers.
 """
 from __future__ import annotations
 
@@ -38,7 +44,7 @@ from .frame_ops import (
     optimal_bounds,
     verify_k_g_fusion,
 )
-from .model import BoundedOperator, GFusionSystem
+from .model import BoundedOperator, GFusionSystem, _read_only
 from .numerics import (
     DEFAULT_TOL,
     InputError,
@@ -235,41 +241,78 @@ def _member_data(base: GFusionSystem, family: GFusionSystem):
 
 
 def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
-    """Deterministic family of index subsets as boolean rows."""
+    """Deterministic family of index subsets as boolean rows.
+
+    Past the exhaustive limit: the full set, the singletons and their
+    complements, then the first distinct non-empty rows of seeded coin-flip
+    draws until there are ``SAMPLED_SUBSETS``, sorted as tuples of bools.
+    """
     if size <= EXHAUSTIVE_SUBSET_LIMIT:
         # row b - 1 holds the bits of b, member j at bit j
         return (np.arange(1, 2**size)[:, None] >> np.arange(size) & 1).astype(bool)
-    chosen = {tuple([True] * size)}
-    for j in range(size):
-        single = [False] * size
-        single[j] = True
-        chosen.add(tuple(single))
-        chosen.add(tuple(not b for b in single))
+    single = np.eye(size, dtype=bool)
+    rows = np.concatenate([np.ones((1, size), dtype=bool), single, ~single])
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    while len(chosen) < SAMPLED_SUBSETS:
-        draw = rng.random(size) < 0.5
-        if draw.any():
-            chosen.add(tuple(bool(b) for b in draw))
-    return np.array(sorted(chosen), dtype=bool)
+    chosen = set()  # rows packed to bytes, column 0 in the high bit of byte 0
+    while True:
+        packed = np.packbits(rows, axis=1)
+        width, raw = packed.shape[1], packed.tobytes()
+        for start in range(0, len(raw), width):
+            chosen.add(raw[start:start + width])
+            if len(chosen) == SAMPLED_SUBSETS:
+                # such bytes sort as the tuples of bools do
+                keys = np.frombuffer(b"".join(sorted(chosen)), dtype=np.uint8)
+                return np.unpackbits(keys.reshape(-1, width), axis=1, count=size).astype(bool)
+        # one block of draws takes the same doubles as that many single draws
+        draws = rng.random((SAMPLED_SUBSETS, size)) < 0.5
+        rows = draws[draws.any(axis=1)]
 
 
 class _Workspace:
-    """The buffers of one search, reused by every probe block it evaluates.
+    """The member stacks and buffers of one search, reused by every probe block.
 
-    ``weights`` holds the subset masks as floats, ``sums`` and ``squares``
-    the ``(probes, subsets, dim)`` subset sums of one block and their
-    squared entries, ``column_sums`` the ``(probes, subsets, 1)`` sums of
-    scalar member terms, and ``norms`` three ``(probes, subsets)`` results.
-    Built for blocks of up to ``len(probes)`` probes of that dtype; a smaller
-    block writes into leading views, which keep the layout of a fresh array
-    and so its bits.
+    The per-search constants are read-only: ``weights`` holds the subset
+    masks as floats, ``w2`` the squared member weights as a ``(members, 1)``
+    column, and ``groups`` the members grouped by factor shape and dtypes,
+    each as ``(columns, L P, (L P)*, Th P, (Th P)*)`` with ``(g, r, n)``
+    factor stacks and ``(g, n, r)`` adjoint stacks.  An adjoint stack is
+    ``np.conj(stack).transpose(0, 2, 1)``, so each slice has the F-order
+    layout of ``adjoint(lp)``, and each matmul slice keeps the shape and
+    strides, and so the bits, of the one-member product.  Members are not
+    padded to one shape: that would change the inner length of the
+    products, and with it the summation inside them.
+
+    The buffers: ``base``, ``pert`` and ``terms`` hold the
+    ``(probes, members, dim)`` member terms of one block, ``scalars`` its
+    ``(probes, members, 1)`` scalar member terms, ``sums`` and ``squares``
+    the ``(probes, subsets, dim)`` subset sums and their squared entries,
+    ``column_sums`` the ``(probes, subsets, 1)`` sums of scalar member terms,
+    and ``norms`` three ``(probes, subsets)`` results.  Built for blocks of
+    up to ``len(probes)`` probes of that dtype; a smaller block writes into
+    leading views, which keep the layout of a fresh array and so its bits.
     """
 
     def __init__(self, masks, data, probes):
         rows, n = probes.shape
-        subsets = masks.shape[0]
+        subsets, members = masks.shape
         dtype = np.result_type(probes, *(m for _, lp, tp in data for m in (lp, tp)))
-        self.weights = masks.astype(float)
+        self.weights = _read_only(masks.astype(float))
+        self.w2 = _read_only(np.array([[w2] for w2, _, _ in data], dtype=float))
+        shared = {}
+        for j, (_, lp, tp) in enumerate(data):
+            shared.setdefault((lp.shape, tp.shape, lp.dtype, tp.dtype), []).append(j)
+        groups = []
+        for columns in shared.values():
+            lps = np.stack([data[j][1] for j in columns])
+            tps = np.stack([data[j][2] for j in columns])
+            groups.append(tuple(_read_only(a) for a in (
+                np.array(columns), lps, np.conj(lps).transpose(0, 2, 1),
+                tps, np.conj(tps).transpose(0, 2, 1))))
+        self.groups = tuple(groups)
+        self.base = np.empty((rows, members, n), dtype)
+        self.pert = np.empty_like(self.base)
+        self.terms = np.empty_like(self.base)
+        self.scalars = np.empty((rows, members, 1))
         self.sums = np.empty((rows, subsets, n), dtype)
         self.squares = np.empty_like(self.sums)
         self.column_sums = np.empty((rows, subsets, 1))
@@ -288,48 +331,54 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     """lhs - rhs and scale for every (probe, subset) pair of a probe block.
 
     ``probes`` is a ``(p, n)`` block; both results are new ``(p, subsets)``
-    arrays.  Member terms are stacked matvecs over the block, subset sums
-    stacked ``weights @ terms`` and norms run along rows, so every entry
-    carries the bits of the same inequality evaluated at its probe alone.
-    Every larger intermediate is written into ``work``, the buffers of the
-    search (built here when not given).
+    arrays.  The member terms of each group of equal factor shapes are a few
+    stacked matvecs over the block, scattered into the members' columns of
+    the ``(p, members, dim)`` term buffers and weighted by one broadcast
+    multiply; subset sums are stacked ``weights @ terms`` and norms run along
+    rows, so every entry carries the bits of the same inequality evaluated
+    member by member at its probe alone.  Every larger intermediate is
+    written into ``work``, the stacks and buffers of the search (built here
+    when not given).
     """
     work = work or _Workspace(masks, data, probes)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
     p = probes.shape[0]
-    column = probes[:, :, None]
+    stacked = probes[:, None, :, None]
+    scalars = work.scalars[:p]
 
-    def squared(rows):
-        return row_sq_norms(rows[..., 0])[:, None]
+    def scalar_sums():
+        """(p, subsets) subset sums of the weighted scalar member terms."""
+        np.multiply(scalars, work.w2, out=scalars)
+        return np.matmul(work.weights, scalars, out=work.column_sums[:p])[..., 0]
 
-    def scalar_sums(rows):
-        """(p, subsets) subset sums of (p, 1) member terms."""
-        stacked = np.stack(rows, axis=1)
-        return np.matmul(work.weights, stacked, out=work.column_sums[:p])[..., 0]
-
-    def sum_norms(rows, slot):
-        """(p, subsets) norms of the subset sums of (p, n) member terms."""
-        sums = np.matmul(work.weights, np.stack(rows, axis=1), out=work.sums[:p])
+    def sum_norms(terms, slot):
+        """(p, subsets) norms of the subset sums of (p, members, n) member terms."""
+        sums = np.matmul(work.weights, terms, out=work.sums[:p])
         return last_axis_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p])
 
-    kf_norm = row_norms((adjoint(k_mat) @ column)[..., 0])[:, None]
+    kf_norm = row_norms((adjoint(k_mat) @ probes[:, :, None])[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
-        lhs = scalar_sums([w2 * squared(lp @ column - tp @ column) for w2, lp, tp in data])
-        return _gap_and_scale(lhs, r * np.float_power(kf_norm, 2.0))
-    images = [lp @ column for _, lp, _ in data]
-    base_terms = [(adjoint(lp) @ lf)[..., 0] for (_, lp, _), lf in zip(data, images)]
-    pert_terms = [(adjoint(tp) @ (tp @ column))[..., 0] for _, _, tp in data]
-    lhs = sum_norms([w2 * (a - b) for (w2, _, _), a, b in zip(data, base_terms, pert_terms)], 0)
+        for columns, lps, _, tps, _ in work.groups:
+            scalars[:, columns, 0] = row_sq_norms((lps @ stacked - tps @ stacked)[..., 0])
+        return _gap_and_scale(scalar_sums(), r * np.float_power(kf_norm, 2.0))
+    base, pert, terms = work.base[:p], work.pert[:p], work.terms[:p]
+    for columns, lps, lph, tps, tph in work.groups:
+        images = lps @ stacked
+        base[:, columns] = (lph @ images)[..., 0]
+        pert[:, columns] = (tph @ (tps @ stacked))[..., 0]
+        if params.mode is PerturbationMode.SQRT_SUM:
+            scalars[:, columns, 0] = row_sq_norms(images[..., 0])
+    np.subtract(base, pert, out=terms)
+    lhs = sum_norms(np.multiply(terms, work.w2, out=terms), 0)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
         return _gap_and_scale(lhs, r * kf_norm)
-    rhs = sum_norms([w2 * a for (w2, _, _), a in zip(data, base_terms)], 1)
+    rhs = sum_norms(np.multiply(base, work.w2, out=base), 1)
     rhs *= lam1
-    term = sum_norms([w2 * b for (w2, _, _), b in zip(data, pert_terms)], 2)
+    term = sum_norms(np.multiply(pert, work.w2, out=pert), 2)
     term *= lam2
     rhs += term
     if params.mode is PerturbationMode.SQRT_SUM:
-        term = np.sqrt(scalar_sums([w2 * squared(lf) for (w2, _, _), lf in zip(data, images)]),
-                       out=work.norms[2, :p])
+        term = np.sqrt(scalar_sums(), out=work.norms[2, :p])
         term *= gamma
         rhs += term
     else:

@@ -245,6 +245,37 @@ def test_perturb_require_hypothesis_gate(repo_cwd):
     assert code == 1
 
 
+def test_perturb_refuses_a_theta_over_another_space(tmp_path):
+    code, out = run_cli(["gen", "--spec", "3", "2x2", "1x2", "2x1", "--seed", "1",
+                         "--out", str(tmp_path)])
+    assert code == 0
+    base_path = json.loads(out)["written"][0]
+    base = load_document(base_path)
+
+    def complex_matrices(matrices, shift=0.0):
+        return [np.asarray(m, dtype=complex) + shift for m in matrices]
+
+    # a complex theta used to be cast to the real base, dropping its imaginary
+    # part, and certified as if it were the base itself
+    complex_theta = FrameDocument(
+        "complex", base.dim, base.weights, complex_matrices(base.subspaces),
+        complex_matrices(base.local_operators, 0.5j),
+        {name: complex_matrices([m])[0] for name, m in base.operators.items()})
+    wider_theta = FrameDocument(
+        base.field, base.dim + 1, base.weights,
+        [np.pad(np.asarray(vs), ((0, 0), (0, 1))) for vs in base.subspaces],
+        [np.pad(np.asarray(m), ((0, 0), (0, 1))) for m in base.local_operators])
+    for name, theta in (("complex", complex_theta), ("wider", wider_theta)):
+        theta_path = tmp_path / f"theta_{name}.json"
+        save_document(theta, theta_path)
+        code, out = run_cli(["perturb", base_path, "--theta", str(theta_path),
+                             "--mode", "T-sqsum", "--R", "0.05"])
+        assert code == 2, name
+        report = json.loads(out)
+        assert "hypothesis" not in report
+        assert "perturbed document is over a" in report["error"]
+
+
 def test_perturb_searches_once_per_job(repo_cwd, monkeypatch):
     case = pinned_case("perturb_tsq_fix_i")
     searches = []

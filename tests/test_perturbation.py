@@ -382,6 +382,19 @@ def fourteen_member_system():
     return GFusionSystem(HilbertSpace("real", 3), tuple(members))
 
 
+def interleaved_complex_system():
+    # factor shapes interleave by member index, so each shape group's columns
+    # are scattered through the member order
+    rng = np.random.Generator(np.random.PCG64(6))
+    members = []
+    for j, rows in enumerate((2, 1, 3, 1, 2, 3)):
+        draw = rng.standard_normal((3, 1 + j % 3)) + 1j * rng.standard_normal((3, 1 + j % 3))
+        basis, _ = np.linalg.qr(draw)
+        op = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        members.append((WeightedSubspace(basis, 1.0 + 0.1 * j), LocalOperator(op)))
+    return GFusionSystem(HilbertSpace("complex", 3), tuple(members))
+
+
 def kernel_case(system, trials=8):
     family = nudged(system)
     complex_field = system.space.field == "complex"
@@ -412,6 +425,14 @@ def test_block_kernel_matches_member_loop_on_sampled_subsets():
     assert_kernel_matches_reference(system, np.eye(3))
 
 
+def test_block_kernel_matches_member_loop_on_interleaved_factor_shapes():
+    system = interleaved_complex_system()
+    work = perturbation._Workspace(*kernel_case(system))
+    assert [list(group[0]) for group in work.groups] == [[0, 4], [1, 3], [2, 5]]
+    k_mat = np.diag([1.0, 0.5 + 0.5j, 2.0j])
+    assert_kernel_matches_reference(system, k_mat)
+
+
 @pytest.mark.parametrize("name", ["FIX-R003", "FIX-R005"])
 def test_block_kernel_does_not_depend_on_the_blocking(name):
     system, operators = to_system(load_packaged_fixture(name))
@@ -425,10 +446,12 @@ def test_block_kernel_does_not_depend_on_the_blocking(name):
             assert_bits(np.concatenate(part), together)
 
 
-@pytest.mark.parametrize("name", ["FIX-R003", "FIX-R011", "fourteen-members"])
+@pytest.mark.parametrize("name", ["FIX-R003", "FIX-R011", "fourteen-members", "interleaved"])
 def test_blocks_through_one_workspace_match_fresh_calls(name):
     if name == "fourteen-members":
         system, k_mat = fourteen_member_system(), np.eye(3)
+    elif name == "interleaved":
+        system, k_mat = interleaved_complex_system(), np.eye(3)
     else:
         system, operators = to_system(load_packaged_fixture(name))
         k_mat = operators["k"].matrix
@@ -437,8 +460,15 @@ def test_blocks_through_one_workspace_match_fresh_calls(name):
     blocks = [probes[i:i + 5] for i in range(0, probes.shape[0], 5)] + [probes[3:4]]
     for params in MODE_PARAMS:
         work = perturbation._Workspace(masks, data, probes[:5])
-        for buffer in (work.sums, work.squares, work.column_sums, work.norms):
-            buffer.fill(np.nan)
+        arrays = {attr: value for attr, value in vars(work).items()
+                  if isinstance(value, np.ndarray)}
+        # the per-search constants are read-only; every other array is a buffer
+        assert {attr for attr, value in arrays.items()
+                if not value.flags.writeable} == {"weights", "w2"}
+        assert all(not a.flags.writeable for group in work.groups for a in group)
+        for value in arrays.values():
+            if value.flags.writeable:
+                value.fill(np.nan)
         kept = []
         for block in blocks:
             gaps, scales = _violations(masks, data, k_mat, block, params, work)
@@ -503,3 +533,24 @@ def test_theorem_check_reuses_a_given_verdict(fix_i, monkeypatch):
                                          verdict=searched.verdict)
     assert reused.verdict is searched.verdict
     assert (reused.theta_bounds, reused.predicted) == (searched.theta_bounds, searched.predicted)
+
+
+def looped_subset_masks(size, rng_seed=0x5B5E7):
+    """The sampled subset family drawn one row at a time, as tuples."""
+    chosen = {tuple([True] * size)}
+    for j in range(size):
+        single = [False] * size
+        single[j] = True
+        chosen.add(tuple(single))
+        chosen.add(tuple(not b for b in single))
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    while len(chosen) < perturbation.SAMPLED_SUBSETS:
+        draw = rng.random(size) < 0.5
+        if draw.any():
+            chosen.add(tuple(bool(b) for b in draw))
+    return np.array(sorted(chosen), dtype=bool)
+
+
+def test_sampled_subset_masks_match_the_row_by_row_draw():
+    for size in range(13, 25):
+        assert_bits(_subset_masks(size), looped_subset_masks(size))
