@@ -5,6 +5,9 @@ canonical JSON (sorted keys, 17 significant digits, trailing newline) so a
 report is byte-reproducible; ``--human`` switches to flat ``key: value``
 lines without changing any verdict or the exit code.  Exit codes: 0 when all
 asserted checks pass, 1 when a check fails, 2 on input or parse errors.
+
+A command imports the modules only it runs (duality, perturbation, oracle)
+when it runs, so a one-off call loads no more of the package than it uses.
 """
 from __future__ import annotations
 
@@ -15,19 +18,8 @@ import sys
 
 import numpy as np
 
-from . import documents, oracle
-from .duality import (
-    DualConstructionError,
-    KGFDualPair,
-    canonical_dual,
-    construct_q_dual,
-    dual_subset_sweep,
-    parsevalize,
-    parseval_subset_sweep,
-    qdual_bound_corollary,
-    verify_kgf_dual,
-)
-from .frame_ops import FrameBounds, verify_k_g_fusion
+from . import documents
+from .frame_ops import FrameBounds, subset_masks, verify_k_g_fusion
 from .model import (
     BoundedOperator,
     GFusionSystem,
@@ -37,19 +29,13 @@ from .model import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    DualConstructionError,
     InputError,
     InternalConsistencyError,
     PreconditionError,
     ToleranceProfile,
     orthonormalize,
     unit_probes,
-)
-from .perturbation import (
-    PerturbationMode,
-    PerturbationParams,
-    _subset_masks,
-    perturb_hypothesis,
-    verify_perturbation_theorem,
 )
 
 __all__ = ["main", "build_parser"]
@@ -97,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="document whose local operators are the perturbed family")
     p.add_argument("--k", default="k")
     p.add_argument("--mode", required=True,
-                   choices=[m.value for m in PerturbationMode])
+                   help="hypothesis shape; an unknown name is reported with the known ones")
     p.add_argument("--lambda1", type=float, default=0.0)
     p.add_argument("--lambda2", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
@@ -173,12 +159,14 @@ def _write_dual_document(pair_dual, k, out_path, meta):
 
 
 def cmd_dual(args, tol):
+    from . import duality
+
     doc = documents.load_document(args.path)
     system, operators = documents.to_system(doc)
     k = _operator(operators, args.k)
     if args.method == "q":
         try:
-            pair = construct_q_dual(system, k, tol)
+            pair = duality.construct_q_dual(system, k, tol)
         except DualConstructionError as exc:
             body = {
                 "method": "q",
@@ -187,7 +175,7 @@ def cmd_dual(args, tol):
                 "error": str(exc),
             }
             return 1, body
-        corollary = qdual_bound_corollary(pair, tol)
+        corollary = duality.qdual_bound_corollary(pair, tol)
         forms, dual_frame = corollary.coupling, corollary.dual_report
         body = {
             "method": "q",
@@ -218,8 +206,8 @@ def cmd_dual(args, tol):
                                  {"kind": "q-dual", "reading": pair.reading})
             body["written"] = args.out
         return (0 if ok else 1), body
-    pair = canonical_dual(system, k, tol)
-    report = verify_kgf_dual(pair, tol)
+    pair = duality.canonical_dual(system, k, tol)
+    report = duality.verify_kgf_dual(pair, tol)
     body = {
         "method": "canonical",
         "exploratory": bool(pair.exploratory),
@@ -249,18 +237,20 @@ def _identity_probes(system, trials: int) -> np.ndarray:
 
 
 def cmd_identities(args, tol):
+    from . import duality
+
     doc = documents.load_document(args.path)
     system, operators = documents.to_system(doc)
     notes = []
     if args.parsevalize:
-        k = parsevalize(system, tol)
+        k = duality.parsevalize(system, tol)
         notes.append("substituted k := S^(1/2); identity checks run against it")
     else:
         k = _operator(operators, args.k)
     probes = _identity_probes(system, args.trials)
     # the empty set, then the nonempty subsets perturb tests, in its order
     masks = np.vstack([np.zeros((1, system.size), dtype=bool),
-                       _subset_masks(system.size)])
+                       subset_masks(system.size)])
     body = {"notes": notes, "subsets_tested": int(masks.shape[0]),
             "probes": int(probes.shape[0])}
     all_ok = True
@@ -268,17 +258,17 @@ def cmd_identities(args, tol):
     pair = None
     if args.dual:
         dual_system, _ = documents.to_system(documents.load_document(args.dual))
-        pair = KGFDualPair(system, dual_system, k, float("nan"))
+        pair = duality.KGFDualPair(system, dual_system, k, float("nan"))
         source = {"source": "document"}
     else:
         try:
-            pair = canonical_dual(system, k, tol)
+            pair = duality.canonical_dual(system, k, tol)
             source = {"source": "canonical", "exploratory": bool(pair.exploratory)}
         except PreconditionError as exc:
             notes.append(f"no dual: {exc}")
             all_ok = False
     if pair is not None:
-        report = verify_kgf_dual(pair, tol)
+        report = duality.verify_kgf_dual(pair, tol)
         body["dual"] = dict(source, operator_residual=_real(report.operator_residual),
                             probe_residual=_real(report.probe_residual),
                             certified=bool(report.passed))
@@ -291,7 +281,7 @@ def cmd_identities(args, tol):
             pair = None
 
     if pair is not None:
-        sweep = dual_subset_sweep(pair, masks, probes, tol)
+        sweep = duality.dual_subset_sweep(pair, masks, probes, tol)
         ok = bool(sweep.identity.passed.all())
         worst_complement = float(sweep.complement_residual.max())
         complement_ok = worst_complement <= tol.for_scale(k.norm)
@@ -312,7 +302,7 @@ def cmd_identities(args, tol):
         comp = ~masks
         first = comp & (np.cumsum(comp, axis=1) == 1)
         extensions = np.stack([np.zeros_like(masks), comp, first], axis=1)
-        sweep = parseval_subset_sweep(system, k, masks, extensions, probes, tol)
+        sweep = duality.parseval_subset_sweep(system, k, masks, extensions, probes, tol)
         ti_ok = bool(sweep.identity.passed.all())
         tq = sweep.three_quarters
         tq_ok = bool(tq.passed.all())
@@ -333,6 +323,11 @@ def cmd_identities(args, tol):
 
 
 def cmd_perturb(args, tol):
+    from . import perturbation
+
+    # the constants and the mode name are checked before any document is read
+    params = perturbation.PerturbationParams(args.lambda1, args.lambda2, args.gamma,
+                                             args.R, args.mode)
     doc = documents.load_document(args.path)
     system, operators = documents.to_system(doc)
     k = _operator(operators, args.k)
@@ -347,9 +342,7 @@ def cmd_perturb(args, tol):
             f"operators, expected {system.size}")
     theta = system.with_local_operators(
         [LocalOperator(m) for m in theta_doc.local_operators])
-    params = PerturbationParams(args.lambda1, args.lambda2, args.gamma, args.R,
-                                PerturbationMode(args.mode))
-    verdict = perturb_hypothesis(system, theta, k, params, tol)
+    verdict = perturbation.perturb_hypothesis(system, theta, k, params, tol)
     body = {
         "mode": params.mode.value,
         "hypothesis": {
@@ -365,7 +358,8 @@ def cmd_perturb(args, tol):
         return (1 if args.require_hypothesis else 0), body
     body["verdict"] = "hypothesis not falsified"
     try:
-        report = verify_perturbation_theorem(system, theta, k, params, tol, verdict)
+        report = perturbation.verify_perturbation_theorem(
+            system, theta, k, params, tol, verdict)
     except InternalConsistencyError as exc:
         body["error"] = str(exc)
         return 1, body
@@ -433,6 +427,8 @@ def _spec_document(tokens, seed: int) -> documents.FrameDocument:
 
 
 def cmd_gen(args, tol):
+    from . import oracle
+
     if args.fixture:
         doc = documents.load_packaged_fixture(args.fixture)
         stem = args.fixture.lower().replace("-", "_")

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -109,30 +110,47 @@ def _encode_scalar(value, complex_field: bool):
     return float(value.real)
 
 
-def _decode_scalar(value, complex_field: bool):
-    if complex_field:
-        if not (isinstance(value, list) and len(value) == 2):
-            raise InputError(f"expected [re, im] pair, got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"expected a real number, got {value!r}")
-    return float(value)
-
-
 def _encode_matrix(matrix, complex_field: bool):
     matrix = np.asarray(matrix)
     return [[_encode_scalar(v, complex_field) for v in row] for row in matrix]
 
 
+# JSON numbers parse to exactly these types; true and false parse to bool.
+_REAL_TYPES = frozenset((int, float))
+
+
+def _real_array(values: list) -> np.ndarray:
+    """The one check every number in a document passes, then float64 values.
+
+    Each value must be a JSON number, an int or a float; a bool, a string
+    or a list is an InputError, as is an int too large for a double.
+    """
+    if not set(map(type, values)) <= _REAL_TYPES:
+        bad = next(v for v in values if type(v) not in _REAL_TYPES)
+        raise InputError(f"expected a real number, got {bad!r}")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise InputError(f"number out of range for a double: {exc}") from exc
+
+
 def _decode_matrix(rows, complex_field: bool, label: str):
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{label} must be a non-empty list of rows")
-    decoded = [[_decode_scalar(v, complex_field) for v in row] for row in rows]
-    widths = {len(row) for row in decoded}
+    if not all(type(row) is list for row in rows):
+        raise InputError(f"{label} rows must be lists")
+    widths = set(map(len, rows))
     if len(widths) != 1:
         raise InputError(f"{label} rows have uneven lengths")
-    dtype = np.complex128 if complex_field else np.float64
-    return np.array(decoded, dtype=dtype)
+    entries = list(chain.from_iterable(rows))
+    if not complex_field:
+        return _real_array(entries).reshape(len(rows), widths.pop())
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        bad = next(v for v in entries if not (type(v) is list and len(v) == 2))
+        raise InputError(f"expected [re, im] pair, got {bad!r}")
+    # each (re, im) pair of float64s is the memory layout of one complex128
+    parts = _real_array(list(chain.from_iterable(entries)))
+    return parts.view(np.complex128).reshape(len(rows), widths.pop())
 
 
 def _document_data(doc: FrameDocument) -> dict:
@@ -171,24 +189,27 @@ def loads(text: str) -> FrameDocument:
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise InputError(f"dim must be an integer, got {dim!r}")
-    weights = data["weights"]
-    if not isinstance(weights, list):
-        raise InputError("weights must be a list")
+    for key in ("weights", "subspaces", "local_operators"):
+        if not isinstance(data[key], list):
+            raise InputError(f"{key} must be a list")
+    weights = _real_array(data["weights"]).tolist()
     # an empty vector list is a zero-dimensional subspace
     subspaces = [vs if vs == [] else _decode_matrix(vs, complex_field, f"subspace {i}")
                  for i, vs in enumerate(data["subspaces"])]
     local_ops = [_decode_matrix(m, complex_field, f"local operator {i}")
                  for i, m in enumerate(data["local_operators"])]
-    operators = {}
-    for name, m in (data.get("operators") or {}).items():
-        operators[name] = _decode_matrix(m, complex_field, f"operator {name!r}")
+    operators = data.get("operators") or {}
+    if not isinstance(operators, dict):
+        raise InputError("operators must be an object")
+    operators = {name: _decode_matrix(m, complex_field, f"operator {name!r}")
+                 for name, m in operators.items()}
     meta = data.get("meta") or {}
     if not isinstance(meta, dict):
         raise InputError("meta must be an object")
     return FrameDocument(
         field=field,
         dim=dim,
-        weights=[float(w) for w in weights],
+        weights=weights,
         subspaces=subspaces,
         local_operators=local_ops,
         operators=operators,

@@ -31,6 +31,7 @@ from .frame_ops import (
 from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace, _read_only
 from .numerics import (
     DEFAULT_TOL,
+    DualConstructionError,
     InputError,
     InternalConsistencyError,
     PreconditionError,
@@ -73,14 +74,6 @@ __all__ = [
     "parseval_subset_sweep",
     "parsevalize",
 ]
-
-
-class DualConstructionError(RuntimeError):
-    """No tested subspace reading produced a certified dual."""
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = dict(residuals or {})
 
 
 @dataclass

@@ -42,6 +42,7 @@ __all__ = [
     "FrameReport",
     "synthesis",
     "frame_operator",
+    "subset_masks",
     "subset_frame_operators",
     "verify_k_g_fusion",
     "optimal_bounds",
@@ -52,6 +53,11 @@ __all__ = [
     "CrossFrameReport",
     "cross_frame_check",
 ]
+
+# subset_masks walks every nonempty subset up to this many members, and
+# samples this many subsets past it.
+EXHAUSTIVE_SUBSET_LIMIT = 12
+SAMPLED_SUBSETS = 512
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,36 @@ def _require_masks(masks, size: int) -> np.ndarray:
             f"masks must be a boolean (subsets, {size}) array, got "
             f"{masks.dtype} {masks.shape}")
     return masks
+
+
+def subset_masks(size: int, rng_seed: int = 0x5B5E7):
+    """Deterministic family of nonempty index subsets as boolean rows.
+
+    The rows are the ``masks`` :func:`subset_frame_operators` takes.  Up to
+    ``EXHAUSTIVE_SUBSET_LIMIT`` members they are every nonempty subset, in
+    binary counting order.  Past it: the full set, the singletons and their
+    complements, then the first distinct non-empty rows of seeded coin-flip
+    draws until there are ``SAMPLED_SUBSETS``, sorted as tuples of bools.
+    """
+    if size <= EXHAUSTIVE_SUBSET_LIMIT:
+        # row b - 1 holds the bits of b, member j at bit j
+        return (np.arange(1, 2**size)[:, None] >> np.arange(size) & 1).astype(bool)
+    single = np.eye(size, dtype=bool)
+    rows = np.concatenate([np.ones((1, size), dtype=bool), single, ~single])
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    chosen = set()  # rows packed to bytes, column 0 in the high bit of byte 0
+    while True:
+        packed = np.packbits(rows, axis=1)
+        width, raw = packed.shape[1], packed.tobytes()
+        for start in range(0, len(raw), width):
+            chosen.add(raw[start:start + width])
+            if len(chosen) == SAMPLED_SUBSETS:
+                # such bytes sort as the tuples of bools do
+                keys = np.frombuffer(b"".join(sorted(chosen)), dtype=np.uint8)
+                return np.unpackbits(keys.reshape(-1, width), axis=1, count=size).astype(bool)
+        # one block of draws takes the same doubles as that many single draws
+        draws = rng.random((SAMPLED_SUBSETS, size)) < 0.5
+        rows = draws[draws.any(axis=1)]
 
 
 def subset_frame_operators(system: GFusionSystem, masks,

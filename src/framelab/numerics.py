@@ -17,6 +17,7 @@ __all__ = [
     "PreconditionError",
     "NotAFrameError",
     "InternalConsistencyError",
+    "DualConstructionError",
     "ToleranceProfile",
     "DEFAULT_TOL",
     "as_matrix",
@@ -55,6 +56,14 @@ class NotAFrameError(PreconditionError):
 
 class InternalConsistencyError(RuntimeError):
     """Two mathematically equivalent code paths disagreed beyond tolerance."""
+
+
+class DualConstructionError(RuntimeError):
+    """No tested subspace reading produced a certified dual."""
+
+    def __init__(self, message, residuals=None):
+        super().__init__(message)
+        self.residuals = dict(residuals or {})
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .frame_ops import (
     FrameReport,
     frame_operator,
     optimal_bounds,
+    subset_masks,
     verify_k_g_fusion,
 )
 from .model import BoundedOperator, GFusionSystem, _read_only
@@ -73,8 +74,6 @@ __all__ = [
     "verify_perturbation_theorem",
 ]
 
-EXHAUSTIVE_SUBSET_LIMIT = 12
-SAMPLED_SUBSETS = 512
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
 # Entries of each (probes, subsets, dim) buffer a search allocates for its
@@ -240,34 +239,6 @@ def _member_data(base: GFusionSystem, family: GFusionSystem):
             in zip(base.members, base.local_factors, family.local_factors)]
 
 
-def _subset_masks(size: int, rng_seed: int = 0x5B5E7):
-    """Deterministic family of index subsets as boolean rows.
-
-    Past the exhaustive limit: the full set, the singletons and their
-    complements, then the first distinct non-empty rows of seeded coin-flip
-    draws until there are ``SAMPLED_SUBSETS``, sorted as tuples of bools.
-    """
-    if size <= EXHAUSTIVE_SUBSET_LIMIT:
-        # row b - 1 holds the bits of b, member j at bit j
-        return (np.arange(1, 2**size)[:, None] >> np.arange(size) & 1).astype(bool)
-    single = np.eye(size, dtype=bool)
-    rows = np.concatenate([np.ones((1, size), dtype=bool), single, ~single])
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    chosen = set()  # rows packed to bytes, column 0 in the high bit of byte 0
-    while True:
-        packed = np.packbits(rows, axis=1)
-        width, raw = packed.shape[1], packed.tobytes()
-        for start in range(0, len(raw), width):
-            chosen.add(raw[start:start + width])
-            if len(chosen) == SAMPLED_SUBSETS:
-                # such bytes sort as the tuples of bools do
-                keys = np.frombuffer(b"".join(sorted(chosen)), dtype=np.uint8)
-                return np.unpackbits(keys.reshape(-1, width), axis=1, count=size).astype(bool)
-        # one block of draws takes the same doubles as that many single draws
-        draws = rng.random((SAMPLED_SUBSETS, size)) < 0.5
-        rows = draws[draws.any(axis=1)]
-
-
 class _Workspace:
     """The member stacks and buffers of one search, reused by every probe block.
 
@@ -406,7 +377,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     family = _on_base(base, theta)
     data = _member_data(base, family)
     k_mat = k.matrix
-    masks = _subset_masks(base.size)
+    masks = subset_masks(base.size)
     n = base.dim
     complex_field = base.space.field == "complex" or any(
         np.iscomplexobj(tp) for _, _, tp in data)

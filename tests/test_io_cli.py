@@ -286,7 +286,6 @@ def test_perturb_searches_once_per_job(repo_cwd, monkeypatch):
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(perturbation, "perturb_hypothesis", counting)
-    monkeypatch.setattr(cli, "perturb_hypothesis", counting)
     code, out = run_cli(case["argv"])
     assert code == case["exit_code"]
     assert json.loads(out)["verdict"] == "hypothesis not falsified"
@@ -376,13 +375,13 @@ def test_identities_visits_every_member_beyond_exhaustive_limit(tmp_path, monkey
     path = tmp_path / "thirteen.json"
     save_document(doc, path)
     visited = []
-    real_sweep = cli.dual_subset_sweep
+    real_sweep = duality.dual_subset_sweep
 
     def recording(pair, masks, probes, tol=None):
         visited.extend(tuple(int(j) for j in np.flatnonzero(row)) for row in masks)
         return real_sweep(pair, masks, probes, tol)
 
-    monkeypatch.setattr(cli, "dual_subset_sweep", recording)
+    monkeypatch.setattr(duality, "dual_subset_sweep", recording)
     code, out = run_cli(["identities", str(path), "--trials", "0"])
     report = json.loads(out)
     assert code == 0, out
@@ -390,3 +389,62 @@ def test_identities_visits_every_member_beyond_exhaustive_limit(tmp_path, monkey
     assert () in visited
     assert tuple(range(size)) in visited
     assert any(size - 1 in subset for subset in visited)
+
+
+def _set_real_row(data):
+    data["local_operators"][1] = [5.0]
+
+
+def _set_weight(value):
+    def edit(data):
+        data["weights"][0] = value
+    return edit
+
+
+def _set_key(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+def _set_complex_entry(value):
+    def edit(data):
+        data["local_operators"][0][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("fixture_name, edit, message", [
+    ("FIX-I", _set_real_row, "rows must be lists"),
+    ("FIX-I", _set_weight([1]), "expected a real number, got [1]"),
+    ("FIX-I", _set_weight("2"), "expected a real number, got '2'"),
+    ("FIX-I", _set_weight(True), "expected a real number, got True"),
+    ("FIX-I", _set_weight(10**400), "number out of range"),
+    ("FIX-R002", _set_complex_entry(["1.5", 0.0]), "expected a real number, got '1.5'"),
+    ("FIX-R002", _set_complex_entry([True, False]), "expected a real number, got True"),
+    ("FIX-I", _set_key("subspaces", 5), "subspaces must be a list"),
+    ("FIX-I", _set_key("operators", [[1.0]]), "operators must be an object"),
+], ids=["row-is-a-number", "weight-is-a-list", "weight-is-a-string", "weight-is-a-bool",
+        "weight-overflows", "complex-part-is-a-string", "complex-parts-are-bools",
+        "subspaces-is-a-number", "operators-is-a-list"])
+def test_analyze_reports_malformed_documents_as_input_errors(tmp_path, fixture_name, edit,
+                                                           message):
+    data = json.loads(dumps(load_packaged_fixture(fixture_name)))
+    edit(data)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out = run_cli(["analyze", str(path)])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert message in report["error"]
+
+
+MODE_NAMES = ("P1-sqrt-sum", "P-variant-kstar", "C-p2-normsum", "T-sqsum")
+
+
+@pytest.mark.parametrize("path", ["src/framelab/fixtures/fix_i.json", "missing.json"])
+def test_perturb_reports_an_unknown_mode_before_reading_documents(repo_cwd, path):
+    code, out = run_cli(["perturb", path, "--theta", path, "--mode", "bogus"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert "unknown perturbation mode 'bogus'" in report["error"]
+    assert all(name in report["error"] for name in MODE_NAMES)

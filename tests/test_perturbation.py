@@ -11,10 +11,12 @@ from framelab import (
     PreconditionError,
     fixture,
     frame_operator,
+    frame_ops,
     optimal_bounds,
     perturbation,
 )
 from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
+from framelab.frame_ops import subset_masks
 from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
 from framelab.numerics import adjoint, unit_probes
 from framelab.perturbation import (
@@ -22,7 +24,6 @@ from framelab.perturbation import (
     PerturbationParams,
     _member_data,
     _on_base,
-    _subset_masks,
     _violations,
     paley_wiener_check,
     perturb_hypothesis,
@@ -399,7 +400,7 @@ def kernel_case(system, trials=8):
     family = nudged(system)
     complex_field = system.space.field == "complex"
     probes = unit_probes(system.dim, trials, complex_field=complex_field, seed=0xFA15)
-    return _subset_masks(system.size), _member_data(system, family), probes
+    return subset_masks(system.size), _member_data(system, family), probes
 
 
 def assert_kernel_matches_reference(system, k_mat):
@@ -421,7 +422,7 @@ def test_block_kernel_matches_member_loop_on_fixtures(name):
 
 def test_block_kernel_matches_member_loop_on_sampled_subsets():
     system = fourteen_member_system()
-    assert _subset_masks(system.size).shape == (perturbation.SAMPLED_SUBSETS, 14)
+    assert subset_masks(system.size).shape == (frame_ops.SAMPLED_SUBSETS, 14)
     assert_kernel_matches_reference(system, np.eye(3))
 
 
@@ -507,7 +508,7 @@ def test_exhaustive_subset_masks_keep_the_enumeration_order():
         for row, bits in enumerate(range(1, 2**size)):
             for j in range(size):
                 old[row, j] = bool(bits >> j & 1)
-        assert_bits(_subset_masks(size), old)
+        assert_bits(subset_masks(size), old)
 
 
 def test_built_family_is_reused(fix_i):
@@ -544,7 +545,7 @@ def looped_subset_masks(size, rng_seed=0x5B5E7):
         chosen.add(tuple(single))
         chosen.add(tuple(not b for b in single))
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    while len(chosen) < perturbation.SAMPLED_SUBSETS:
+    while len(chosen) < frame_ops.SAMPLED_SUBSETS:
         draw = rng.random(size) < 0.5
         if draw.any():
             chosen.add(tuple(bool(b) for b in draw))
@@ -553,4 +554,4 @@ def looped_subset_masks(size, rng_seed=0x5B5E7):
 
 def test_sampled_subset_masks_match_the_row_by_row_draw():
     for size in range(13, 25):
-        assert_bits(_subset_masks(size), looped_subset_masks(size))
+        assert_bits(subset_masks(size), looped_subset_masks(size))

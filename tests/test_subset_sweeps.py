@@ -29,10 +29,9 @@ from framelab.duality import (
     parsevalize,
     verify_kgf_dual,
 )
-from framelab.frame_ops import frame_operator, subset_frame_operators
+from framelab.frame_ops import frame_operator, subset_frame_operators, subset_masks
 from framelab.numerics import adjoint, inner, operator_norm, unit_probes
 from framelab.oracle import reference_frame_operator
-from framelab.perturbation import _subset_masks
 
 
 def thirteen_member_document():
@@ -58,7 +57,7 @@ CASES = packaged_fixture_names() + ["thirteen"]
 
 def walked_masks(size):
     """The subsets ``framelab identities`` walks: the empty set, then the rest."""
-    return np.vstack([np.zeros((1, size), dtype=bool), _subset_masks(size)])
+    return np.vstack([np.zeros((1, size), dtype=bool), subset_masks(size)])
 
 
 def cli_extensions(masks):
