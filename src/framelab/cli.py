@@ -497,18 +497,23 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"invalid tolerance: {exc}", file=sys.stderr)
         return 2
+
+    def render(code, body):
+        report = {
+            "command": args.command,
+            "argv": argv,
+            "tolerance": {"tau_abs": float(tau_abs), "tau_rel": float(tau_rel)},
+            "exit_code": code,
+        }
+        report.update(body)
+        return _render(report, args.human)
+
     try:
         code, body = args.func(args, tol)
+        text = render(code, body)
     except InputError as exc:
-        code, body = 2, {"error": str(exc)}
+        code, text = 2, render(2, {"error": str(exc)})
     except (PreconditionError, InternalConsistencyError, DualConstructionError) as exc:
-        code, body = 1, {"error": str(exc)}
-    report = {
-        "command": args.command,
-        "argv": argv,
-        "tolerance": {"tau_abs": float(tau_abs), "tau_rel": float(tau_rel)},
-        "exit_code": code,
-    }
-    report.update(body)
-    sys.stdout.write(_render(report, args.human))
+        code, text = 1, render(1, {"error": str(exc)})
+    sys.stdout.write(text)
     return code

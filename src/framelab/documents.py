@@ -72,7 +72,13 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Rendered(str):
+    """JSON text rendered ahead of time, which :func:`_emit` writes as it stands."""
+
+
 def _emit(obj) -> str:
+    if type(obj) is _Rendered:
+        return obj
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -100,19 +106,33 @@ def canonical_json(data) -> str:
     return _emit(data) + "\n"
 
 
-def _encode_scalar(value, complex_field: bool):
-    if complex_field:
-        value = complex(value)
-        return [float(value.real), float(value.imag)]
-    value = complex(value)
-    if value.imag != 0.0:
-        raise InputError("complex entry in a document tagged real")
-    return float(value.real)
-
-
 def _encode_matrix(matrix, complex_field: bool):
-    matrix = np.asarray(matrix)
-    return [[_encode_scalar(v, complex_field) for v in row] for row in matrix]
+    """A matrix's JSON text: rows of numbers, or of [re, im] pairs when complex.
+
+    One check per matrix: a nonzero imaginary part in a real document is an
+    InputError at once.  A matrix holding a non-finite value stays a list of
+    floats, so that :func:`_emit` reports its first such value (row-major,
+    real part first) in document order, and nothing is rendered.
+    """
+    m = np.asarray(matrix)
+    if complex_field:
+        # each complex128 is the float64 pair (re, im)
+        values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+        values = values.reshape(*m.shape, 2)
+        entry = "[%.17g,%.17g]"
+    else:
+        if m.dtype.kind == "c" and (m.imag != 0.0).any():
+            raise InputError("complex entry in a document tagged real")
+        values = np.asarray(m.real, dtype=np.float64)
+        entry = "%.17g"
+    if not np.isfinite(values).all():
+        return values.tolist()
+    if not values.size:
+        return _Rendered("[" + ",".join(["[]"] * len(values)) + "]")
+    # "%.17g" % x is format(x, ".17g"), as _format_float writes a float
+    row = "[" + ",".join([entry] * m.shape[1]) + "]"
+    template = "[" + ",".join([row] * m.shape[0]) + "]"
+    return _Rendered(template % tuple(values.ravel().tolist()))
 
 
 # JSON numbers parse to exactly these types; true and false parse to bool.

@@ -34,6 +34,7 @@ from .numerics import (
     row_norms,
     row_sq_norms,
     unit_probes,
+    within_scale,
 )
 
 __all__ = [
@@ -281,7 +282,7 @@ def _analyze(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile) -
     is_frame = dg.included
     kk = k.times_adjoint
     parseval_residual = operator_norm(s - kk)
-    is_parseval = parseval_residual <= tol.for_scale(operator_norm(kk))
+    is_parseval = within_scale(parseval_residual, kk, tol)
     if is_parseval and not is_frame:
         raise InternalConsistencyError(
             "Parseval verdict held while the range-inclusion verdict failed")

@@ -19,6 +19,7 @@ from .numerics import (
     ToleranceProfile,
     adjoint,
     as_matrix,
+    norm_at_most,
     operator_norm,
     orthonormalize,
     pinv_from_svd,
@@ -78,7 +79,7 @@ class WeightedSubspace:
         if basis.shape[1] > basis.shape[0]:
             raise InputError("subspace basis has more columns than the ambient dimension")
         gram = adjoint(basis) @ basis
-        if basis.shape[1] and operator_norm(gram - np.eye(basis.shape[1])) > self.tol.for_scale(1.0):
+        if basis.shape[1] and not norm_at_most(gram - np.eye(basis.shape[1]), self.tol.for_scale(1.0)):
             raise InputError("subspace basis columns are not orthonormal")
         w = float(self.weight)
         if not (w > 0.0 and np.isfinite(w)):
@@ -297,8 +298,7 @@ def check_projection_commutation(subspace: WeightedSubspace, operator: BoundedOp
     tv_basis = orthonormalize(t @ subspace.basis, tol)
     ptv = tv_basis @ adjoint(tv_basis)
     r1 = operator_norm(pv @ adjoint(t) - pv @ adjoint(t) @ ptv)
-    gram_defect = operator_norm(adjoint(t) @ t - np.eye(operator.dim))
-    is_unitary = gram_defect <= tol.for_scale(1.0)
+    is_unitary = norm_at_most(adjoint(t) @ t - np.eye(operator.dim), tol.for_scale(1.0))
     r2 = operator_norm(ptv @ t - t @ pv) if is_unitary else None
     return ProjectionCommutationReport(float(r1), None if r2 is None else float(r2), is_unitary)
 

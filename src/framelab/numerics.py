@@ -8,6 +8,7 @@ it with complex data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
     "row_sq_norms",
     "last_axis_norms",
     "operator_norm",
+    "norm_at_most",
+    "within_scale",
     "is_hermitian",
     "hermitian_eig",
     "significant_rank",
@@ -108,11 +111,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InputError(f"{name} is not a rectangular numeric array")
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
+    if arr.dtype.kind == "c":
         arr = arr.astype(np.complex128, copy=False)
     else:
         arr = arr.astype(np.float64, copy=False)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
 
@@ -210,14 +213,69 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
+# Relative slack of the Frobenius bracket.  |m|_F, a sum of m.size squares,
+# may be off by m.size * eps; the SVD's largest singular value by some
+# min(r, c) * eps, which the fixed part covers far past desk scale.
+_BRACKET_MARGIN = 1e-12
+_EPS = 2.0**-52
+# Below this |m|_F the squares it sums may be subnormal and short of digits.
+_FROBENIUS_FLOOR = 1e-150
+
+
+def _norm_bracket(m: np.ndarray) -> tuple:
+    """(lo, hi) around the operator_norm of a validated matrix ``m``.
+
+    ``|m|_F / sqrt(min(r, c)) <= |m|_2 <= |m|_F``, widened by the margin; when
+    |m|_F may have underflowed or overflowed, both ends are the SVD's value.
+    """
+    fro = math.sqrt(np.vdot(m, m).real)
+    if _FROBENIUS_FLOOR < fro < math.inf:
+        margin = _BRACKET_MARGIN + m.size * _EPS
+        return fro / math.sqrt(min(m.shape)) * (1.0 - margin), fro * (1.0 + margin)
+    if fro == 0.0 and not m.any():
+        return 0.0, 0.0
+    s = operator_norm(m)
+    return s, s
+
+
+def norm_at_most(m, t: float) -> bool:
+    """``operator_norm(m) <= t``, with an SVD only when |m|_F cannot decide it."""
+    m = as_matrix(m)
+    lo, hi = _norm_bracket(m)
+    if hi <= t:
+        return True
+    if lo > t:
+        return False
+    return operator_norm(m) <= t
+
+
+def within_scale(value: float, m, tol: ToleranceProfile) -> bool:
+    """``value <= tol.for_scale(operator_norm(m))``, with an SVD only when the
+    Frobenius bracket of |m| cannot decide it; ``for_scale`` is nondecreasing."""
+    m = as_matrix(m)
+    lo, hi = _norm_bracket(m)
+    if value <= tol.for_scale(lo):
+        return True
+    if value > tol.for_scale(hi):
+        return False
+    return value <= tol.for_scale(operator_norm(m))
+
+
 def is_hermitian(m, tol: ToleranceProfile | None = None) -> bool:
+    """``|m - m*| <= tol.for_scale(|m|)``, an SVD of m - m* only when its bracket straddles."""
     m = as_matrix(m)
     tol = tol or DEFAULT_TOL
     if m.shape[0] != m.shape[1]:
         return False
     if m.size == 0:
         return True
-    return operator_norm(m - adjoint(m)) <= tol.for_scale(operator_norm(m))
+    d = m - adjoint(m)
+    lo, hi = _norm_bracket(d)
+    if within_scale(hi, m, tol):
+        return True
+    if not within_scale(lo, m, tol):
+        return False
+    return within_scale(operator_norm(d), m, tol)
 
 
 def hermitian_eig(m, tol: ToleranceProfile | None = None):
@@ -344,13 +402,12 @@ def douglas_factor(l1, l2, tol: ToleranceProfile | None = None) -> DouglasFactor
     u_min = l2_pinv @ l1
     lambda_min = operator_norm(u_min)
     residual = operator_norm(l1 - l2 @ u_min)
-    threshold = tol.for_scale(operator_norm(l1))
-    included = bool(range_residual <= threshold)
+    included = within_scale(range_residual, l1, tol)
     if included:
-        if residual > threshold:
+        if not within_scale(residual, l1, tol):
             raise InternalConsistencyError(
                 f"range inclusion held but factorization residual {residual:g} "
-                f"exceeds {threshold:g}"
+                f"exceeds {tol.for_scale(operator_norm(l1)):g}"
             )
         gap = lambda_min**2 * (l2 @ adjoint(l2)) - l1 @ adjoint(l1)
         if not psd_check(gap, tol):

@@ -21,6 +21,7 @@ from .numerics import (
     ToleranceProfile,
     adjoint,
     douglas_factor,
+    norm_at_most,
     operator_norm,
     orthonormalize,
     psd_check,
@@ -90,7 +91,7 @@ def transform_unitary(system: GFusionSystem, k: BoundedOperator, u: BoundedOpera
     tol = tol or DEFAULT_TOL
     if u.dim != system.dim:
         raise InputError("transform operator has wrong dimension")
-    if operator_norm(adjoint(u.matrix) @ u.matrix - np.eye(u.dim)) > tol.for_scale(1.0):
+    if not norm_at_most(adjoint(u.matrix) @ u.matrix - np.eye(u.dim), tol.for_scale(1.0)):
         raise PreconditionError("transform operator is not unitary within tolerance")
     if bounds is None:
         bounds = optimal_bounds(system, k, tol)

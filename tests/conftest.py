@@ -54,6 +54,26 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Counts, by name, of the ``np.linalg`` svd, eigvalsh and pinv calls the test makes.
+
+    framelab looks these up on ``np.linalg`` at each call, so every module's
+    calls are counted.
+    """
+    counts = dict.fromkeys(("svd", "eigvalsh", "pinv"), 0)
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
 def fix_r_names():
     return sorted(p.name[:-5].upper().replace("_", "-")
                   for p in FIXTURE_DIR.glob("fix_r*.json")

@@ -448,3 +448,53 @@ def test_perturb_reports_an_unknown_mode_before_reading_documents(repo_cwd, path
     assert code == report["exit_code"] == 2
     assert "unknown perturbation mode 'bogus'" in report["error"]
     assert all(name in report["error"] for name in MODE_NAMES)
+
+
+def _gaussian(rng, shape, complex_field):
+    g = rng.standard_normal(shape)
+    return g + 1j * rng.standard_normal(shape) if complex_field else g
+
+
+def _ten_member_document(complex_field):
+    rng = np.random.Generator(np.random.PCG64(0x10))
+    dim, shapes = 8, [(2, 2), (3, 1), (1, 3), (4, 2), (2, 1)] * 2
+    subspaces, locals_ = [], []
+    for m, d in shapes:
+        basis = np.linalg.qr(_gaussian(rng, (dim, m), complex_field))[0]
+        subspaces.append(list(basis.T))
+        locals_.append(_gaussian(rng, (d, dim), complex_field))
+    return FrameDocument(field="complex" if complex_field else "real", dim=dim,
+                         weights=[0.5 + rng.random() for _ in shapes],
+                         subspaces=subspaces, local_operators=locals_,
+                         operators={"k": _gaussian(rng, (dim, dim), complex_field)})
+
+
+def test_to_system_checks_orthonormal_bases_without_an_svd(linalg_calls):
+    docs = [load_packaged_fixture(name) for name in packaged_fixture_names()]
+    docs += [_ten_member_document(False), _ten_member_document(True)]
+    members = 0
+    for doc in docs:
+        system, _ = to_system(doc)
+        members += system.size
+    assert members >= 80
+    assert linalg_calls["svd"] == 0
+
+
+@pytest.mark.parametrize("human", [False, True], ids=["json", "human"])
+def test_analyze_reports_a_non_finite_erratum_as_one_input_error(tmp_path, human):
+    text = dumps(load_packaged_fixture("FIX-I"))
+    # the JSON NaN literal; the document format itself never writes one
+    text = text.replace('"meta":{', '"meta":{"errata":[{"operator":"k","x":NaN}],', 1)
+    path = tmp_path / "nan_erratum.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli((["--human"] if human else []) + ["analyze", str(path)])
+    assert code == 2
+    if human:
+        assert 'error: "non-finite value nan cannot be serialized"' in out.splitlines()
+        assert out.count("exit_code: 2\n") == 1
+        assert "frame" not in out
+    else:
+        report = json.loads(out)
+        assert report["exit_code"] == 2
+        assert report["error"] == "non-finite value nan cannot be serialized"
+        assert "frame" not in report and "discrepancies" not in report

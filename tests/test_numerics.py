@@ -271,3 +271,17 @@ def test_unit_probes_deterministic_and_unit_norm():
     complex_probes = unit_probes(2, 3, complex_field=True, seed=9)
     assert complex_probes.dtype == np.complex128
     npt.assert_allclose(np.linalg.norm(complex_probes, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_psd_check_of_an_exactly_hermitian_matrix_runs_no_svd(linalg_calls, complex_field):
+    rng = np.random.Generator(np.random.PCG64(0x75D))
+    a = rng.standard_normal((6, 6))
+    if complex_field:
+        a = a + 1j * rng.standard_normal((6, 6))
+    gram = a @ adjoint(a)
+    hermitian = gram + adjoint(gram)
+    assert np.array_equal(hermitian, adjoint(hermitian))
+    assert psd_check(hermitian)
+    assert not psd_check(-hermitian)
+    assert linalg_calls == {"svd": 0, "eigvalsh": 2, "pinv": 0}
