@@ -258,7 +258,7 @@ def cmd_identities(args, tol):
     pair = None
     if args.dual:
         dual_system, _ = documents.to_system(documents.load_document(args.dual))
-        pair = duality.KGFDualPair(system, dual_system, k, float("nan"))
+        pair = duality.KGFDualPair(system, dual_system, k)
         source = {"source": "document"}
     else:
         try:
@@ -340,8 +340,7 @@ def cmd_perturb(args, tol):
         raise InputError(
             f"perturbed document has {len(theta_doc.local_operators)} local "
             f"operators, expected {system.size}")
-    theta = system.with_local_operators(
-        [LocalOperator(m) for m in theta_doc.local_operators])
+    theta = system.with_local_operators(theta_doc.local_operators)
     verdict = perturbation.perturb_hypothesis(system, theta, k, params, tol)
     body = {
         "mode": params.mode.value,

@@ -7,7 +7,8 @@ documents store plain numbers; complex documents store every matrix entry as
 an [re, im] pair.  Subspaces are stored as lists of basis vectors (each of
 ambient length; an empty list is a zero-dimensional subspace), local
 operators as row-major d_j x n matrices, and named square operators (such as
-"k") in the ``operators`` map.
+"k") in the ``operators`` map.  In memory a :class:`FrameDocument` holds the
+same matrices as validated read-only arrays.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .model import (
     HilbertSpace,
     LocalOperator,
     WeightedSubspace,
+    _read_only,
 )
 from .numerics import InputError
 
@@ -46,7 +48,13 @@ __all__ = [
 
 @dataclass
 class FrameDocument:
-    """Plain-data image of a frame system plus named operators."""
+    """A frame system plus named operators: rows of numbers in the JSON, validated
+    read-only arrays in memory, of shapes ``(m_j, dim)`` (subspace basis vectors;
+    ``[]`` has none), ``(d_j, dim)`` (local operators) and ``(dim, dim)`` (named
+    operators) and of the field's dtype; weights are floats.  The constructor is
+    the one gate: a misshapen matrix, a bad ``dim`` and a complex entry in a real
+    document raise InputError; non-finite entries stay for :func:`dumps` to report.
+    """
 
     field: str
     dim: int
@@ -59,11 +67,48 @@ class FrameDocument:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise InputError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not isinstance(self.dim, int) or self.dim <= 0:
-            raise InputError(f"dim must be a positive integer, got {self.dim!r}")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+            raise InputError(f"dim must be a positive integer, got {dim!r}")
         counts = (len(self.weights), len(self.subspaces), len(self.local_operators))
         if len(set(counts)) != 1:
             raise InputError(f"member counts disagree: {counts}")
+        dtype = np.dtype(np.complex128 if self.field == "complex" else np.float64)
+        self.weights = [float(w) for w in self.weights]
+        self.subspaces = [_gated(vs, dtype, dim, "subspace {} vectors must have length {}", i)
+                          for i, vs in enumerate(self.subspaces)]
+        self.local_operators = [
+            _gated(m, dtype, dim, "local operator {} rows must have length {}", i)
+            for i, m in enumerate(self.local_operators)]
+        self.operators = {name: _gated(m, dtype, dim, "operator {!r} must be {}x{}", name, dim,
+                                       rows=dim)
+                          for name, m in self.operators.items()}
+
+
+def _gated(value, dtype: np.dtype, width: int, message: str, *args,
+           rows: int | None = None) -> np.ndarray:
+    """``value`` as a read-only ``(rows, width)`` array of ``dtype``, else
+    InputError(message.format(*args, width)).  A read-only contiguous array of
+    ``dtype`` is kept; anything else is copied in its own memory layout, so that
+    a system built from the document computes as one built from the caller's.
+    """
+    try:
+        m = np.asarray(value)
+    except ValueError:  # ragged rows: no matrix at all
+        m = np.empty(())
+    if m.shape == (0,):
+        m = m.reshape(0, width)
+    if (m.ndim != 2 or m.shape[1] != width or rows not in (None, m.shape[0])
+            or m.dtype.kind not in "biufc"):
+        raise InputError(message.format(*args, width))
+    if m.dtype.kind == "c" and dtype.kind == "f":
+        if (m.imag != 0.0).any():
+            raise InputError("complex entry in a document tagged real")
+        m = m.real
+    flags = m.flags
+    if m.dtype != dtype or flags.writeable or not flags.forc:
+        m = _read_only(m.astype(dtype))
+    return m
 
 
 def _format_float(x: float) -> str:
@@ -106,30 +151,23 @@ def canonical_json(data) -> str:
     return _emit(data) + "\n"
 
 
-def _encode_matrix(matrix, complex_field: bool):
-    """A matrix's JSON text: rows of numbers, or of [re, im] pairs when complex.
+def _encode_matrix(m: np.ndarray, complex_field: bool):
+    """A document matrix's JSON text: rows of numbers, or of [re, im] pairs when complex.
 
-    One check per matrix: a nonzero imaginary part in a real document is an
-    InputError at once.  A matrix holding a non-finite value stays a list of
-    floats, so that :func:`_emit` reports its first such value (row-major,
-    real part first) in document order, and nothing is rendered.
+    A matrix holding a non-finite value stays a list of floats, so that
+    :func:`_emit` reports its first such value (row-major, real part first)
+    in document order, and nothing is rendered.
     """
-    m = np.asarray(matrix)
+    values = m
     if complex_field:
         # each complex128 is the float64 pair (re, im)
-        values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
-        values = values.reshape(*m.shape, 2)
-        entry = "[%.17g,%.17g]"
-    else:
-        if m.dtype.kind == "c" and (m.imag != 0.0).any():
-            raise InputError("complex entry in a document tagged real")
-        values = np.asarray(m.real, dtype=np.float64)
-        entry = "%.17g"
+        values = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape, 2)
     if not np.isfinite(values).all():
         return values.tolist()
     if not values.size:
         return _Rendered("[" + ",".join(["[]"] * len(values)) + "]")
     # "%.17g" % x is format(x, ".17g"), as _format_float writes a float
+    entry = "[%.17g,%.17g]" if complex_field else "%.17g"
     row = "[" + ",".join([entry] * m.shape[1]) + "]"
     template = "[" + ",".join([row] * m.shape[0]) + "]"
     return _Rendered(template % tuple(values.ravel().tolist()))
@@ -163,14 +201,16 @@ def _decode_matrix(rows, complex_field: bool, label: str):
     if len(widths) != 1:
         raise InputError(f"{label} rows have uneven lengths")
     entries = list(chain.from_iterable(rows))
-    if not complex_field:
-        return _real_array(entries).reshape(len(rows), widths.pop())
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
-        bad = next(v for v in entries if not (type(v) is list and len(v) == 2))
-        raise InputError(f"expected [re, im] pair, got {bad!r}")
-    # each (re, im) pair of float64s is the memory layout of one complex128
-    parts = _real_array(list(chain.from_iterable(entries)))
-    return parts.view(np.complex128).reshape(len(rows), widths.pop())
+    if complex_field:
+        if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+            bad = next(v for v in entries if not (type(v) is list and len(v) == 2))
+            raise InputError(f"expected [re, im] pair, got {bad!r}")
+        # each (re, im) pair of float64s is the memory layout of one complex128
+        values = _real_array(list(chain.from_iterable(entries))).view(np.complex128)
+    else:
+        values = _real_array(entries)
+    # read-only already, so the FrameDocument gate keeps it without a copy
+    return _read_only(values.reshape(len(rows), widths.pop()))
 
 
 def _document_data(doc: FrameDocument) -> dict:
@@ -178,7 +218,7 @@ def _document_data(doc: FrameDocument) -> dict:
     return {
         "field": doc.field,
         "dim": doc.dim,
-        "weights": [float(w) for w in doc.weights],
+        "weights": doc.weights,
         "subspaces": [_encode_matrix(vs, complex_field) for vs in doc.subspaces],
         "local_operators": [_encode_matrix(m, complex_field) for m in doc.local_operators],
         "operators": {name: _encode_matrix(m, complex_field)
@@ -226,15 +266,7 @@ def loads(text: str) -> FrameDocument:
     meta = data.get("meta") or {}
     if not isinstance(meta, dict):
         raise InputError("meta must be an object")
-    return FrameDocument(
-        field=field,
-        dim=dim,
-        weights=weights,
-        subspaces=subspaces,
-        local_operators=local_ops,
-        operators=operators,
-        meta=meta,
-    )
+    return FrameDocument(field, dim, weights, subspaces, local_ops, operators, meta)
 
 
 def save_document(doc: FrameDocument, path) -> None:
@@ -250,50 +282,24 @@ def load_document(path) -> FrameDocument:
 
 
 def to_system(doc: FrameDocument):
-    """Build the in-memory system and operator map a document describes."""
-    space = HilbertSpace(doc.field, doc.dim)
-    members = []
-    for i, (weight, vectors, local) in enumerate(
-            zip(doc.weights, doc.subspaces, doc.local_operators)):
-        basis_rows = np.asarray(vectors) if len(vectors) else np.zeros((0, doc.dim))
-        if basis_rows.ndim != 2 or basis_rows.shape[1] != doc.dim:
-            raise InputError(f"subspace {i} vectors must have length {doc.dim}")
-        basis = basis_rows.T.astype(space.dtype)
-        local = np.asarray(local).astype(space.dtype)
-        members.append((WeightedSubspace(basis, float(weight)), LocalOperator(local)))
-    system = GFusionSystem(space, tuple(members))
-    operators = {}
-    for name, matrix in doc.operators.items():
-        matrix = np.asarray(matrix)
-        if matrix.shape != (doc.dim, doc.dim):
-            raise InputError(f"operator {name!r} must be {doc.dim}x{doc.dim}")
-        operators[name] = BoundedOperator(matrix.astype(space.dtype))
+    """Build the in-memory system and operator map a document describes, on the
+    document's own read-only arrays (a subspace's basis is its rows transposed)."""
+    members = tuple((WeightedSubspace(vectors.T, weight), LocalOperator(local))
+                    for weight, vectors, local in
+                    zip(doc.weights, doc.subspaces, doc.local_operators))
+    system = GFusionSystem(HilbertSpace(doc.field, doc.dim), members)
+    operators = {name: BoundedOperator(matrix) for name, matrix in doc.operators.items()}
     return system, operators
 
 
 def from_system(system: GFusionSystem, operators=None, meta=None) -> FrameDocument:
-    """Flatten a system (plus named operators) into document data."""
-    complex_field = system.space.field == "complex"
-    subspaces = []
-    local_ops = []
-    weights = []
-    for sub, op in system.members:
-        weights.append(float(sub.weight))
-        subspaces.append([list(sub.basis[:, i]) for i in range(sub.basis.shape[1])])
-        local_ops.append([list(row) for row in op.matrix])
-    op_map = {}
-    for name, op in (operators or {}).items():
-        matrix = op.matrix if isinstance(op, BoundedOperator) else np.asarray(op)
-        op_map[name] = [list(row) for row in matrix]
-    return FrameDocument(
-        field="complex" if complex_field else "real",
-        dim=system.dim,
-        weights=weights,
-        subspaces=subspaces,
-        local_operators=local_ops,
-        operators=op_map,
-        meta=dict(meta or {}),
-    )
+    """The document of a system plus named operators (BoundedOperators or matrices)."""
+    op_map = {name: op.matrix if isinstance(op, BoundedOperator) else op
+              for name, op in (operators or {}).items()}
+    subs, ops = zip(*system.members)
+    return FrameDocument(system.space.field, system.dim, [sub.weight for sub in subs],
+                         [sub.basis.T for sub in subs], [op.matrix for op in ops],
+                         op_map, dict(meta or {}))
 
 
 def _fixture_filename(name: str) -> str:

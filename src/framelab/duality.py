@@ -260,17 +260,15 @@ def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile | None = None) 
 class KGFDualPair:
     """A base system and a member-wise reconstruction dual for k.
 
-    ``residual`` is the worst probe defect of
-    ``k f = sum_j v_j^2 pi_Wj Lj* Ltilde_j pi_Wtilde_j f`` normalized by
-    1 + |k f|.  ``exploratory`` marks pairs built over a rank-deficient k,
-    where the defect is reported rather than asserted.  ``coupling`` and
-    ``coupling_defect`` are built from base, dual and k on first use.
+    ``exploratory`` marks pairs built over a rank-deficient k, where the
+    defect is reported rather than asserted.  ``coupling``,
+    ``coupling_defect`` and ``residual`` are built from base, dual and k on
+    first use.
     """
 
     base: GFusionSystem
     dual: GFusionSystem
     k: BoundedOperator
-    residual: float
     exploratory: bool = False
 
     @cached_property
@@ -282,6 +280,11 @@ class KGFDualPair:
     def coupling_defect(self) -> float:
         """``|coupling - k|`` in operator norm."""
         return operator_norm(self.coupling - self.k.matrix)
+
+    @cached_property
+    def residual(self) -> float:
+        """The reconstruction identity's worst probe defect (:func:`_probe_residual`)."""
+        return _probe_residual(self, self.coupling)
 
 
 def _probe_residual(pair: KGFDualPair, coupling: np.ndarray, probes: int = 50) -> float:
@@ -317,9 +320,7 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
         local = lp @ p_img @ adjoint(x) @ k_mat
         members.append((WeightedSubspace(basis, sub.weight, tol=tol), LocalOperator(local)))
     dual = GFusionSystem(system.space, tuple(members))
-    pair = KGFDualPair(system, dual, k, 0.0, exploratory=not k.is_invertible(tol))
-    pair.residual = _probe_residual(pair, pair.coupling)
-    return pair
+    return KGFDualPair(system, dual, k, exploratory=not k.is_invertible(tol))
 
 
 @dataclass
@@ -343,10 +344,8 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
     """
     tol = tol or DEFAULT_TOL
     operator_residual = pair.coupling_defect
-    probe_residual = _probe_residual(pair, pair.coupling)
     passed = operator_residual <= tol.for_scale(pair.k.norm)
-    report = KGFDualReport(float(operator_residual), float(probe_residual),
-                           bool(passed), pair.exploratory)
+    report = KGFDualReport(float(operator_residual), pair.residual, bool(passed), pair.exploratory)
     if passed:
         base_upper = optimal_bounds(pair.base, pair.k, tol).upper
         report.dual_report = verify_k_g_fusion(pair.dual, pair.k.adjoint(), tol=tol)

@@ -255,7 +255,7 @@ class BoundedOperator:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """``a`` itself, no longer writable: cached values are shared by every reader."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

@@ -1,9 +1,10 @@
 """Reference computations built directly from raw document data.
 
 This module deliberately avoids the system/operator classes and the frame
-machinery: everything is assembled from the plain lists a document carries,
-using dense numpy primitives only.  Sidecar values frozen from these routes
-give the test suite an answer key that the code under test cannot influence.
+machinery: everything is assembled from the validated arrays a document
+holds, using dense numpy primitives only.  Sidecar values frozen from these
+routes give the test suite an answer key that the code under test cannot
+influence.
 """
 from __future__ import annotations
 
@@ -28,22 +29,14 @@ PSD_REL = 1e-13
 
 
 def reference_frame_operator(doc: FrameDocument) -> np.ndarray:
-    """S = sum_j w_j^2 P_j L_j* L_j P_j from raw lists, P_j = B_j B_j*."""
+    """S = sum_j w_j^2 P_j L_j* L_j P_j from the document's arrays, P_j = B_j B_j*."""
     n = doc.dim
-    dtype = np.complex128 if doc.field == "complex" else np.float64
-    s = np.zeros((n, n), dtype=dtype)
-    for weight, vectors, local in zip(doc.weights, doc.subspaces, doc.local_operators):
-        rows = np.asarray(vectors, dtype=dtype)
-        if rows.shape == (0,):
-            # an empty vector list is a zero-dimensional subspace
-            rows = rows.reshape(0, n)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise InputError("subspace vectors must be rows of ambient length")
+    s = np.zeros((n, n), dtype=np.complex128 if doc.field == "complex" else np.float64)
+    for weight, rows, lmat in zip(doc.weights, doc.subspaces, doc.local_operators):
         basis = rows.T
         proj = basis @ basis.conj().T
-        lmat = np.asarray(local, dtype=dtype)
         lp = lmat @ proj
-        s = s + (float(weight)**2) * (lp.conj().T @ lp)
+        s = s + (weight**2) * (lp.conj().T @ lp)
     return s
 
 
@@ -112,7 +105,7 @@ def oracle_payload(doc: FrameDocument) -> dict:
         "operators": {},
     }
     for name in sorted(doc.operators):
-        k = np.asarray(doc.operators[name])
+        k = doc.operators[name]
         entry = {"lower": reference_lower_bound(s, k)}
         kk = k @ k.conj().T
         entry["target_norm"] = float(reference_spectrum(kk)[-1]) ** 0.5

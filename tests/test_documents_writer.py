@@ -132,31 +132,37 @@ def _with(doc, where, index, value):
 
 @pytest.mark.parametrize("name", ["FIX-A", "FIX-R002"])
 def test_errors_name_the_same_entry(name):
+    """A non-finite entry is reported by dumps, a complex one in a real
+    document by the FrameDocument constructor, each as the per-number encoder did."""
     base = load_packaged_fixture(name)
     complex_field = base.field == "complex"
     nan, inf = math.nan, math.inf
     cases = [
-        _with(base, "k", (1, 2), nan),
-        _with(base, "k", (0, 1), -inf),
-        _with(_with(base, "k", (2, 0), nan), "k", (0, 2), inf),  # row-major: the inf first
-        _with(_with(base, "k", (0, 0), nan), 0, (0, 0), inf),  # local operators come first
-        _with(base, "k", (1, 1), complex(1.0, nan)),
+        lambda: _with(base, "k", (1, 2), nan),
+        lambda: _with(base, "k", (0, 1), -inf),
+        lambda: _with(_with(base, "k", (2, 0), nan), "k", (0, 2), inf),  # row-major: the inf first
+        lambda: _with(_with(base, "k", (0, 0), nan), 0, (0, 0), inf),  # local operators first
+        lambda: _with(base, "k", (1, 1), complex(1.0, nan)),
     ]
     if complex_field:
-        cases.append(_with(base, "k", (1, 1), complex(inf, nan)))  # real part first
+        cases.append(lambda: _with(base, "k", (1, 1), complex(inf, nan)))  # real part first
     else:
-        cases += [_with(base, "k", (1, 1), complex(nan, 0.0)),
-                  _with(base, 0, (0, 1), complex(0.0, 1.0)),
+        cases += [lambda: _with(base, "k", (1, 1), complex(nan, 0.0)),
+                  lambda: _with(base, 0, (0, 1), complex(0.0, 1.0)),
                   # a complex entry is reported before a non-finite one written earlier
-                  _with(_with(base, 0, (0, 0), nan), "k", (0, 0), complex(0.0, 1e-300))]
-    messages = set()
-    for doc in cases:
+                  lambda: _with(_with(base, 0, (0, 0), nan), "k", (0, 0), complex(0.0, 1e-300))]
+    written, built = set(), set()
+    for case in cases:
+        try:
+            doc = case()
+        except InputError as exc:
+            built.add(str(exc))
+            continue
         got = outcome(dumps, doc)
         assert got == outcome(reference_dumps, doc)
         assert got[0] == "InputError"
-        messages.add(got[1])
-    assert "non-finite value inf cannot be serialized" in messages
-    assert "non-finite value nan cannot be serialized" in messages
-    assert "non-finite value -inf cannot be serialized" in messages
-    if not complex_field:
-        assert "complex entry in a document tagged real" in messages
+        written.add(got[1])
+    assert written == {"non-finite value inf cannot be serialized",
+                       "non-finite value nan cannot be serialized",
+                       "non-finite value -inf cannot be serialized"}
+    assert built == (set() if complex_field else {"complex entry in a document tagged real"})

@@ -238,8 +238,7 @@ def test_subset_identity_exhaustive(fix_a):
 def test_subset_identity_requires_certified_pair(fix_i):
     double = fix_i.system.with_local_operators(
         [2.0 * op.matrix for _, op in fix_i.system.members])
-    broken = KGFDualPair(fix_i.system, double, fix_i.operators["k"],
-                         residual=float("nan"))
+    broken = KGFDualPair(fix_i.system, double, fix_i.operators["k"])
     with pytest.raises(PreconditionError):
         check_dual_subset_identity(broken, (0,), np.array([1.0, 0.0]))
 

@@ -3,6 +3,7 @@
 import io
 import contextlib
 import json
+import math
 import os
 from collections import Counter
 
@@ -124,6 +125,66 @@ def test_to_system_rejects_operator_shape_mismatch():
     data["operators"]["k"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(InputError):
         to_system(loads(json.dumps(data)))
+
+
+def _fix_i_with(**changes):
+    """FIX-I's document with some constructor arguments replaced."""
+    doc = load_packaged_fixture("FIX-I")
+    fields = dict(field=doc.field, dim=doc.dim, weights=doc.weights, subspaces=doc.subspaces,
+                  local_operators=doc.local_operators, operators=doc.operators)
+    return FrameDocument(**dict(fields, **changes))
+
+
+def test_document_matrices_are_read_only_arrays_of_the_field_dtype():
+    for name in ("FIX-I", "FIX-R002"):
+        doc = load_packaged_fixture(name)
+        dtype = np.complex128 if doc.field == "complex" else np.float64
+        for m in [*doc.subspaces, *doc.local_operators, *doc.operators.values()]:
+            assert m.dtype == dtype and m.ndim == 2 and m.shape[1] == doc.dim
+            assert not m.flags.writeable
+        assert all(type(w) is float for w in doc.weights)
+    k = np.eye(2, dtype=int)
+    doc = _fix_i_with(weights=[1, 2], subspaces=[[], [[0, 1]]],
+                      local_operators=[[[1, 0]], np.array([[0, 1 + 0j]])], operators={"k": k})
+    assert doc.weights == [1.0, 2.0]
+    assert doc.subspaces[0].shape == (0, 2)
+    assert all(m.dtype == np.float64 for m in [*doc.local_operators, doc.operators["k"]])
+    k[0, 0] = 5  # the document holds its own copy of a caller's writable array
+    assert doc.operators["k"][0, 0] == 1.0
+    system, operators = to_system(doc)
+    assert system.members[1][1].matrix is doc.local_operators[1]
+    assert operators["k"].matrix is doc.operators["k"]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"local_operators": [[1.0, 0.0], [[0.0, 1.0]]]}, "local operator 0 rows must have length 2"),
+    ({"local_operators": [[[1.0, 0.0], [1.0]], [[0.0, 1.0]]]},
+     "local operator 0 rows must have length 2"),
+    ({"local_operators": [[[1.0, 0.0]], [[0.0, 1.0, 0.0]]]},
+     "local operator 1 rows must have length 2"),
+    ({"subspaces": [[1.0, 0.0], [[0.0, 1.0]]]}, "subspace 0 vectors must have length 2"),
+    ({"subspaces": [[[1.0]], [[0.0, 1.0]]]}, "subspace 0 vectors must have length 2"),
+    ({"operators": {"k": [[1.0, 0.0]]}}, "operator 'k' must be 2x2"),
+    ({"operators": {"k": [["1", "0"], ["0", "1"]]}}, "operator 'k' must be 2x2"),
+    ({"operators": {"k": [[1.0, 1e-300j], [0.0, 1.0]]}},
+     "complex entry in a document tagged real"),
+    ({"dim": True}, "dim must be a positive integer, got True"),
+    ({"dim": 0}, "dim must be a positive integer, got 0"),
+], ids=["flat-local-operator", "ragged-local-operator", "wide-local-operator", "flat-subspace",
+        "short-subspace-vector", "operator-rows", "operator-strings", "complex-in-real",
+        "dim-is-a-bool", "dim-is-zero"])
+def test_the_constructor_rejects_malformed_matrices(changes, message):
+    with pytest.raises(InputError) as exc:
+        _fix_i_with(**changes)
+    assert str(exc.value) == message
+
+
+def test_documents_keep_non_finite_entries_for_the_writer_to_report():
+    doc = _fix_i_with(operators={"k": [[1.0, 0.0], [math.inf, 1.0]]})
+    with pytest.raises(InputError, match="non-finite value inf cannot be serialized"):
+        dumps(doc)
+    with pytest.raises(InputError, match="contains non-finite entries"):
+        to_system(doc)
 
 
 def test_committed_reports_reproduce_byte_for_byte(repo_cwd):
@@ -312,6 +373,18 @@ def test_canonical_dual_jobs_verify_each_system_once(repo_cwd, monkeypatch, case
     assert len(verified) == 2
     assert sorted(Counter(id(args[0]) for args in verified).values()) == [1, 1]
     assert len(bounded) == 1
+
+
+@pytest.mark.parametrize("case_name", ["identities_fix_i", "identities_fix_a_parsevalize",
+                                       "identities_bad_dual", "dual_canonical_fix_r000"])
+def test_dual_jobs_compute_the_probe_residual_once(repo_cwd, monkeypatch, case_name):
+    case = pinned_case(case_name)
+    probed = count_calls(monkeypatch, duality, "_probe_residual")
+    code, out = run_cli(case["argv"])
+    assert code == case["exit_code"]
+    body = json.loads(out)
+    assert "probe_residual" in body.get("dual", body)
+    assert len(probed) == 1
 
 
 def test_dual_q_verifies_the_coupling_once(repo_cwd, monkeypatch):

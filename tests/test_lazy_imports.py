@@ -25,7 +25,7 @@ import contextlib, io, json, sys
 from framelab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, {LOADED}]))
+print(json.dumps([code, {LOADED}, "numpy.random" in sys.modules]))
 """
 
 
@@ -38,19 +38,22 @@ def fresh_interpreter(script, *args):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (["analyze", FIX_I], set()),
-    (["dual", FIX_I, "--method", "q"], {"framelab.duality"}),
-    (["identities", FIX_I, "--trials", "2"], {"framelab.duality"}),
+# numpy.random (10-15 ms of a cold start, mostly secrets and hashlib) is
+# loaded only by the commands that draw probes.
+@pytest.mark.parametrize("argv, extra, draws", [
+    (["analyze", FIX_I], set(), False),
+    (["dual", FIX_I, "--method", "q"], {"framelab.duality"}, True),
+    (["identities", FIX_I, "--trials", "2"], {"framelab.duality"}, True),
     (["perturb", FIX_I, "--theta", THETA, "--mode", "T-sqsum", "--R", "0.01"],
-     {"framelab.perturbation"}),
-    (["gen", "--fixture", "FIX-I", "--out", "{tmp}"], {"framelab.oracle"}),
+     {"framelab.perturbation"}, True),
+    (["gen", "--fixture", "FIX-I", "--out", "{tmp}"], {"framelab.oracle"}, False),
 ], ids=["analyze", "dual", "identities", "perturb", "gen"])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra, draws):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    code, loaded = fresh_interpreter(RUN_COMMAND, *argv)
+    code, loaded, random_loaded = fresh_interpreter(RUN_COMMAND, *argv)
     assert code == 0
     assert set(loaded) == CORE | extra
+    assert random_loaded <= draws
 
 
 def test_package_import_loads_only_the_home_module_of_a_name():

@@ -230,7 +230,7 @@ def test_sweep_inputs_are_validated():
     with pytest.raises(InputError):
         parseval_subset_sweep(system, k, masks, overlapping, probes)
     broken = KGFDualPair(system, system.with_local_operators(
-        [2.0 * op.matrix for _, op in system.members]), k, float("nan"))
+        [2.0 * op.matrix for _, op in system.members]), k)
     with pytest.raises(PreconditionError):
         dual_subset_sweep(broken, masks, probes)
     with pytest.raises(PreconditionError):
