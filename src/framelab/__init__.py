@@ -26,7 +26,7 @@ _EXPORTS = {
     "frame_ops": (
         "FrameBounds", "FrameReport", "cross_frame_check", "frame_operator",
         "optimal_bounds", "reconstruction_check", "restricted_inverse",
-        "subset_frame_operators", "subset_masks", "synthesis", "verify_k_g_fusion",
+        "subset_frame_operators", "subset_masks", "verify_k_g_fusion",
     ),
     "transforms": ("reduce_operator", "transform_invertible", "transform_unitary"),
     "duality": (

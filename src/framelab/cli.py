@@ -103,12 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _real(x) -> float:
-    return float(x)
-
-
 def _bounds_dict(bounds) -> dict:
-    return {"lower": _real(bounds.lower), "upper": _real(bounds.upper)}
+    return {"lower": float(bounds.lower), "upper": float(bounds.upper)}
 
 
 def _operator(operators: dict, name: str) -> BoundedOperator:
@@ -124,8 +120,8 @@ def _frame_section(report) -> dict:
         "is_frame": bool(report.is_frame),
         "is_parseval": bool(report.is_parseval),
         "optimal": _bounds_dict(report.optimal),
-        "range_inclusion_residual": _real(report.range_inclusion_residual),
-        "parseval_residual": _real(report.parseval_residual),
+        "range_inclusion_residual": float(report.range_inclusion_residual),
+        "parseval_residual": float(report.parseval_residual),
     }
     if report.claimed is not None:
         section["claimed"] = {
@@ -171,7 +167,7 @@ def cmd_dual(args, tol):
             body = {
                 "method": "q",
                 "certified": False,
-                "reading_residuals": {name: _real(v) for name, v in exc.residuals.items()},
+                "reading_residuals": {name: float(v) for name, v in exc.residuals.items()},
                 "error": str(exc),
             }
             return 1, body
@@ -181,20 +177,20 @@ def cmd_dual(args, tol):
             "method": "q",
             "certified": bool(forms.passed),
             "reading": pair.reading,
-            "residual": _real(pair.residual),
-            "well_defined_residual": _real(pair.well_defined_residual),
+            "residual": float(pair.residual),
+            "well_defined_residual": float(pair.well_defined_residual),
             "forms": {
-                "synthesis": _real(forms.synthesis_residual),
-                "adjoint": _real(forms.adjoint_residual),
-                "bilinear": _real(forms.bilinear_residual),
+                "synthesis": float(forms.synthesis_residual),
+                "adjoint": float(forms.adjoint_residual),
+                "bilinear": float(forms.bilinear_residual),
             },
-            "coupling_norm": _real(corollary.q_norm),
+            "coupling_norm": float(corollary.q_norm),
             "dual_frame": _frame_section(dual_frame),
             "corollary": {
-                "dual_lower": _real(corollary.dual_lower),
-                "dual_upper": _real(corollary.dual_upper),
-                "lower_floor": _real(corollary.lower_floor),
-                "upper_floor": _real(corollary.upper_floor),
+                "dual_lower": float(corollary.dual_lower),
+                "dual_upper": float(corollary.dual_upper),
+                "lower_floor": float(corollary.lower_floor),
+                "upper_floor": float(corollary.upper_floor),
                 "lower_ok": bool(corollary.lower_ok),
                 "upper_ok": bool(corollary.upper_ok),
             },
@@ -211,13 +207,13 @@ def cmd_dual(args, tol):
     body = {
         "method": "canonical",
         "exploratory": bool(pair.exploratory),
-        "probe_residual": _real(report.probe_residual),
-        "operator_residual": _real(report.operator_residual),
+        "probe_residual": float(report.probe_residual),
+        "operator_residual": float(report.operator_residual),
         "certified": bool(report.passed),
     }
     if report.dual_report is not None:
         body["dual_frame"] = _frame_section(report.dual_report)
-        body["certified_lower"] = _real(report.certified_lower)
+        body["certified_lower"] = float(report.certified_lower)
         body["certified_lower_ok"] = bool(report.certified_lower_ok)
     if args.out:
         _write_dual_document(pair.dual, k, args.out,
@@ -269,8 +265,8 @@ def cmd_identities(args, tol):
             all_ok = False
     if pair is not None:
         report = duality.verify_kgf_dual(pair, tol)
-        body["dual"] = dict(source, operator_residual=_real(report.operator_residual),
-                            probe_residual=_real(report.probe_residual),
+        body["dual"] = dict(source, operator_residual=float(report.operator_residual),
+                            probe_residual=float(report.probe_residual),
                             certified=bool(report.passed))
         if pair.exploratory:
             notes.append("rank-deficient target: dual is exploratory; "
@@ -286,17 +282,17 @@ def cmd_identities(args, tol):
         worst_complement = float(sweep.complement_residual.max())
         complement_ok = worst_complement <= tol.for_scale(k.norm)
         body["dual_subset_identity"] = {
-            "max_residual": _real(sweep.identity.residual.max()),
+            "max_residual": float(sweep.identity.residual.max()),
             "passed": ok,
         }
         body["complement_identity"] = {
-            "max_residual": _real(worst_complement),
+            "max_residual": float(worst_complement),
             "passed": bool(complement_ok),
         }
         all_ok = all_ok and ok and complement_ok
 
     report = verify_k_g_fusion(system, k, tol=tol)
-    body["parseval_defect"] = _real(report.parseval_residual)
+    body["parseval_defect"] = float(report.parseval_residual)
     if report.is_parseval:
         # extensions of each I: the empty set, I^c, and the first member of I^c
         comp = ~masks
@@ -307,12 +303,12 @@ def cmd_identities(args, tol):
         tq = sweep.three_quarters
         tq_ok = bool(tq.passed.all())
         body["parseval_subset_identity"] = {
-            "max_residual": _real(sweep.identity.residual.max()),
+            "max_residual": float(sweep.identity.residual.max()),
             "passed": ti_ok,
         }
         body["three_quarters_bound"] = {
-            "min_slack": _real(tq.slack.min()),
-            "max_symmetry_residual": _real(tq.symmetry_residual.max()),
+            "min_slack": float(tq.slack.min()),
+            "max_symmetry_residual": float(tq.symmetry_residual.max()),
             "passed": tq_ok,
         }
         all_ok = all_ok and ti_ok and tq_ok
@@ -346,7 +342,7 @@ def cmd_perturb(args, tol):
         "mode": params.mode.value,
         "hypothesis": {
             "falsified": bool(verdict.falsified),
-            "worst_violation": _real(verdict.worst_violation),
+            "worst_violation": float(verdict.worst_violation),
             "subsets_tested": int(verdict.subsets_tested),
             "probes_tested": int(verdict.probes_tested),
             "worst_subset": [int(j) for j in verdict.worst_subset],
@@ -376,8 +372,8 @@ def cmd_perturb(args, tol):
         body["gamma_readings"] = {
             name: {
                 "admissible": entry["admissible"],
-                "lower": None if entry["lower"] is None else _real(entry["lower"]),
-                "upper": None if entry["upper"] is None else _real(entry["upper"]),
+                "lower": None if entry["lower"] is None else float(entry["lower"]),
+                "upper": None if entry["upper"] is None else float(entry["upper"]),
             }
             for name, entry in report.gamma_readings.items()
         }

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameDocument:
     """A frame system plus named operators: rows of numbers in the JSON, validated
     read-only arrays in memory, of shapes ``(m_j, dim)`` (subspace basis vectors;
@@ -54,6 +54,7 @@ class FrameDocument:
     operators) and of the field's dtype; weights are floats.  The constructor is
     the one gate: a misshapen matrix, a bad ``dim`` and a complex entry in a real
     document raise InputError; non-finite entries stay for :func:`dumps` to report.
+    Equality is identity; compare two documents' content through :func:`dumps`.
     """
 
     field: str

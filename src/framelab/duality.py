@@ -25,7 +25,6 @@ from .frame_ops import (
     optimal_bounds,
     restricted_inverse,
     subset_frame_operators,
-    synthesis,
     verify_k_g_fusion,
 )
 from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace, _read_only
@@ -106,23 +105,22 @@ class QDualReport:
     passed: bool
 
 
-def verify_q_dual(pair: QDualPair, tol: ToleranceProfile | None = None,
-                  probes: int = 25) -> QDualReport:
+def verify_q_dual(pair: QDualPair, tol: ToleranceProfile | None = None) -> QDualReport:
     """Check the coupling identity in its three equivalent forms.
 
     The forms are the synthesis identity T Q* Ttilde* = k, its adjoint, and
-    the bilinear probe identity <k f, g> = <Q* Ttilde* f, T* g>.  They are
+    the bilinear probe identity <k f, g> = <Q* Ttilde* f, T* g> on the standard
+    basis plus 25 seeded probes.  They are
     mathematically equivalent; verdict disagreement raises
-    :class:`InternalConsistencyError`.  The check runs once per
-    (pair, tol, probes).
+    :class:`InternalConsistencyError`.  The check runs once per (pair, tol).
     """
     tol = tol or DEFAULT_TOL
-    return _memoized(pair, ("forms", tol, probes), lambda: _q_dual_forms(pair, tol, probes))
+    return _memoized(pair, ("forms", tol), lambda: _q_dual_forms(pair, tol))
 
 
-def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile, probes: int) -> QDualReport:
-    t_base = synthesis(pair.base).matrix
-    t_dual = synthesis(pair.dual).matrix
+def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile) -> QDualReport:
+    t_base = pair.base.synthesis_matrix
+    t_dual = pair.dual.synthesis_matrix
     q = pair.q
     if q.shape != (t_dual.shape[1], t_base.shape[1]):
         raise InputError(
@@ -133,8 +131,8 @@ def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile, probes: int) -> QDualR
     form2 = operator_norm(t_dual @ q @ adjoint(t_base) - adjoint(k))
     n = pair.base.dim
     complex_field = any(np.iscomplexobj(m) for m in (t_base, t_dual, q, k))
-    fs = unit_probes(n, probes, complex_field=complex_field, seed=0xD0A)[:, :, None]
-    gs = unit_probes(n, probes, complex_field=complex_field, seed=0xD0B)[:, :, None]
+    fs = unit_probes(n, 25, complex_field=complex_field, seed=0xD0A)[:, :, None]
+    gs = unit_probes(n, 25, complex_field=complex_field, seed=0xD0B)[:, :, None]
     lhs = row_inners((k @ fs)[..., 0], gs[..., 0])
     rhs = row_inners((adjoint(q) @ (adjoint(t_dual) @ fs))[..., 0],
                      (adjoint(t_base) @ gs)[..., 0])
@@ -170,9 +168,9 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
         raise PreconditionError("system is not a frame for k; no dual exists")
-    t = synthesis(system)
+    t = system.synthesis_matrix
     u = report.douglas.u_min
-    blocks = [u[start:stop, :] for start, stop in t.block_offsets]
+    blocks = np.split(u, np.cumsum(system.local_dims())[:-1])
     gram = adjoint(u) @ u
 
     def literal_basis(j):
@@ -192,10 +190,10 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
     for name, make in readings:
         bases = [make(j) for j in range(system.size)]
         dual = _dual_candidate(system, bases, tol)
-        t_dual_adj = adjoint(synthesis(dual).matrix)
+        t_dual_adj = adjoint(dual.synthesis_matrix)
         t_dual_pinv = pinv(t_dual_adj, tol)
         phi = u @ t_dual_pinv
-        residual = operator_norm(t.matrix @ phi @ t_dual_adj - k.matrix)
+        residual = operator_norm(t @ phi @ t_dual_adj - k.matrix)
         residuals[name] = float(residual)
         if residual <= threshold:
             well_defined = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
@@ -287,12 +285,12 @@ class KGFDualPair:
         return _probe_residual(self, self.coupling)
 
 
-def _probe_residual(pair: KGFDualPair, coupling: np.ndarray, probes: int = 50) -> float:
-    """Worst |k f - coupling f| / (1 + |k f|) over the probes, as one block."""
+def _probe_residual(pair: KGFDualPair, coupling: np.ndarray) -> float:
+    """Worst |k f - coupling f| / (1 + |k f|) over the standard basis plus 50
+    seeded probes, as one block."""
     k = pair.k.matrix
     complex_field = np.iscomplexobj(coupling) or np.iscomplexobj(k)
-    fs = unit_probes(pair.base.dim, probes, complex_field=complex_field,
-                     seed=0xCAFE)[:, :, None]
+    fs = unit_probes(pair.base.dim, 50, complex_field=complex_field, seed=0xCAFE)[:, :, None]
     kf = (k @ fs)[..., 0]
     defects = row_norms(kf - (coupling @ fs)[..., 0]) / (1.0 + row_norms(kf))
     return max(0.0, float(defects.max()))

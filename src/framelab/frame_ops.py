@@ -1,18 +1,17 @@
-"""Synthesis/analysis machinery and frame verification for weighted systems.
+"""Frame operators and frame verification for weighted systems.
 
 The central objects: the block synthesis operator T mapping the direct sum of
 the local coordinate spaces into the ambient space (block j equals
-``v_j pi_Wj Lj*``), the frame operator ``S = T T*``, and the verdicts that a
-system is Bessel / a k-relative frame / Parseval.  The optimal lower bound for
-an operator k is computed through the minimal-norm solution of ``T u = k`` and
-is range-inclusion driven: a system is a k-relative frame exactly when
-``ran(k)`` sits inside ``ran(T)``.
+``v_j pi_Wj Lj*``; ``GFusionSystem.synthesis_matrix``), the frame operator
+``S = T T*``, and the verdicts that a system is Bessel / a k-relative frame /
+Parseval.  The optimal lower bound for an operator k is computed through the
+minimal-norm solution of ``T u = k`` and is range-inclusion driven: a system
+is a k-relative frame exactly when ``ran(k)`` sits inside ``ran(T)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .numerics import (
     douglas_factor,
     inner,
     operator_norm,
-    orthonormalize,
     psd_check,
     row_inners,
     row_norms,
@@ -38,10 +36,8 @@ from .numerics import (
 )
 
 __all__ = [
-    "SynthesisOperator",
     "FrameBounds",
     "FrameReport",
-    "synthesis",
     "frame_operator",
     "subset_masks",
     "subset_frame_operators",
@@ -82,35 +78,6 @@ class FrameBounds:
         object.__setattr__(self, "upper", up)
 
 
-@dataclass
-class SynthesisOperator:
-    """Dense block synthesis matrix with per-member column offsets."""
-
-    matrix: np.ndarray
-    block_offsets: tuple
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def total_local_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def analysis(self) -> np.ndarray:
-        return adjoint(self.matrix)
-
-    def block(self, j: int) -> np.ndarray:
-        start, stop = self.block_offsets[j]
-        return self.matrix[:, start:stop]
-
-
-def synthesis(system: GFusionSystem) -> SynthesisOperator:
-    """T with column block j equal to v_j pi_Wj Lj* (ascending j), and its block offsets."""
-    stops = tuple(accumulate(system.local_dims()))
-    return SynthesisOperator(system.synthesis_matrix, tuple(zip((0,) + stops[:-1], stops)))
-
-
 def _index_mask(size: int, index_set=None) -> np.ndarray:
     """Boolean row selecting ``index_set`` (every member when None)."""
     if index_set is None:
@@ -133,7 +100,7 @@ def _require_masks(masks, size: int) -> np.ndarray:
     return masks
 
 
-def subset_masks(size: int, rng_seed: int = 0x5B5E7):
+def subset_masks(size: int):
     """Deterministic family of nonempty index subsets as boolean rows.
 
     The rows are the ``masks`` :func:`subset_frame_operators` takes.  Up to
@@ -147,7 +114,7 @@ def subset_masks(size: int, rng_seed: int = 0x5B5E7):
         return (np.arange(1, 2**size)[:, None] >> np.arange(size) & 1).astype(bool)
     single = np.eye(size, dtype=bool)
     rows = np.concatenate([np.ones((1, size), dtype=bool), single, ~single])
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    rng = np.random.Generator(np.random.PCG64(0x5B5E7))
     chosen = set()  # rows packed to bytes, column 0 in the high bit of byte 0
     while True:
         packed = np.packbits(rows, axis=1)
@@ -339,7 +306,8 @@ class RestrictedInverse:
     complement; ``range_basis`` spans ran(k), ``image_basis`` spans S(ran k).
     ``inverse_residual`` is the worst relative defect of X S g = g over probes
     g in ran(k); ``bound_slack_min`` the worst slack (most negative) of the
-    two-sided quadratic-form bounds checked on probes in S(ran k).
+    two-sided quadratic-form bounds checked on probes in S(ran k).  Each probe
+    set is the basis plus 50 seeded combinations of its columns.
     """
 
     matrix: np.ndarray
@@ -352,10 +320,16 @@ class RestrictedInverse:
 
 
 def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
-                       tol: ToleranceProfile | None = None,
-                       probes: int = 50) -> RestrictedInverse:
+                       tol: ToleranceProfile | None = None) -> RestrictedInverse:
     """Construct X = B_k pinv(S B_k) and check the two-sided inverse bounds.
 
+    ``optimal_bounds`` certifies the k-frame, so S is injective on ran(k):
+    the rank of S B_k is B_k's column count, not the package cutoff, and one
+    SVD ``S B_k = U Sigma V*`` gives the image basis U and X = B_k V Sigma^-1 U*.
+    The certificate only bounds that SVD's least singular value below by
+    ``A s_r(k)^2 + psd_floor(B + A |k|^2)`` (s_r(k) the least kept singular
+    value of k); one not above both that bound and zero means S annihilates
+    a direction of ran(k) inside the tolerance, a :class:`NotAFrameError`.
     For f in S(ran k) the quadratic form satisfies
     ``B^-1 |f|^2 <= <X f, f> <= A^-1 |pinv(k)|^2 |f|^2`` with (A, B) the
     optimal bounds; the worst probe slack is reported, not asserted.
@@ -366,33 +340,34 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
     bk = k.range_basis(tol)
     if bk.shape[1] == 0:
         raise InputError("operator k is numerically zero; nothing to invert along")
-    sbk = s @ bk
-    x = bk @ np.linalg.pinv(sbk)
-    image_basis = orthonormalize(sbk, tol)
-    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
     r = bk.shape[1]
+    image_basis, sigma, vh = np.linalg.svd(s @ bk, full_matrices=False)
+    floor = max(0.0, bounds.lower * k.singular_values[r - 1] ** 2
+                + tol.psd_floor(bounds.upper + bounds.lower * k.norm**2))
+    if not sigma[-1] > floor:
+        raise NotAFrameError(
+            f"S is not injective on ran(k): least singular value {sigma[-1]:g} of S B_k "
+            f"is not above {floor:g}")
+    x = bk @ (adjoint(vh) @ ((1.0 / sigma)[:, None] * adjoint(image_basis)))
+    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
     # stacked matvecs over a probe block keep the bits of each one-probe check
-    coeffs = unit_probes(r, probes, complex_field=complex_field, seed=0xB0B)
+    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0B)
     g = bk @ coeffs[:, :, None]
     defects = row_norms((x @ (s @ g) - g)[..., 0]) / np.maximum(row_norms(g[..., 0]), 1e-300)
-    inverse_residual = max(0.0, float(defects.max()))
+    inverse_residual = float(defects.max())
     kdag_norm = operator_norm(k.pinv(tol))
-    slack_min = math.inf
-    m = image_basis.shape[1]
-    if m:
-        coeffs = unit_probes(m, probes, complex_field=complex_field, seed=0xB0C)
-        f = image_basis @ coeffs[:, :, None]
-        quad = row_inners((x @ f)[..., 0], f[..., 0]).real
-        nf2 = row_sq_norms(f[..., 0])
-        slack_lo = quad - nf2 / bounds.upper
-        slack_hi = (kdag_norm**2 / bounds.lower) * nf2 - quad
-        slack_min = min(float(slack_lo.min()), float(slack_hi.min()))
+    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0C)
+    f = image_basis @ coeffs[:, :, None]
+    quad = row_inners((x @ f)[..., 0], f[..., 0]).real
+    nf2 = row_sq_norms(f[..., 0])
+    slack_lo = quad - nf2 / bounds.upper
+    slack_hi = (kdag_norm**2 / bounds.lower) * nf2 - quad
     return RestrictedInverse(
         matrix=x,
         range_basis=bk,
         image_basis=image_basis,
         inverse_residual=inverse_residual,
-        bound_slack_min=float(slack_min),
+        bound_slack_min=min(float(slack_lo.min()), float(slack_hi.min())),
         lower=bounds.lower,
         upper=bounds.upper,
     )
@@ -459,13 +434,12 @@ def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
     _require_compatible(theta_system, k)
     if lambda_system.local_dims() != theta_system.local_dims():
         raise InputError("systems must share their local coordinate dimensions blockwise")
-    t_lambda = synthesis(lambda_system)
-    t_theta = synthesis(theta_system)
     s_lambda = lambda_system.frame_matrix
     s_theta = theta_system.frame_matrix
     b1 = operator_norm(s_lambda)
     b2 = operator_norm(s_theta)
-    premise_residual = operator_norm(t_theta.matrix @ t_lambda.analysis() - adjoint(k.matrix))
+    t_lambda, t_theta = lambda_system.synthesis_matrix, theta_system.synthesis_matrix
+    premise_residual = operator_norm(t_theta @ adjoint(t_lambda) - adjoint(k.matrix))
     premise_ok = premise_residual <= tol.for_scale(k.norm)
     report = CrossFrameReport(bool(premise_ok), float(premise_residual), float(b1), float(b2))
     if premise_ok:

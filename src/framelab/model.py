@@ -180,14 +180,9 @@ class GFusionSystem:
         operators = list(operators)
         if len(operators) != self.size:
             raise InputError(f"expected {self.size} local operators, got {len(operators)}")
-        new_members = []
-        for (sub, old), op in zip(self.members, operators):
-            if not isinstance(op, LocalOperator):
-                op = LocalOperator(as_matrix(op, "local operator"))
-            if op.ambient_dim != self.space.dim:
-                raise InputError("replacement local operator has wrong ambient dimension")
-            new_members.append((sub, op))
-        return GFusionSystem(self.space, tuple(new_members))
+        return GFusionSystem(self.space, tuple(
+            (sub, op if isinstance(op, LocalOperator) else LocalOperator(op))
+            for (sub, _), op in zip(self.members, operators)))
 
 
 class BoundedOperator:

@@ -299,8 +299,8 @@ def hermitian_eig(m, tol: ToleranceProfile | None = None):
 def significant_rank(s: np.ndarray, tol: ToleranceProfile) -> int:
     """Number of singular values (descending) above ``tol.rank_cutoff(s[0])``.
 
-    Every rank, range and pseudo-inverse decision in the package keeps exactly
-    these leading directions and treats the rest as exact zeros.
+    A rank, range or pseudo-inverse decision built on it keeps exactly these
+    leading directions and treats the rest as exact zeros.
     """
     if not s.size:
         return 0

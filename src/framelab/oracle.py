@@ -58,9 +58,9 @@ def reference_upper_bound(s: np.ndarray) -> float:
     return float(reference_spectrum(s)[-1])
 
 
-def reference_lower_bound(s: np.ndarray, k: np.ndarray,
-                          rel_width: float = 1e-12, max_iter: int = 200) -> float:
-    """sup{a >= 0 : S - a k k* is PSD} by doubling then bisection.
+def reference_lower_bound(s: np.ndarray, k: np.ndarray) -> float:
+    """sup{a >= 0 : S - a k k* is PSD} by doubling, then at most 200 bisection
+    steps down to a relative width of 1e-12.
 
     Returns 0.0 when no positive multiple fits (the system is not a frame
     for k) and raises when k k* is numerically zero.
@@ -84,13 +84,13 @@ def reference_lower_bound(s: np.ndarray, k: np.ndarray,
             raise InputError("lower bound does not terminate; k k* may be singular "
                              "relative to S on a shared kernel")
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if fits(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_width * max(1.0, hi):
+        if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return float(lo)
 

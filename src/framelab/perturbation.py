@@ -466,6 +466,14 @@ def _require_admissible(params: PerturbationParams, lower: float, k_norm: float)
                 f"lower bound A = {lower:g}")
 
 
+def _sqrt_sum_bounds(params: PerturbationParams, gamma_eff: float, lower: float,
+                     upper: float) -> tuple:
+    """The sqrt-sum (lower, upper) bounds with ``gamma_eff`` in place of gamma."""
+    lam1, lam2 = params.lambda1, params.lambda2
+    return (lower * (1.0 - (lam1 + gamma_eff / math.sqrt(lower))) / (1.0 + lam2),
+            upper * (1.0 + lam1 + gamma_eff / math.sqrt(upper)) / (1.0 - lam2))
+
+
 def predicted_bounds(params: PerturbationParams, lower: float, upper: float,
                      k_norm: float) -> FrameBounds:
     """The perturbed-system bounds each hypothesis shape promises.
@@ -477,14 +485,11 @@ def predicted_bounds(params: PerturbationParams, lower: float, upper: float,
     if lower <= 0.0 or upper <= 0.0:
         raise InputError("base bounds must be positive")
     _require_admissible(params, lower, k_norm)
-    lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
-    mode = params.mode
+    r, mode = params.R, params.mode
     if mode is PerturbationMode.SQRT_SUM:
-        new_lower = lower * (1.0 - (lam1 + gamma / math.sqrt(lower))) / (1.0 + lam2)
-        new_upper = upper * (1.0 + lam1 + gamma / math.sqrt(upper)) / (1.0 - lam2)
+        new_lower, new_upper = _sqrt_sum_bounds(params, params.gamma, lower, upper)
     elif mode is PerturbationMode.ADJOINT_TERM:
-        new_lower = lower * (1.0 - (lam1 + gamma * k_norm / math.sqrt(lower))) / (1.0 + lam2)
-        new_upper = upper * (1.0 + lam1 + gamma * k_norm / math.sqrt(upper)) / (1.0 - lam2)
+        new_lower, new_upper = _sqrt_sum_bounds(params, params.gamma * k_norm, lower, upper)
         if new_lower < 0.0:
             raise InputError(
                 "parameters pass the printed admissibility condition but the "
@@ -513,15 +518,14 @@ def variant_gamma_readings(params: PerturbationParams, lower: float, upper: floa
         raise InputError("gamma readings only apply to the P-variant-kstar mode")
     if lower <= 0.0 or k_norm <= 0.0:
         raise InputError("base lower bound and |k| must be positive")
-    lam1, lam2, gamma = params.lambda1, params.lambda2, params.gamma
+    gamma = params.gamma
     readings = {}
     for name, effective in (("gamma-times-knorm", gamma * k_norm),
                             ("gamma-over-knorm", gamma / k_norm)):
-        admissible = max(lam1 + effective / math.sqrt(lower), lam2) < 1.0
+        admissible = max(params.lambda1 + effective / math.sqrt(lower), params.lambda2) < 1.0
         entry = {"admissible": bool(admissible), "lower": None, "upper": None}
         if admissible:
-            entry["lower"] = lower * (1.0 - (lam1 + effective / math.sqrt(lower))) / (1.0 + lam2)
-            entry["upper"] = upper * (1.0 + lam1 + effective / math.sqrt(upper)) / (1.0 - lam2)
+            entry["lower"], entry["upper"] = _sqrt_sum_bounds(params, effective, lower, upper)
         readings[name] = entry
     return readings
 

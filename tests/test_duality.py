@@ -39,7 +39,6 @@ from framelab.duality import (
     verify_kgf_dual,
     verify_q_dual,
 )
-from framelab.frame_ops import synthesis
 from framelab.numerics import adjoint, inner, unit_probes
 from conftest import count_calls, fix_r_names
 
@@ -349,8 +348,8 @@ def reference_probe_residual(pair, coupling, probes=50):
 
 def reference_bilinear_residual(pair, probes=25):
     """The bilinear coupling residual, one probe pair at a time."""
-    t_base = synthesis(pair.base).matrix
-    t_dual = synthesis(pair.dual).matrix
+    t_base = pair.base.synthesis_matrix
+    t_dual = pair.dual.synthesis_matrix
     q, k = pair.q, pair.k.matrix
     complex_field = any(np.iscomplexobj(m) for m in (t_base, t_dual, q, k))
     fs = unit_probes(pair.base.dim, probes, complex_field=complex_field, seed=0xD0A)

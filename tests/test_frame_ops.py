@@ -21,11 +21,10 @@ from framelab import (
     optimal_bounds,
     reconstruction_check,
     restricted_inverse,
-    synthesis,
     verify_k_g_fusion,
 )
 from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
-from framelab.numerics import inner, operator_norm, unit_probes
+from framelab.numerics import adjoint, inner, operator_norm, unit_probes
 from framelab.oracle import (
     reference_frame_operator,
     reference_lower_bound,
@@ -42,21 +41,20 @@ def single_member_system():
 
 
 def test_synthesis_shape_and_blocks(fix_a):
-    t = synthesis(fix_a.system)
-    assert t.matrix.shape == (3, 3)
-    assert t.block_offsets == ((0, 1), (1, 2), (2, 3))
-    npt.assert_allclose(t.matrix, np.eye(3), atol=0.0)
+    t = fix_a.system.synthesis_matrix
+    assert t.shape == (3, 3)
+    npt.assert_allclose(t, np.eye(3), atol=0.0)
     npt.assert_allclose(frame_operator(fix_a.system), np.eye(3), atol=0.0)
 
 
 def test_synthesis_adjoint_pairing(fix_a):
-    t = synthesis(fix_a.system)
+    t = fix_a.system.synthesis_matrix
     rng = np.random.Generator(np.random.PCG64(0xADA))
     for _ in range(5):
         f = rng.standard_normal(3)
-        g = rng.standard_normal(t.matrix.shape[1])
-        lhs = np.vdot(f, t.matrix @ g)
-        rhs = np.vdot(t.analysis() @ f, g)
+        g = rng.standard_normal(t.shape[1])
+        lhs = np.vdot(f, t @ g)
+        rhs = np.vdot(adjoint(t) @ f, g)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -159,6 +157,35 @@ def test_restricted_inverse_respects_range(fix_a):
     assert ri.inverse_residual <= 1e-12
     # the restriction lives on ran(k), a 2-dimensional subspace here
     assert ri.range_basis.shape == (3, 2)
+
+
+def thin_direction_system(eps):
+    """One member on R^2 with W = R^2 and L = diag(1, eps): for eps > 0 an I-frame with A = eps^2."""
+    member = (WeightedSubspace(np.eye(2), 1.0), LocalOperator(np.diag([1.0, eps])))
+    return GFusionSystem(HilbertSpace("real", 2), (member,))
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-8])
+def test_restricted_inverse_keeps_every_direction_of_a_certified_k_frame(eps):
+    # S B_k = diag(1, eps^2) has full column rank however small eps^2 is
+    system, k = thin_direction_system(eps), BoundedOperator.identity(2)
+    assert optimal_bounds(system, k).lower == pytest.approx(eps**2, rel=1e-9)
+    ri = restricted_inverse(system, k)
+    assert ri.image_basis.shape == (2, 2)
+    assert ri.inverse_residual <= 1e-12
+    assert not reconstruction_check(system, k, [0.0, 1.0]).projected
+
+
+def test_restricted_inverse_rejects_a_direction_s_annihilates_inside_the_tolerance_band():
+    # ran(k) leaves ran(T) by 5e-10, which the default tolerance lets through, so the
+    # k-frame is certified with both directions of k kept although S B_k = diag(1, 0)
+    system, k = thin_direction_system(0.0), BoundedOperator(np.diag([0.01, 5e-10]))
+    assert k.range_basis().shape == (2, 2)
+    assert optimal_bounds(system, k).lower > 0.0
+    with pytest.raises(NotAFrameError, match="S is not injective on ran"):
+        restricted_inverse(system, k)
+    with pytest.raises(NotAFrameError, match="S is not injective on ran"):
+        reconstruction_check(system, k, [1.0, 0.0])
 
 
 def reference_restricted_inverse_checks(system, k, ri, probes=50):

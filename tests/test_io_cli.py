@@ -187,6 +187,14 @@ def test_documents_keep_non_finite_entries_for_the_writer_to_report():
         to_system(doc)
 
 
+def test_documents_compare_by_identity_and_content_through_dumps():
+    doc = load_packaged_fixture("FIX-I")
+    again = load_packaged_fixture("FIX-I")
+    assert doc == doc
+    assert doc != again and not doc == again
+    assert dumps(doc) == dumps(again)
+
+
 def test_committed_reports_reproduce_byte_for_byte(repo_cwd):
     cases = json.loads(
         (DATA_DIR / "cli_reports" / "cases.json").read_text(encoding="utf-8"))
