@@ -33,8 +33,8 @@ _EXPORTS = {
         "KGFDualPair", "QDualPair", "canonical_dual", "check_dual_subset_identity",
         "check_parseval_subset_identity", "check_three_quarters_bound",
         "complement_residual", "construct_q_dual", "dual_subset_sweep",
-        "parseval_subset_sweep", "parsevalize", "partial_operator",
-        "qdual_bound_corollary", "verify_kgf_dual", "verify_q_dual",
+        "parseval_subset_sweep", "parsevalize", "qdual_bound_corollary",
+        "verify_kgf_dual", "verify_q_dual",
     ),
     "perturbation": (
         "HypothesisVerdict", "PerturbationMode", "PerturbationParams",

@@ -37,6 +37,7 @@ from .numerics import (
     ToleranceProfile,
     adjoint,
     hermitian_eig,
+    numerical_rank,
     operator_norm,
     orthonormalize,
     pinv,
@@ -59,8 +60,6 @@ __all__ = [
     "canonical_dual",
     "KGFDualReport",
     "verify_kgf_dual",
-    "PartialOperator",
-    "partial_operator",
     "complement_residual",
     "SubsetIdentityResult",
     "check_dual_subset_identity",
@@ -136,7 +135,7 @@ def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile) -> QDualReport:
     lhs = row_inners((k @ fs)[..., 0], gs[..., 0])
     rhs = row_inners((adjoint(q) @ (adjoint(t_dual) @ fs))[..., 0],
                      (adjoint(t_base) @ gs)[..., 0])
-    form3 = max(0.0, float(_modulus(lhs - rhs).max()))
+    form3 = float(_modulus(lhs - rhs).max())
     threshold = tol.for_scale(pair.k.norm)
     verdicts = [form1 <= threshold, form2 <= threshold, form3 <= threshold]
     if len(set(verdicts)) != 1:
@@ -146,11 +145,10 @@ def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile) -> QDualReport:
     return QDualReport(float(form1), float(form2), float(form3), bool(all(verdicts)))
 
 
-def _dual_candidate(system: GFusionSystem, bases, tol: ToleranceProfile) -> GFusionSystem:
-    members = []
-    for (sub, op), basis in zip(system.members, bases):
-        members.append((WeightedSubspace(basis, sub.weight, tol=tol), op))
-    return GFusionSystem(system.space, tuple(members))
+def _dual_candidate(system: GFusionSystem, bases) -> GFusionSystem:
+    return GFusionSystem(system.space, tuple(
+        (WeightedSubspace(basis, sub.weight), op)
+        for (sub, op), basis in zip(system.members, bases)))
 
 
 def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
@@ -189,7 +187,7 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
     residuals = {}
     for name, make in readings:
         bases = [make(j) for j in range(system.size)]
-        dual = _dual_candidate(system, bases, tol)
+        dual = _dual_candidate(system, bases)
         t_dual_adj = adjoint(dual.synthesis_matrix)
         t_dual_pinv = pinv(t_dual_adj, tol)
         phi = u @ t_dual_pinv
@@ -293,7 +291,7 @@ def _probe_residual(pair: KGFDualPair, coupling: np.ndarray) -> float:
     fs = unit_probes(pair.base.dim, 50, complex_field=complex_field, seed=0xCAFE)[:, :, None]
     kf = (k @ fs)[..., 0]
     defects = row_norms(kf - (coupling @ fs)[..., 0]) / (1.0 + row_norms(kf))
-    return max(0.0, float(defects.max()))
+    return float(defects.max())
 
 
 def canonical_dual(system: GFusionSystem, k: BoundedOperator,
@@ -303,9 +301,12 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
     With X the inverse of the frame operator along ran(k) and P the projection
     onto S(ran k), the dual members are
     ``Wtilde_j = ran(k* X P pi_Wj)`` and ``Ltilde_j = Lj pi_Wj P X* k`` with
-    unchanged weights.  For invertible k the reconstruction identity holds
-    within tolerance; for rank-deficient k the pair is exploratory and the
-    residual is only recorded.
+    unchanged weights.  k* X is injective on S(ran k), so Wtilde_j has the
+    rank of P pi_Wj whatever the scale of X; its basis is that many leading
+    left singular vectors of k* X P B_j.  For
+    invertible k the reconstruction identity holds within tolerance; for
+    rank-deficient k the pair is exploratory and the residual is only
+    recorded.
     """
     tol = tol or DEFAULT_TOL
     ri = restricted_inverse(system, k, tol)
@@ -314,9 +315,11 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
     k_mat = k.matrix
     members = []
     for (sub, _), lp in zip(system.members, system.local_factors):
-        basis = orthonormalize(adjoint(k_mat) @ (x @ (p_img @ sub.basis)), tol)
+        pb = p_img @ sub.basis
+        columns = adjoint(k_mat) @ (x @ pb)
+        basis = np.linalg.svd(columns, full_matrices=False)[0][:, :numerical_rank(pb, tol)]
         local = lp @ p_img @ adjoint(x) @ k_mat
-        members.append((WeightedSubspace(basis, sub.weight, tol=tol), LocalOperator(local)))
+        members.append((WeightedSubspace(basis, sub.weight), LocalOperator(local)))
     dual = GFusionSystem(system.space, tuple(members))
     return KGFDualPair(system, dual, k, exploratory=not k.is_invertible(tol))
 
@@ -349,17 +352,9 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> K
         report.dual_report = verify_k_g_fusion(pair.dual, pair.k.adjoint(), tol=tol)
         report.certified_lower = 1.0 / base_upper
         s_dual = pair.dual.frame_matrix
-        ksk = adjoint(pair.k.matrix) @ pair.k.matrix
+        ksk = pair.k.adjoint().times_adjoint
         report.certified_lower_ok = psd_check(s_dual - report.certified_lower * ksk, tol)
     return report
-
-
-@dataclass
-class PartialOperator:
-    """Partial coupling operator over an index subset of a dual pair."""
-
-    index_set: frozenset
-    matrix: np.ndarray
 
 
 def _probe_block(probes, dim: int) -> np.ndarray:
@@ -390,13 +385,13 @@ def _partial_tables(system: GFusionSystem, other, groups, probes, target):
     the two (distinct subsets, probes) tables, the ``target f`` rows, and per
     group the table row of each of its masks.
     """
-    size = system.size
-    flat = np.concatenate([g.reshape(-1, size) for g in groups])
-    # bitmask lookup: each distinct mask gets one row of the stack
-    index = {}
-    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in flat],
-                       dtype=np.intp)
-    distinct = np.frombuffer(b"".join(index), dtype=bool).reshape(-1, size)
+    flat = np.concatenate([g.reshape(-1, system.size) for g in groups])
+    # one bytes key per mask: np.unique(flat, axis=0) sorts rows several times
+    # slower; each S_I depends only on its own mask, so the row order is free
+    packed = np.packbits(flat, axis=1)
+    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
+                                  return_index=True, return_inverse=True)
+    distinct = flat[first]
     stack = subset_frame_operators(system, distinct, other)
     # one stacked matrix-vector product per probe keeps the bits of S_I @ f
     products = np.stack([stack @ f for f in probes], axis=1)
@@ -412,12 +407,6 @@ def _partial_tables(system: GFusionSystem, other, groups, probes, target):
 def _complement_defects(stack, rows, rows_c, k_mat):
     """|S_I + S_{I^c} - k| per subset, with the bits of :func:`operator_norm`."""
     return np.linalg.svd(stack[rows] + stack[rows_c] - k_mat, compute_uv=False).max(axis=-1)
-
-
-def partial_operator(pair: KGFDualPair, index_set) -> PartialOperator:
-    """S_I = sum over j in I of v_j^2 pi_Wj Lj* Ltilde_j pi_Wtilde_j."""
-    idx = frozenset(int(j) for j in index_set)
-    return PartialOperator(idx, frame_operator(pair.base, pair.dual, idx))
 
 
 def complement_residual(pair: KGFDualPair, index_set,

@@ -162,9 +162,10 @@ def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
     """S_I = sum_{j in I} v_j^2 (Lj pi_Wj)* (L'j pi_W'j), summed in ascending j.
 
     With ``other`` omitted this is the frame operator of ``system``; with a
-    dual system it is the reconstruction coupling.  ``index_set`` defaults to
-    every member.  The weights are always those of ``system``.  This is the
-    one-subset view of :func:`subset_frame_operators`.
+    dual system it is the reconstruction coupling, and with an ``index_set``
+    as well the partial coupling S_I of the subset identities.
+    ``index_set`` defaults to every member.  The weights are always those of
+    ``system``.  This is the one-subset view of :func:`subset_frame_operators`.
     """
     mask = _index_mask(system.size, index_set)
     return subset_frame_operators(system, mask[None, :], other)[0]
@@ -443,7 +444,7 @@ def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
     premise_ok = premise_residual <= tol.for_scale(k.norm)
     report = CrossFrameReport(bool(premise_ok), float(premise_residual), float(b1), float(b2))
     if premise_ok:
-        ksk = adjoint(k.matrix) @ k.matrix
+        ksk = k.adjoint().times_adjoint
         report.lambda_lower = 1.0 / b2
         report.theta_lower = 1.0 / b1
         report.lambda_certified = psd_check(s_lambda - report.lambda_lower * k.times_adjoint, tol)

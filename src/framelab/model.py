@@ -8,7 +8,7 @@ operator from the ambient space into a coordinate space of dimension
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,13 +63,13 @@ class HilbertSpace:
 class WeightedSubspace:
     """Subspace with an orthonormal basis (columns) and a positive weight.
 
-    A zero-dimensional subspace (basis with no columns) is legal; it shows up
+    The columns must be orthonormal within ``DEFAULT_TOL.for_scale(1)``.  A
+    zero-dimensional subspace (basis with no columns) is legal; it shows up
     naturally in dual constructions.
     """
 
     basis: np.ndarray
     weight: float
-    tol: ToleranceProfile = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_matrix(self.basis, "basis")
@@ -79,7 +79,7 @@ class WeightedSubspace:
         if basis.shape[1] > basis.shape[0]:
             raise InputError("subspace basis has more columns than the ambient dimension")
         gram = adjoint(basis) @ basis
-        if basis.shape[1] and not norm_at_most(gram - np.eye(basis.shape[1]), self.tol.for_scale(1.0)):
+        if basis.shape[1] and not norm_at_most(gram - np.eye(basis.shape[1]), DEFAULT_TOL.for_scale(1.0)):
             raise InputError("subspace basis columns are not orthonormal")
         w = float(self.weight)
         if not (w > 0.0 and np.isfinite(w)):
@@ -195,9 +195,8 @@ class BoundedOperator:
         self.matrix = matrix
 
     @classmethod
-    def identity(cls, dim: int, complex_field: bool = False) -> "BoundedOperator":
-        dtype = np.complex128 if complex_field else np.float64
-        return cls(np.eye(dim, dtype=dtype))
+    def identity(cls, dim: int) -> "BoundedOperator":
+        return cls(np.eye(dim))
 
     @property
     def dim(self) -> int:
@@ -243,6 +242,11 @@ class BoundedOperator:
     def is_invertible(self, tol: ToleranceProfile | None = None) -> bool:
         s = self.singular_values
         return bool(s.size) and significant_rank(s, tol or DEFAULT_TOL) == s.size
+
+    def is_unitary(self, tol: ToleranceProfile | None = None) -> bool:
+        """``|u*u - I| <= tol.for_scale(1)`` for this operator u."""
+        return norm_at_most(adjoint(self.matrix) @ self.matrix - np.eye(self.dim),
+                            (tol or DEFAULT_TOL).for_scale(1.0))
 
     def __repr__(self):
         return f"BoundedOperator(dim={self.dim})"
@@ -293,24 +297,23 @@ def check_projection_commutation(subspace: WeightedSubspace, operator: BoundedOp
     tv_basis = orthonormalize(t @ subspace.basis, tol)
     ptv = tv_basis @ adjoint(tv_basis)
     r1 = operator_norm(pv @ adjoint(t) - pv @ adjoint(t) @ ptv)
-    is_unitary = norm_at_most(adjoint(t) @ t - np.eye(operator.dim), tol.for_scale(1.0))
+    is_unitary = operator.is_unitary(tol)
     r2 = operator_norm(ptv @ t - t @ pv) if is_unitary else None
     return ProjectionCommutationReport(float(r1), None if r2 is None else float(r2), is_unitary)
 
 
-def embed_k_frame(vectors, field: str = "real") -> GFusionSystem:
+def embed_k_frame(vectors) -> GFusionSystem:
     """Embed ordinary frame vectors {f_j} as a generalized fusion system.
 
     Each vector becomes a member with the full space as subspace, weight one,
-    and the rank-one local functional f -> <f, f_j>.
+    and the rank-one local functional f -> <f, f_j>.  The space is complex
+    when any vector is, else real.
     """
     vecs = [np.asarray(v) for v in vectors]
     if not vecs:
         raise InputError("at least one vector required")
     n = vecs[0].shape[0]
-    complex_input = any(np.iscomplexobj(v) for v in vecs)
-    if complex_input:
-        field = "complex"
+    field = "complex" if any(np.iscomplexobj(v) for v in vecs) else "real"
     space = HilbertSpace(field, int(n))
     eye = np.eye(n, dtype=space.dtype)
     members = []

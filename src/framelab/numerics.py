@@ -155,20 +155,17 @@ def row_sq_norms(x) -> np.ndarray:
 def last_axis_norms(x, out=None, squares=None) -> np.ndarray:
     """|x| along the last axis, with the bits of ``np.linalg.norm(x, axis=-1)``.
 
-    numpy forms ``(x.conj() * x).real`` and sums each row pairwise: in turn
-    below 8 entries, else in 8 running sums over strides of 8, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and then the rest in turn.  Up
-    to 15 entries each running sum holds one entry, and here each add is one
-    whole-array add over a column, which on ``(probes, subsets, dim)`` stacks
-    takes about half to two thirds of the time of the strided reduction.
-    Each add touches one entry per cache line, so wider rows go to
-    ``np.linalg.norm`` (at 16 entries the column adds took 1.7 times as long
-    on a complex ``(2, 4095, 16)`` stack).  ``squares`` (x's shape and dtype)
-    is scratch and ``out`` (x's shape without its last axis, real) receives
-    the norms; with both given the call allocates nothing.
+    numpy forms ``(x.conj() * x).real`` and sums a row below 8 entries in
+    turn.  Here each of those adds is one whole-array add over a column,
+    which on ``(probes, subsets, dim)`` stacks takes about half to two
+    thirds of the time of the strided reduction.  Rows of 8 or more
+    entries, which numpy sums in 8 running sums, go to ``np.linalg.norm``.
+    ``squares`` (x's shape and dtype) is scratch and ``out`` (x's shape
+    without its last axis, real) receives the norms; with both given and
+    rows below 8 entries the call allocates nothing.
     """
     width = x.shape[-1]
-    if width > 15:
+    if width >= 8:
         norms = np.linalg.norm(x, axis=-1)
         if out is None:
             return norms
@@ -189,18 +186,8 @@ def last_axis_norms(x, out=None, squares=None) -> np.ndarray:
         else:
             out.fill(0.0)
         return np.sqrt(out, out=out)
-
-    def add_into(target, source):
-        # one column at a time: numpy copies a multi-column view it may overlap
-        np.add(sq[..., target], sq[..., source], out=sq[..., target])
-
-    second, rest = 1, 2
-    if width >= 8:
-        for target, source in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
-            add_into(target, source)
-        second, rest = 4, 8
-    np.add(sq[..., 0], sq[..., second], out=out)
-    for column in range(rest, width):
+    np.add(sq[..., 0], sq[..., 1], out=out)
+    for column in range(2, width):
         np.add(out, sq[..., column], out=out)
     return np.sqrt(out, out=out)
 

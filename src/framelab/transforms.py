@@ -1,16 +1,15 @@
 """Pushforwards of frame systems along invertible maps, and target reduction.
 
 Transforming a k-relative frame by an invertible u produces a frame for u k
-over the moved subspaces u W_j; the certified bound pair (A, B |u|^2) is
-checked by the PSD sandwich rather than trusted.  ``reduce_operator`` answers
-when frame-ness relative to k survives passing to a smaller operator u whose
-range factors through k.
+over the moved subspaces u W_j; the certified bound pair (A, B |u|^2), with
+(A, B) the optimal bounds of the input, is checked by the PSD sandwich
+rather than trusted.  The unitary pushforward is the case u*u = I of the
+invertible one.  ``reduce_operator`` answers when frame-ness relative to k
+survives passing to a smaller operator u whose range factors through k.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .frame_ops import FrameBounds, FrameReport, optimal_bounds, verify_k_g_fusion
 from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace
@@ -21,8 +20,6 @@ from .numerics import (
     ToleranceProfile,
     adjoint,
     douglas_factor,
-    norm_at_most,
-    operator_norm,
     orthonormalize,
     psd_check,
 )
@@ -46,34 +43,25 @@ class TransformedSystem:
     report: FrameReport
 
 
-def _moved_members(system: GFusionSystem, u: np.ndarray, local_maps,
-                   tol: ToleranceProfile):
-    members = []
-    for (sub, op), new_op in zip(system.members, local_maps):
-        basis = orthonormalize(u @ sub.basis, tol)
-        members.append((WeightedSubspace(basis, sub.weight, tol=tol),
-                        LocalOperator(new_op)))
-    return tuple(members)
-
-
 def transform_invertible(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
-                         bounds: FrameBounds | None = None,
                          tol: ToleranceProfile | None = None) -> TransformedSystem:
     """Push a k-relative frame forward along an invertible u.
 
     The image system is (u W_j, L_j pi_Wj u*, v_j); it is certified a frame
-    for u k with bounds (A, B |u|^2), where (A, B) default to the optimal
-    bounds of the input.  Requires u invertible beyond the rank cutoff.
+    for u k with bounds (A, B |u|^2), (A, B) the optimal bounds of the
+    input.  Requires u invertible beyond the rank cutoff.
     """
     tol = tol or DEFAULT_TOL
     if u.dim != system.dim:
         raise InputError("transform operator has wrong dimension")
     if not u.is_invertible(tol):
         raise PreconditionError("transform operator is numerically singular")
-    if bounds is None:
-        bounds = optimal_bounds(system, k, tol)
-    local_maps = [lp @ adjoint(u.matrix) for lp in system.local_factors]
-    moved = GFusionSystem(system.space, _moved_members(system, u.matrix, local_maps, tol))
+    bounds = optimal_bounds(system, k, tol)
+    u_adj = adjoint(u.matrix)
+    moved = GFusionSystem(system.space, tuple(
+        (WeightedSubspace(orthonormalize(u.matrix @ sub.basis, tol), sub.weight),
+         LocalOperator(lp @ u_adj))
+        for (sub, _), lp in zip(system.members, system.local_factors)))
     target = BoundedOperator(u.matrix @ k.matrix)
     certified = FrameBounds(bounds.lower, bounds.upper * u.norm**2)
     report = verify_k_g_fusion(moved, target, claimed=certified, tol=tol)
@@ -81,28 +69,19 @@ def transform_invertible(system: GFusionSystem, k: BoundedOperator, u: BoundedOp
 
 
 def transform_unitary(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
-                      bounds: FrameBounds | None = None,
                       tol: ToleranceProfile | None = None) -> TransformedSystem:
     """Push a k-relative frame forward along a unitary u.
 
-    The image system is (u W_j, L_j u^-1, v_j), certified a frame for
-    (u^-1)* k with bounds (A, B |u^-1|^2).  Requires u*u = I within tolerance.
+    The paper's image system (u W_j, L_j u^-1, v_j) for (u^-1)* k = u k is
+    the invertible pushforward: on u W_j, L_j u^-1 = L_j pi_Wj u*, so this is
+    :func:`transform_invertible` once u*u = I holds within tolerance.
     """
     tol = tol or DEFAULT_TOL
     if u.dim != system.dim:
         raise InputError("transform operator has wrong dimension")
-    if not norm_at_most(adjoint(u.matrix) @ u.matrix - np.eye(u.dim), tol.for_scale(1.0)):
+    if not u.is_unitary(tol):
         raise PreconditionError("transform operator is not unitary within tolerance")
-    if bounds is None:
-        bounds = optimal_bounds(system, k, tol)
-    u_inv = adjoint(u.matrix)
-    local_maps = [op.matrix @ u_inv for _, op in system.members]
-    moved = GFusionSystem(system.space, _moved_members(system, u.matrix, local_maps, tol))
-    target = BoundedOperator(adjoint(u_inv) @ k.matrix)
-    inv_norm = operator_norm(u_inv)
-    certified = FrameBounds(bounds.lower, bounds.upper * inv_norm**2)
-    report = verify_k_g_fusion(moved, target, claimed=certified, tol=tol)
-    return TransformedSystem(moved, certified, target, report)
+    return transform_invertible(system, k, u, tol)
 
 
 @dataclass
@@ -124,13 +103,11 @@ class ReduceOperatorReport:
 
 
 def reduce_operator(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
-                    bounds: FrameBounds | None = None,
                     tol: ToleranceProfile | None = None) -> ReduceOperatorReport:
     tol = tol or DEFAULT_TOL
     if u.dim != system.dim:
         raise InputError("target operator has wrong dimension")
-    if bounds is None:
-        bounds = optimal_bounds(system, k, tol)
+    bounds = optimal_bounds(system, k, tol)
     dg = douglas_factor(u.matrix, k.matrix, tol)
     if dg.included:
         lam = dg.lambda_min

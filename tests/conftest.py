@@ -6,7 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framelab import ToleranceProfile, cli, duality, fixture, frame_ops, perturbation
+from framelab import (
+    GFusionSystem,
+    HilbertSpace,
+    LocalOperator,
+    ToleranceProfile,
+    WeightedSubspace,
+    cli,
+    duality,
+    fixture,
+    frame_ops,
+    perturbation,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -72,6 +83,12 @@ def linalg_calls(monkeypatch):
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
+
+
+def thin_direction_system(eps):
+    """One member on R^2 with W = R^2 and L = diag(1, eps): for eps > 0 an I-frame with A = eps^2."""
+    member = (WeightedSubspace(np.eye(2), 1.0), LocalOperator(np.diag([1.0, eps])))
+    return GFusionSystem(HilbertSpace("real", 2), (member,))
 
 
 def fix_r_names():

@@ -34,13 +34,12 @@ from framelab.duality import (
     complement_residual,
     construct_q_dual,
     parsevalize,
-    partial_operator,
     qdual_bound_corollary,
     verify_kgf_dual,
     verify_q_dual,
 )
 from framelab.numerics import adjoint, inner, unit_probes
-from conftest import count_calls, fix_r_names
+from conftest import count_calls, fix_r_names, thin_direction_system
 
 
 def all_subsets(size):
@@ -205,11 +204,11 @@ def test_canonical_dual_probe_oracle_agreement(fix_a):
 
 def test_partial_operators_split_the_target(fix_i):
     pair = canonical_dual(fix_i.system, fix_i.operators["k"])
-    npt.assert_allclose(partial_operator(pair, (0,)).matrix,
+    npt.assert_allclose(frame_operator(pair.base, pair.dual, (0,)),
                         np.diag([1.0, 0.0]), atol=1e-12)
-    npt.assert_allclose(partial_operator(pair, (0, 1)).matrix,
+    npt.assert_allclose(frame_operator(pair.base, pair.dual, (0, 1)),
                         np.eye(2), atol=1e-12)
-    npt.assert_allclose(partial_operator(pair, ()).matrix,
+    npt.assert_allclose(frame_operator(pair.base, pair.dual, ()),
                         np.zeros((2, 2)), atol=0.0)
     for subset in all_subsets(pair.base.size):
         assert complement_residual(pair, subset) <= 1e-12
@@ -331,6 +330,17 @@ def test_canonical_dual_on_random_fixtures():
         assert report.certified_lower == pytest.approx(1.0 / base_upper, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", [1e-5, 1e-8])
+def test_canonical_dual_keeps_every_direction_of_a_certified_k_frame(eps):
+    # X = diag(1, eps^-2), so k* X P pi_W = X: a rank cut relative to |X| drops e2
+    system, k = thin_direction_system(eps), BoundedOperator.identity(2)
+    pair = canonical_dual(system, k)
+    assert pair.dual.members[0][0].subspace_dim == 2
+    report = verify_kgf_dual(pair)
+    assert report.passed and report.certified_lower_ok
+    assert report.operator_residual <= 1e-12
+
+
 # -- the dual-side probe blocks against the one-probe loops -------------------
 
 
@@ -380,6 +390,13 @@ def test_probe_residual_block_matches_the_probe_loop(name):
         assert _probe_residual(pair, coupling) == reference_probe_residual(pair, coupling)
     assert pair.residual == reference_probe_residual(pair, frame_operator(system, pair.dual))
     assert verify_kgf_dual(pair).probe_residual == pair.residual
+
+
+def test_probe_residual_reports_a_nan_coupling(fix_i):
+    pair = canonical_dual(fix_i.system, fix_i.operators["k"])
+    coupling = np.array(pair.coupling)
+    coupling[0, 1] = np.nan
+    assert np.isnan(_probe_residual(pair, coupling))
 
 
 @pytest.mark.parametrize("name", packaged_fixture_names())

@@ -30,7 +30,7 @@ from framelab.oracle import (
     reference_lower_bound,
     reference_upper_bound,
 )
-from conftest import count_calls, fix_r_names, load_sidecar
+from conftest import count_calls, fix_r_names, load_sidecar, thin_direction_system
 
 
 def single_member_system():
@@ -157,12 +157,6 @@ def test_restricted_inverse_respects_range(fix_a):
     assert ri.inverse_residual <= 1e-12
     # the restriction lives on ran(k), a 2-dimensional subspace here
     assert ri.range_basis.shape == (3, 2)
-
-
-def thin_direction_system(eps):
-    """One member on R^2 with W = R^2 and L = diag(1, eps): for eps > 0 an I-frame with A = eps^2."""
-    member = (WeightedSubspace(np.eye(2), 1.0), LocalOperator(np.diag([1.0, eps])))
-    return GFusionSystem(HilbertSpace("real", 2), (member,))
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-8])

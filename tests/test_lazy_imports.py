@@ -70,6 +70,10 @@ def test_every_export_is_its_home_module_attribute():
         homes = [m for m in modules if name in m.__all__]
         assert homes, name
         assert all(getattr(framelab, name) is getattr(m, name) for m in homes), name
+    # every name a submodule publishes resolves there: tracing wraps each one
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
 
 
 def test_unknown_names_raise_attribute_error():

@@ -62,6 +62,22 @@ def test_transform_unitary_round_trip(fix_a):
     assert bounds.upper == pytest.approx(1.0, abs=1e-9)
 
 
+def test_transform_unitary_matches_the_invertible_pushforward_of_a_complex_unitary():
+    bundle = fixture("FIX-R002")
+    k = bundle.operators["k"]
+    dim = bundle.system.dim
+    rng = np.random.Generator(np.random.PCG64(0x0F1))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = BoundedOperator(np.linalg.qr(z)[0])
+    unitary = transform_unitary(bundle.system, k, u)
+    invertible = transform_invertible(bundle.system, k, u)
+    npt.assert_allclose(frame_operator(unitary.system), frame_operator(invertible.system),
+                        rtol=0.0, atol=1e-12)
+    npt.assert_array_equal(unitary.target_operator.matrix, invertible.target_operator.matrix)
+    assert unitary.certified.lower == invertible.certified.lower
+    assert unitary.report.claimed_valid and invertible.report.claimed_valid
+
+
 def test_transform_unitary_rejects_non_unitary(fix_i):
     stretch = BoundedOperator(np.diag([2.0, 1.0]))
     with pytest.raises(PreconditionError):
