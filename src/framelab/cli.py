@@ -4,7 +4,8 @@ Every command prints one report to stdout.  The default rendering is
 canonical JSON (sorted keys, 17 significant digits, trailing newline) so a
 report is byte-reproducible; ``--human`` switches to flat ``key: value``
 lines without changing any verdict or the exit code.  Exit codes: 0 when all
-asserted checks pass, 1 when a check fails, 2 on input or parse errors.
+asserted checks pass, 1 when a check fails, 2 on input or parse errors and
+on an output path that cannot be written.
 
 A command imports the modules only it runs (duality, perturbation, oracle)
 when it runs, so a one-off call loads no more of the package than it uses.
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framelab",
         description="Construct and verify operator-relative fusion frame systems.")
-    parser.add_argument("--tol-abs", type=float, default=None,
+    parser.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.tau_abs,
                         help="absolute tolerance floor (default 1e-10)")
     parser.add_argument("--tol-rel", type=float, default=None,
                         help="relative tolerance (default 1e-9; env FRAMELAB_TOL_REL)")
@@ -149,9 +150,7 @@ def cmd_analyze(args, tol):
 
 
 def _write_dual_document(pair_dual, k, out_path, meta):
-    doc = documents.from_system(pair_dual, {"k": k}, meta)
-    documents.to_system(doc)
-    documents.save_document(doc, out_path)
+    documents.save_document(documents.from_system(pair_dual, {"k": k}, meta), out_path)
 
 
 def cmd_dual(args, tol):
@@ -228,7 +227,7 @@ def cmd_dual(args, tol):
 
 
 def _identity_probes(system, trials: int) -> np.ndarray:
-    return unit_probes(system.dim, max(0, trials),
+    return unit_probes(system.dim, trials,
                        complex_field=system.space.field == "complex", seed=0x1DE7)
 
 
@@ -369,19 +368,14 @@ def cmd_perturb(args, tol):
     if report.hypothesis_certified is not None:
         body["hypothesis_certified"] = bool(report.hypothesis_certified)
     if report.gamma_readings is not None:
-        body["gamma_readings"] = {
-            name: {
-                "admissible": entry["admissible"],
-                "lower": None if entry["lower"] is None else float(entry["lower"]),
-                "upper": None if entry["upper"] is None else float(entry["upper"]),
-            }
-            for name, entry in report.gamma_readings.items()
-        }
+        body["gamma_readings"] = report.gamma_readings
     body["erratum_records"] = report.erratum_log
     return (0 if report.theta_report.is_frame else 1), body
 
 
 def _spec_document(tokens, seed: int) -> documents.FrameDocument:
+    if seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {seed}")
     if len(tokens) < 2:
         raise InputError("--spec needs an ambient dimension and at least one MxD shape")
     try:
@@ -475,21 +469,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parser().parse_args(argv)
-    tau_abs = args.tol_abs if args.tol_abs is not None else DEFAULT_TOL.tau_abs
     tau_rel = args.tol_rel
     if tau_rel is None:
-        env = os.environ.get("FRAMELAB_TOL_REL")
-        if env is not None:
-            try:
-                tau_rel = float(env)
-            except ValueError:
-                print("FRAMELAB_TOL_REL must be a number", file=sys.stderr)
-                return 2
-    if tau_rel is None:
-        tau_rel = DEFAULT_TOL.tau_rel
+        try:
+            tau_rel = float(os.environ.get("FRAMELAB_TOL_REL", DEFAULT_TOL.tau_rel))
+        except ValueError:
+            print("FRAMELAB_TOL_REL must be a number", file=sys.stderr)
+            return 2
     try:
-        tol = ToleranceProfile(tau_abs=float(tau_abs), tau_rel=float(tau_rel))
-    except Exception as exc:
+        tol = ToleranceProfile(tau_abs=args.tol_abs, tau_rel=tau_rel)
+    except InputError as exc:
         print(f"invalid tolerance: {exc}", file=sys.stderr)
         return 2
 
@@ -497,7 +486,7 @@ def main(argv=None) -> int:
         report = {
             "command": args.command,
             "argv": argv,
-            "tolerance": {"tau_abs": float(tau_abs), "tau_rel": float(tau_rel)},
+            "tolerance": {"tau_abs": tol.tau_abs, "tau_rel": tol.tau_rel},
             "exit_code": code,
         }
         report.update(body)
@@ -506,7 +495,7 @@ def main(argv=None) -> int:
     try:
         code, body = args.func(args, tol)
         text = render(code, body)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         code, text = 2, render(2, {"error": str(exc)})
     except (PreconditionError, InternalConsistencyError, DualConstructionError) as exc:
         code, text = 1, render(1, {"error": str(exc)})

@@ -104,7 +104,7 @@ class QDualReport:
     passed: bool
 
 
-def verify_q_dual(pair: QDualPair, tol: ToleranceProfile | None = None) -> QDualReport:
+def verify_q_dual(pair: QDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> QDualReport:
     """Check the coupling identity in its three equivalent forms.
 
     The forms are the synthesis identity T Q* Ttilde* = k, its adjoint, and
@@ -113,7 +113,6 @@ def verify_q_dual(pair: QDualPair, tol: ToleranceProfile | None = None) -> QDual
     mathematically equivalent; verdict disagreement raises
     :class:`InternalConsistencyError`.  The check runs once per (pair, tol).
     """
-    tol = tol or DEFAULT_TOL
     return _memoized(pair, ("forms", tol), lambda: _q_dual_forms(pair, tol))
 
 
@@ -152,7 +151,7 @@ def _dual_candidate(system: GFusionSystem, bases) -> GFusionSystem:
 
 
 def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
-                     tol: ToleranceProfile | None = None) -> QDualPair:
+                     tol: ToleranceProfile = DEFAULT_TOL) -> QDualPair:
     """Build a Q-dual from the minimal factor u of T u = k.
 
     The dual keeps the local operators and weights and moves only the
@@ -162,7 +161,6 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
     operator.  The accepted reading is recorded on the returned pair; if none
     certifies a :class:`DualConstructionError` carries all three residuals.
     """
-    tol = tol or DEFAULT_TOL
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
         raise PreconditionError("system is not a frame for k; no dual exists")
@@ -223,9 +221,8 @@ class QDualBoundReport:
     dual_report: FrameReport
 
 
-def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile | None = None) -> QDualBoundReport:
+def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> QDualBoundReport:
     """The bound corollary for a certified Q-dual pair."""
-    tol = tol or DEFAULT_TOL
     coupling = verify_q_dual(pair, tol)
     if not coupling.passed:
         raise PreconditionError(
@@ -295,7 +292,7 @@ def _probe_residual(pair: KGFDualPair, coupling: np.ndarray) -> float:
 
 
 def canonical_dual(system: GFusionSystem, k: BoundedOperator,
-                   tol: ToleranceProfile | None = None) -> KGFDualPair:
+                   tol: ToleranceProfile = DEFAULT_TOL) -> KGFDualPair:
     """Canonical reconstruction dual through the restricted inverse.
 
     With X the inverse of the frame operator along ran(k) and P the projection
@@ -308,7 +305,6 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
     rank-deficient k the pair is exploratory and the residual is only
     recorded.
     """
-    tol = tol or DEFAULT_TOL
     ri = restricted_inverse(system, k, tol)
     x = ri.matrix
     p_img = ri.image_basis @ adjoint(ri.image_basis)
@@ -337,13 +333,12 @@ class KGFDualReport:
     certified_lower_ok: bool | None = None
 
 
-def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile | None = None) -> KGFDualReport:
+def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> KGFDualReport:
     """Operator-norm check of the reconstruction identity.
 
     When the identity certifies, the dual is additionally verified to be a
     frame for k* with lower bound 1/B, B the base optimal upper bound.
     """
-    tol = tol or DEFAULT_TOL
     operator_residual = pair.coupling_defect
     passed = operator_residual <= tol.for_scale(pair.k.norm)
     report = KGFDualReport(float(operator_residual), pair.residual, bool(passed), pair.exploratory)
@@ -410,7 +405,7 @@ def _complement_defects(stack, rows, rows_c, k_mat):
 
 
 def complement_residual(pair: KGFDualPair, index_set,
-                        tol: ToleranceProfile | None = None) -> float:
+                        tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """Defect of S_I + S_{I^c} = k in operator norm.
 
     The one-subset view of :func:`dual_subset_sweep`'s complement residual;
@@ -453,7 +448,7 @@ class DualSubsetSweep:
 
 
 def dual_subset_sweep(pair: KGFDualPair, masks, probes,
-                      tol: ToleranceProfile | None = None) -> DualSubsetSweep:
+                      tol: ToleranceProfile = DEFAULT_TOL) -> DualSubsetSweep:
     """Complementary-subset identity on every (subset, probe) pair at once.
 
     For a certified reconstruction dual,
@@ -464,7 +459,6 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
     ``masks`` is a boolean (subsets, members) array and ``probes`` a
     (probes, dim) block; each entry carries the bits of the one-subset check.
     """
-    tol = tol or DEFAULT_TOL
     masks = _require_masks(masks, pair.base.size)
     probes = _probe_block(probes, pair.base.dim)
     k_mat = pair.k.matrix
@@ -483,7 +477,7 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
 
 
 def check_dual_subset_identity(pair: KGFDualPair, index_set, f,
-                               tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
+                               tol: ToleranceProfile = DEFAULT_TOL) -> SubsetIdentityResult:
     """Complementary-subset identity at one subset and one probe.
 
     The one-pair view of :func:`dual_subset_sweep`: an uncertified pair is
@@ -531,7 +525,7 @@ class ParsevalSubsetSweep:
 
 def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
                           extensions, probes,
-                          tol: ToleranceProfile | None = None) -> ParsevalSubsetSweep:
+                          tol: ToleranceProfile = DEFAULT_TOL) -> ParsevalSubsetSweep:
     """Parseval-side subset identities on every subset, extension and probe.
 
     Requires S = k k*, checked once per sweep.  ``masks`` is a boolean
@@ -551,7 +545,6 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
     stack of their distinct masks; each entry carries the bits of the
     one-subset check.
     """
-    tol = tol or DEFAULT_TOL
     masks = _require_masks(masks, system.size)
     extensions = np.asarray(extensions)
     if (extensions.dtype != bool or extensions.ndim != 3
@@ -591,7 +584,7 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
 
 def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
                                    index_set, extension_set, f,
-                                   tol: ToleranceProfile | None = None) -> SubsetIdentityResult:
+                                   tol: ToleranceProfile = DEFAULT_TOL) -> SubsetIdentityResult:
     """Subset-extension identity for Parseval systems at one (I, E, f).
 
     With S_J = k k*, extending I by a disjoint E inside its complement shifts
@@ -608,7 +601,7 @@ def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
 
 def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
                                index_set, f,
-                               tol: ToleranceProfile | None = None) -> ThreeQuartersResult:
+                               tol: ToleranceProfile = DEFAULT_TOL) -> ThreeQuartersResult:
     """Lower bound |S_I f|^2 + Re sum_{I^c} coeff >= (3/4) |k k* f|^2.
 
     Requires a Parseval system; the coefficient sum over I^c is
@@ -626,9 +619,8 @@ def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
                                bool(tq.passed[0, 0]))
 
 
-def parsevalize(system: GFusionSystem, tol: ToleranceProfile | None = None) -> BoundedOperator:
+def parsevalize(system: GFusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> BoundedOperator:
     """The operator k = S^(1/2), which makes the system Parseval for k."""
-    tol = tol or DEFAULT_TOL
     w, v = hermitian_eig(system.frame_matrix, tol)
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ adjoint(v)

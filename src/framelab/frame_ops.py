@@ -192,7 +192,8 @@ class FrameReport:
     ``is_parseval`` means S = k k* within tolerance.  ``optimal`` holds the
     optimal bound pair (lower is 0.0 when the system is not a k-frame).  When
     claimed bounds were supplied, ``claimed_lower_ok``/``claimed_upper_ok``
-    record the PSD sandwich verdicts, else they are None.
+    record the PSD sandwich verdicts, else they are None.  The report does
+    not carry its tolerance: the memo that holds it is keyed by it.
     """
 
     is_bessel: bool
@@ -201,7 +202,6 @@ class FrameReport:
     optimal: FrameBounds
     range_inclusion_residual: float
     parseval_residual: float
-    tolerance: ToleranceProfile
     douglas: DouglasFactorization
     claimed: FrameBounds | None = None
     claimed_lower_ok: bool | None = None
@@ -221,7 +221,7 @@ def _require_compatible(system: GFusionSystem, k: BoundedOperator):
 
 def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
                       claimed: FrameBounds | None = None,
-                      tol: ToleranceProfile | None = None) -> FrameReport:
+                      tol: ToleranceProfile = DEFAULT_TOL) -> FrameReport:
     """Full verification of the k-relative frame property.
 
     Bessel always holds on a finite family; the frame verdict is decided by
@@ -230,7 +230,6 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
     u0 = pinv(T) k, the optimal upper bound is |S|.  The analysis runs once
     per (system, k, tol); claimed bounds add their two PSD verdicts to it.
     """
-    tol = tol or DEFAULT_TOL
     _require_compatible(system, k)
     report = _memoized(system, ("analysis", k, tol), lambda: _analyze(system, k, tol))
     if claimed is None:
@@ -266,13 +265,12 @@ def _analyze(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile) -
         optimal=FrameBounds(lower, upper),
         range_inclusion_residual=dg.range_residual,
         parseval_residual=float(parseval_residual),
-        tolerance=tol,
         douglas=dg,
     )
 
 
 def optimal_bounds(system: GFusionSystem, k: BoundedOperator,
-                   tol: ToleranceProfile | None = None) -> FrameBounds:
+                   tol: ToleranceProfile = DEFAULT_TOL) -> FrameBounds:
     """Optimal bound pair for a k-relative frame, PSD-certified.
 
     Raises :class:`NotAFrameError` when ran(k) is not contained in ran(T).
@@ -281,7 +279,6 @@ def optimal_bounds(system: GFusionSystem, k: BoundedOperator,
     bounds are read from :func:`verify_k_g_fusion`'s report, and the PSD
     certificate runs once per (system, k, tol).
     """
-    tol = tol or DEFAULT_TOL
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
         raise NotAFrameError(
@@ -321,7 +318,7 @@ class RestrictedInverse:
 
 
 def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
-                       tol: ToleranceProfile | None = None) -> RestrictedInverse:
+                       tol: ToleranceProfile = DEFAULT_TOL) -> RestrictedInverse:
     """Construct X = B_k pinv(S B_k) and check the two-sided inverse bounds.
 
     ``optimal_bounds`` certifies the k-frame, so S is injective on ran(k):
@@ -335,7 +332,6 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
     ``B^-1 |f|^2 <= <X f, f> <= A^-1 |pinv(k)|^2 |f|^2`` with (A, B) the
     optimal bounds; the worst probe slack is reported, not asserted.
     """
-    tol = tol or DEFAULT_TOL
     bounds = optimal_bounds(system, k, tol)
     s = system.frame_matrix
     bk = k.range_basis(tol)
@@ -385,13 +381,12 @@ class ReconstructionReport:
 
 
 def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
-                         tol: ToleranceProfile | None = None) -> ReconstructionReport:
+                         tol: ToleranceProfile = DEFAULT_TOL) -> ReconstructionReport:
     """Check <k f, f> against the member-wise expansion through X.
 
     ``f`` is projected onto S(ran k) first when it does not already lie there;
     the report says whether that happened.
     """
-    tol = tol or DEFAULT_TOL
     f = np.asarray(f).reshape(-1)
     if f.shape[0] != system.dim:
         raise InputError("probe vector has wrong dimension")
@@ -429,8 +424,7 @@ class CrossFrameReport:
 
 def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
                       k: BoundedOperator,
-                      tol: ToleranceProfile | None = None) -> CrossFrameReport:
-    tol = tol or DEFAULT_TOL
+                      tol: ToleranceProfile = DEFAULT_TOL) -> CrossFrameReport:
     _require_compatible(lambda_system, k)
     _require_compatible(theta_system, k)
     if lambda_system.local_dims() != theta_system.local_dims():

@@ -229,24 +229,24 @@ class BoundedOperator:
     def _adjoint(self) -> "BoundedOperator":
         return BoundedOperator(_read_only(adjoint(self.matrix)))
 
-    def pinv(self, tol: ToleranceProfile | None = None) -> np.ndarray:
-        return pinv_from_svd(*self.svd, tol or DEFAULT_TOL)
+    def pinv(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+        return pinv_from_svd(*self.svd, tol)
 
-    def range_basis(self, tol: ToleranceProfile | None = None) -> np.ndarray:
+    def range_basis(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         u, s, _ = self.svd
-        return u[:, :significant_rank(s, tol or DEFAULT_TOL)]
+        return u[:, :significant_rank(s, tol)]
 
-    def rank(self, tol: ToleranceProfile | None = None) -> int:
-        return significant_rank(self.singular_values, tol or DEFAULT_TOL)
+    def rank(self, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+        return significant_rank(self.singular_values, tol)
 
-    def is_invertible(self, tol: ToleranceProfile | None = None) -> bool:
+    def is_invertible(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         s = self.singular_values
-        return bool(s.size) and significant_rank(s, tol or DEFAULT_TOL) == s.size
+        return bool(s.size) and significant_rank(s, tol) == s.size
 
-    def is_unitary(self, tol: ToleranceProfile | None = None) -> bool:
+    def is_unitary(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         """``|u*u - I| <= tol.for_scale(1)`` for this operator u."""
         return norm_at_most(adjoint(self.matrix) @ self.matrix - np.eye(self.dim),
-                            (tol or DEFAULT_TOL).for_scale(1.0))
+                            tol.for_scale(1.0))
 
     def __repr__(self):
         return f"BoundedOperator(dim={self.dim})"
@@ -270,26 +270,18 @@ class ProjectionCommutationReport:
 
     ``adjoint_residual`` measures |pi_V T* - pi_V T* pi_TV|; when T is unitary
     within tolerance, ``unitary_residual`` additionally measures
-    |pi_TV T - T pi_V|, else it is None.
+    |pi_TV T - T pi_V|, else it is None.  The report holds residuals only;
+    ``is_unitary`` is the one verdict, made under the check's tolerance.
     """
 
     adjoint_residual: float
     unitary_residual: float | None
     is_unitary: bool
 
-    def passed(self, tol: ToleranceProfile | None = None) -> bool:
-        tol = tol or DEFAULT_TOL
-        bound = tol.for_scale(1.0)
-        ok = self.adjoint_residual <= bound
-        if self.unitary_residual is not None:
-            ok = ok and self.unitary_residual <= bound
-        return bool(ok)
-
 
 def check_projection_commutation(subspace: WeightedSubspace, operator: BoundedOperator,
-                                 tol: ToleranceProfile | None = None) -> ProjectionCommutationReport:
+                                 tol: ToleranceProfile = DEFAULT_TOL) -> ProjectionCommutationReport:
     """Verify pi_V T* = pi_V T* pi_TV, plus pi_TV T = T pi_V for unitary T."""
-    tol = tol or DEFAULT_TOL
     if subspace.ambient_dim != operator.dim:
         raise InputError("subspace and operator live in different dimensions")
     t = operator.matrix

@@ -248,10 +248,9 @@ def within_scale(value: float, m, tol: ToleranceProfile) -> bool:
     return value <= tol.for_scale(operator_norm(m))
 
 
-def is_hermitian(m, tol: ToleranceProfile | None = None) -> bool:
+def is_hermitian(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """``|m - m*| <= tol.for_scale(|m|)``, an SVD of m - m* only when its bracket straddles."""
     m = as_matrix(m)
-    tol = tol or DEFAULT_TOL
     if m.shape[0] != m.shape[1]:
         return False
     if m.size == 0:
@@ -265,14 +264,13 @@ def is_hermitian(m, tol: ToleranceProfile | None = None) -> bool:
     return within_scale(operator_norm(d), m, tol)
 
 
-def hermitian_eig(m, tol: ToleranceProfile | None = None):
+def hermitian_eig(m, tol: ToleranceProfile = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and orthonormal
     eigenvector columns ``v``.  Rejects non-square or non-Hermitian input.
     """
     m = as_matrix(m)
-    tol = tol or DEFAULT_TOL
     if m.shape[0] != m.shape[1]:
         raise PreconditionError(f"square matrix required, got {m.shape}")
     if not is_hermitian(m, tol):
@@ -303,7 +301,7 @@ def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray,
     return adjoint(vh) @ (inv[:, None] * adjoint(u))
 
 
-def pinv(m, tol: ToleranceProfile | None = None) -> np.ndarray:
+def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the profile's rank cutoff.
 
     Singular values at or below ``tol.rank_cutoff(sigma_max)`` are treated as
@@ -312,17 +310,17 @@ def pinv(m, tol: ToleranceProfile | None = None) -> np.ndarray:
     m = as_matrix(m)
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    return pinv_from_svd(*np.linalg.svd(m, full_matrices=False), tol or DEFAULT_TOL)
+    return pinv_from_svd(*np.linalg.svd(m, full_matrices=False), tol)
 
 
-def numerical_rank(m, tol: ToleranceProfile | None = None) -> int:
+def numerical_rank(m, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     m = as_matrix(m)
     if m.size == 0:
         return 0
-    return significant_rank(np.linalg.svd(m, compute_uv=False), tol or DEFAULT_TOL)
+    return significant_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def orthonormalize(columns, tol: ToleranceProfile | None = None) -> np.ndarray:
+def orthonormalize(columns, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis for the column space of ``columns``.
 
     The output has exactly ``numerical_rank(columns)`` columns; rank-deficient
@@ -332,13 +330,12 @@ def orthonormalize(columns, tol: ToleranceProfile | None = None) -> np.ndarray:
     if a.shape[1] == 0 or a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=a.dtype)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, :significant_rank(s, tol or DEFAULT_TOL)]
+    return u[:, :significant_rank(s, tol)]
 
 
-def psd_check(m, tol: ToleranceProfile | None = None) -> bool:
+def psd_check(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian and its spectrum clears the PSD floor."""
     m = as_matrix(m)
-    tol = tol or DEFAULT_TOL
     if m.shape[0] != m.shape[1]:
         raise PreconditionError(f"square matrix required, got {m.shape}")
     if m.size == 0:
@@ -368,7 +365,7 @@ class DouglasFactorization:
     range_residual: float
 
 
-def douglas_factor(l1, l2, tol: ToleranceProfile | None = None) -> DouglasFactorization:
+def douglas_factor(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasFactorization:
     """Test ran(L1) subset-of ran(L2) and produce the minimal factor.
 
     When ``included`` holds, the three classical equivalences are certified
@@ -378,7 +375,6 @@ def douglas_factor(l1, l2, tol: ToleranceProfile | None = None) -> DouglasFactor
     """
     l1 = as_matrix(l1, "l1")
     l2 = as_matrix(l2, "l2")
-    tol = tol or DEFAULT_TOL
     if l1.shape[0] != l2.shape[0]:
         raise PreconditionError(
             f"operators must share their codomain: {l1.shape[0]} != {l2.shape[0]}"

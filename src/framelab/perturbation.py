@@ -162,7 +162,7 @@ class PaleyWienerReport:
 
 
 def paley_wiener_check(u, lambda1: float, lambda2: float,
-                       tol: ToleranceProfile | None = None) -> PaleyWienerReport:
+                       tol: ToleranceProfile = DEFAULT_TOL) -> PaleyWienerReport:
     """Certify invertibility of u from closeness to the identity.
 
     The sufficient condition is |I - u| <= l1 + l2 sigma_min(u), which gives
@@ -173,7 +173,6 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
     :class:`InternalConsistencyError`.  An uncertified case is inconclusive,
     not a failure.
     """
-    tol = tol or DEFAULT_TOL
     if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
         raise InputError("lambda1 and lambda2 must lie in [0, 1)")
     op = u if isinstance(u, BoundedOperator) else BoundedOperator(u)
@@ -182,7 +181,7 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
     sigma = op.singular_values
     sigma_min = float(sigma[-1])
     sigma_max = float(sigma[0])
-    slack = tol.for_scale(max(1.0, sigma_max))
+    slack = tol.for_scale(sigma_max)
     certified = defect <= lambda1 + lambda2 * sigma_min + slack
     lower = (1.0 - lambda1) / (1.0 + lambda2)
     upper = (1.0 + lambda1) / (1.0 - lambda2)
@@ -359,7 +358,7 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
 
 def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                        params: PerturbationParams,
-                       tol: ToleranceProfile | None = None) -> HypothesisVerdict:
+                       tol: ToleranceProfile = DEFAULT_TOL) -> HypothesisVerdict:
     """Search for a (subset, probe) pair violating the mode's inequality.
 
     Subsets are exhaustive up to 12 members, otherwise a deterministic sample
@@ -373,7 +372,6 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     every block and step.  Ties go to the earliest probe.  A verdict of
     not-falsified is evidence over the tested pairs, never a proof.
     """
-    tol = tol or DEFAULT_TOL
     family = _on_base(base, theta)
     data = _member_data(base, family)
     k_mat = k.matrix
@@ -558,7 +556,7 @@ def _square_sum_certificate(base: GFusionSystem, family: GFusionSystem,
 
 def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
                                 params: PerturbationParams,
-                                tol: ToleranceProfile | None = None,
+                                tol: ToleranceProfile = DEFAULT_TOL,
                                 verdict: HypothesisVerdict | None = None) -> PerturbationReport:
     """Check a perturbation theorem's conclusion against measured bounds.
 
@@ -574,7 +572,6 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
     recorded in ``erratum_log`` and reported, because the constants in those
     conclusions are not independently established.
     """
-    tol = tol or DEFAULT_TOL
     base_bounds = optimal_bounds(base, k, tol)
     theta_system = _on_base(base, theta)
     if verdict is None:

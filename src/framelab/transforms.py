@@ -44,14 +44,13 @@ class TransformedSystem:
 
 
 def transform_invertible(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
-                         tol: ToleranceProfile | None = None) -> TransformedSystem:
+                         tol: ToleranceProfile = DEFAULT_TOL) -> TransformedSystem:
     """Push a k-relative frame forward along an invertible u.
 
     The image system is (u W_j, L_j pi_Wj u*, v_j); it is certified a frame
     for u k with bounds (A, B |u|^2), (A, B) the optimal bounds of the
     input.  Requires u invertible beyond the rank cutoff.
     """
-    tol = tol or DEFAULT_TOL
     if u.dim != system.dim:
         raise InputError("transform operator has wrong dimension")
     if not u.is_invertible(tol):
@@ -69,14 +68,13 @@ def transform_invertible(system: GFusionSystem, k: BoundedOperator, u: BoundedOp
 
 
 def transform_unitary(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
-                      tol: ToleranceProfile | None = None) -> TransformedSystem:
+                      tol: ToleranceProfile = DEFAULT_TOL) -> TransformedSystem:
     """Push a k-relative frame forward along a unitary u.
 
     The paper's image system (u W_j, L_j u^-1, v_j) for (u^-1)* k = u k is
     the invertible pushforward: on u W_j, L_j u^-1 = L_j pi_Wj u*, so this is
     :func:`transform_invertible` once u*u = I holds within tolerance.
     """
-    tol = tol or DEFAULT_TOL
     if u.dim != system.dim:
         raise InputError("transform operator has wrong dimension")
     if not u.is_unitary(tol):
@@ -103,8 +101,7 @@ class ReduceOperatorReport:
 
 
 def reduce_operator(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
-                    tol: ToleranceProfile | None = None) -> ReduceOperatorReport:
-    tol = tol or DEFAULT_TOL
+                    tol: ToleranceProfile = DEFAULT_TOL) -> ReduceOperatorReport:
     if u.dim != system.dim:
         raise InputError("target operator has wrong dimension")
     bounds = optimal_bounds(system, k, tol)

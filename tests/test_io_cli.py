@@ -303,6 +303,30 @@ def test_dual_out_document_is_loadable(repo_cwd, tmp_path):
     assert system.dim == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["dual", "src/framelab/fixtures/fix_i.json", "--method", "canonical", "--out"],
+    ["gen", "--fixture", "FIX-I", "--out"],
+], ids=["dual", "gen"])
+def test_an_unwritable_output_path_is_one_input_error(repo_cwd, tmp_path, command):
+    # dual writes into a missing directory; gen makes its directory where a file is
+    blocker = tmp_path / "a_file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    target = str(tmp_path / "missing" / "x.json") if command[0] == "dual" else str(blocker)
+    code, out = run_cli(command + [target])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert target in report["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
+def test_gen_rejects_a_negative_seed(tmp_path):
+    code, out = run_cli(["gen", "--spec", "3", "2x2", "--seed", "-1", "--out", str(tmp_path)])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert report["error"] == "--seed must be a non-negative integer, got -1"
+    assert not any(tmp_path.iterdir())
+
+
 def test_perturb_require_hypothesis_gate(repo_cwd):
     argv = ["perturb", "src/framelab/fixtures/fix_i.json",
             "--theta", "tests/data/cli/theta_fix_i_c11.json",

@@ -1,6 +1,7 @@
 """The package exports its names lazily, and each command loads only what it runs."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -74,6 +75,25 @@ def test_every_export_is_its_home_module_attribute():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_every_defaulted_tolerance_is_the_default_profile_itself():
+    from framelab.model import BoundedOperator
+    from framelab.numerics import DEFAULT_TOL
+
+    modules = [importlib.import_module(f"framelab.{name}") for name in SUBMODULES]
+    entries = [getattr(m, name) for m in modules for name in m.__all__]
+    entries += [f for f in vars(BoundedOperator).values() if inspect.isfunction(f)]
+    defaulted = []
+    for entry in filter(callable, entries):
+        try:
+            tol = inspect.signature(entry).parameters.get("tol")
+        except (TypeError, ValueError):
+            continue
+        if tol is not None and tol.default is not inspect.Parameter.empty:
+            assert tol.default is DEFAULT_TOL, entry
+            defaulted.append(entry)
+    assert len(defaulted) > 30
 
 
 def test_unknown_names_raise_attribute_error():
