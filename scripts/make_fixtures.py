@@ -58,10 +58,9 @@ from framelab.model import (
     GFusionSystem,
     HilbertSpace,
     LocalOperator,
-    ToleranceProfile,
     WeightedSubspace,
 )
-from framelab.numerics import orthonormalize
+from framelab.numerics import ToleranceProfile, orthonormalize
 from framelab.oracle import oracle_payload, reference_lower_bound
 
 TOL = ToleranceProfile()

@@ -37,6 +37,7 @@ from .numerics import (
     ToleranceProfile,
     orthonormalize,
     unit_probes,
+    within_scale,
 )
 
 __all__ = ["main", "build_parser"]
@@ -279,7 +280,7 @@ def cmd_identities(args, tol):
         sweep = duality.dual_subset_sweep(pair, masks, probes, tol)
         ok = bool(sweep.identity.passed.all())
         worst_complement = float(sweep.complement_residual.max())
-        complement_ok = worst_complement <= tol.for_scale(k.norm)
+        complement_ok = within_scale(worst_complement, k.norm, tol)
         body["dual_subset_identity"] = {
             "max_residual": float(sweep.identity.residual.max()),
             "passed": ok,
@@ -466,33 +467,37 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _parser().parse_args(argv)
+def _tolerance(args) -> ToleranceProfile:
     tau_rel = args.tol_rel
     if tau_rel is None:
         try:
             tau_rel = float(os.environ.get("FRAMELAB_TOL_REL", DEFAULT_TOL.tau_rel))
         except ValueError:
-            print("FRAMELAB_TOL_REL must be a number", file=sys.stderr)
-            return 2
+            raise InputError("FRAMELAB_TOL_REL must be a number") from None
     try:
-        tol = ToleranceProfile(tau_abs=args.tol_abs, tau_rel=tau_rel)
+        return ToleranceProfile(tau_abs=args.tol_abs, tau_rel=tau_rel)
     except InputError as exc:
-        print(f"invalid tolerance: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"invalid tolerance: {exc}") from None
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    args = _parser().parse_args(argv)
+    tol = None
 
     def render(code, body):
         report = {
             "command": args.command,
             "argv": argv,
-            "tolerance": {"tau_abs": tol.tau_abs, "tau_rel": tol.tau_rel},
+            # null when the tolerance itself was the input error
+            "tolerance": None if tol is None else {"tau_abs": tol.tau_abs, "tau_rel": tol.tau_rel},
             "exit_code": code,
         }
         report.update(body)
         return _render(report, args.human)
 
     try:
+        tol = _tolerance(args)
         code, body = args.func(args, tol)
         text = render(code, body)
     except (InputError, OSError) as exc:

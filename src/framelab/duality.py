@@ -46,6 +46,7 @@ from .numerics import (
     row_norms,
     row_sq_norms,
     unit_probes,
+    within_scale,
 )
 
 __all__ = [
@@ -135,12 +136,11 @@ def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile) -> QDualReport:
     rhs = row_inners((adjoint(q) @ (adjoint(t_dual) @ fs))[..., 0],
                      (adjoint(t_base) @ gs)[..., 0])
     form3 = float(_modulus(lhs - rhs).max())
-    threshold = tol.for_scale(pair.k.norm)
-    verdicts = [form1 <= threshold, form2 <= threshold, form3 <= threshold]
+    verdicts = [within_scale(form, pair.k.norm, tol) for form in (form1, form2, form3)]
     if len(set(verdicts)) != 1:
         raise InternalConsistencyError(
             f"equivalent coupling forms disagree: residuals "
-            f"{form1:g}, {form2:g}, {form3:g} against {threshold:g}")
+            f"{form1:g}, {form2:g}, {form3:g} against {tol.for_scale(pair.k.norm):g}")
     return QDualReport(float(form1), float(form2), float(form3), bool(all(verdicts)))
 
 
@@ -181,7 +181,6 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
         return orthonormalize(gram @ sub.basis, tol)
 
     readings = (("literal", literal_basis), ("range", range_basis), ("gram", gram_basis))
-    threshold = tol.for_scale(k.norm)
     residuals = {}
     for name, make in readings:
         bases = [make(j) for j in range(system.size)]
@@ -191,7 +190,7 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
         phi = u @ t_dual_pinv
         residual = operator_norm(t @ phi @ t_dual_adj - k.matrix)
         residuals[name] = float(residual)
-        if residual <= threshold:
+        if within_scale(residual, k.norm, tol):
             well_defined = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
             pair = QDualPair(system, dual, adjoint(phi), k, float(residual),
                              reading=name, well_defined_residual=float(well_defined))
@@ -340,7 +339,7 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> K
     frame for k* with lower bound 1/B, B the base optimal upper bound.
     """
     operator_residual = pair.coupling_defect
-    passed = operator_residual <= tol.for_scale(pair.k.norm)
+    passed = within_scale(operator_residual, pair.k.norm, tol)
     report = KGFDualReport(float(operator_residual), pair.residual, bool(passed), pair.exploratory)
     if passed:
         base_upper = optimal_bounds(pair.base, pair.k, tol).upper
@@ -462,7 +461,7 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
     masks = _require_masks(masks, pair.base.size)
     probes = _probe_block(probes, pair.base.dim)
     k_mat = pair.k.matrix
-    if pair.coupling_defect > tol.for_scale(pair.k.norm):
+    if not within_scale(pair.coupling_defect, pair.k.norm, tol):
         raise PreconditionError(
             f"reconstruction defect {pair.coupling_defect:g} exceeds tolerance; "
             "the subset identity needs a certified dual pair")

@@ -394,7 +394,7 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     p_img = ri.image_basis @ adjoint(ri.image_basis)
     f_used = p_img @ f
     distance = float(np.linalg.norm(f - f_used))
-    projected = distance > tol.for_scale(float(np.linalg.norm(f)))
+    projected = not within_scale(distance, float(np.linalg.norm(f)), tol)
     kf = k.matrix @ f_used
     lhs = inner(kf, f_used)
     rhs = inner(ri.matrix @ (system.frame_matrix @ kf), f_used)
@@ -435,7 +435,7 @@ def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
     b2 = operator_norm(s_theta)
     t_lambda, t_theta = lambda_system.synthesis_matrix, theta_system.synthesis_matrix
     premise_residual = operator_norm(t_theta @ adjoint(t_lambda) - adjoint(k.matrix))
-    premise_ok = premise_residual <= tol.for_scale(k.norm)
+    premise_ok = within_scale(premise_residual, k.norm, tol)
     report = CrossFrameReport(bool(premise_ok), float(premise_residual), float(b1), float(b2))
     if premise_ok:
         ksk = k.adjoint().times_adjoint

@@ -19,11 +19,11 @@ from .numerics import (
     ToleranceProfile,
     adjoint,
     as_matrix,
-    norm_at_most,
     operator_norm,
     orthonormalize,
     pinv_from_svd,
     significant_rank,
+    within_scale,
 )
 
 __all__ = [
@@ -79,7 +79,7 @@ class WeightedSubspace:
         if basis.shape[1] > basis.shape[0]:
             raise InputError("subspace basis has more columns than the ambient dimension")
         gram = adjoint(basis) @ basis
-        if basis.shape[1] and not norm_at_most(gram - np.eye(basis.shape[1]), DEFAULT_TOL.for_scale(1.0)):
+        if basis.shape[1] and not within_scale(gram - np.eye(basis.shape[1]), 1.0, DEFAULT_TOL):
             raise InputError("subspace basis columns are not orthonormal")
         w = float(self.weight)
         if not (w > 0.0 and np.isfinite(w)):
@@ -245,8 +245,7 @@ class BoundedOperator:
 
     def is_unitary(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         """``|u*u - I| <= tol.for_scale(1)`` for this operator u."""
-        return norm_at_most(adjoint(self.matrix) @ self.matrix - np.eye(self.dim),
-                            tol.for_scale(1.0))
+        return within_scale(adjoint(self.matrix) @ self.matrix - np.eye(self.dim), 1.0, tol)
 
     def __repr__(self):
         return f"BoundedOperator(dim={self.dim})"

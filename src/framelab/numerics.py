@@ -29,7 +29,6 @@ __all__ = [
     "row_sq_norms",
     "last_axis_norms",
     "operator_norm",
-    "norm_at_most",
     "within_scale",
     "is_hermitian",
     "hermitian_eig",
@@ -225,43 +224,43 @@ def _norm_bracket(m: np.ndarray) -> tuple:
     return s, s
 
 
-def norm_at_most(m, t: float) -> bool:
-    """``operator_norm(m) <= t``, with an SVD only when |m|_F cannot decide it."""
-    m = as_matrix(m)
-    lo, hi = _norm_bracket(m)
-    if hi <= t:
+def within_scale(d, m, tol: ToleranceProfile) -> bool:
+    """``|d| <= tol.for_scale(|m|)``, a 2-D array standing for its operator norm
+    and a number for itself.  The SVD of d, then of m, runs only where the Frobenius
+    brackets cannot decide, so the verdict is the SVD's; ``for_scale`` is nondecreasing."""
+    d_lo, d_hi = _norm_bracket(d) if isinstance(d, np.ndarray) else (d, d)
+    m_lo, m_hi = _norm_bracket(m) if isinstance(m, np.ndarray) else (m, m)
+    if d_lo < d_hi:
+        if d_hi <= tol.for_scale(m_lo):
+            return True
+        if d_lo > tol.for_scale(m_hi):
+            return False
+        d_hi = operator_norm(d)
+    if d_hi <= tol.for_scale(m_lo):
         return True
-    if lo > t:
+    if not d_hi <= tol.for_scale(m_hi):  # also a NaN d, never within
         return False
-    return operator_norm(m) <= t
-
-
-def within_scale(value: float, m, tol: ToleranceProfile) -> bool:
-    """``value <= tol.for_scale(operator_norm(m))``, with an SVD only when the
-    Frobenius bracket of |m| cannot decide it; ``for_scale`` is nondecreasing."""
-    m = as_matrix(m)
-    lo, hi = _norm_bracket(m)
-    if value <= tol.for_scale(lo):
-        return True
-    if value > tol.for_scale(hi):
-        return False
-    return value <= tol.for_scale(operator_norm(m))
+    return d_hi <= tol.for_scale(operator_norm(m))
 
 
 def is_hermitian(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """``|m - m*| <= tol.for_scale(|m|)``, an SVD of m - m* only when its bracket straddles."""
+    """``|m - m*| <= tol.for_scale(|m|)`` for a square ``m``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     if m.size == 0:
         return True
-    d = m - adjoint(m)
-    lo, hi = _norm_bracket(d)
-    if within_scale(hi, m, tol):
-        return True
-    if not within_scale(lo, m, tol):
-        return False
-    return within_scale(operator_norm(d), m, tol)
+    return within_scale(m - adjoint(m), m, tol)
+
+
+def _hermitian_part(m: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """``(m + m*) / 2``, which keeps roundoff-level asymmetry out of an eigensolver,
+    of a validated ``m`` that is square and Hermitian within ``tol``."""
+    if m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"square matrix required, got {m.shape}")
+    if not is_hermitian(m, tol):
+        raise PreconditionError("matrix is not Hermitian within tolerance")
+    return (m + adjoint(m)) / 2.0
 
 
 def hermitian_eig(m, tol: ToleranceProfile = DEFAULT_TOL):
@@ -270,15 +269,7 @@ def hermitian_eig(m, tol: ToleranceProfile = DEFAULT_TOL):
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and orthonormal
     eigenvector columns ``v``.  Rejects non-square or non-Hermitian input.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"square matrix required, got {m.shape}")
-    if not is_hermitian(m, tol):
-        raise PreconditionError("matrix is not Hermitian within tolerance")
-    # Symmetrize so roundoff-level asymmetry cannot leak into the solve.
-    h = (m + adjoint(m)) / 2.0
-    w, v = np.linalg.eigh(h)
-    return w, v
+    return np.linalg.eigh(_hermitian_part(as_matrix(m), tol))
 
 
 def significant_rank(s: np.ndarray, tol: ToleranceProfile) -> int:
@@ -335,16 +326,11 @@ def orthonormalize(columns, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 def psd_check(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian and its spectrum clears the PSD floor."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"square matrix required, got {m.shape}")
-    if m.size == 0:
+    h = _hermitian_part(as_matrix(m), tol)
+    if h.size == 0:
         return True
-    if not is_hermitian(m, tol):
-        raise PreconditionError("matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    return bool(w.min() >= tol.psd_floor(norm))
+    w = np.linalg.eigvalsh(h)
+    return bool(w.min() >= tol.psd_floor(float(np.max(np.abs(w)))))
 
 
 @dataclass(frozen=True)
@@ -413,14 +399,15 @@ def unit_probes(dim: int, count: int, *, complex_field: bool = False, seed: int 
     """
     if dim <= 0:
         raise InputError("dim must be positive")
+    if count < 0:
+        raise InputError(f"probe count must be nonnegative, got {count}")
     dtype = np.complex128 if complex_field else np.float64
     probes = [np.eye(dim, dtype=dtype)]
-    extra = max(0, count)
-    if extra:
+    if count:
         rng = np.random.Generator(np.random.PCG64(seed))
-        block = rng.standard_normal((extra, dim))
+        block = rng.standard_normal((count, dim))
         if complex_field:
-            block = block + 1j * rng.standard_normal((extra, dim))
+            block = block + 1j * rng.standard_normal((count, dim))
         norms = np.linalg.norm(block, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         probes.append((block / norms).astype(dtype))

@@ -275,12 +275,24 @@ def test_tolerance_flag_and_env(repo_cwd):
     _, out = run_cli(["--tol-rel", "1e-5", "analyze", fix_i, "--k", "k"],
                      env={"FRAMELAB_TOL_REL": "1e-6"})
     assert json.loads(out)["tolerance"]["tau_rel"] == 1e-5
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        code, _ = run_cli(["analyze", fix_i, "--k", "k"],
-                          env={"FRAMELAB_TOL_REL": "banana"})
-    assert code == 2
-    assert "FRAMELAB_TOL_REL" in stderr.getvalue()
+    # an invalid tolerance is one input-error report, with no profile in it
+    for argv, env, named in ((["analyze", fix_i], {"FRAMELAB_TOL_REL": "banana"},
+                              "FRAMELAB_TOL_REL"),
+                             (["--tol-abs", "-1", "analyze", fix_i], None, "tau_abs"),
+                             (["--tol-abs", "nan", "analyze", fix_i], None, "tau_abs")):
+        code, out = run_cli(argv, env=env)
+        report = json.loads(out)
+        assert code == report["exit_code"] == 2, out
+        assert named in report["error"]
+        assert report["tolerance"] is None
+
+
+def test_a_negative_trial_count_is_one_input_error(repo_cwd):
+    code, out = run_cli(["identities", "src/framelab/fixtures/fix_i.json", "--trials", "-5"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2, out
+    assert "probes" not in report
+    assert "-5" in report["error"]
 
 
 def test_human_rendering(repo_cwd):

