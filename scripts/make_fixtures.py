@@ -339,7 +339,14 @@ def build_cli_documents():
                         operators=base.operators,
                         meta={"name": "FIX-I-bad-dual"})
     (cli_dir / "bad_dual_fix_i.json").write_text(dumps(bad), encoding="utf-8")
-    print("  cli documents: theta_fix_i_c11, bad_dual_fix_i")
+
+    # one member seeing only e1: ran(k) = R^2 is not inside ran(T), so no dual exists
+    not_a_frame = FrameDocument(field="real", dim=2, weights=[1.0], subspaces=[[[1, 0]]],
+                                local_operators=[[[1, 0]]],
+                                operators={"k": [[1, 0], [0, 1]]},
+                                meta={"name": "not-a-frame"})
+    (cli_dir / "not_a_frame.json").write_text(dumps(not_a_frame), encoding="utf-8")
+    print("  cli documents: theta_fix_i_c11, bad_dual_fix_i, not_a_frame")
 
 
 CLI_CASES = [
@@ -384,6 +391,22 @@ CLI_CASES = [
      "exit_code": 1},
     {"name": "gen_fix_i",
      "argv": ["gen", "--fixture", "FIX-I", "--out", "build/gen_check"],
+     "exit_code": 0},
+    {"name": "identities_fix_a",
+     "argv": ["identities", "src/framelab/fixtures/fix_a.json", "--trials", "5"],
+     "exit_code": 0},
+    {"name": "identities_fix_r000",
+     "argv": ["identities", "src/framelab/fixtures/fix_r000.json", "--trials", "5"],
+     "exit_code": 0},
+    {"name": "identities_not_a_frame",
+     "argv": ["identities", "tests/data/cli/not_a_frame.json", "--trials", "5"],
+     "exit_code": 1},
+    {"name": "dual_q_fix_r003",
+     "argv": ["dual", "src/framelab/fixtures/fix_r003.json", "--method", "q"],
+     "exit_code": 0},
+    {"name": "dual_canonical_fix_r000_out",
+     "argv": ["dual", "src/framelab/fixtures/fix_r000.json", "--method", "canonical",
+              "--out", "build/gen_check/dual_fix_r000.json"],
      "exit_code": 0},
 ]
 
