@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import documents
-from .frame_ops import FrameBounds, subset_masks, verify_k_g_fusion
+from .frame_ops import FrameBounds, verify_k_g_fusion
 from .model import (
     BoundedOperator,
     GFusionSystem,
@@ -36,8 +36,6 @@ from .numerics import (
     PreconditionError,
     ToleranceProfile,
     orthonormalize,
-    unit_probes,
-    within_scale,
 )
 
 __all__ = ["main", "build_parser"]
@@ -150,10 +148,6 @@ def cmd_analyze(args, tol):
     return (0 if ok else 1), body
 
 
-def _write_dual_document(pair_dual, k, out_path, meta):
-    documents.save_document(documents.from_system(pair_dual, {"k": k}, meta), out_path)
-
-
 def cmd_dual(args, tol):
     from . import duality
 
@@ -164,15 +158,10 @@ def cmd_dual(args, tol):
         try:
             pair = duality.construct_q_dual(system, k, tol)
         except DualConstructionError as exc:
-            body = {
-                "method": "q",
-                "certified": False,
-                "reading_residuals": {name: float(v) for name, v in exc.residuals.items()},
-                "error": str(exc),
-            }
-            return 1, body
-        corollary = duality.qdual_bound_corollary(pair, tol)
-        forms, dual_frame = corollary.coupling, corollary.dual_report
+            return 1, {"method": "q", "certified": False, "error": str(exc),
+                       "reading_residuals": {n: float(v) for n, v in exc.residuals.items()}}
+        report = duality.qdual_bound_corollary(pair, tol)
+        forms = report.coupling
         body = {
             "method": "q",
             "certified": bool(forms.passed),
@@ -184,52 +173,37 @@ def cmd_dual(args, tol):
                 "adjoint": float(forms.adjoint_residual),
                 "bilinear": float(forms.bilinear_residual),
             },
-            "coupling_norm": float(corollary.q_norm),
-            "dual_frame": _frame_section(dual_frame),
+            "coupling_norm": float(report.q_norm),
+            "dual_frame": _frame_section(report.dual_report),
             "corollary": {
-                "dual_lower": float(corollary.dual_lower),
-                "dual_upper": float(corollary.dual_upper),
-                "lower_floor": float(corollary.lower_floor),
-                "upper_floor": float(corollary.upper_floor),
-                "lower_ok": bool(corollary.lower_ok),
-                "upper_ok": bool(corollary.upper_ok),
+                "dual_lower": float(report.dual_lower),
+                "dual_upper": float(report.dual_upper),
+                "lower_floor": float(report.lower_floor),
+                "upper_floor": float(report.upper_floor),
+                "lower_ok": bool(report.lower_ok),
+                "upper_ok": bool(report.upper_ok),
             },
         }
-        ok = (forms.passed and dual_frame.is_frame
-              and corollary.lower_ok and corollary.upper_ok)
-        if args.out:
-            _write_dual_document(pair.dual, k, args.out,
-                                 {"kind": "q-dual", "reading": pair.reading})
-            body["written"] = args.out
-        return (0 if ok else 1), body
-    pair = duality.canonical_dual(system, k, tol)
-    report = duality.verify_kgf_dual(pair, tol)
-    body = {
-        "method": "canonical",
-        "exploratory": bool(pair.exploratory),
-        "probe_residual": float(report.probe_residual),
-        "operator_residual": float(report.operator_residual),
-        "certified": bool(report.passed),
-    }
-    if report.dual_report is not None:
-        body["dual_frame"] = _frame_section(report.dual_report)
-        body["certified_lower"] = float(report.certified_lower)
-        body["certified_lower_ok"] = bool(report.certified_lower_ok)
+        meta = {"kind": "q-dual", "reading": pair.reading}
+    else:
+        pair = duality.canonical_dual(system, k, tol)
+        report = duality.verify_kgf_dual(pair, tol)
+        body = {
+            "method": "canonical",
+            "exploratory": bool(pair.exploratory),
+            "probe_residual": float(report.probe_residual),
+            "operator_residual": float(report.operator_residual),
+            "certified": bool(report.certified),
+        }
+        if report.dual_report is not None:
+            body["dual_frame"] = _frame_section(report.dual_report)
+            body["certified_lower"] = float(report.certified_lower)
+            body["certified_lower_ok"] = bool(report.certified_lower_ok)
+        meta = {"kind": "canonical-dual", "exploratory": bool(pair.exploratory)}
     if args.out:
-        _write_dual_document(pair.dual, k, args.out,
-                             {"kind": "canonical-dual",
-                              "exploratory": bool(pair.exploratory)})
+        documents.save_document(documents.from_system(pair.dual, {"k": k}, meta), args.out)
         body["written"] = args.out
-    if pair.exploratory:
-        return 0, body
-    ok = report.passed and report.dual_report is not None \
-        and report.dual_report.is_frame and bool(report.certified_lower_ok)
-    return (0 if ok else 1), body
-
-
-def _identity_probes(system, trials: int) -> np.ndarray:
-    return unit_probes(system.dim, trials,
-                       complex_field=system.space.field == "complex", seed=0x1DE7)
+    return (0 if report.passed else 1), body
 
 
 def cmd_identities(args, tol):
@@ -243,79 +217,11 @@ def cmd_identities(args, tol):
         notes.append("substituted k := S^(1/2); identity checks run against it")
     else:
         k = _operator(operators, args.k)
-    probes = _identity_probes(system, args.trials)
-    # the empty set, then the nonempty subsets perturb tests, in its order
-    masks = np.vstack([np.zeros((1, system.size), dtype=bool),
-                       subset_masks(system.size)])
-    body = {"notes": notes, "subsets_tested": int(masks.shape[0]),
-            "probes": int(probes.shape[0])}
-    all_ok = True
-
-    pair = None
-    if args.dual:
-        dual_system, _ = documents.to_system(documents.load_document(args.dual))
-        pair = duality.KGFDualPair(system, dual_system, k)
-        source = {"source": "document"}
-    else:
-        try:
-            pair = duality.canonical_dual(system, k, tol)
-            source = {"source": "canonical", "exploratory": bool(pair.exploratory)}
-        except PreconditionError as exc:
-            notes.append(f"no dual: {exc}")
-            all_ok = False
-    if pair is not None:
-        report = duality.verify_kgf_dual(pair, tol)
-        body["dual"] = dict(source, operator_residual=float(report.operator_residual),
-                            probe_residual=float(report.probe_residual),
-                            certified=bool(report.passed))
-        if pair.exploratory:
-            notes.append("rank-deficient target: dual is exploratory; "
-                         "subset identity checks skipped")
-            pair = None
-        elif not report.passed:
-            all_ok = False
-            pair = None
-
-    if pair is not None:
-        sweep = duality.dual_subset_sweep(pair, masks, probes, tol)
-        ok = bool(sweep.identity.passed.all())
-        worst_complement = float(sweep.complement_residual.max())
-        complement_ok = within_scale(worst_complement, k.norm, tol)
-        body["dual_subset_identity"] = {
-            "max_residual": float(sweep.identity.residual.max()),
-            "passed": ok,
-        }
-        body["complement_identity"] = {
-            "max_residual": float(worst_complement),
-            "passed": bool(complement_ok),
-        }
-        all_ok = all_ok and ok and complement_ok
-
-    report = verify_k_g_fusion(system, k, tol=tol)
-    body["parseval_defect"] = float(report.parseval_residual)
-    if report.is_parseval:
-        # extensions of each I: the empty set, I^c, and the first member of I^c
-        comp = ~masks
-        first = comp & (np.cumsum(comp, axis=1) == 1)
-        extensions = np.stack([np.zeros_like(masks), comp, first], axis=1)
-        sweep = duality.parseval_subset_sweep(system, k, masks, extensions, probes, tol)
-        ti_ok = bool(sweep.identity.passed.all())
-        tq = sweep.three_quarters
-        tq_ok = bool(tq.passed.all())
-        body["parseval_subset_identity"] = {
-            "max_residual": float(sweep.identity.residual.max()),
-            "passed": ti_ok,
-        }
-        body["three_quarters_bound"] = {
-            "min_slack": float(tq.slack.min()),
-            "max_symmetry_residual": float(tq.symmetry_residual.max()),
-            "passed": tq_ok,
-        }
-        all_ok = all_ok and ti_ok and tq_ok
-    else:
-        notes.append("system is not Parseval for the target; Parseval identity "
-                     "checks skipped (use --parsevalize)")
-    return (0 if all_ok else 1), body
+    dual = documents.to_system(documents.load_document(args.dual))[0] if args.dual else None
+    report = duality.identities_report(system, k, args.trials, dual, tol=tol)
+    body = {"notes": notes + report.notes, "subsets_tested": report.subsets_tested,
+            "probes": report.probes, **report.checks}
+    return (0 if report.passed else 1), body
 
 
 def cmd_perturb(args, tol):
@@ -332,10 +238,6 @@ def cmd_perturb(args, tol):
         raise InputError(
             f"perturbed document is over a {theta_doc.field} space of dim "
             f"{theta_doc.dim}, expected {doc.field} of dim {doc.dim}")
-    if len(theta_doc.local_operators) != system.size:
-        raise InputError(
-            f"perturbed document has {len(theta_doc.local_operators)} local "
-            f"operators, expected {system.size}")
     theta = system.with_local_operators(theta_doc.local_operators)
     verdict = perturbation.perturb_hypothesis(system, theta, k, params, tol)
     body = {
@@ -387,11 +289,8 @@ def _spec_document(tokens, seed: int) -> documents.FrameDocument:
         raise InputError("ambient dimension must be positive")
     shapes = []
     for token in tokens[1:]:
-        parts = token.lower().split("x")
-        if len(parts) != 2:
-            raise InputError(f"member shape must look like MxD, got {token!r}")
         try:
-            m, d = int(parts[0]), int(parts[1])
+            m, d = (int(part) for part in token.lower().split("x"))
         except ValueError as exc:
             raise InputError(f"member shape must look like MxD, got {token!r}") from exc
         if not (1 <= m <= dim) or d < 1:

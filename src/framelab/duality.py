@@ -25,6 +25,7 @@ from .frame_ops import (
     optimal_bounds,
     restricted_inverse,
     subset_frame_operators,
+    subset_masks,
     verify_k_g_fusion,
 )
 from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace, _read_only
@@ -72,6 +73,8 @@ __all__ = [
     "ParsevalSubsetSweep",
     "parseval_subset_sweep",
     "parsevalize",
+    "IdentitiesReport",
+    "identities_report",
 ]
 
 
@@ -219,6 +222,11 @@ class QDualBoundReport:
     coupling: QDualReport
     dual_report: FrameReport
 
+    @property
+    def passed(self) -> bool:
+        """The dual is a k*-frame and both bounds clear their floors."""
+        return self.dual_report.is_frame and self.lower_ok and self.upper_ok
+
 
 def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> QDualBoundReport:
     """The bound corollary for a certified Q-dual pair."""
@@ -321,15 +329,22 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
 
 @dataclass
 class KGFDualReport:
-    """Operator-level verdict on a reconstruction dual, plus the k*-frame facts."""
+    """Operator-level verdict (``certified``) on a reconstruction dual, plus the k*-frame facts."""
 
     operator_residual: float
     probe_residual: float
-    passed: bool
+    certified: bool
     exploratory: bool
     dual_report: FrameReport | None = None
     certified_lower: float | None = None
     certified_lower_ok: bool | None = None
+
+    @property
+    def passed(self) -> bool:
+        """Exploratory (its residuals are only recorded), or certified with a
+        k*-frame dual whose lower bound 1/B holds."""
+        return self.exploratory or bool(self.certified and self.dual_report.is_frame
+                                        and self.certified_lower_ok)
 
 
 def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> KGFDualReport:
@@ -339,9 +354,9 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> K
     frame for k* with lower bound 1/B, B the base optimal upper bound.
     """
     operator_residual = pair.coupling_defect
-    passed = within_scale(operator_residual, pair.k.norm, tol)
-    report = KGFDualReport(float(operator_residual), pair.residual, bool(passed), pair.exploratory)
-    if passed:
+    certified = bool(within_scale(operator_residual, pair.k.norm, tol))
+    report = KGFDualReport(float(operator_residual), pair.residual, certified, pair.exploratory)
+    if certified:
         base_upper = optimal_bounds(pair.base, pair.k, tol).upper
         report.dual_report = verify_k_g_fusion(pair.dual, pair.k.adjoint(), tol=tol)
         report.certified_lower = 1.0 / base_upper
@@ -624,3 +639,87 @@ def parsevalize(system: GFusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> B
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ adjoint(v)
     return BoundedOperator(root)
+
+
+@dataclass
+class IdentitiesReport:
+    """The subset identity checks of one system and target, and their verdict.
+
+    ``checks`` maps each check that ran to its summary: the dual pair, the
+    Parseval defect, and each identity's worst residual or slack with its
+    verdict.  ``notes`` says why a check was skipped.
+    """
+
+    subsets_tested: int
+    probes: int
+    notes: list
+    checks: dict
+    passed: bool
+
+
+def identities_report(system: GFusionSystem, k: BoundedOperator, trials: int,
+                      dual: GFusionSystem | None = None, *,
+                      tol: ToleranceProfile) -> IdentitiesReport:
+    """Check the dual and Parseval subset identities on every swept subset.
+
+    The subsets are the empty set plus :func:`subset_masks`, the probes the
+    standard basis plus ``trials`` seeded ones.  The dual is ``dual`` when
+    given, the canonical dual otherwise; its subset and complement identities
+    run when it is certified and not exploratory.  The Parseval extension
+    identity and the 3/4 bound run when the system is Parseval for k.  The
+    report passes when the dual is exploratory or certified and every
+    identity that ran holds.
+    """
+    probes = unit_probes(system.dim, trials,
+                         complex_field=system.space.field == "complex", seed=0x1DE7)
+    # the empty set, then the nonempty subsets perturb tests, in its order
+    masks = np.vstack([np.zeros((1, system.size), dtype=bool), subset_masks(system.size)])
+    notes, checks, passed = [], {}, False
+    try:
+        pair = KGFDualPair(system, dual, k) if dual is not None else canonical_dual(system, k, tol)
+    except PreconditionError as exc:
+        pair = None
+        notes.append(f"no dual: {exc}")
+    if pair is not None:
+        report = verify_kgf_dual(pair, tol)
+        source = ({"source": "document"} if dual is not None
+                  else {"source": "canonical", "exploratory": bool(pair.exploratory)})
+        checks["dual"] = dict(source, operator_residual=float(report.operator_residual),
+                              probe_residual=float(report.probe_residual),
+                              certified=report.certified)
+        passed = pair.exploratory or report.certified
+    if pair is not None and pair.exploratory:
+        notes.append("rank-deficient target: dual is exploratory; "
+                     "subset identity checks skipped")
+    elif pair is not None and report.certified:
+        sweep = dual_subset_sweep(pair, masks, probes, tol)
+        ok = bool(sweep.identity.passed.all())
+        worst_complement = float(sweep.complement_residual.max())
+        complement_ok = bool(within_scale(worst_complement, k.norm, tol))
+        checks["dual_subset_identity"] = {
+            "max_residual": float(sweep.identity.residual.max()), "passed": ok}
+        checks["complement_identity"] = {"max_residual": worst_complement,
+                                         "passed": complement_ok}
+        passed = ok and complement_ok
+
+    frame = verify_k_g_fusion(system, k, tol=tol)
+    checks["parseval_defect"] = float(frame.parseval_residual)
+    if frame.is_parseval:
+        # extensions of each I: the empty set, I^c, and the first member of I^c
+        comp = ~masks
+        first = comp & (np.cumsum(comp, axis=1) == 1)
+        extensions = np.stack([np.zeros_like(masks), comp, first], axis=1)
+        sweep = parseval_subset_sweep(system, k, masks, extensions, probes, tol)
+        ti_ok, tq = bool(sweep.identity.passed.all()), sweep.three_quarters
+        tq_ok = bool(tq.passed.all())
+        checks["parseval_subset_identity"] = {
+            "max_residual": float(sweep.identity.residual.max()), "passed": ti_ok}
+        checks["three_quarters_bound"] = {
+            "min_slack": float(tq.slack.min()),
+            "max_symmetry_residual": float(tq.symmetry_residual.max()), "passed": tq_ok}
+        passed = passed and ti_ok and tq_ok
+    else:
+        notes.append("system is not Parseval for the target; Parseval identity "
+                     "checks skipped (use --parsevalize)")
+    return IdentitiesReport(int(masks.shape[0]), int(probes.shape[0]), notes, checks,
+                            bool(passed))

@@ -24,6 +24,7 @@ from .numerics import (
     NotAFrameError,
     ToleranceProfile,
     adjoint,
+    as_matrix,
     douglas_factor,
     inner,
     operator_norm,
@@ -387,7 +388,7 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     ``f`` is projected onto S(ran k) first when it does not already lie there;
     the report says whether that happened.
     """
-    f = np.asarray(f).reshape(-1)
+    f = as_matrix(np.atleast_2d(f), "probe vector").reshape(-1)
     if f.shape[0] != system.dim:
         raise InputError("probe vector has wrong dimension")
     ri = restricted_inverse(system, k, tol)

@@ -240,6 +240,12 @@ def test_reconstruction_check(fix_i):
     assert report.residual <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reconstruction_check_rejects_a_non_finite_probe(fix_i, bad):
+    with pytest.raises(InputError, match="probe vector contains non-finite entries"):
+        reconstruction_check(fix_i.system, fix_i.operators["k"], [bad, 0.0])
+
+
 def test_cross_frame_shared_bounds(fix_i):
     k = fix_i.operators["k"]
     report = cross_frame_check(fix_i.system, fix_i.system, k)

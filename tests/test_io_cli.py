@@ -11,7 +11,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import InputError, cli, duality, frame_ops, oracle, perturbation
+from framelab import (
+    DEFAULT_TOL,
+    DualConstructionError,
+    InputError,
+    PreconditionError,
+    cli,
+    duality,
+    frame_ops,
+    oracle,
+    perturbation,
+)
 from framelab.frame_ops import frame_operator
 from framelab.cli import main
 from framelab.documents import (
@@ -339,6 +349,15 @@ def test_gen_rejects_a_negative_seed(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("token", ["2", "2x2x1", "2x", "ax2", "2*2"])
+def test_gen_rejects_a_malformed_member_shape(tmp_path, token):
+    code, out = run_cli(["gen", "--spec", "3", token, "--out", str(tmp_path)])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert report["error"] == f"member shape must look like MxD, got {token!r}"
+    assert not any(tmp_path.iterdir())
+
+
 def test_perturb_require_hypothesis_gate(repo_cwd):
     argv = ["perturb", "src/framelab/fixtures/fix_i.json",
             "--theta", "tests/data/cli/theta_fix_i_c11.json",
@@ -379,6 +398,57 @@ def test_perturb_refuses_a_theta_over_another_space(tmp_path):
         report = json.loads(out)
         assert "hypothesis" not in report
         assert "perturbed document is over a" in report["error"]
+
+
+def test_perturb_refuses_a_theta_with_another_member_count(repo_cwd, tmp_path):
+    base = load_document("src/framelab/fixtures/fix_i.json")
+    theta_path = tmp_path / "theta_one_member.json"
+    save_document(FrameDocument(base.field, base.dim, base.weights[:1], base.subspaces[:1],
+                                base.local_operators[:1]), theta_path)
+    code, out = run_cli(["perturb", "src/framelab/fixtures/fix_i.json", "--theta",
+                         str(theta_path), "--mode", "T-sqsum", "--R", "0.05"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert "hypothesis" not in report
+    assert "expected 2 local operators, got 1" in report["error"]
+
+
+FIXTURE_PATHS = [f"src/framelab/fixtures/{name.lower().replace('-', '_')}.json"
+                 for name in packaged_fixture_names()]
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS + ["tests/data/cli/not_a_frame.json"])
+def test_the_library_reports_give_the_cli_verdicts(repo_cwd, path):
+    system, operators = to_system(load_document(path))
+    k = operators["k"]
+
+    def exit_code(passed):
+        return 0 if passed else 1
+
+    for flags, target in (([], k), (["--parsevalize"], duality.parsevalize(system))):
+        report = duality.identities_report(system, target, 3, tol=DEFAULT_TOL)
+        assert run_cli(["identities", path, "--trials", "3", *flags])[0] \
+            == exit_code(report.passed), flags
+    try:
+        pair = duality.canonical_dual(system, k)
+        passed = duality.verify_kgf_dual(pair).passed
+        assert passed or not pair.exploratory
+    except PreconditionError:
+        passed = False
+    assert run_cli(["dual", path, "--method", "canonical"])[0] == exit_code(passed)
+    try:
+        passed = duality.qdual_bound_corollary(duality.construct_q_dual(system, k)).passed
+    except (PreconditionError, DualConstructionError):
+        passed = False
+    assert run_cli(["dual", path, "--method", "q"])[0] == exit_code(passed)
+
+
+def test_the_identities_report_fails_an_uncertified_document_dual(repo_cwd):
+    system, operators = to_system(load_document("src/framelab/fixtures/fix_i.json"))
+    dual, _ = to_system(load_document("tests/data/cli/bad_dual_fix_i.json"))
+    report = duality.identities_report(system, operators["k"], 5, dual, tol=DEFAULT_TOL)
+    assert not report.passed and not report.checks["dual"]["certified"]
+    assert run_cli(pinned_case("identities_bad_dual")["argv"])[0] == 1
 
 
 def test_perturb_searches_once_per_job(repo_cwd, monkeypatch):
