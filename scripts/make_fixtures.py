@@ -408,6 +408,29 @@ CLI_CASES = [
      "argv": ["dual", "src/framelab/fixtures/fix_r000.json", "--method", "canonical",
               "--out", "build/gen_check/dual_fix_r000.json"],
      "exit_code": 0},
+    {"name": "perturb_cp2_falsified_not_required",
+     "argv": ["perturb", "src/framelab/fixtures/fix_i.json",
+              "--theta", "tests/data/cli/theta_fix_i_c11.json",
+              "--mode", "C-p2-normsum", "--R", "0.2"],
+     "exit_code": 0},
+    {"name": "perturb_variant_kstar_fix_i",
+     "argv": ["perturb", "src/framelab/fixtures/fix_i.json",
+              "--theta", "tests/data/cli/theta_fix_i_c11.json",
+              "--mode", "P-variant-kstar", "--lambda1", "0.2", "--lambda2", "0.2",
+              "--gamma", "0.1"],
+     "exit_code": 0},
+    {"name": "perturb_cp2_inadmissible",
+     "argv": ["perturb", "src/framelab/fixtures/fix_i.json",
+              "--theta", "tests/data/cli/theta_fix_i_c11.json",
+              "--mode", "C-p2-normsum", "--R", "5"],
+     "exit_code": 0},
+    {"name": "analyze_fix_a_claimed_fails",
+     "argv": ["analyze", "src/framelab/fixtures/fix_a.json",
+              "--k", "k", "--bounds", "0.9", "1.0"],
+     "exit_code": 1},
+    {"name": "analyze_not_a_frame",
+     "argv": ["analyze", "tests/data/cli/not_a_frame.json"],
+     "exit_code": 1},
 ]
 
 

@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -244,6 +245,9 @@ def test_gen_spec_systems_are_valid_and_deterministic(tmp_path):
              "--out", str(other)])
     second = (other / os.path.basename(written[0])).read_text(encoding="utf-8")
     assert first == second
+    # the generator's bits are pinned, not only its determinism
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == (
+        "3ce3d526c13ab572a8420b366a4714467899f3687738205ab1df1f70a57717af")
     doc = load_document(tmp_path / os.path.basename(written[0]))
     system, operators = to_system(doc)
     assert operators["k"].is_invertible()
