@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "perturbation": (
         "HypothesisVerdict", "PerturbationMode", "PerturbationParams",
-        "paley_wiener_check", "perturb_hypothesis", "predicted_bounds",
+        "paley_wiener_check", "perturb_hypothesis", "perturb_report", "predicted_bounds",
         "variant_gamma_readings", "verify_perturbation_theorem",
     ),
 }

@@ -1,11 +1,13 @@
 """Batch front end: analyze documents, build duals, check identities.
 
-Every command prints one report to stdout.  The default rendering is
-canonical JSON (sorted keys, 17 significant digits, trailing newline) so a
-report is byte-reproducible; ``--human`` switches to flat ``key: value``
-lines without changing any verdict or the exit code.  Exit codes: 0 when all
-asserted checks pass, 1 when a check fails, 2 on input or parse errors and
-on an output path that cannot be written.
+Each command parses, loads its documents, calls one library function and
+prints the report it returns.  The default rendering is canonical JSON
+(sorted keys, 17 significant digits, trailing newline) so a report is
+byte-reproducible; ``--human`` switches to flat ``key: value`` lines without
+changing any verdict or the exit code.  Exit codes: 0 when the report
+passes, 1 when it fails or ``perturb --require-hypothesis`` meets a
+falsified hypothesis, 2 on input or parse errors and on an output path that
+cannot be written.
 
 A command imports the modules only it runs (duality, perturbation, oracle)
 when it runs, so a one-off call loads no more of the package than it uses.
@@ -17,17 +19,8 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import documents
 from .frame_ops import FrameBounds, verify_k_g_fusion
-from .model import (
-    BoundedOperator,
-    GFusionSystem,
-    HilbertSpace,
-    LocalOperator,
-    WeightedSubspace,
-)
 from .numerics import (
     DEFAULT_TOL,
     DualConstructionError,
@@ -35,7 +28,6 @@ from .numerics import (
     InternalConsistencyError,
     PreconditionError,
     ToleranceProfile,
-    orthonormalize,
 )
 
 __all__ = ["main", "build_parser"]
@@ -52,24 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--human", action="store_true",
                         help="flat key: value output instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the document and target operator every command but gen reads
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("path")
+    target.add_argument("--k", default="k", help="name of the target operator (default k)")
 
-    p = sub.add_parser("analyze", help="verify frame inequalities and optimal bounds")
-    p.add_argument("path")
-    p.add_argument("--k", default="k", help="name of the target operator (default k)")
+    p = sub.add_parser("analyze", parents=[target],
+                       help="verify frame inequalities and optimal bounds")
     p.add_argument("--bounds", nargs=2, type=float, metavar=("A", "B"),
                    help="claimed bounds to verify")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("dual", help="construct and verify a dual system")
-    p.add_argument("path")
-    p.add_argument("--k", default="k")
+    p = sub.add_parser("dual", parents=[target], help="construct and verify a dual system")
     p.add_argument("--method", choices=("q", "canonical"), default="q")
     p.add_argument("--out", help="write the constructed dual as a document")
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("identities", help="check subset identity theorems")
-    p.add_argument("path")
-    p.add_argument("--k", default="k")
+    p = sub.add_parser("identities", parents=[target], help="check subset identity theorems")
     p.add_argument("--dual", help="document holding a candidate dual system")
     p.add_argument("--trials", type=int, default=20,
                    help="random probes per check beyond the standard basis")
@@ -77,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="substitute k := S^(1/2) so the system is Parseval")
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("perturb", help="perturbation hypothesis and conclusion checks")
-    p.add_argument("path")
+    p = sub.add_parser("perturb", parents=[target],
+                       help="perturbation hypothesis and conclusion checks")
     p.add_argument("--theta", required=True,
                    help="document whose local operators are the perturbed family")
-    p.add_argument("--k", default="k")
     p.add_argument("--mode", required=True,
                    help="hypothesis shape; an unknown name is reported with the known ones")
     p.add_argument("--lambda1", type=float, default=0.0)
@@ -103,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bounds_dict(bounds) -> dict:
-    return {"lower": float(bounds.lower), "upper": float(bounds.upper)}
+def _bounds_dict(bounds) -> dict | None:
+    return None if bounds is None else {"lower": bounds.lower, "upper": bounds.upper}
 
 
-def _operator(operators: dict, name: str) -> BoundedOperator:
+def _operator(operators: dict, name: str):
     if name not in operators:
         raise InputError(
             f"document has no operator named {name!r}; available: {sorted(operators)}")
@@ -144,15 +134,13 @@ def cmd_analyze(args, tol):
                if isinstance(r, dict) and r.get("operator") == args.k]
     if records:
         body["discrepancies"] = records
-    ok = report.is_frame and (claimed is None or report.claimed_valid)
-    return (0 if ok else 1), body
+    return (0 if report.passed else 1), body
 
 
 def cmd_dual(args, tol):
     from . import duality
 
-    doc = documents.load_document(args.path)
-    system, operators = documents.to_system(doc)
+    system, operators = documents.to_system(documents.load_document(args.path))
     k = _operator(operators, args.k)
     if args.method == "q":
         try:
@@ -209,8 +197,7 @@ def cmd_dual(args, tol):
 def cmd_identities(args, tol):
     from . import duality
 
-    doc = documents.load_document(args.path)
-    system, operators = documents.to_system(doc)
+    system, operators = documents.to_system(documents.load_document(args.path))
     notes = []
     if args.parsevalize:
         k = duality.parsevalize(system, tol)
@@ -238,81 +225,27 @@ def cmd_perturb(args, tol):
         raise InputError(
             f"perturbed document is over a {theta_doc.field} space of dim "
             f"{theta_doc.dim}, expected {doc.field} of dim {doc.dim}")
-    theta = system.with_local_operators(theta_doc.local_operators)
-    verdict = perturbation.perturb_hypothesis(system, theta, k, params, tol)
+    report = perturbation.perturb_report(system, theta_doc.local_operators, k, params, tol=tol)
+    verdict, theta = report.verdict, report.theta_report
     body = {
         "mode": params.mode.value,
-        "hypothesis": {
-            "falsified": bool(verdict.falsified),
-            "worst_violation": float(verdict.worst_violation),
-            "subsets_tested": int(verdict.subsets_tested),
-            "probes_tested": int(verdict.probes_tested),
-            "worst_subset": [int(j) for j in verdict.worst_subset],
-        },
+        "hypothesis": {name: getattr(verdict, name) for name in (
+            "falsified", "worst_violation", "subsets_tested", "probes_tested", "worst_subset")},
+        "verdict": "hypothesis falsified" if verdict.falsified else "hypothesis not falsified",
+        "error": report.error,
     }
-    if verdict.falsified:
-        body["verdict"] = "hypothesis falsified"
-        return (1 if args.require_hypothesis else 0), body
-    body["verdict"] = "hypothesis not falsified"
-    try:
-        report = perturbation.verify_perturbation_theorem(
-            system, theta, k, params, tol, verdict)
-    except InternalConsistencyError as exc:
-        body["error"] = str(exc)
-        return 1, body
-    body["theta_is_frame"] = bool(report.theta_report.is_frame)
-    body["base_bounds"] = _bounds_dict(report.base_bounds)
-    if report.predicted is not None:
-        body["predicted_bounds"] = _bounds_dict(report.predicted)
-    if report.theta_bounds is not None:
-        body["theta_bounds"] = _bounds_dict(report.theta_bounds)
-        body["lower_contained"] = bool(report.lower_contained)
-        body["upper_contained"] = bool(report.upper_contained)
-    if report.hypothesis_certified is not None:
-        body["hypothesis_certified"] = bool(report.hypothesis_certified)
-    if report.gamma_readings is not None:
-        body["gamma_readings"] = report.gamma_readings
-    body["erratum_records"] = report.erratum_log
-    return (0 if report.theta_report.is_frame else 1), body
-
-
-def _spec_document(tokens, seed: int) -> documents.FrameDocument:
-    if seed < 0:
-        raise InputError(f"--seed must be a non-negative integer, got {seed}")
-    if len(tokens) < 2:
-        raise InputError("--spec needs an ambient dimension and at least one MxD shape")
-    try:
-        dim = int(tokens[0])
-    except ValueError as exc:
-        raise InputError(f"ambient dimension must be an integer, got {tokens[0]!r}") from exc
-    if dim <= 0:
-        raise InputError("ambient dimension must be positive")
-    shapes = []
-    for token in tokens[1:]:
-        try:
-            m, d = (int(part) for part in token.lower().split("x"))
-        except ValueError as exc:
-            raise InputError(f"member shape must look like MxD, got {token!r}") from exc
-        if not (1 <= m <= dim) or d < 1:
-            raise InputError(f"member shape {token!r} out of range for dim {dim}")
-        shapes.append((m, d))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    space = HilbertSpace("real", dim)
-    members = []
-    for m, d in shapes:
-        basis = orthonormalize(rng.standard_normal((dim, m)))
-        local = rng.standard_normal((d, dim))
-        weight = 0.5 + rng.random()
-        members.append((WeightedSubspace(basis, float(weight)), LocalOperator(local)))
-    system = GFusionSystem(space, tuple(members))
-    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    singulars = 0.6 + rng.random(dim)
-    k = q1 @ np.diag(singulars) @ q2
-    stem = "spec_" + "_".join([str(dim)] + [f"{m}x{d}" for m, d in shapes]) + f"_seed{seed}"
-    meta = {"name": stem, "seed": seed,
-            "spec": [str(dim)] + [f"{m}x{d}" for m, d in shapes]}
-    return documents.from_system(system, {"k": k}, meta)
+    if theta is not None:
+        body.update(theta_is_frame=theta.is_frame, erratum_records=report.erratum_log,
+                    base_bounds=_bounds_dict(report.base_bounds),
+                    predicted_bounds=_bounds_dict(report.predicted),
+                    theta_bounds=_bounds_dict(report.theta_bounds),
+                    lower_contained=report.lower_contained,
+                    upper_contained=report.upper_contained,
+                    hypothesis_certified=report.hypothesis_certified,
+                    gamma_readings=report.gamma_readings)
+    failed = not report.passed or (args.require_hypothesis and verdict.falsified)
+    # what the report does not hold (None) is left out
+    return (1 if failed else 0), {key: value for key, value in body.items() if value is not None}
 
 
 def cmd_gen(args, tol):
@@ -322,19 +255,17 @@ def cmd_gen(args, tol):
         doc = documents.load_packaged_fixture(args.fixture)
         stem = args.fixture.lower().replace("-", "_")
     else:
-        doc = _spec_document(args.spec, args.seed)
+        doc = documents.spec_document(args.spec, args.seed)
         stem = doc.meta["name"]
     documents.to_system(doc)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    doc_path = os.path.join(out_dir, stem + ".json")
+    os.makedirs(args.out, exist_ok=True)
+    doc_path = os.path.join(args.out, stem + ".json")
     documents.save_document(doc, doc_path)
-    sidecar = oracle.oracle_payload(doc)
-    sidecar_path = str(documents.oracle_sidecar_path(doc_path))
-    with open(sidecar_path, "w", encoding="utf-8") as handle:
-        handle.write(documents.canonical_json(sidecar))
+    sidecar_path = documents.oracle_sidecar_path(doc_path)
+    sidecar_path.write_text(documents.canonical_json(oracle.oracle_payload(doc)),
+                            encoding="utf-8")
     body = {
-        "written": [doc_path, sidecar_path],
+        "written": [doc_path, str(sidecar_path)],
         "members": len(doc.weights),
         "dim": doc.dim,
     }

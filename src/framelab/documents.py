@@ -29,7 +29,7 @@ from .model import (
     WeightedSubspace,
     _read_only,
 )
-from .numerics import InputError
+from .numerics import InputError, orthonormalize
 
 __all__ = [
     "FrameDocument",
@@ -40,6 +40,7 @@ __all__ = [
     "load_document",
     "to_system",
     "from_system",
+    "spec_document",
     "load_packaged_fixture",
     "packaged_fixture_names",
     "oracle_sidecar_path",
@@ -301,6 +302,43 @@ def from_system(system: GFusionSystem, operators=None, meta=None) -> FrameDocume
     return FrameDocument(system.space.field, system.dim, [sub.weight for sub in subs],
                          [sub.basis.T for sub in subs], [op.matrix for op in ops],
                          op_map, dict(meta or {}))
+
+
+def spec_document(tokens, seed: int) -> FrameDocument:
+    """A seeded real system and invertible k from ``gen --spec`` tokens: dim, then MxD shapes."""
+    if seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {seed}")
+    if len(tokens) < 2:
+        raise InputError("--spec needs an ambient dimension and at least one MxD shape")
+    try:
+        dim = int(tokens[0])
+    except ValueError as exc:
+        raise InputError(f"ambient dimension must be an integer, got {tokens[0]!r}") from exc
+    if dim <= 0:
+        raise InputError("ambient dimension must be positive")
+    shapes = []
+    for token in tokens[1:]:
+        try:
+            m, d = (int(part) for part in token.lower().split("x"))
+        except ValueError as exc:
+            raise InputError(f"member shape must look like MxD, got {token!r}") from exc
+        if not (1 <= m <= dim) or d < 1:
+            raise InputError(f"member shape {token!r} out of range for dim {dim}")
+        shapes.append((m, d))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    members = []
+    for m, d in shapes:
+        basis = orthonormalize(rng.standard_normal((dim, m)))
+        local = rng.standard_normal((d, dim))
+        weight = 0.5 + rng.random()
+        members.append((WeightedSubspace(basis, float(weight)), LocalOperator(local)))
+    system = GFusionSystem(HilbertSpace("real", dim), tuple(members))
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    k = q1 @ np.diag(0.6 + rng.random(dim)) @ q2
+    spec = [str(dim)] + [f"{m}x{d}" for m, d in shapes]
+    meta = {"name": "spec_" + "_".join(spec) + f"_seed{seed}", "seed": seed, "spec": spec}
+    return from_system(system, {"k": k}, meta)
 
 
 def _fixture_filename(name: str) -> str:

@@ -20,6 +20,8 @@ from .frame_ops import (
     FrameReport,
     _index_mask,
     _memoized,
+    _one_probe,
+    _probe_block,
     _require_masks,
     frame_operator,
     optimal_bounds,
@@ -364,20 +366,6 @@ def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> K
         ksk = pair.k.adjoint().times_adjoint
         report.certified_lower_ok = psd_check(s_dual - report.certified_lower * ksk, tol)
     return report
-
-
-def _probe_block(probes, dim: int) -> np.ndarray:
-    """Probe vectors as the rows of a (probes, dim) block."""
-    block = np.asarray(probes)
-    if block.ndim != 2 or block.shape[1] != dim:
-        raise InputError("probe vector has wrong dimension")
-    if block.shape[0] == 0:
-        raise InputError("at least one probe vector is needed")
-    return block
-
-
-def _one_probe(f, dim: int) -> np.ndarray:
-    return _probe_block(np.asarray(f).reshape(1, -1), dim)
 
 
 def _modulus(z):

@@ -91,6 +91,20 @@ def _index_mask(size: int, index_set=None) -> np.ndarray:
     return mask
 
 
+def _probe_block(probes, dim: int) -> np.ndarray:
+    """Finite probe vectors as the rows of a (probes, dim) block, else InputError."""
+    block = as_matrix(probes, "probe vector")
+    if block.shape[1] != dim:
+        raise InputError("probe vector has wrong dimension")
+    if block.shape[0] == 0:
+        raise InputError("at least one probe vector is needed")
+    return block
+
+
+def _one_probe(f, dim: int) -> np.ndarray:
+    return _probe_block(np.asarray(f).reshape(1, -1), dim)
+
+
 def _require_masks(masks, size: int) -> np.ndarray:
     """``masks`` as a boolean (subsets, size) array, else InputError."""
     masks = np.asarray(masks)
@@ -213,6 +227,11 @@ class FrameReport:
         if self.claimed is None:
             return None
         return bool(self.claimed_lower_ok and self.claimed_upper_ok)
+
+    @property
+    def passed(self) -> bool:
+        """A frame, and the claimed bounds hold when any were given."""
+        return self.is_frame and (self.claimed is None or self.claimed_valid)
 
 
 def _require_compatible(system: GFusionSystem, k: BoundedOperator):
@@ -388,9 +407,7 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     ``f`` is projected onto S(ran k) first when it does not already lie there;
     the report says whether that happened.
     """
-    f = as_matrix(np.atleast_2d(f), "probe vector").reshape(-1)
-    if f.shape[0] != system.dim:
-        raise InputError("probe vector has wrong dimension")
+    f = _one_probe(f, system.dim)[0]
     ri = restricted_inverse(system, k, tol)
     p_img = ri.image_basis @ adjoint(ri.image_basis)
     f_used = p_img @ f

@@ -72,6 +72,7 @@ __all__ = [
     "variant_gamma_readings",
     "PerturbationReport",
     "verify_perturbation_theorem",
+    "perturb_report",
 ]
 
 RANDOM_PROBES = 200
@@ -530,12 +531,17 @@ def variant_gamma_readings(params: PerturbationParams, lower: float, upper: floa
 
 @dataclass
 class PerturbationReport:
-    """Hypothesis verdict, perturbed-frame verification, and bound containment."""
+    """Hypothesis verdict, perturbed-frame verification, and bound containment.
+
+    The fields from ``base_bounds`` on are None when the hypothesis was
+    falsified or the check met an internal inconsistency (``error``).  It
+    passes unless it holds an error or a perturbed family that is not a frame.
+    """
 
     params: PerturbationParams
     verdict: HypothesisVerdict
-    base_bounds: FrameBounds
-    theta_report: FrameReport
+    base_bounds: FrameBounds | None = None
+    theta_report: FrameReport | None = None
     predicted: FrameBounds | None = None
     theta_bounds: FrameBounds | None = None
     lower_contained: bool | None = None
@@ -543,6 +549,11 @@ class PerturbationReport:
     hypothesis_certified: bool | None = None
     erratum_log: list = field(default_factory=list)
     gamma_readings: dict | None = None
+    error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.error is None and (self.theta_report is None or self.theta_report.is_frame)
 
 
 def _square_sum_certificate(base: GFusionSystem, family: GFusionSystem,
@@ -556,35 +567,37 @@ def _square_sum_certificate(base: GFusionSystem, family: GFusionSystem,
 
 def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
                                 params: PerturbationParams,
-                                tol: ToleranceProfile = DEFAULT_TOL,
-                                verdict: HypothesisVerdict | None = None) -> PerturbationReport:
+                                tol: ToleranceProfile = DEFAULT_TOL) -> PerturbationReport:
     """Check a perturbation theorem's conclusion against measured bounds.
 
-    Preconditions: the base is a frame for k and the hypothesis is not
-    falsified.  ``verdict``, when given, is the result of
-    :func:`perturb_hypothesis` on the same arguments and is used instead of
-    searching again.  The perturbed family -- theta's local operators over
-    the base subspaces and weights, the family the hypothesis was tested on
-    -- is verified as a frame for k and its optimal bounds are compared with
-    :func:`predicted_bounds`.  For the square-sum mode with a spectrally
-    certified hypothesis a containment failure raises
+    Preconditions: the base is a frame for k and :func:`perturb_hypothesis`
+    does not falsify the hypothesis.  The perturbed family -- theta's local
+    operators over the base subspaces and weights, the family the hypothesis
+    was tested on -- is verified as a frame for k and its optimal bounds are
+    compared with :func:`predicted_bounds`.  For the square-sum mode with a
+    spectrally certified hypothesis a containment failure raises
     :class:`InternalConsistencyError`; in every other case failures are
     recorded in ``erratum_log`` and reported, because the constants in those
     conclusions are not independently established.
     """
-    base_bounds = optimal_bounds(base, k, tol)
-    theta_system = _on_base(base, theta)
-    if verdict is None:
-        verdict = perturb_hypothesis(base, theta_system, k, params, tol)
+    family = _on_base(base, theta)
+    verdict = perturb_hypothesis(base, family, k, params, tol)
     if verdict.falsified:
         raise PreconditionError(
             f"hypothesis falsified with worst violation {verdict.worst_violation:g}; "
             "the theorem's conclusion is not in play")
-    theta_report = verify_k_g_fusion(theta_system, k, tol=tol)
-    report = PerturbationReport(params=params, verdict=verdict,
-                                base_bounds=base_bounds, theta_report=theta_report)
+    return _conclusion(base, family, k, params, verdict, tol)
+
+
+def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
+                params: PerturbationParams, verdict: HypothesisVerdict,
+                tol: ToleranceProfile) -> PerturbationReport:
+    """The theorem's conclusion on ``family``, whose hypothesis ``verdict`` kept."""
+    base_bounds = optimal_bounds(base, k, tol)
+    theta_report = verify_k_g_fusion(family, k, tol=tol)
+    report = PerturbationReport(params, verdict, base_bounds, theta_report)
     if params.mode is PerturbationMode.SQUARE_SUM:
-        report.hypothesis_certified = _square_sum_certificate(base, theta_system, k, params.R, tol)
+        report.hypothesis_certified = _square_sum_certificate(base, family, k, params.R, tol)
     if params.mode is PerturbationMode.ADJOINT_TERM:
         report.gamma_readings = variant_gamma_readings(
             params, base_bounds.lower, base_bounds.upper, k.norm)
@@ -609,7 +622,7 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
             raise InternalConsistencyError(record["detail"])
         report.erratum_log.append(record)
         return report
-    report.theta_bounds = optimal_bounds(theta_system, k, tol)
+    report.theta_bounds = optimal_bounds(family, k, tol)
     slack = tol.for_scale(max(report.predicted.upper, report.theta_bounds.upper))
     report.lower_contained = bool(report.predicted.lower <= report.theta_bounds.lower + slack)
     report.upper_contained = bool(report.theta_bounds.upper <= report.predicted.upper + slack)
@@ -627,3 +640,16 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
                 f"certified square-sum hypothesis but containment fails: {record}")
         report.erratum_log.append(record)
     return report
+
+
+def perturb_report(base: GFusionSystem, theta, k: BoundedOperator,
+                   params: PerturbationParams, *, tol: ToleranceProfile) -> PerturbationReport:
+    """Search the hypothesis once and check the conclusion it leaves in play."""
+    family = _on_base(base, theta)
+    verdict = perturb_hypothesis(base, family, k, params, tol)
+    if verdict.falsified:
+        return PerturbationReport(params, verdict)
+    try:
+        return _conclusion(base, family, k, params, verdict, tol)
+    except InternalConsistencyError as exc:
+        return PerturbationReport(params, verdict, error=str(exc))

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from framelab import (
+    DEFAULT_TOL,
     BoundedOperator,
     GFusionSystem,
     InputError,
@@ -31,7 +32,7 @@ from framelab.perturbation import (
     variant_gamma_readings,
     verify_perturbation_theorem,
 )
-from conftest import decode_case_matrix, fix_r_names, load_suite
+from conftest import count_calls, decode_case_matrix, fix_r_names, load_suite
 
 MODE_PARAMS = [
     PerturbationParams(0.2, 0.2, 0.1, 0.0, "P1-sqrt-sum"),
@@ -520,20 +521,21 @@ def test_built_family_is_reused(fix_i):
     assert [sub for sub, _ in rebuilt.members] == [sub for sub, _ in fix_i.system.members]
 
 
-def test_theorem_check_reuses_a_given_verdict(fix_i, monkeypatch):
+@pytest.mark.parametrize("params", [
+    PerturbationParams(0.0, 0.0, 0.0, 0.21, "C-p2-normsum"),
+    PerturbationParams(0.0, 0.0, 0.0, 5.0, "C-p2-normsum"),  # inadmissible: R >= A
+], ids=["contained", "erratum"])
+def test_perturb_report_searches_once_and_gives_the_theorem_check(fix_i, monkeypatch,
+                                                                   params):
     theta = scaled_system(fix_i, 1.1)
     k = fix_i.operators["k"]
-    params = PerturbationParams(0.0, 0.0, 0.0, 0.21, "C-p2-normsum")
-    searched = verify_perturbation_theorem(fix_i.system, theta, k, params)
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched again")
-
-    monkeypatch.setattr(perturbation, "perturb_hypothesis", no_search)
-    reused = verify_perturbation_theorem(fix_i.system, theta, k, params,
-                                         verdict=searched.verdict)
-    assert reused.verdict is searched.verdict
-    assert (reused.theta_bounds, reused.predicted) == (searched.theta_bounds, searched.predicted)
+    checked = verify_perturbation_theorem(fix_i.system, theta, k, params)
+    searches = count_calls(monkeypatch, perturbation, "perturb_hypothesis")
+    report = perturbation.perturb_report(fix_i.system, theta, k, params, tol=DEFAULT_TOL)
+    assert len(searches) == 1
+    assert report.passed and report.error is None
+    assert (report.theta_bounds, report.predicted, report.erratum_log) == (
+        checked.theta_bounds, checked.predicted, checked.erratum_log)
 
 
 def looped_subset_masks(size, rng_seed=0x5B5E7):

@@ -211,6 +211,18 @@ def test_frame_operator_is_the_one_row_view_of_the_stack():
         assert np.array_equal(frame_operator(system, index_set=members(mask)), s_i)
 
 
+@pytest.mark.parametrize("view, bad", [
+    (lambda system, k, f: check_dual_subset_identity(canonical_dual(system, k), (0,), f),
+     np.nan),
+    (lambda system, k, f: check_parseval_subset_identity(system, k, (0,), (1,), f), np.nan),
+    (lambda system, k, f: check_three_quarters_bound(system, k, (0,), f), np.inf),
+], ids=["dual", "parseval", "three-quarters"])
+def test_scalar_views_reject_a_non_finite_probe(view, bad):
+    bundle = fixture("FIX-I")
+    with pytest.raises(InputError, match="non-finite"):
+        view(bundle.system, bundle.operators["k"], [bad, 0.0])
+
+
 def test_sweep_inputs_are_validated():
     bundle = fixture("FIX-I")
     system, k = bundle.system, bundle.operators["k"]
