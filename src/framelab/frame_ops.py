@@ -102,7 +102,14 @@ def _probe_block(probes, dim: int) -> np.ndarray:
 
 
 def _one_probe(f, dim: int) -> np.ndarray:
-    return _probe_block(np.asarray(f).reshape(1, -1), dim)
+    """The probe vector ``f`` as a (1, dim) block, else InputError."""
+    try:
+        shape = np.shape(f)
+    except ValueError as exc:
+        raise InputError(f"probe vector is not a rectangular array: {exc}") from exc
+    if len(shape) != 1:
+        raise InputError(f"probe vector must be 1-dimensional, got shape {shape}")
+    return _probe_block([f], dim)
 
 
 def _require_masks(masks, size: int) -> np.ndarray:

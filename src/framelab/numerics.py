@@ -27,7 +27,7 @@ __all__ = [
     "row_inners",
     "row_norms",
     "row_sq_norms",
-    "last_axis_norms",
+    "column_norms",
     "operator_norm",
     "within_scale",
     "is_hermitian",
@@ -151,25 +151,18 @@ def row_sq_norms(x) -> np.ndarray:
     return np.float_power(row_norms(x), 2.0)
 
 
-def last_axis_norms(x, out=None, squares=None) -> np.ndarray:
-    """|x| along the last axis, with the bits of ``np.linalg.norm(x, axis=-1)``.
+def column_norms(x, out=None, squares=None) -> np.ndarray:
+    """|x| along axis -2, with the bits of ``np.linalg.norm`` of each column.
 
-    numpy forms ``(x.conj() * x).real`` and sums a row below 8 entries in
-    turn.  Here each of those adds is one whole-array add over a column,
-    which on ``(probes, subsets, dim)`` stacks takes about half to two
-    thirds of the time of the strided reduction.  Rows of 8 or more
-    entries, which numpy sums in 8 running sums, go to ``np.linalg.norm``.
-    ``squares`` (x's shape and dtype) is scratch and ``out`` (x's shape
-    without its last axis, real) receives the norms; with both given and
-    rows below 8 entries the call allocates nothing.
+    That is ``np.linalg.norm(y, axis=-1)`` of the C-contiguous transpose
+    ``y`` of x's last two axes: numpy forms ``(y.conj() * y).real`` and sums
+    each row pairwise.  Here each add of that order is one whole-row add over
+    axis -2, reduced into the first row of each block of the squares.
+    ``squares`` (x's shape and dtype) is scratch, and may be x itself when x
+    is real, which is then squared in place; ``out`` (x's shape without axis
+    -2, real) receives the norms.  With both given the call allocates
+    nothing.
     """
-    width = x.shape[-1]
-    if width >= 8:
-        norms = np.linalg.norm(x, axis=-1)
-        if out is None:
-            return norms
-        out[...] = norms
-        return out
     if np.iscomplexobj(x):
         sq = np.conjugate(x, out=squares)
         sq = np.multiply(sq, x, out=sq).real
@@ -177,18 +170,39 @@ def last_axis_norms(x, out=None, squares=None) -> np.ndarray:
         # x.conj() is x, and x * x is one correctly rounded product either way
         sq = np.square(x, out=squares)
     if out is None:
-        out = np.empty(x.shape[:-1], dtype=sq.dtype)
-    if width < 2:
-        # numpy adds -0.0 + s0, or returns 0.0 for an empty row
-        if width:
-            np.copyto(out, sq[..., 0])
-        else:
-            out.fill(0.0)
-        return np.sqrt(out, out=out)
-    np.add(sq[..., 0], sq[..., 1], out=out)
-    for column in range(2, width):
-        np.add(out, sq[..., column], out=out)
-    return np.sqrt(out, out=out)
+        out = np.empty(sq.shape[:-2] + sq.shape[-1:], dtype=sq.dtype)
+    if sq.shape[-2] == 0:
+        out.fill(0.0)
+        return out
+    _pairwise_rows(sq, 0, sq.shape[-2])
+    return np.sqrt(sq[..., 0, :], out=out)
+
+
+def _pairwise_rows(sq, start: int, count: int):
+    """Add rows ``start`` to ``start + count - 1`` of ``sq`` (axis -2) into row
+    ``start``, in the order numpy's pairwise summation adds a row's entries."""
+    def row(i):
+        return sq[..., start + i, :]
+    head = row(0)
+    if count < 8:
+        for i in range(1, count):
+            np.add(head, row(i), out=head)
+    elif count <= 128:
+        # eight running sums in rows 0-7, combined as
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in turn
+        tail = count - count % 8
+        for i in range(8, tail):
+            np.add(row(i % 8), row(i), out=row(i % 8))
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            np.add(row(a), row(b), out=row(a))
+        for i in range(tail, count):
+            np.add(head, row(i), out=head)
+    else:
+        # two halves, split at count // 2 rounded down to a multiple of 8
+        half = count // 2 - count // 2 % 8
+        _pairwise_rows(sq, start, half)
+        _pairwise_rows(sq, start + half, count - half)
+        np.add(head, row(half), out=head)
 
 
 def operator_norm(m) -> float:

@@ -16,18 +16,23 @@ proved, except T-sqsum whose hypothesis is equivalent to the spectral
 containment S_delta <= R k k* and can be certified exactly.
 
 The search evaluates probes in blocks: one kernel takes a ``(p, n)`` block
-of probes, forms the member terms and every subset sum as a stacked
-``weights @ terms``, and returns lhs - rhs for each (probe, subset) pair.
-Each entry keeps the bits of the same inequality evaluated at its probe
-alone, so the verdict does not depend on the block size.  The member stage
-runs per group of members with equal factor shapes and dtypes, not per
-member: the factors ``L_j P_j`` and ``Th_j P_j`` of a group and their
-adjoints are stacked once per search, and each block makes a few stacked
-matvecs per group, scatters them into the members' columns of
-``(p, members, dim)`` term buffers and applies the squared weights as one
-broadcast multiply.  Its cost per block grows with the number of groups,
-not members.  The float subset weights, the member stacks and every buffer
-are built once per search, and every block writes into the buffers.
+of probes, forms the member terms and every subset sum as one stacked
+product, and returns lhs - rhs for each (probe, subset) pair.  Each entry
+keeps the bits of the same inequality evaluated at its probe alone, so the
+verdict does not depend on the block size.  The member stage runs per
+group of members with equal factor shapes and dtypes, not per member: the
+factors ``L_j P_j`` and ``Th_j P_j`` of a group and their adjoints are
+stacked once per search, and each block makes a few stacked matvecs per
+group, scatters them into the members' columns of ``(p, members, dim)``
+term buffers and applies the squared weights as one broadcast multiply.
+Its cost per block grows with the number of groups, not members.  The
+vector subset sums are stored dim-major, ``(p, dim, subsets)``; a real
+search squares them in place, and their norms add whole rows of
+``subsets`` entries in the pairwise order in which numpy's norm sums one
+vector (:func:`~framelab.numerics.column_norms`), so every add reads
+contiguous memory.  The float subset weights, the member stacks and every
+buffer are built once per search, and every block writes into the
+buffers.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ from .numerics import (
     PreconditionError,
     ToleranceProfile,
     adjoint,
-    last_axis_norms,
+    column_norms,
     operator_norm,
     psd_check,
     row_norms,
@@ -77,8 +82,10 @@ __all__ = [
 
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
-# Entries of each (probes, subsets, dim) buffer a search allocates for its
+# Entries of each (probes, dim, subsets) buffer a search allocates for its
 # probe blocks, so that its memory stays flat however many subsets it walks.
+# The subset sums are stored dim-major so that a real search squares them in
+# place and sums each norm over whole rows in numpy's pairwise order.
 PROBE_BLOCK_ENTRIES = 65_536
 
 
@@ -243,10 +250,11 @@ class _Workspace:
     """The member stacks and buffers of one search, reused by every probe block.
 
     The per-search constants are read-only: ``weights`` holds the subset
-    masks as floats, ``w2`` the squared member weights as a ``(members, 1)``
-    column, and ``groups`` the members grouped by factor shape and dtypes,
-    each as ``(columns, L P, (L P)*, Th P, (Th P)*)`` with ``(g, r, n)``
-    factor stacks and ``(g, n, r)`` adjoint stacks.  An adjoint stack is
+    masks as floats, ``weights_t`` a C-contiguous copy of its transpose,
+    ``w2`` the squared member weights as a ``(members, 1)`` column, and
+    ``groups`` the members grouped by factor shape and dtypes, each as
+    ``(columns, L P, (L P)*, Th P, (Th P)*)`` with ``(g, r, n)`` factor
+    stacks and ``(g, n, r)`` adjoint stacks.  An adjoint stack is
     ``np.conj(stack).transpose(0, 2, 1)``, so each slice has the F-order
     layout of ``adjoint(lp)``, and each matmul slice keeps the shape and
     strides, and so the bits, of the one-member product.  Members are not
@@ -255,12 +263,19 @@ class _Workspace:
 
     The buffers: ``base``, ``pert`` and ``terms`` hold the
     ``(probes, members, dim)`` member terms of one block, ``scalars`` its
-    ``(probes, members, 1)`` scalar member terms, ``sums`` and ``squares``
-    the ``(probes, subsets, dim)`` subset sums and their squared entries,
-    ``column_sums`` the ``(probes, subsets, 1)`` sums of scalar member terms,
-    and ``norms`` three ``(probes, subsets)`` results.  Built for blocks of
-    up to ``len(probes)`` probes of that dtype; a smaller block writes into
-    leading views, which keep the layout of a fresh array and so its bits.
+    ``(probes, members, 1)`` scalar member terms, ``sums`` the dim-major
+    ``(probes, dim, subsets)`` subset sums ``terms^T @ weights_t``,
+    ``column_sums`` the ``(probes, subsets, 1)`` sums ``weights @ scalars``
+    of scalar member terms, and ``norms`` three ``(probes, subsets)``
+    results.  A real search squares ``sums`` in place, so ``squares`` is
+    None; a complex one squares into the complex ``squares`` scratch of the
+    same shape, since ``(conj(x) * x).real``, the product numpy's norm
+    takes, need not have the bits of ``re**2 + im**2``.  The scalar sums
+    stay in the ``(subsets, members)`` layout: as a product with
+    ``weights_t`` their matrix-vector products round otherwise.  Built for
+    blocks of up to ``len(probes)`` probes of that dtype; a smaller block
+    writes into leading views, which keep the layout of a fresh array and
+    so its bits.
     """
 
     def __init__(self, masks, data, probes):
@@ -268,6 +283,7 @@ class _Workspace:
         subsets, members = masks.shape
         dtype = np.result_type(probes, *(m for _, lp, tp in data for m in (lp, tp)))
         self.weights = _read_only(masks.astype(float))
+        self.weights_t = _read_only(np.ascontiguousarray(masks.T, dtype=float))
         self.w2 = _read_only(np.array([[w2] for w2, _, _ in data], dtype=float))
         shared = {}
         for j, (_, lp, tp) in enumerate(data):
@@ -284,8 +300,8 @@ class _Workspace:
         self.pert = np.empty_like(self.base)
         self.terms = np.empty_like(self.base)
         self.scalars = np.empty((rows, members, 1))
-        self.sums = np.empty((rows, subsets, n), dtype)
-        self.squares = np.empty_like(self.sums)
+        self.sums = np.empty((rows, n, subsets), dtype)
+        self.squares = np.empty_like(self.sums) if self.sums.dtype.kind == "c" else None
         self.column_sums = np.empty((rows, subsets, 1))
         self.norms = np.empty((3, rows, subsets))
 
@@ -305,11 +321,11 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     arrays.  The member terms of each group of equal factor shapes are a few
     stacked matvecs over the block, scattered into the members' columns of
     the ``(p, members, dim)`` term buffers and weighted by one broadcast
-    multiply; subset sums are stacked ``weights @ terms`` and norms run along
-    rows, so every entry carries the bits of the same inequality evaluated
-    member by member at its probe alone.  Every larger intermediate is
-    written into ``work``, the stacks and buffers of the search (built here
-    when not given).
+    multiply; vector subset sums are stacked ``terms^T @ weights_t`` and
+    their norms sum each column in numpy's pairwise order, so every entry
+    carries the bits of the same inequality evaluated member by member at
+    its probe alone.  Every larger intermediate is written into ``work``,
+    the stacks and buffers of the search (built here when not given).
     """
     work = work or _Workspace(masks, data, probes)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
@@ -324,8 +340,9 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
 
     def sum_norms(terms, slot):
         """(p, subsets) norms of the subset sums of (p, members, n) member terms."""
-        sums = np.matmul(work.weights, terms, out=work.sums[:p])
-        return last_axis_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p])
+        sums = np.matmul(terms.transpose(0, 2, 1), work.weights_t, out=work.sums[:p])
+        squares = sums if work.squares is None else work.squares[:p]
+        return column_norms(sums, out=work.norms[slot, :p], squares=squares)
 
     kf_norm = row_norms((adjoint(k_mat) @ probes[:, :, None])[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
@@ -367,7 +384,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     are the standard basis, 200 seeded unit vectors, and a gradient-ascent
     refinement of the worst probe found.  The basis and the seeded probes
     are evaluated in blocks of consecutive probes, each block sized so that
-    a (probes, subsets, dim) buffer holds about ``PROBE_BLOCK_ENTRIES``
+    a (probes, dim, subsets) buffer holds about ``PROBE_BLOCK_ENTRIES``
     entries, and folded in probe order; the refinement evaluates one probe
     per step.  The buffers are allocated once per search and shared by
     every block and step.  Ties go to the earliest probe.  A verdict of

@@ -8,10 +8,10 @@ from framelab import BoundedOperator, InputError, ToleranceProfile, douglas_fact
 from framelab.numerics import (
     adjoint,
     as_matrix,
+    column_norms,
     hermitian_eig,
     inner,
     is_hermitian,
-    last_axis_norms,
     numerical_rank,
     operator_norm,
     orthonormalize,
@@ -206,19 +206,26 @@ def test_operator_norm_has_the_bits_of_the_spectral_norm():
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
-def test_last_axis_norms_have_the_bits_of_numpy_norm(complex_field):
-    # pins numpy's pairwise summation order, which the perturbation kernel relies on
+def test_column_norms_have_the_bits_of_numpy_norm(complex_field):
+    # pins numpy's pairwise summation order, which the perturbation kernel relies on:
+    # rows added in turn below 8, eight running sums up to 128, halves beyond
     rng = np.random.Generator(np.random.PCG64(0x1A57))
-    for width in [*range(21), 131]:
+    for width in [*range(21), 127, 128, 129, 131, 256, 257, 300]:
         for scale in (1e-6, 1.0, 1e6):
             shape = (int(rng.integers(1, 4)), int(rng.integers(1, 300)), width)
             x = rng.standard_normal(shape) * scale
             if complex_field:
                 x = x + 1j * rng.standard_normal(shape) * scale
             reference = np.linalg.norm(x, axis=-1)
-            fresh = last_axis_norms(x)
+            columns = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+            fresh = column_norms(columns)
             out = np.empty(shape[:-1])
-            written = last_axis_norms(x, out=out, squares=np.empty_like(x))
+            if complex_field:
+                written = column_norms(columns, out=out, squares=np.empty_like(columns))
+            else:
+                # a real array may be its own scratch, squared in place
+                squared = columns.copy()
+                written = column_norms(squared, out=out, squares=squared)
             assert written is out
             for norms in (fresh, written):
                 assert norms.dtype == reference.dtype and norms.shape == reference.shape

@@ -16,7 +16,12 @@ from framelab import (
     optimal_bounds,
     perturbation,
 )
-from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
+from framelab.documents import (
+    load_packaged_fixture,
+    packaged_fixture_names,
+    spec_document,
+    to_system,
+)
 from framelab.frame_ops import subset_masks
 from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
 from framelab.numerics import adjoint, unit_probes
@@ -397,6 +402,17 @@ def interleaved_complex_system():
     return GFusionSystem(HilbertSpace("complex", 3), tuple(members))
 
 
+def complex_dim10_system():
+    # dim 10: each subset norm sums its 10 squares in eight running sums
+    rng = np.random.Generator(np.random.PCG64(10))
+    members = []
+    for j, (m, rows) in enumerate(((4, 3), (6, 2), (3, 5), (10, 4), (5, 3))):
+        basis, _ = np.linalg.qr(rng.standard_normal((10, m)) + 1j * rng.standard_normal((10, m)))
+        op = rng.standard_normal((rows, 10)) + 1j * rng.standard_normal((rows, 10))
+        members.append((WeightedSubspace(basis, 0.5 + 0.25 * j), LocalOperator(op)))
+    return GFusionSystem(HilbertSpace("complex", 10), tuple(members))
+
+
 def kernel_case(system, trials=8):
     family = nudged(system)
     complex_field = system.space.field == "complex"
@@ -419,6 +435,20 @@ def assert_kernel_matches_reference(system, k_mat):
 def test_block_kernel_matches_member_loop_on_fixtures(name):
     system, operators = to_system(load_packaged_fixture(name))
     assert_kernel_matches_reference(system, operators["k"].matrix)
+
+
+@pytest.mark.parametrize("name", ["real-dim16", "complex-dim10"])
+def test_block_kernel_matches_member_loop_past_eight_rows(name):
+    if name == "real-dim16":
+        # the reference system of the timings, cut to its first 6 members
+        document = spec_document(["16", "4x3", "5x4", "6x2", "3x5", "8x3", "2x2"], 3)
+        system, operators = to_system(document)
+        k_mat = operators["k"].matrix
+    else:
+        system = complex_dim10_system()
+        k_mat = np.diag(np.linspace(0.5, 2.0, 10)) + 0.25j * np.eye(10, k=1)
+    assert system.dim > 8
+    assert_kernel_matches_reference(system, k_mat)
 
 
 def test_block_kernel_matches_member_loop_on_sampled_subsets():
@@ -466,7 +496,9 @@ def test_blocks_through_one_workspace_match_fresh_calls(name):
                   if isinstance(value, np.ndarray)}
         # the per-search constants are read-only; every other array is a buffer
         assert {attr for attr, value in arrays.items()
-                if not value.flags.writeable} == {"weights", "w2"}
+                if not value.flags.writeable} == {"weights", "weights_t", "w2"}
+        # a real search squares its subset sums in place: no squares buffer
+        assert (work.squares is None) == (system.space.field == "real")
         assert all(not a.flags.writeable for group in work.groups for a in group)
         for value in arrays.values():
             if value.flags.writeable:

@@ -29,7 +29,12 @@ from framelab.duality import (
     parsevalize,
     verify_kgf_dual,
 )
-from framelab.frame_ops import frame_operator, subset_frame_operators, subset_masks
+from framelab.frame_ops import (
+    frame_operator,
+    reconstruction_check,
+    subset_frame_operators,
+    subset_masks,
+)
 from framelab.numerics import adjoint, inner, operator_norm, unit_probes
 from framelab.oracle import reference_frame_operator
 
@@ -221,6 +226,18 @@ def test_scalar_views_reject_a_non_finite_probe(view, bad):
     bundle = fixture("FIX-I")
     with pytest.raises(InputError, match="non-finite"):
         view(bundle.system, bundle.operators["k"], [bad, 0.0])
+
+
+@pytest.mark.parametrize("probe", [[[1.0, 0.0], [1.0]], [[1.0], [0.0, 1.0]], [[1.0], [0.0]]],
+                         ids=["ragged", "ragged-column", "column"])
+@pytest.mark.parametrize("view", [
+    reconstruction_check,
+    lambda system, k, f: check_dual_subset_identity(canonical_dual(system, k), (0,), f),
+], ids=["reconstruction", "dual"])
+def test_one_probe_views_reject_a_probe_that_is_not_a_vector(view, probe):
+    bundle = fixture("FIX-I")
+    with pytest.raises(InputError, match="probe vector"):
+        view(bundle.system, bundle.operators["k"], probe)
 
 
 def test_sweep_inputs_are_validated():
