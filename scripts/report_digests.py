@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare the report of every benchmark job between two source checkouts.
+
+    python3 scripts/report_digests.py PARENT_DIR CHANGE_DIR \\
+        [--workloads perturb-search ...] [--seeds 1 5 17]
+
+PARENT_DIR and CHANGE_DIR are two source checkouts.  For each workload and
+seed, each checkout runs in its own process, with its own ``src`` and
+``bench`` on the path, one BLAS thread, and a fresh temporary directory as
+the working directory: it builds the workload from the seed as
+``bench/run.py`` does and runs every job once, in order.  A job's digest is
+the sha256 of its exit code and its report text (or of the exception that
+escaped it).  For each checkout the script prints the job count and the jobs
+whose check failed, then the keys of the jobs whose digests differ between
+the two.  It exits 1 when any digest or job key differs, and 0 otherwise.
+The workloads default to those ``BENCHMARK.json`` of PARENT_DIR lists.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# Run in the checkout's process: one pass over the jobs, one JSON line out.
+CHILD = r"""
+import hashlib, json, sys
+import workloads
+
+work = workloads.WORKLOADS[sys.argv[1]](int(sys.argv[2]))
+digests, failed = {}, {}
+for job in work.jobs:
+    try:
+        code, text = job.call()
+        error = job.check(code, text)
+    except (Exception, SystemExit) as exc:
+        code, text = None, f"uncaught {type(exc).__name__}: {exc}"
+        error = text
+    digests[job.key] = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
+    if error is not None:
+        failed[job.key] = error
+print(json.dumps({"digests": digests, "failed": failed}))
+"""
+
+
+def run_checkout(checkout: str, workload: str, seed: int) -> dict:
+    """Digests and failed checks of one pass over a workload in ``checkout``."""
+    checkout = os.path.abspath(checkout)
+    env = dict(os.environ)
+    env.update({name: "1" for name in THREAD_ENV})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    with tempfile.TemporaryDirectory(prefix="report-digests-") as workdir:
+        proc = subprocess.run([sys.executable, "-c", CHILD, workload, str(seed)],
+                              cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=1800)
+    if proc.returncode != 0:
+        sys.exit(f"{workload} seed {seed} failed in {checkout} "
+                 f"(exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", metavar="PARENT_DIR")
+    parser.add_argument("change", metavar="CHANGE_DIR")
+    parser.add_argument("--workloads", nargs="+")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    args = parser.parse_args()
+    if not args.workloads:
+        with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
+            args.workloads = [w["name"] for w in json.load(handle)["workloads"]]
+
+    differing = 0
+    for workload in args.workloads:
+        for seed in args.seeds:
+            runs = {}
+            for side, checkout in (("parent", args.parent), ("change", args.change)):
+                runs[side] = run_checkout(checkout, workload, seed)
+                failed = runs[side]["failed"]
+                print(f"{workload} seed {seed} {side}: {len(runs[side]['digests'])} jobs, "
+                      f"{len(failed)} failed checks", flush=True)
+                for key, reason in failed.items():
+                    print(f"  failed check {key}: {reason}")
+            old, new = runs["parent"]["digests"], runs["change"]["digests"]
+            keys = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+            for key in keys:
+                print(f"  differs: {key}")
+            differing += len(keys)
+    print(f"{differing} differing job reports")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

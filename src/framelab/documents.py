@@ -307,9 +307,9 @@ def from_system(system: GFusionSystem, operators=None, meta=None) -> FrameDocume
 def spec_document(tokens, seed: int) -> FrameDocument:
     """A seeded real system and invertible k from ``gen --spec`` tokens: dim, then MxD shapes."""
     if seed < 0:
-        raise InputError(f"--seed must be a non-negative integer, got {seed}")
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     if len(tokens) < 2:
-        raise InputError("--spec needs an ambient dimension and at least one MxD shape")
+        raise InputError("a spec needs an ambient dimension and at least one MxD shape")
     try:
         dim = int(tokens[0])
     except ValueError as exc:

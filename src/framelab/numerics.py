@@ -156,12 +156,17 @@ def column_norms(x, out=None, squares=None) -> np.ndarray:
 
     That is ``np.linalg.norm(y, axis=-1)`` of the C-contiguous transpose
     ``y`` of x's last two axes: numpy forms ``(y.conj() * y).real`` and sums
-    each row pairwise.  Here each add of that order is one whole-row add over
-    axis -2, reduced into the first row of each block of the squares.
-    ``squares`` (x's shape and dtype) is scratch, and may be x itself when x
-    is real, which is then squared in place; ``out`` (x's shape without axis
-    -2, real) receives the norms.  With both given the call allocates
-    nothing.
+    each row pairwise, which below 8 entries adds them in turn.  Below 8
+    rows of x, one ``np.add.reduce`` over axis -2 sums the squares: numpy
+    reduces an axis that is not the innermost one row at a time, in that
+    same order.  From 8 rows on, each add of the pairwise order is one
+    whole-row add over axis -2, reduced into the first row of each block of
+    the squares.  ``squares`` (x's shape and dtype) is scratch, and may be x
+    itself when x is real, which is then squared in place; ``out`` (x's
+    shape without axis -2, real) receives the norms.  With both given, a
+    call on fewer than 8 rows allocates nothing.  From 8 rows on, when a
+    block holds more than one column, rows of the squares interleave in
+    memory and numpy copies an operand of every whole-row add.
     """
     if np.iscomplexobj(x):
         sq = np.conjugate(x, out=squares)
@@ -169,25 +174,21 @@ def column_norms(x, out=None, squares=None) -> np.ndarray:
     else:
         # x.conj() is x, and x * x is one correctly rounded product either way
         sq = np.square(x, out=squares)
-    if out is None:
-        out = np.empty(sq.shape[:-2] + sq.shape[-1:], dtype=sq.dtype)
-    if sq.shape[-2] == 0:
-        out.fill(0.0)
-        return out
+    if sq.shape[-2] < 8:
+        out = np.add.reduce(sq, axis=-2, out=out)
+        return np.sqrt(out, out=out)
     _pairwise_rows(sq, 0, sq.shape[-2])
     return np.sqrt(sq[..., 0, :], out=out)
 
 
 def _pairwise_rows(sq, start: int, count: int):
-    """Add rows ``start`` to ``start + count - 1`` of ``sq`` (axis -2) into row
-    ``start``, in the order numpy's pairwise summation adds a row's entries."""
+    """Add rows ``start`` to ``start + count - 1`` of ``sq`` (axis -2), 8 or
+    more of them, into row ``start``, in the order numpy's pairwise summation
+    adds a row's entries."""
     def row(i):
         return sq[..., start + i, :]
     head = row(0)
-    if count < 8:
-        for i in range(1, count):
-            np.add(head, row(i), out=head)
-    elif count <= 128:
+    if count <= 128:
         # eight running sums in rows 0-7, combined as
         # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in turn
         tail = count - count % 8

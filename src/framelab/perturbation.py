@@ -30,9 +30,10 @@ vector subset sums are stored dim-major, ``(p, dim, subsets)``; a real
 search squares them in place, and their norms add whole rows of
 ``subsets`` entries in the pairwise order in which numpy's norm sums one
 vector (:func:`~framelab.numerics.column_norms`), so every add reads
-contiguous memory.  The float subset weights, the member stacks and every
-buffer are built once per search, and every block writes into the
-buffers.
+contiguous memory.  Below 8 dims that order is the rows in turn, and one
+``np.add.reduce`` over the dim axis adds them without copying a row.  The
+float subset weights, the member stacks and every buffer are built once
+per search, and every block writes into the buffers.
 """
 from __future__ import annotations
 

@@ -35,6 +35,7 @@ from framelab.documents import (
     oracle_sidecar_path,
     packaged_fixture_names,
     save_document,
+    spec_document,
     to_system,
 )
 from conftest import REPO_ROOT, DATA_DIR, count_calls
@@ -349,8 +350,18 @@ def test_gen_rejects_a_negative_seed(tmp_path):
     code, out = run_cli(["gen", "--spec", "3", "2x2", "--seed", "-1", "--out", str(tmp_path)])
     report = json.loads(out)
     assert code == report["exit_code"] == 2
-    assert report["error"] == "--seed must be a non-negative integer, got -1"
+    assert report["error"] == "seed must be a non-negative integer, got -1"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tokens, seed, message", [
+    (["3", "2x2"], -1, "seed must be a non-negative integer, got -1"),
+    (["3"], 0, "a spec needs an ambient dimension and at least one MxD shape"),
+])
+def test_spec_document_errors_name_no_cli_flag(tokens, seed, message):
+    with pytest.raises(InputError) as excinfo:
+        spec_document(tokens, seed)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("token", ["2", "2x2x1", "2x", "ax2", "2*2"])

@@ -1,5 +1,7 @@
 """Dense-kernel checks: pseudoinverse, rank, orthonormalization, PSD, Douglas."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -205,6 +207,30 @@ def test_operator_norm_has_the_bits_of_the_spectral_norm():
         assert operator_norm(m) == float(np.linalg.norm(m, 2))
 
 
+def _random_columns(rng, shape, scale, complex_field):
+    x = rng.standard_normal(shape) * scale
+    if complex_field:
+        x = x + 1j * rng.standard_normal(shape) * scale
+    return x
+
+
+def _assert_column_norms_have_the_bits_of_numpy_norm(x, label):
+    reference = np.linalg.norm(x, axis=-1)
+    columns = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    fresh = column_norms(columns)
+    out = np.empty(x.shape[:-1])
+    if np.iscomplexobj(x):
+        written = column_norms(columns, out=out, squares=np.empty_like(columns))
+    else:
+        # a real array may be its own scratch, squared in place
+        squared = columns.copy()
+        written = column_norms(squared, out=out, squares=squared)
+    assert written is out
+    for norms in (fresh, written):
+        assert norms.dtype == reference.dtype and norms.shape == reference.shape
+        assert norms.tobytes() == reference.tobytes(), label
+
+
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 def test_column_norms_have_the_bits_of_numpy_norm(complex_field):
     # pins numpy's pairwise summation order, which the perturbation kernel relies on:
@@ -213,23 +239,39 @@ def test_column_norms_have_the_bits_of_numpy_norm(complex_field):
     for width in [*range(21), 127, 128, 129, 131, 256, 257, 300]:
         for scale in (1e-6, 1.0, 1e6):
             shape = (int(rng.integers(1, 4)), int(rng.integers(1, 300)), width)
-            x = rng.standard_normal(shape) * scale
-            if complex_field:
-                x = x + 1j * rng.standard_normal(shape) * scale
-            reference = np.linalg.norm(x, axis=-1)
-            columns = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-            fresh = column_norms(columns)
-            out = np.empty(shape[:-1])
-            if complex_field:
-                written = column_norms(columns, out=out, squares=np.empty_like(columns))
-            else:
-                # a real array may be its own scratch, squared in place
-                squared = columns.copy()
-                written = column_norms(squared, out=out, squares=squared)
-            assert written is out
-            for norms in (fresh, written):
-                assert norms.dtype == reference.dtype and norms.shape == reference.shape
-                assert norms.tobytes() == reference.tobytes(), (width, scale)
+            x = _random_columns(rng, shape, scale, complex_field)
+            _assert_column_norms_have_the_bits_of_numpy_norm(x, (width, scale))
+    # blocks of many probes, as the kernel's are (173 probes at 6 members),
+    # through the one reduce below 8 rows
+    for width in range(1, 8):
+        for probes in (173, 200):
+            for scale in (1e-6, 1.0, 1e6):
+                shape = (probes, int(rng.integers(1, 300)), width)
+                x = _random_columns(rng, shape, scale, complex_field)
+                _assert_column_norms_have_the_bits_of_numpy_norm(x, (shape, scale))
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_column_norms_copy_no_row_below_eight_rows(complex_field):
+    # rows of a (probes, rows, subsets) block interleave in memory, so a
+    # whole-row add copies one of them first; below 8 rows nothing is added
+    # row by row, so a call with its scratch and output given allocates less
+    # than one row of the block
+    rng = np.random.Generator(np.random.PCG64(0xC0B1))
+    subsets = 512
+    for probes in (1, 4, 64):
+        for width in range(1, 8):
+            x = _random_columns(rng, (probes, width, subsets), 1.0, complex_field)
+            squares = np.empty_like(x) if complex_field else x
+            out = np.empty((probes, subsets))
+            column_norms(x, out=out, squares=squares)
+            tracemalloc.start()
+            try:
+                column_norms(x, out=out, squares=squares)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < probes * subsets * 8, (probes, width, peak)
 
 
 def test_douglas_factor_positive_pair():
