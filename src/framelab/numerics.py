@@ -164,9 +164,10 @@ def column_norms(x, out=None, squares=None) -> np.ndarray:
     the squares.  ``squares`` (x's shape and dtype) is scratch, and may be x
     itself when x is real, which is then squared in place; ``out`` (x's
     shape without axis -2, real) receives the norms.  With both given, a
-    call on fewer than 8 rows allocates nothing.  From 8 rows on, when a
-    block holds more than one column, rows of the squares interleave in
-    memory and numpy copies an operand of every whole-row add.
+    call on fewer than 8 rows allocates no array.  From 8 rows on, when x
+    holds two or more blocks, a row taken across the blocks interleaves in
+    memory with the others, and numpy copies an operand of every whole-row
+    add.
     """
     if np.iscomplexobj(x):
         sq = np.conjugate(x, out=squares)
