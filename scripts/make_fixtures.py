@@ -431,6 +431,10 @@ CLI_CASES = [
     {"name": "analyze_not_a_frame",
      "argv": ["analyze", "tests/data/cli/not_a_frame.json"],
      "exit_code": 1},
+    {"name": "identities_dual_member_count",
+     "argv": ["identities", "src/framelab/fixtures/fix_i.json", "--k", "k",
+              "--dual", "tests/data/cli/not_a_frame.json", "--trials", "5"],
+     "exit_code": 2},
 ]
 
 
