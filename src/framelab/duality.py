@@ -265,7 +265,7 @@ class KGFDualPair:
     ``exploratory`` marks pairs built over a rank-deficient k, where the
     defect is reported rather than asserted.  ``coupling``,
     ``coupling_defect`` and ``residual`` are built from base, dual and k on
-    first use.
+    first use; :meth:`certified` is the operator-level verdict on them.
     """
 
     base: GFusionSystem
@@ -287,6 +287,11 @@ class KGFDualPair:
     def residual(self) -> float:
         """The reconstruction identity's worst probe defect (:func:`_probe_residual`)."""
         return _probe_residual(self, self.coupling)
+
+    def certified(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+        """``|coupling - k|`` within tolerance of ``|k|``; decided once per tol."""
+        return _memoized(self, ("certified", tol),
+                         lambda: bool(within_scale(self.coupling_defect, self.k.norm, tol)))
 
 
 def _probe_residual(pair: KGFDualPair, coupling: np.ndarray) -> float:
@@ -350,14 +355,16 @@ class KGFDualReport:
 
 
 def verify_kgf_dual(pair: KGFDualPair, tol: ToleranceProfile = DEFAULT_TOL) -> KGFDualReport:
-    """Operator-norm check of the reconstruction identity.
+    """Operator-norm check of the reconstruction identity, and the k*-frame facts.
 
-    When the identity certifies, the dual is additionally verified to be a
-    frame for k* with lower bound 1/B, B the base optimal upper bound.
+    ``certified`` is :meth:`KGFDualPair.certified`.  When it holds, the dual
+    is additionally verified to be a frame for k* with lower bound 1/B, B the
+    base optimal upper bound; this is the report ``dual --method canonical``
+    renders.  :func:`identities_report` reads only the pair's verdict.
     """
-    operator_residual = pair.coupling_defect
-    certified = bool(within_scale(operator_residual, pair.k.norm, tol))
-    report = KGFDualReport(float(operator_residual), pair.residual, certified, pair.exploratory)
+    certified = pair.certified(tol)
+    report = KGFDualReport(float(pair.coupling_defect), pair.residual, certified,
+                           pair.exploratory)
     if certified:
         base_upper = optimal_bounds(pair.base, pair.k, tol).upper
         report.dual_report = verify_k_g_fusion(pair.dual, pair.k.adjoint(), tol=tol)
@@ -464,7 +471,7 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
     masks = _require_masks(masks, pair.base.size)
     probes = _probe_block(probes, pair.base.dim)
     k_mat = pair.k.matrix
-    if not within_scale(pair.coupling_defect, pair.k.norm, tol):
+    if not pair.certified(tol):
         raise PreconditionError(
             f"reconstruction defect {pair.coupling_defect:g} exceeds tolerance; "
             "the subset identity needs a certified dual pair")
@@ -652,7 +659,10 @@ def identities_report(system: GFusionSystem, k: BoundedOperator, trials: int,
 
     The subsets are the empty set plus :func:`subset_masks`, the probes the
     standard basis plus ``trials`` seeded ones.  The dual is ``dual`` when
-    given, the canonical dual otherwise; its subset and complement identities
+    given, the canonical dual otherwise.  Of the dual, the report holds the
+    operator-level verdict :meth:`KGFDualPair.certified` with its operator
+    and probe residuals; the dual is not analysed as a k*-frame here (that
+    is :func:`verify_kgf_dual`).  Its subset and complement identities
     run when it is certified and not exploratory.  The Parseval extension
     identity and the 3/4 bound run when the system is Parseval for k.  The
     report passes when the dual is exploratory or certified and every
@@ -669,17 +679,16 @@ def identities_report(system: GFusionSystem, k: BoundedOperator, trials: int,
         pair = None
         notes.append(f"no dual: {exc}")
     if pair is not None:
-        report = verify_kgf_dual(pair, tol)
+        certified = pair.certified(tol)
         source = ({"source": "document"} if dual is not None
                   else {"source": "canonical", "exploratory": bool(pair.exploratory)})
-        checks["dual"] = dict(source, operator_residual=float(report.operator_residual),
-                              probe_residual=float(report.probe_residual),
-                              certified=report.certified)
-        passed = pair.exploratory or report.certified
+        checks["dual"] = dict(source, operator_residual=float(pair.coupling_defect),
+                              probe_residual=float(pair.residual), certified=certified)
+        passed = pair.exploratory or certified
     if pair is not None and pair.exploratory:
         notes.append("rank-deficient target: dual is exploratory; "
                      "subset identity checks skipped")
-    elif pair is not None and report.certified:
+    elif pair is not None and certified:
         sweep = dual_subset_sweep(pair, masks, probes, tol)
         ok = bool(sweep.identity.passed.all())
         worst_complement = float(sweep.complement_residual.max())

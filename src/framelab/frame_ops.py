@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -329,24 +330,61 @@ class RestrictedInverse:
 
     ``matrix`` maps S(ran k) back onto ran(k) and annihilates its orthogonal
     complement; ``range_basis`` spans ran(k), ``image_basis`` spans S(ran k).
+    ``lower`` and ``upper`` are the optimal bounds, and ``frame_matrix``,
+    ``k`` and ``tol`` what the diagnostics below are computed from.
+
     ``inverse_residual`` is the worst relative defect of X S g = g over probes
     g in ran(k); ``bound_slack_min`` the worst slack (most negative) of the
     two-sided quadratic-form bounds checked on probes in S(ran k).  Each probe
-    set is the basis plus 50 seeded combinations of its columns.
+    set is the basis plus 50 seeded combinations of its columns.  Both are
+    computed together on the first read of either, not at construction.
     """
 
     matrix: np.ndarray
     range_basis: np.ndarray
     image_basis: np.ndarray
-    inverse_residual: float
-    bound_slack_min: float
     lower: float
     upper: float
+    frame_matrix: np.ndarray
+    k: BoundedOperator
+    tol: ToleranceProfile
+
+    @cached_property
+    def _diagnostics(self) -> tuple:
+        return _restricted_inverse_diagnostics(self)
+
+    @property
+    def inverse_residual(self) -> float:
+        return self._diagnostics[0]
+
+    @property
+    def bound_slack_min(self) -> float:
+        return self._diagnostics[1]
+
+
+def _restricted_inverse_diagnostics(ri: RestrictedInverse) -> tuple:
+    """``(inverse_residual, bound_slack_min)`` of ``ri``, each probe block stacked."""
+    s, bk, x, image_basis = ri.frame_matrix, ri.range_basis, ri.matrix, ri.image_basis
+    r = bk.shape[1]
+    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
+    # stacked matvecs over a probe block keep the bits of each one-probe check
+    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0B)
+    g = bk @ coeffs[:, :, None]
+    defects = row_norms((x @ (s @ g) - g)[..., 0]) / np.maximum(row_norms(g[..., 0]), 1e-300)
+    inverse_residual = float(defects.max())
+    kdag_norm = operator_norm(ri.k.pinv(ri.tol))
+    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0C)
+    f = image_basis @ coeffs[:, :, None]
+    quad = row_inners((x @ f)[..., 0], f[..., 0]).real
+    nf2 = row_sq_norms(f[..., 0])
+    slack_lo = quad - nf2 / ri.upper
+    slack_hi = (kdag_norm**2 / ri.lower) * nf2 - quad
+    return inverse_residual, min(float(slack_lo.min()), float(slack_hi.min()))
 
 
 def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
                        tol: ToleranceProfile = DEFAULT_TOL) -> RestrictedInverse:
-    """Construct X = B_k pinv(S B_k) and check the two-sided inverse bounds.
+    """Construct X = B_k pinv(S B_k) and check its injectivity on ran(k).
 
     ``optimal_bounds`` certifies the k-frame, so S is injective on ran(k):
     the rank of S B_k is B_k's column count, not the package cutoff, and one
@@ -357,7 +395,7 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
     a direction of ran(k) inside the tolerance, a :class:`NotAFrameError`.
     For f in S(ran k) the quadratic form satisfies
     ``B^-1 |f|^2 <= <X f, f> <= A^-1 |pinv(k)|^2 |f|^2`` with (A, B) the
-    optimal bounds; the worst probe slack is reported, not asserted.
+    optimal bounds; the worst probe slack is reported when read, not asserted.
     """
     bounds = optimal_bounds(system, k, tol)
     s = system.frame_matrix
@@ -373,28 +411,9 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
             f"S is not injective on ran(k): least singular value {sigma[-1]:g} of S B_k "
             f"is not above {floor:g}")
     x = bk @ (adjoint(vh) @ ((1.0 / sigma)[:, None] * adjoint(image_basis)))
-    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
-    # stacked matvecs over a probe block keep the bits of each one-probe check
-    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0B)
-    g = bk @ coeffs[:, :, None]
-    defects = row_norms((x @ (s @ g) - g)[..., 0]) / np.maximum(row_norms(g[..., 0]), 1e-300)
-    inverse_residual = float(defects.max())
-    kdag_norm = operator_norm(k.pinv(tol))
-    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0C)
-    f = image_basis @ coeffs[:, :, None]
-    quad = row_inners((x @ f)[..., 0], f[..., 0]).real
-    nf2 = row_sq_norms(f[..., 0])
-    slack_lo = quad - nf2 / bounds.upper
-    slack_hi = (kdag_norm**2 / bounds.lower) * nf2 - quad
-    return RestrictedInverse(
-        matrix=x,
-        range_basis=bk,
-        image_basis=image_basis,
-        inverse_residual=inverse_residual,
-        bound_slack_min=min(float(slack_lo.min()), float(slack_hi.min())),
-        lower=bounds.lower,
-        upper=bounds.upper,
-    )
+    return RestrictedInverse(matrix=x, range_basis=bk, image_basis=image_basis,
+                             lower=bounds.lower, upper=bounds.upper,
+                             frame_matrix=s, k=k, tol=tol)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from framelab import (
+    DEFAULT_TOL,
     BoundedOperator,
     duality,
     frame_ops,
@@ -443,6 +444,37 @@ def test_kgf_dual_analyses_the_dual_once_per_pair(monkeypatch):
     assert [id(args[0]) for args in analyzed] == [id(pair.dual)]
     assert pair.k.adjoint() is pair.k.adjoint()
     assert first.dual_report is second.dual_report
+
+
+def test_kgf_dual_pair_decides_its_verdict_once_per_tolerance(monkeypatch):
+    bundle = fixture("FIX-R003")
+    pair = canonical_dual(bundle.system, bundle.operators["k"])
+    decided, real = [], duality.within_scale
+
+    def deciding(*args):
+        decided.append(args)
+        return real(*args)
+
+    # duality's own verdicts only: the dual's k*-analysis decides in frame_ops
+    monkeypatch.setattr(duality, "within_scale", deciding)
+    report = verify_kgf_dual(pair)
+    duality.dual_subset_sweep(pair, frame_ops.subset_masks(pair.base.size),
+                              unit_probes(pair.base.dim, 2))
+    assert report.certified and len(decided) == 1
+    assert pair.certified(ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
+    assert len(decided) == 2
+
+
+def test_identities_and_the_canonical_dual_leave_the_inverse_diagnostics_unread(monkeypatch):
+    bundle = fixture("FIX-R003")
+    system, k = bundle.system, bundle.operators["k"]
+    probed = count_calls(monkeypatch, frame_ops, "_restricted_inverse_diagnostics")
+    canonical_dual(system, k)
+    report = duality.identities_report(system, k, 3, tol=DEFAULT_TOL)
+    assert report.checks["dual"]["certified"] and probed == []
+    ri = frame_ops.restricted_inverse(system, k)
+    first = ri.inverse_residual
+    assert ri.inverse_residual == first and len(probed) == 1
 
 
 def test_cached_operators_are_read_only():

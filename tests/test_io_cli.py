@@ -494,13 +494,16 @@ def test_canonical_dual_jobs_verify_each_system_once(repo_cwd, monkeypatch, case
     case = pinned_case(case_name)
     verified = count_calls(monkeypatch, frame_ops, "_analyze")
     bounded = count_calls(monkeypatch, frame_ops, "_certified_lower")
+    built = count_calls(monkeypatch, duality, "KGFDualPair")
     code, out = run_cli(case["argv"])
     assert code == case["exit_code"]
     body = json.loads(out)
     assert body.get("dual", body)["certified"]
-    # the base once (inside the restricted inverse), the dual once
-    assert len(verified) == 2
-    assert sorted(Counter(id(args[0]) for args in verified).values()) == [1, 1]
+    ((base, dual, _),) = built
+    # the base once (inside the restricted inverse); only dual --method
+    # canonical analyses the dual, as a k*-frame
+    analyzed = [base] if case["argv"][0] == "identities" else [base, dual]
+    assert [id(args[0]) for args in verified] == [id(system) for system in analyzed]
     assert len(bounded) == 1
 
 

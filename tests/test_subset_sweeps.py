@@ -10,7 +10,7 @@ one-entry views of the sweeps and must return the same entries.
 import numpy as np
 import pytest
 
-from framelab import BoundedOperator, InputError, PreconditionError, fixture
+from framelab import DEFAULT_TOL, BoundedOperator, InputError, PreconditionError, fixture
 from framelab.documents import (
     FrameDocument,
     load_packaged_fixture,
@@ -25,6 +25,7 @@ from framelab.duality import (
     check_three_quarters_bound,
     complement_residual,
     dual_subset_sweep,
+    identities_report,
     parseval_subset_sweep,
     parsevalize,
     verify_kgf_dual,
@@ -189,6 +190,32 @@ def test_sweeps_match_member_by_member_reference_and_scalar_views(name):
     check_parseval_entries(system, root, masks, probes)
     if name == "FIX-I":
         check_parseval_entries(system, operators["k"], masks, probes)
+
+
+@pytest.mark.parametrize("name, parsevalized", [("FIX-I", False), ("FIX-R000", False),
+                                                 ("FIX-A", True)])
+def test_the_identities_report_is_the_worst_of_the_scalar_checks(name, parsevalized):
+    system, operators = to_system(load_packaged_fixture(name))
+    k = parsevalize(system) if parsevalized else operators["k"]
+    report = identities_report(system, k, 5, tol=DEFAULT_TOL)
+    masks = walked_masks(system.size)
+    probes = unit_probes(system.dim, 5, complex_field=system.space.field == "complex",
+                         seed=0x1DE7)
+    assert (report.subsets_tested, report.probes) == (len(masks), len(probes))
+    pair = canonical_dual(system, k)
+    assert report.checks["dual_subset_identity"]["max_residual"] == max(
+        check_dual_subset_identity(pair, members(mask), f).residual
+        for mask in masks for f in probes)
+    # FIX-R000 is not Parseval for its k, so the report skips that branch
+    assert ("three_quarters_bound" in report.checks) == (name != "FIX-R000")
+    if name == "FIX-R000":
+        return
+    assert report.checks["parseval_subset_identity"]["max_residual"] == max(
+        check_parseval_subset_identity(system, k, members(mask), members(ext), f).residual
+        for mask, exts in zip(masks, cli_extensions(masks)) for ext in exts for f in probes)
+    assert report.checks["three_quarters_bound"]["min_slack"] == min(
+        check_three_quarters_bound(system, k, members(mask), f).slack
+        for mask in masks for f in probes)
 
 
 def test_subset_stack_matches_oracle_member_sums():
