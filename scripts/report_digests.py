@@ -10,14 +10,16 @@ seed, each checkout runs in its own process, with its own ``src`` and
 the working directory: it builds the workload from the seed as
 ``bench/run.py`` does and runs every job once, in order.  A job's digest is
 the sha256 of its exit code and its report text (or of the exception that
-escaped it).  For each checkout the script prints the job count and the jobs
-whose check failed, then the keys of the jobs whose digests differ between
-the two.  It exits 1 when any digest or job key differs, and 0 otherwise.
+escaped it).  For each checkout the script prints the job count, the line
+total of its ``src/framelab/*.py`` and the jobs whose check failed, then the
+keys of the jobs whose digests differ between the two.  It exits 1 when any
+digest or job key differs, and 0 otherwise.
 The workloads default to those ``BENCHMARK.json`` of PARENT_DIR lists.
 """
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -66,6 +68,15 @@ def run_checkout(checkout: str, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def package_lines(checkout: str) -> int:
+    """Line total of the checkout's ``src/framelab/*.py``, as ``wc -l`` counts it."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "framelab", "*.py")):
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_DIR")
@@ -77,6 +88,7 @@ def main() -> int:
         with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
             args.workloads = [w["name"] for w in json.load(handle)["workloads"]]
 
+    lines = {"parent": package_lines(args.parent), "change": package_lines(args.change)}
     differing = 0
     for workload in args.workloads:
         for seed in args.seeds:
@@ -85,7 +97,8 @@ def main() -> int:
                 runs[side] = run_checkout(checkout, workload, seed)
                 failed = runs[side]["failed"]
                 print(f"{workload} seed {seed} {side}: {len(runs[side]['digests'])} jobs, "
-                      f"{len(failed)} failed checks", flush=True)
+                      f"{len(failed)} failed checks, {lines[side]} lines in src/framelab/*.py",
+                      flush=True)
                 for key, reason in failed.items():
                     print(f"  failed check {key}: {reason}")
             old, new = runs["parent"]["digests"], runs["change"]["digests"]

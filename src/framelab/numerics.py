@@ -152,22 +152,16 @@ def row_sq_norms(x) -> np.ndarray:
 
 
 def column_norms(x, out=None, squares=None) -> np.ndarray:
-    """|x| along axis -2, with the bits of ``np.linalg.norm`` of each column.
+    """|x| along axis -2: one ``np.add.reduce`` of the squares over that axis.
 
-    That is ``np.linalg.norm(y, axis=-1)`` of the C-contiguous transpose
-    ``y`` of x's last two axes: numpy forms ``(y.conj() * y).real`` and sums
-    each row pairwise, which below 8 entries adds them in turn.  Below 8
-    rows of x, one ``np.add.reduce`` over axis -2 sums the squares: numpy
-    reduces an axis that is not the innermost one row at a time, in that
-    same order.  From 8 rows on, each add of the pairwise order is one
-    whole-row add over axis -2, reduced into the first row of each block of
-    the squares.  ``squares`` (x's shape and dtype) is scratch, and may be x
-    itself when x is real, which is then squared in place; ``out`` (x's
-    shape without axis -2, real) receives the norms.  With both given, a
-    call on fewer than 8 rows allocates no array.  From 8 rows on, when x
-    holds two or more blocks, a row taken across the blocks interleaves in
-    memory with the others, and numpy copies an operand of every whole-row
-    add.
+    numpy reduces an axis that is not the innermost one row at a time, so an
+    entry of the result depends on its own column alone, never on the rest
+    of x; with one column it sums the axis pairwise, still per column.
+    Below 8 rows the order, rows in turn, is also ``np.linalg.norm``'s.
+    ``squares`` (x's shape and dtype) is scratch, and may be x itself when x
+    is real, which is then squared in place; ``out`` (x's shape without axis
+    -2, real) receives the norms.  With both given, a call allocates less
+    than one row of x.
     """
     if np.iscomplexobj(x):
         sq = np.conjugate(x, out=squares)
@@ -175,36 +169,8 @@ def column_norms(x, out=None, squares=None) -> np.ndarray:
     else:
         # x.conj() is x, and x * x is one correctly rounded product either way
         sq = np.square(x, out=squares)
-    if sq.shape[-2] < 8:
-        out = np.add.reduce(sq, axis=-2, out=out)
-        return np.sqrt(out, out=out)
-    _pairwise_rows(sq, 0, sq.shape[-2])
-    return np.sqrt(sq[..., 0, :], out=out)
-
-
-def _pairwise_rows(sq, start: int, count: int):
-    """Add rows ``start`` to ``start + count - 1`` of ``sq`` (axis -2), 8 or
-    more of them, into row ``start``, in the order numpy's pairwise summation
-    adds a row's entries."""
-    def row(i):
-        return sq[..., start + i, :]
-    head = row(0)
-    if count <= 128:
-        # eight running sums in rows 0-7, combined as
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in turn
-        tail = count - count % 8
-        for i in range(8, tail):
-            np.add(row(i % 8), row(i), out=row(i % 8))
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            np.add(row(a), row(b), out=row(a))
-        for i in range(tail, count):
-            np.add(head, row(i), out=head)
-    else:
-        # two halves, split at count // 2 rounded down to a multiple of 8
-        half = count // 2 - count // 2 % 8
-        _pairwise_rows(sq, start, half)
-        _pairwise_rows(sq, start + half, count - half)
-        np.add(head, row(half), out=head)
+    out = np.add.reduce(sq, axis=-2, out=out)
+    return np.sqrt(out, out=out)
 
 
 def operator_norm(m) -> float:

@@ -27,13 +27,11 @@ group, scatters them into the members' columns of ``(p, members, dim)``
 term buffers and applies the squared weights as one broadcast multiply.
 Its cost per block grows with the number of groups, not members.  The
 vector subset sums are stored dim-major, ``(p, dim, subsets)``; a real
-search squares them in place, and their norms add whole rows of
-``subsets`` entries in the pairwise order in which numpy's norm sums one
-vector (:func:`~framelab.numerics.column_norms`), so every add reads
-contiguous memory.  Below 8 dims that order is the rows in turn, and one
-``np.add.reduce`` over the dim axis adds them without copying a row.  The
-float subset weights, the member stacks and every buffer are built once
-per search, and every block writes into the buffers.
+search squares them in place, and each norm is one ``np.add.reduce`` over
+the dim axis (:func:`~framelab.numerics.column_norms`), which adds whole
+rows of ``subsets`` contiguous entries and copies none.  The float subset
+weights, the member stacks and every buffer are built once per search, and
+every block writes into the buffers.
 """
 from __future__ import annotations
 
@@ -86,7 +84,7 @@ REFINE_STEPS = 40
 # Entries of each (probes, dim, subsets) buffer a search allocates for its
 # probe blocks, so that its memory stays flat however many subsets it walks.
 # The subset sums are stored dim-major so that a real search squares them in
-# place and sums each norm over whole rows in numpy's pairwise order.
+# place and sums each norm over whole rows.
 PROBE_BLOCK_ENTRIES = 65_536
 
 
@@ -270,7 +268,7 @@ class _Workspace:
     of scalar member terms, and ``norms`` three ``(probes, subsets)``
     results.  A real search squares ``sums`` in place, so ``squares`` is
     None; a complex one squares into the complex ``squares`` scratch of the
-    same shape, since ``(conj(x) * x).real``, the product numpy's norm
+    same shape, since ``(conj(x) * x).real``, the product ``column_norms``
     takes, need not have the bits of ``re**2 + im**2``.  The scalar sums
     stay in the ``(subsets, members)`` layout: as a product with
     ``weights_t`` their matrix-vector products round otherwise.  Built for
@@ -323,10 +321,10 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     stacked matvecs over the block, scattered into the members' columns of
     the ``(p, members, dim)`` term buffers and weighted by one broadcast
     multiply; vector subset sums are stacked ``terms^T @ weights_t`` and
-    their norms sum each column in numpy's pairwise order, so every entry
-    carries the bits of the same inequality evaluated member by member at
-    its probe alone.  Every larger intermediate is written into ``work``,
-    the stacks and buffers of the search (built here when not given).
+    their norms are one reduce over the dim axis, so every entry carries the
+    bits of the same inequality evaluated member by member at its probe
+    alone.  Every larger intermediate is written into ``work``, the stacks
+    and buffers of the search (built here when not given).
     """
     work = work or _Workspace(masks, data, probes)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R

@@ -135,6 +135,29 @@ def test_q_dual_construction_error_reports_all_readings():
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_q_dual_range_reading_certifies_where_the_others_do_not(monkeypatch):
+    # one member on R^3: W = span(e2), L = [1, -1, -1], weight 1, k = e2 e1*
+    e = np.eye(3)
+    system = GFusionSystem(HilbertSpace("real", 3), (
+        (WeightedSubspace(e[:, [1]], 1.0), LocalOperator(np.array([[1.0, -1.0, -1.0]]))),))
+    k = BoundedOperator(np.outer(e[:, 1], e[:, 0]))
+    pair = construct_q_dual(system, k)
+    assert pair.reading == "range"
+    assert pair.residual == 0.0
+    corollary = qdual_bound_corollary(pair)
+    assert corollary.passed
+    assert (corollary.dual_lower, corollary.dual_upper) == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert corollary.q_norm == pytest.approx(1.0, abs=1e-12)
+    # certifying nothing, the construction reports every reading's residual
+    monkeypatch.setattr(duality, "within_scale", lambda *args: False)
+    with pytest.raises(DualConstructionError) as err:
+        construct_q_dual(system, k)
+    residuals = err.value.residuals
+    assert residuals["range"] == 0.0
+    assert residuals["literal"] == pytest.approx(1.0, abs=1e-12)
+    assert residuals["gram"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_q_dual_on_random_fixtures():
     for name in fix_r_names()[:5]:
         bundle = fixture(name)
