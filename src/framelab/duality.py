@@ -319,9 +319,7 @@ def canonical_dual(system: GFusionSystem, k: BoundedOperator,
     rank-deficient k the pair is exploratory and the residual is only
     recorded.
     """
-    ri = restricted_inverse(system, k, tol)
-    x = ri.matrix
-    p_img = ri.image_basis @ adjoint(ri.image_basis)
+    x, p_img = restricted_inverse(system, k, tol)
     k_mat = k.matrix
     members = []
     for (sub, _), lp in zip(system.members, system.local_factors):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +29,6 @@ from .numerics import (
     inner,
     operator_norm,
     psd_check,
-    row_inners,
-    row_norms,
-    row_sq_norms,
-    unit_probes,
     within_scale,
 )
 
@@ -45,7 +40,6 @@ __all__ = [
     "subset_frame_operators",
     "verify_k_g_fusion",
     "optimal_bounds",
-    "RestrictedInverse",
     "restricted_inverse",
     "ReconstructionReport",
     "reconstruction_check",
@@ -324,78 +318,21 @@ def _certified_lower(system: GFusionSystem, k: BoundedOperator, bounds: FrameBou
     return bounds
 
 
-@dataclass
-class RestrictedInverse:
-    """Inverse of the frame operator along ran(k).
-
-    ``matrix`` maps S(ran k) back onto ran(k) and annihilates its orthogonal
-    complement; ``range_basis`` spans ran(k), ``image_basis`` spans S(ran k).
-    ``lower`` and ``upper`` are the optimal bounds, and ``frame_matrix``,
-    ``k`` and ``tol`` what the diagnostics below are computed from.
-
-    ``inverse_residual`` is the worst relative defect of X S g = g over probes
-    g in ran(k); ``bound_slack_min`` the worst slack (most negative) of the
-    two-sided quadratic-form bounds checked on probes in S(ran k).  Each probe
-    set is the basis plus 50 seeded combinations of its columns.  Both are
-    computed together on the first read of either, not at construction.
-    """
-
-    matrix: np.ndarray
-    range_basis: np.ndarray
-    image_basis: np.ndarray
-    lower: float
-    upper: float
-    frame_matrix: np.ndarray
-    k: BoundedOperator
-    tol: ToleranceProfile
-
-    @cached_property
-    def _diagnostics(self) -> tuple:
-        return _restricted_inverse_diagnostics(self)
-
-    @property
-    def inverse_residual(self) -> float:
-        return self._diagnostics[0]
-
-    @property
-    def bound_slack_min(self) -> float:
-        return self._diagnostics[1]
-
-
-def _restricted_inverse_diagnostics(ri: RestrictedInverse) -> tuple:
-    """``(inverse_residual, bound_slack_min)`` of ``ri``, each probe block stacked."""
-    s, bk, x, image_basis = ri.frame_matrix, ri.range_basis, ri.matrix, ri.image_basis
-    r = bk.shape[1]
-    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
-    # stacked matvecs over a probe block keep the bits of each one-probe check
-    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0B)
-    g = bk @ coeffs[:, :, None]
-    defects = row_norms((x @ (s @ g) - g)[..., 0]) / np.maximum(row_norms(g[..., 0]), 1e-300)
-    inverse_residual = float(defects.max())
-    kdag_norm = operator_norm(ri.k.pinv(ri.tol))
-    coeffs = unit_probes(r, 50, complex_field=complex_field, seed=0xB0C)
-    f = image_basis @ coeffs[:, :, None]
-    quad = row_inners((x @ f)[..., 0], f[..., 0]).real
-    nf2 = row_sq_norms(f[..., 0])
-    slack_lo = quad - nf2 / ri.upper
-    slack_hi = (kdag_norm**2 / ri.lower) * nf2 - quad
-    return inverse_residual, min(float(slack_lo.min()), float(slack_hi.min()))
-
-
 def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> RestrictedInverse:
-    """Construct X = B_k pinv(S B_k) and check its injectivity on ran(k).
+                       tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse X of the frame operator along ran(k) and the projection P onto S(ran k).
 
     ``optimal_bounds`` certifies the k-frame, so S is injective on ran(k):
     the rank of S B_k is B_k's column count, not the package cutoff, and one
-    SVD ``S B_k = U Sigma V*`` gives the image basis U and X = B_k V Sigma^-1 U*.
+    SVD ``S B_k = U Sigma V*`` gives X = B_k V Sigma^-1 U* and P = U U*.
+    X maps S(ran k) back onto ran(k) and annihilates its orthogonal complement.
     The certificate only bounds that SVD's least singular value below by
     ``A s_r(k)^2 + psd_floor(B + A |k|^2)`` (s_r(k) the least kept singular
     value of k); one not above both that bound and zero means S annihilates
     a direction of ran(k) inside the tolerance, a :class:`NotAFrameError`.
     For f in S(ran k) the quadratic form satisfies
     ``B^-1 |f|^2 <= <X f, f> <= A^-1 |pinv(k)|^2 |f|^2`` with (A, B) the
-    optimal bounds; the worst probe slack is reported when read, not asserted.
+    optimal bounds.
     """
     bounds = optimal_bounds(system, k, tol)
     s = system.frame_matrix
@@ -411,9 +348,7 @@ def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
             f"S is not injective on ran(k): least singular value {sigma[-1]:g} of S B_k "
             f"is not above {floor:g}")
     x = bk @ (adjoint(vh) @ ((1.0 / sigma)[:, None] * adjoint(image_basis)))
-    return RestrictedInverse(matrix=x, range_basis=bk, image_basis=image_basis,
-                             lower=bounds.lower, upper=bounds.upper,
-                             frame_matrix=s, k=k, tol=tol)
+    return x, image_basis @ adjoint(image_basis)
 
 
 @dataclass
@@ -434,14 +369,13 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     the report says whether that happened.
     """
     f = _one_probe(f, system.dim)[0]
-    ri = restricted_inverse(system, k, tol)
-    p_img = ri.image_basis @ adjoint(ri.image_basis)
+    x, p_img = restricted_inverse(system, k, tol)
     f_used = p_img @ f
     distance = float(np.linalg.norm(f - f_used))
     projected = not within_scale(distance, float(np.linalg.norm(f)), tol)
     kf = k.matrix @ f_used
     lhs = inner(kf, f_used)
-    rhs = inner(ri.matrix @ (system.frame_matrix @ kf), f_used)
+    rhs = inner(x @ (system.frame_matrix @ kf), f_used)
     residual = abs(lhs - rhs)
     passed = residual <= tol.for_scale(1.0) * (1.0 + abs(lhs))
     return ReconstructionReport(float(residual), bool(passed), projected, distance)
@@ -449,12 +383,8 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
 
 @dataclass
 class CrossFrameReport:
-    """Outcome of the coupled-synthesis criterion T_Theta T_Lambda* = k*.
-
-    When the premise holds, each system is certified a frame relative to the
-    appropriate operator with lower bound the reciprocal of the other system's
-    Bessel bound: S_Lambda >= B2^-1 k k* and S_Theta >= B1^-1 k* k.
-    """
+    """Outcome of the coupled-synthesis criterion T_Theta T_Lambda* = k*; see
+    :func:`cross_frame_check` for its fields."""
 
     premise_ok: bool
     premise_residual: float
@@ -469,6 +399,17 @@ class CrossFrameReport:
 def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
                       k: BoundedOperator,
                       tol: ToleranceProfile = DEFAULT_TOL) -> CrossFrameReport:
+    """Certify two systems as frames for k and k* from their coupled synthesis.
+
+    Premise: T_Theta T_Lambda* = k*, checked as ``premise_residual``
+    ``= |T_Theta T_Lambda* - k*|`` within tolerance of |k| (``premise_ok``).
+    Conclusion: with B1 = |S_Lambda| (``bessel_lambda``) and B2 = |S_Theta|
+    (``bessel_theta``) the Bessel bounds, |k* f|^2 <= B2 <S_Lambda f, f>, so
+    S_Lambda >= B2^-1 k k* and likewise S_Theta >= B1^-1 k* k.  When the
+    premise holds, ``lambda_lower`` = 1/B2 and ``theta_lower`` = 1/B1, and
+    ``lambda_certified`` / ``theta_certified`` are the PSD verdicts of those
+    two inequalities; otherwise the four stay None.
+    """
     _require_compatible(lambda_system, k)
     _require_compatible(theta_system, k)
     if lambda_system.local_dims() != theta_system.local_dims():

@@ -337,7 +337,8 @@ def douglas_factor(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasFactor
     """Test ran(L1) subset-of ran(L2) and produce the minimal factor.
 
     When ``included`` holds, the three classical equivalences are certified
-    numerically: the factorization residual is small, and
+    numerically: the factorization residual |L1 - L2 u_min| is small against
+    |L2| |u_min|, the scale at which the product L2 u_min rounds, and
     lambda_min^2 L2 L2* - L1 L1* passes :func:`psd_check`.  ``u_min`` always
     satisfies ker(u_min) = ker(L1) and ran(u_min) inside ran(L2*).
     """
@@ -355,10 +356,10 @@ def douglas_factor(l1, l2, tol: ToleranceProfile = DEFAULT_TOL) -> DouglasFactor
     residual = operator_norm(l1 - l2 @ u_min)
     included = within_scale(range_residual, l1, tol)
     if included:
-        if not within_scale(residual, l1, tol):
+        if not within_scale(residual, lambda_min * l2, tol):
             raise InternalConsistencyError(
                 f"range inclusion held but factorization residual {residual:g} "
-                f"exceeds {tol.for_scale(operator_norm(l1)):g}"
+                f"exceeds {tol.for_scale(lambda_min * operator_norm(l2)):g}"
             )
         gap = lambda_min**2 * (l2 @ adjoint(l2)) - l1 @ adjoint(l1)
         if not psd_check(gap, tol):

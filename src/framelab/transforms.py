@@ -84,14 +84,8 @@ def transform_unitary(system: GFusionSystem, k: BoundedOperator, u: BoundedOpera
 
 @dataclass
 class ReduceOperatorReport:
-    """Whether k-frame-ness transfers to a smaller target operator u.
-
-    ``derivable`` is the range-factorization verdict ran(u) in ran(k).  When
-    it holds, ``certified_lower`` = A / lambda_min^2 is a valid lower bound
-    for u and ``certified_ok`` records its PSD certificate.  When it fails,
-    ``fallback_report`` carries an independent direct verification against u,
-    distinguishing "not derivable by factorization" from "not a u-frame".
-    """
+    """Whether k-frame-ness transfers to a smaller target operator u; see
+    :func:`reduce_operator` for its fields."""
 
     derivable: bool
     lambda_min: float | None
@@ -102,6 +96,18 @@ class ReduceOperatorReport:
 
 def reduce_operator(system: GFusionSystem, k: BoundedOperator, u: BoundedOperator,
                     tol: ToleranceProfile = DEFAULT_TOL) -> ReduceOperatorReport:
+    """Pass a k-frame's lower bound on to an operator u with ran(u) in ran(k).
+
+    Premise: the system is a k-frame with optimal bounds (A, B) (else
+    :class:`NotAFrameError`), and ran(u) in ran(k), the Douglas verdict
+    ``derivable``.  Conclusion: u = k X with |X| = lambda_min, so
+    u u* <= lambda_min^2 k k* and S >= A k k* >= (A / lambda_min^2) u u*: the
+    system is a u-frame.  When derivable, ``lambda_min`` and
+    ``certified_lower`` = A / lambda_min^2 are filled in and ``certified_ok``
+    is the PSD verdict of S - certified_lower u u* >= 0.  When not,
+    ``fallback_report`` is a direct :func:`verify_k_g_fusion` against u, which
+    tells "not derivable by factorization" from "not a u-frame".
+    """
     if u.dim != system.dim:
         raise InputError("target operator has wrong dimension")
     bounds = optimal_bounds(system, k, tol)

@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from framelab import (
-    DEFAULT_TOL,
     BoundedOperator,
     duality,
     frame_ops,
@@ -486,18 +485,6 @@ def test_kgf_dual_pair_decides_its_verdict_once_per_tolerance(monkeypatch):
     assert report.certified and len(decided) == 1
     assert pair.certified(ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
     assert len(decided) == 2
-
-
-def test_identities_and_the_canonical_dual_leave_the_inverse_diagnostics_unread(monkeypatch):
-    bundle = fixture("FIX-R003")
-    system, k = bundle.system, bundle.operators["k"]
-    probed = count_calls(monkeypatch, frame_ops, "_restricted_inverse_diagnostics")
-    canonical_dual(system, k)
-    report = duality.identities_report(system, k, 3, tol=DEFAULT_TOL)
-    assert report.checks["dual"]["certified"] and probed == []
-    ri = frame_ops.restricted_inverse(system, k)
-    first = ri.inverse_residual
-    assert ri.inverse_residual == first and len(probed) == 1
 
 
 def test_cached_operators_are_read_only():

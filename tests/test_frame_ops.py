@@ -142,21 +142,56 @@ def test_frozen_sidecar_values_for_fix_a():
     assert payload["operators"]["k"]["target_norm"] == pytest.approx(np.sqrt(2.0))
 
 
+def lemma_residuals(system, k, probes=50):
+    """Worst inverse defect and bound slack of ``restricted_inverse``, one probe at a time.
+
+    The lemma: X S g = g for g in ran(k), and
+    ``B^-1 |f|^2 <= <X f, f> <= A^-1 |pinv(k)|^2 |f|^2`` for f in S(ran k).
+    The probes are each basis plus ``probes`` seeded combinations of its columns;
+    the inverse defect is relative to |g|, the slack the most negative of both sides.
+    """
+    x, p = restricted_inverse(system, k)
+    s, bk, bounds = frame_operator(system), k.range_basis(), optimal_bounds(system, k)
+    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
+    inverse_residual = 0.0
+    for c in unit_probes(bk.shape[1], probes, complex_field=complex_field, seed=0xB0B):
+        g = bk @ c
+        defect = np.linalg.norm(x @ (s @ g) - g) / np.linalg.norm(g)
+        inverse_residual = max(inverse_residual, float(defect))
+    kdag_norm = operator_norm(k.pinv())
+    image_basis = np.linalg.svd(p)[0][:, :round(np.trace(p).real)]
+    slack_min = float("inf")
+    for c in unit_probes(image_basis.shape[1], probes, complex_field=complex_field,
+                         seed=0xB0C):
+        f = image_basis @ c
+        quad = inner(x @ f, f).real
+        nf2 = float(np.linalg.norm(f))**2
+        slack_lo = quad - nf2 / bounds.upper
+        slack_hi = (kdag_norm**2 / bounds.lower) * nf2 - quad
+        slack_min = min(slack_min, float(slack_lo), float(slack_hi))
+    return inverse_residual, slack_min
+
+
 def test_restricted_inverse_identity_case(fix_i):
-    ri = restricted_inverse(fix_i.system, fix_i.operators["k"])
-    npt.assert_allclose(ri.matrix, np.eye(2), atol=1e-12)
-    assert ri.inverse_residual <= 1e-12
-    assert ri.lower == pytest.approx(1.0, abs=1e-9)
-    assert ri.upper == pytest.approx(1.0, abs=1e-9)
-    assert ri.bound_slack_min >= -1e-12
+    x, p = restricted_inverse(fix_i.system, fix_i.operators["k"])
+    npt.assert_allclose(x, np.eye(2), atol=1e-12)
+    npt.assert_allclose(p, np.eye(2), atol=1e-12)
+    inverse_residual, slack_min = lemma_residuals(fix_i.system, fix_i.operators["k"])
+    assert inverse_residual <= 1e-12
+    assert slack_min >= -1e-12
 
 
 def test_restricted_inverse_respects_range(fix_a):
     k = fix_a.operators["k"]
-    ri = restricted_inverse(fix_a.system, k)
-    assert ri.inverse_residual <= 1e-12
-    # the restriction lives on ran(k), a 2-dimensional subspace here
-    assert ri.range_basis.shape == (3, 2)
+    x, p = restricted_inverse(fix_a.system, k)
+    assert lemma_residuals(fix_a.system, k)[0] <= 1e-12
+    # ran(k) and S(ran k) are 2-dimensional here; X maps the one into the other
+    # and annihilates the orthogonal complement of S(ran k)
+    assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
+    npt.assert_allclose(p @ p, p, atol=1e-12)
+    bk = k.range_basis()
+    npt.assert_allclose(x - bk @ adjoint(bk) @ x, 0.0, atol=1e-12)
+    npt.assert_allclose(x - x @ p, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-8])
@@ -164,9 +199,8 @@ def test_restricted_inverse_keeps_every_direction_of_a_certified_k_frame(eps):
     # S B_k = diag(1, eps^2) has full column rank however small eps^2 is
     system, k = thin_direction_system(eps), BoundedOperator.identity(2)
     assert optimal_bounds(system, k).lower == pytest.approx(eps**2, rel=1e-9)
-    ri = restricted_inverse(system, k)
-    assert ri.image_basis.shape == (2, 2)
-    assert ri.inverse_residual <= 1e-12
+    npt.assert_allclose(restricted_inverse(system, k)[1], np.eye(2), atol=1e-12)
+    assert lemma_residuals(system, k)[0] <= 1e-12
     assert not reconstruction_check(system, k, [0.0, 1.0]).projected
 
 
@@ -182,37 +216,24 @@ def test_restricted_inverse_rejects_a_direction_s_annihilates_inside_the_toleran
         reconstruction_check(system, k, [1.0, 0.0])
 
 
-def reference_restricted_inverse_checks(system, k, ri, probes=50):
-    """inverse_residual and bound_slack_min, one probe at a time."""
-    s = frame_operator(system)
-    x, bk, image_basis = ri.matrix, ri.range_basis, ri.image_basis
-    complex_field = np.iscomplexobj(s) or np.iscomplexobj(bk)
-    inverse_residual = 0.0
-    for c in unit_probes(bk.shape[1], probes, complex_field=complex_field, seed=0xB0B):
-        g = bk @ c
-        defect = np.linalg.norm(x @ (s @ g) - g) / max(np.linalg.norm(g), 1e-300)
-        inverse_residual = max(inverse_residual, float(defect))
-    kdag_norm = operator_norm(k.pinv())
-    slack_min = float("inf")
-    if image_basis.shape[1]:
-        for c in unit_probes(image_basis.shape[1], probes, complex_field=complex_field,
-                             seed=0xB0C):
-            f = image_basis @ c
-            quad = inner(x @ f, f).real
-            nf2 = float(np.linalg.norm(f))**2
-            slack_lo = quad - nf2 / ri.upper
-            slack_hi = (kdag_norm**2 / ri.lower) * nf2 - quad
-            slack_min = min(slack_min, float(slack_lo), float(slack_hi))
-    return inverse_residual, slack_min
-
-
 @pytest.mark.parametrize("name", packaged_fixture_names())
 def test_restricted_inverse_probe_blocks_match_the_probe_loop(name):
+    """The lemma, and the reconstruction identity through X at the standard
+    basis plus seeded probes, for every operator of a packaged fixture."""
     system, operators = to_system(load_packaged_fixture(name))
     for k in operators.values():
-        ri = restricted_inverse(system, k)
-        assert (ri.inverse_residual, ri.bound_slack_min) == \
-            reference_restricted_inverse_checks(system, k, ri)
+        inverse_residual, slack_min = lemma_residuals(system, k)
+        assert inverse_residual <= 1e-12
+        assert slack_min >= -1e-12
+        p = restricted_inverse(system, k)[1]
+        complex_field = np.iscomplexobj(system.frame_matrix) or np.iscomplexobj(k.matrix)
+        for f in unit_probes(system.dim, 10, complex_field=complex_field, seed=0xF00):
+            report = reconstruction_check(system, k, f)
+            assert report.passed and report.residual <= 1e-12
+            assert report.projection_distance == pytest.approx(
+                float(np.linalg.norm(f - p @ f)), abs=1e-12)
+            # a probe leaves S(ran k) only when that is a proper subspace
+            assert not report.projected or np.trace(p).real < system.dim - 0.5
 
 
 def test_one_factorization_per_system_target_and_tolerance(monkeypatch):

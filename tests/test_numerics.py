@@ -328,6 +328,17 @@ def test_douglas_factor_positive_pair():
     assert not psd_check((0.99 * lam) ** 2 * (l2 @ adjoint(l2)) - l1 @ adjoint(l1))
 
 
+def test_douglas_factor_scales_the_factorization_residual_by_l2_and_u_min():
+    # L2 = q diag(1, 3e-8) r is invertible, so ran(q) sits in ran(L2); forming
+    # L2 u_min rounds at |L2| |u_min| ~ 3e7, far above |L1| = 1
+    rng = np.random.default_rng(4)
+    q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    r = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    fac = douglas_factor(q, q @ np.diag([1.0, 3e-8]) @ r)
+    assert fac.included
+    assert fac.lambda_min == pytest.approx(1.0 / 3e-8, rel=1e-6)
+
+
 def test_douglas_factor_negative_pair():
     t = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     k = np.eye(3)
