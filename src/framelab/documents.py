@@ -244,13 +244,8 @@ def loads(text: str) -> FrameDocument:
     missing = required - set(data)
     if missing:
         raise InputError(f"document is missing keys: {sorted(missing)}")
-    field = data["field"]
-    if field not in ("real", "complex"):
-        raise InputError(f"field must be 'real' or 'complex', got {field!r}")
-    complex_field = field == "complex"
-    dim = data["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise InputError(f"dim must be an integer, got {dim!r}")
+    # FrameDocument checks field and dim; a matrix of an unknown field decodes as real
+    complex_field = data["field"] == "complex"
     for key in ("weights", "subspaces", "local_operators"):
         if not isinstance(data[key], list):
             raise InputError(f"{key} must be a list")
@@ -268,7 +263,8 @@ def loads(text: str) -> FrameDocument:
     meta = data.get("meta") or {}
     if not isinstance(meta, dict):
         raise InputError("meta must be an object")
-    return FrameDocument(field, dim, weights, subspaces, local_ops, operators, meta)
+    return FrameDocument(data["field"], data["dim"], weights, subspaces, local_ops, operators,
+                         meta)
 
 
 def save_document(doc: FrameDocument, path) -> None:

@@ -21,7 +21,7 @@ from .numerics import (
     as_matrix,
     operator_norm,
     orthonormalize,
-    pinv_from_svd,
+    pinv,
     significant_rank,
     within_scale,
 )
@@ -230,7 +230,7 @@ class BoundedOperator:
         return BoundedOperator(_read_only(adjoint(self.matrix)))
 
     def pinv(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        return pinv_from_svd(*self.svd, tol)
+        return pinv(self.matrix, tol)
 
     def range_basis(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         u, s, _ = self.svd

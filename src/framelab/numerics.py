@@ -33,7 +33,6 @@ __all__ = [
     "is_hermitian",
     "hermitian_eig",
     "significant_rank",
-    "pinv_from_svd",
     "pinv",
     "numerical_rank",
     "orthonormalize",
@@ -265,25 +264,20 @@ def significant_rank(s: np.ndarray, tol: ToleranceProfile) -> int:
     return int(np.count_nonzero(s > tol.rank_cutoff(s[0])))
 
 
-def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray,
-                  tol: ToleranceProfile) -> np.ndarray:
-    """Pseudo-inverse from an SVD, inverting only the significant directions."""
-    inv = np.zeros_like(s)
-    r = significant_rank(s, tol)
-    inv[:r] = 1.0 / s[:r]
-    return adjoint(vh) @ (inv[:, None] * adjoint(u))
-
-
 def pinv(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the profile's rank cutoff.
 
-    Singular values at or below ``tol.rank_cutoff(sigma_max)`` are treated as
-    exact zeros.
+    Only the significant directions are inverted: singular values at or
+    below ``tol.rank_cutoff(sigma_max)`` are treated as exact zeros.
     """
     m = as_matrix(m)
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    return pinv_from_svd(*np.linalg.svd(m, full_matrices=False), tol)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    inv = np.zeros_like(s)
+    r = significant_rank(s, tol)
+    inv[:r] = 1.0 / s[:r]
+    return adjoint(vh) @ (inv[:, None] * adjoint(u))
 
 
 def numerical_rank(m, tol: ToleranceProfile = DEFAULT_TOL) -> int:

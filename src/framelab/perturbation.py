@@ -457,36 +457,15 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     )
 
 
-def _require_admissible(params: PerturbationParams, lower: float, k_norm: float):
-    mode = params.mode
-    if mode is PerturbationMode.SQRT_SUM:
-        reach = params.lambda1 + params.gamma / math.sqrt(lower)
-        if max(reach, params.lambda2) >= 1.0:
-            raise InputError(
-                f"inadmissible parameters: max(lambda1 + gamma/sqrt(A), lambda2) "
-                f"= {max(reach, params.lambda2):g} must stay below 1")
-    elif mode is PerturbationMode.ADJOINT_TERM:
-        if k_norm <= 0.0:
-            raise InputError("k must be nonzero for this mode")
-        reach = params.lambda1 + params.gamma / (math.sqrt(lower) * k_norm)
-        if max(reach, params.lambda2) >= 1.0:
-            raise InputError(
-                f"inadmissible parameters: max(lambda1 + gamma/(sqrt(A)|k|), lambda2) "
-                f"= {max(reach, params.lambda2):g} must stay below 1")
-    else:
-        # R = 0 is the zero-perturbation fixed point; only R >= A is rejected.
-        if params.R >= lower:
-            raise InputError(
-                f"inadmissible parameters: R = {params.R:g} must stay below the "
-                f"lower bound A = {lower:g}")
-
-
-def _sqrt_sum_bounds(params: PerturbationParams, gamma_eff: float, lower: float,
-                     upper: float) -> tuple:
-    """The sqrt-sum (lower, upper) bounds with ``gamma_eff`` in place of gamma."""
+def _sqrt_sum_reading(params: PerturbationParams, gamma_eff: float, lower: float,
+                      upper: float) -> tuple:
+    """A sqrt-sum reading with ``gamma_eff`` in place of gamma: its admissibility
+    value max(lambda1 + gamma_eff/sqrt(A), lambda2), which must stay below 1,
+    and its (lower, upper) bounds."""
     lam1, lam2 = params.lambda1, params.lambda2
-    return (lower * (1.0 - (lam1 + gamma_eff / math.sqrt(lower))) / (1.0 + lam2),
-            upper * (1.0 + lam1 + gamma_eff / math.sqrt(upper)) / (1.0 - lam2))
+    reach = lam1 + gamma_eff / math.sqrt(lower)
+    return max(reach, lam2), (lower * (1.0 - reach) / (1.0 + lam2),
+                              upper * (1.0 + lam1 + gamma_eff / math.sqrt(upper)) / (1.0 - lam2))
 
 
 def predicted_bounds(params: PerturbationParams, lower: float, upper: float,
@@ -494,29 +473,43 @@ def predicted_bounds(params: PerturbationParams, lower: float, upper: float,
     """The perturbed-system bounds each hypothesis shape promises.
 
     Formulas are evaluated literally; for ``P-variant-kstar`` the gamma term
-    scales with |k| (see :func:`variant_gamma_readings` for the alternative
-    reading its admissibility condition suggests).
+    of the bounds scales with |k| while the admissibility gate divides gamma
+    by |k|, the two readings :func:`variant_gamma_readings` reports.
+    Inadmissible parameters raise InputError.
     """
     if lower <= 0.0 or upper <= 0.0:
         raise InputError("base bounds must be positive")
-    _require_admissible(params, lower, k_norm)
     r, mode = params.R, params.mode
-    if mode is PerturbationMode.SQRT_SUM:
-        new_lower, new_upper = _sqrt_sum_bounds(params, params.gamma, lower, upper)
-    elif mode is PerturbationMode.ADJOINT_TERM:
-        new_lower, new_upper = _sqrt_sum_bounds(params, params.gamma * k_norm, lower, upper)
-        if new_lower < 0.0:
+    if mode in (PerturbationMode.AGGREGATE_NORM, PerturbationMode.SQUARE_SUM):
+        # R = 0 is the zero-perturbation fixed point; only R >= A is rejected.
+        if r >= lower:
             raise InputError(
-                "parameters pass the printed admissibility condition but the "
-                f"lower-bound formula is negative ({new_lower:g}); the two "
-                "gamma readings of this mode disagree here")
-    elif mode is PerturbationMode.AGGREGATE_NORM:
-        new_lower = lower - r
-        new_upper = min(upper + r * math.sqrt(upper / lower),
-                        r * k_norm + math.sqrt(upper))
+                f"inadmissible parameters: R = {r:g} must stay below the "
+                f"lower bound A = {lower:g}")
+        if mode is PerturbationMode.AGGREGATE_NORM:
+            return FrameBounds(float(lower - r), float(min(upper + r * math.sqrt(upper / lower),
+                                                           r * k_norm + math.sqrt(upper))))
+        return FrameBounds(float((math.sqrt(lower) - math.sqrt(r))**2),
+                           float((k_norm * math.sqrt(r) + math.sqrt(upper))**2))
+    if mode is PerturbationMode.SQRT_SUM:
+        gate, (new_lower, new_upper) = _sqrt_sum_reading(params, params.gamma, lower, upper)
+        term = "gamma/sqrt(A)"
     else:
-        new_lower = (math.sqrt(lower) - math.sqrt(r))**2
-        new_upper = (k_norm * math.sqrt(r) + math.sqrt(upper))**2
+        if k_norm <= 0.0:
+            raise InputError("k must be nonzero for this mode")
+        gate, _ = _sqrt_sum_reading(params, params.gamma / k_norm, lower, upper)
+        _, (new_lower, new_upper) = _sqrt_sum_reading(params, params.gamma * k_norm,
+                                                      lower, upper)
+        term = "gamma/(sqrt(A)|k|)"
+    if gate >= 1.0:
+        raise InputError(f"inadmissible parameters: max(lambda1 + {term}, lambda2) "
+                         f"= {gate:g} must stay below 1")
+    # only P-variant-kstar reaches this: its bounds are the gamma-times-|k| reading
+    if new_lower < 0.0:
+        raise InputError(
+            "parameters pass the printed admissibility condition but the "
+            f"lower-bound formula is negative ({new_lower:g}); the two "
+            "gamma readings of this mode disagree here")
     return FrameBounds(float(new_lower), float(new_upper))
 
 
@@ -537,10 +530,11 @@ def variant_gamma_readings(params: PerturbationParams, lower: float, upper: floa
     readings = {}
     for name, effective in (("gamma-times-knorm", gamma * k_norm),
                             ("gamma-over-knorm", gamma / k_norm)):
-        admissible = max(params.lambda1 + effective / math.sqrt(lower), params.lambda2) < 1.0
+        gate, bounds = _sqrt_sum_reading(params, effective, lower, upper)
+        admissible = gate < 1.0
         entry = {"admissible": bool(admissible), "lower": None, "upper": None}
         if admissible:
-            entry["lower"], entry["upper"] = _sqrt_sum_bounds(params, effective, lower, upper)
+            entry["lower"], entry["upper"] = bounds
         readings[name] = entry
     return readings
 
@@ -634,7 +628,7 @@ def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
             "predicted_lower": report.predicted.lower,
             "detail": "hypothesis not falsified yet the perturbed family fails frame verification",
         }
-        if params.mode is PerturbationMode.SQUARE_SUM and report.hypothesis_certified:
+        if report.hypothesis_certified:
             raise InternalConsistencyError(record["detail"])
         report.erratum_log.append(record)
         return report
@@ -651,7 +645,7 @@ def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
             "lower_contained": report.lower_contained,
             "upper_contained": report.upper_contained,
         }
-        if params.mode is PerturbationMode.SQUARE_SUM and report.hypothesis_certified:
+        if report.hypothesis_certified:
             raise InternalConsistencyError(
                 f"certified square-sum hypothesis but containment fails: {record}")
         report.erratum_log.append(record)

@@ -23,7 +23,7 @@ from framelab import (
     oracle,
     perturbation,
 )
-from framelab.frame_ops import frame_operator
+from framelab.frame_ops import FrameBounds, frame_operator
 from framelab.cli import main
 from framelab.documents import (
     FrameDocument,
@@ -382,6 +382,32 @@ def test_perturb_require_hypothesis_gate(repo_cwd):
     assert json.loads(out)["verdict"] == "hypothesis falsified"
     code, _ = run_cli(argv + ["--require-hypothesis"])
     assert code == 1
+
+
+def test_perturb_reports_a_certified_containment_failure_as_an_error(repo_cwd, monkeypatch):
+    monkeypatch.setattr(perturbation, "predicted_bounds",
+                        lambda *args: FrameBounds(2.0, 3.0))
+    code, out = run_cli(["perturb", "src/framelab/fixtures/fix_i.json",
+                         "--theta", "tests/data/cli/theta_fix_i_c11.json",
+                         "--mode", "T-sqsum", "--R", "0.01"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 1
+    assert report["error"].startswith("certified square-sum hypothesis but containment fails")
+    assert not {"base_bounds", "predicted_bounds", "theta_bounds"} & set(report)
+
+
+def test_dual_reports_a_failed_q_construction_with_its_residuals(repo_cwd, monkeypatch):
+    def refuse(*args):
+        raise DualConstructionError("no subspace reading certified the coupling identity",
+                                    {"literal": 0.5, "range": 0.25, "gram": 0.125})
+
+    monkeypatch.setattr(duality, "construct_q_dual", refuse)
+    code, out = run_cli(["dual", "src/framelab/fixtures/fix_i.json", "--method", "q"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 1
+    assert report["certified"] is False
+    assert report["error"] == "no subspace reading certified the coupling identity"
+    assert report["reading_residuals"] == {"literal": 0.5, "range": 0.25, "gram": 0.125}
 
 
 def test_perturb_refuses_a_theta_over_another_space(tmp_path):

@@ -296,6 +296,22 @@ def test_variant_negative_lower_is_rejected():
         predicted_bounds(params, 1.0, 1.0, 3.0)
 
 
+@pytest.mark.parametrize("lambda1, lower, k_norm, gamma", [
+    (0.5, 1.1521681836790942, 0.31472586702134514, 0.16891195251755653),
+    (0.25, 3.7309675323265044, 0.31342999132761695, 0.45405927244485483),
+], ids=["lambda1-half", "lambda1-quarter"])
+def test_variant_gate_and_gamma_readings_agree_at_the_boundary(lambda1, lower, k_norm, gamma):
+    # lambda1 + (gamma/|k|)/sqrt(A) rounds below 1 here, gamma/(sqrt(A)|k|) does not
+    params = PerturbationParams(lambda1, 0.0, gamma, 0.0, "P-variant-kstar")
+    readings = variant_gamma_readings(params, lower, 2.0 * lower, k_norm)
+    try:
+        predicted_bounds(params, lower, 2.0 * lower, k_norm)
+        passed = True
+    except InputError:
+        passed = False
+    assert passed == readings["gamma-over-knorm"]["admissible"]
+
+
 def test_variant_mode_end_to_end(fix_i):
     theta = scaled_system(fix_i, 1.05)
     params = PerturbationParams(0.05, 0.05, 0.11, 0.0, "P-variant-kstar")
@@ -308,6 +324,25 @@ def test_variant_mode_end_to_end(fix_i):
         report.gamma_readings["gamma-over-knorm"]["lower"])
     assert report.lower_contained and report.upper_contained
     assert report.erratum_log == []
+
+
+def test_aggregate_norm_upper_bound_containment_failure_is_logged():
+    system, operators = to_system(spec_document(["6"] + ["3x2"] * 12, 4))
+    rng = np.random.default_rng(1)
+    theta = [op.matrix * (1.0 + 0.05 * rng.standard_normal(op.matrix.shape))
+             for _, op in system.members]
+    params = PerturbationParams(0.0, 0.0, 0.0, 1.0, "C-p2-normsum")
+    report = verify_perturbation_theorem(system, theta, operators["k"], params)
+    assert not report.verdict.falsified
+    assert report.verdict.worst_violation == pytest.approx(-0.150, abs=5e-4)
+    # the R|k| + sqrt(B) term of the upper bound lies below the measured B'
+    assert (report.predicted.lower, report.predicted.upper) == (
+        pytest.approx(0.97083, abs=5e-6), pytest.approx(6.19613, abs=5e-6))
+    assert (report.theta_bounds.lower, report.theta_bounds.upper) == (
+        pytest.approx(1.91940, abs=5e-6), pytest.approx(22.6293, abs=5e-5))
+    assert report.lower_contained and not report.upper_contained
+    assert [record["kind"] for record in report.erratum_log] == ["bound-containment-failure"]
+    assert report.passed
 
 
 def test_hypothesis_probe_budget(fix_i):
