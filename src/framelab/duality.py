@@ -39,6 +39,7 @@ from .numerics import (
     PreconditionError,
     ToleranceProfile,
     adjoint,
+    at_least,
     hermitian_eig,
     numerical_rank,
     operator_norm,
@@ -49,6 +50,7 @@ from .numerics import (
     row_norms,
     row_sq_norms,
     unit_probes,
+    within_relative,
     within_scale,
 )
 
@@ -244,15 +246,15 @@ def qdual_bound_corollary(pair: QDualPair, tol: ToleranceProfile = DEFAULT_TOL) 
     q_norm = operator_norm(pair.q)
     lower_floor = 1.0 / (base_bounds.upper * q_norm**2)
     upper_floor = 1.0 / (base_bounds.lower * q_norm**2)
-    slack = tol.for_scale(max(dual_bounds.lower, dual_bounds.upper))
+    scale = max(dual_bounds.lower, dual_bounds.upper)
     return QDualBoundReport(
         dual_lower=dual_bounds.lower,
         dual_upper=dual_bounds.upper,
         lower_floor=float(lower_floor),
         upper_floor=float(upper_floor),
         q_norm=float(q_norm),
-        lower_ok=bool(dual_bounds.lower >= lower_floor - slack),
-        upper_ok=bool(dual_bounds.upper >= upper_floor - slack),
+        lower_ok=bool(at_least(dual_bounds.lower, lower_floor, scale, tol)),
+        upper_ok=bool(at_least(dual_bounds.upper, upper_floor, scale, tol)),
         coupling=coupling,
         dual_report=dual_report,
     )
@@ -478,7 +480,7 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
     lhs = coeffs[rows] - norms2[rows]
     rhs = np.conj(coeffs[rows_c]) - norms2[rows_c]
     residual = _modulus(lhs - rhs)
-    passed = residual <= tol.for_scale(1.0) * (1.0 + _modulus(lhs))
+    passed = within_relative(residual, 1.0 + _modulus(lhs), tol)
     return DualSubsetSweep(SubsetIdentityResult(lhs, rhs, residual, passed),
                            _complement_defects(stack, rows, rows_c, k_mat))
 
@@ -570,12 +572,11 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
          extensions),
         probes, kk)
     coeffs = coeffs.real
-    floor = tol.for_scale(1.0)
 
     lhs = norms2[grown] - norms2[shrunk]
     rhs = (norms2[rows] - norms2[rows_c])[:, None, :] + 2.0 * coeffs[ext]
     residual = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
-    identity = SubsetIdentityResult(lhs, rhs, residual, residual <= floor)
+    identity = SubsetIdentityResult(lhs, rhs, residual, within_relative(residual, 1.0, tol))
 
     tq_lhs = norms2[rows] + coeffs[rows_c]
     tq_rhs = norms2[rows_c] + coeffs[rows]
@@ -583,7 +584,7 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
     scale = 1.0 + np.abs(tq_lhs) + np.abs(tq_rhs) + target
     symmetry_residual = np.abs(tq_lhs - tq_rhs)
     slack = tq_lhs - target
-    passed = (symmetry_residual <= floor * scale) & (slack >= -floor * scale)
+    passed = within_relative(symmetry_residual, scale, tol) & within_relative(-slack, scale, tol)
     return ParsevalSubsetSweep(
         identity,
         ThreeQuartersResult(tq_lhs, tq_rhs, target, symmetry_residual, slack, passed))

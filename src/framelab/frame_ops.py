@@ -29,6 +29,7 @@ from .numerics import (
     inner,
     operator_norm,
     psd_check,
+    within_relative,
     within_scale,
 )
 
@@ -66,8 +67,8 @@ class FrameBounds:
 
     def __post_init__(self):
         lo, up = float(self.lower), float(self.upper)
-        if math.isnan(lo) or math.isnan(up):
-            raise InputError("bounds must not be NaN")
+        if not (math.isfinite(lo) and math.isfinite(up)):
+            raise InputError(f"bounds must be finite, got ({lo}, {up})")
         if lo < 0.0 or up < 0.0:
             raise InputError("bounds must be nonnegative")
         object.__setattr__(self, "lower", lo)
@@ -263,7 +264,7 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
 
 
 def _analyze(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile) -> FrameReport:
-    if k.norm <= tol.rank_cutoff(1.0):
+    if within_scale(k.norm, 1.0, tol):
         raise InputError("operator k is numerically zero; the frame condition degenerates")
     s = system.frame_matrix
     upper = operator_norm(s)
@@ -377,7 +378,7 @@ def reconstruction_check(system: GFusionSystem, k: BoundedOperator, f,
     lhs = inner(kf, f_used)
     rhs = inner(x @ (system.frame_matrix @ kf), f_used)
     residual = abs(lhs - rhs)
-    passed = residual <= tol.for_scale(1.0) * (1.0 + abs(lhs))
+    passed = within_relative(residual, 1.0 + abs(lhs), tol)
     return ReconstructionReport(float(residual), bool(passed), projected, distance)
 
 

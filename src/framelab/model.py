@@ -192,6 +192,8 @@ class BoundedOperator:
         matrix = as_matrix(matrix, "operator")
         if matrix.shape[0] != matrix.shape[1]:
             raise InputError(f"bounded operator must be square, got {matrix.shape}")
+        if not matrix.size:
+            raise InputError("bounded operator must not be empty")
         self.matrix = matrix
 
     @classmethod
@@ -217,8 +219,7 @@ class BoundedOperator:
 
     @property
     def norm(self) -> float:
-        s = self.singular_values
-        return float(s[0]) if s.size else 0.0
+        return float(self.singular_values[0])
 
     def adjoint(self) -> "BoundedOperator":
         """``k*`` for this operator k; the same read-only operator on every
@@ -240,8 +241,7 @@ class BoundedOperator:
         return significant_rank(self.singular_values, tol)
 
     def is_invertible(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-        s = self.singular_values
-        return bool(s.size) and significant_rank(s, tol) == s.size
+        return significant_rank(self.singular_values, tol) == self.dim
 
     def is_unitary(self, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         """``|u*u - I| <= tol.for_scale(1)`` for this operator u."""

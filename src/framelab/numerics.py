@@ -30,6 +30,9 @@ __all__ = [
     "column_norms",
     "operator_norm",
     "within_scale",
+    "within_relative",
+    "at_most",
+    "at_least",
     "is_hermitian",
     "hermitian_eig",
     "significant_rank",
@@ -222,6 +225,31 @@ def within_scale(d, m, tol: ToleranceProfile) -> bool:
     if not d_hi <= tol.for_scale(m_hi):  # also a NaN d, never within
         return False
     return d_hi <= tol.for_scale(operator_norm(m))
+
+
+def within_relative(residual, scale, tol: ToleranceProfile):
+    """``residual <= tol.for_scale(1) * scale`` per entry: a residual relative to ``scale``."""
+    return residual <= tol.for_scale(1.0) * scale
+
+
+def _shifted(bound, scale, sign: float, tol: ToleranceProfile):
+    """``bound + sign * tol.for_scale(scale)`` per entry, in one new buffer."""
+    # np.fmax(s, 1) is for_scale's max(1.0, s) for a NaN s too; negation is exact
+    t = np.fmax(scale, 1.0)
+    t *= sign * tol.tau_rel
+    t += sign * tol.tau_abs
+    t += bound
+    return t
+
+
+def at_most(value, bound, scale, tol: ToleranceProfile):
+    """``value <= bound + tol.for_scale(scale)`` per entry."""
+    return value <= _shifted(bound, scale, 1.0, tol)
+
+
+def at_least(value, bound, scale, tol: ToleranceProfile):
+    """``value >= bound - tol.for_scale(scale)`` per entry."""
+    return value >= _shifted(bound, scale, -1.0, tol)
 
 
 def is_hermitian(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:

@@ -57,6 +57,8 @@ from .numerics import (
     PreconditionError,
     ToleranceProfile,
     adjoint,
+    at_least,
+    at_most,
     column_norms,
     operator_norm,
     psd_check,
@@ -185,11 +187,9 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
     op = u if isinstance(u, BoundedOperator) else BoundedOperator(u)
     n = op.dim
     defect = operator_norm(op.matrix - np.eye(n, dtype=op.matrix.dtype))
-    sigma = op.singular_values
-    sigma_min = float(sigma[-1])
-    sigma_max = float(sigma[0])
-    slack = tol.for_scale(sigma_max)
-    certified = defect <= lambda1 + lambda2 * sigma_min + slack
+    sigma_min = float(op.singular_values[-1])
+    sigma_max = op.norm
+    certified = at_most(defect, lambda1 + lambda2 * sigma_min, sigma_max, tol)
     lower = (1.0 - lambda1) / (1.0 + lambda2)
     upper = (1.0 + lambda1) / (1.0 - lambda2)
     report = PaleyWienerReport(
@@ -204,16 +204,13 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
         conclusion_ok=None,
     )
     if certified:
-        ok = (sigma_min >= lower - slack) and (sigma_max <= upper + slack)
-        if sigma_min > slack:
-            inv_min = 1.0 / sigma_max
-            inv_max = 1.0 / sigma_min
-            ok = ok and inv_min >= report.inverse_lower - slack
-            ok = ok and inv_max <= report.inverse_upper + slack
-        else:
-            ok = False
-        report.conclusion_ok = bool(ok)
-        if not ok:
+        # the inverse bounds are read only where sigma_min clears the tolerance
+        report.conclusion_ok = bool(
+            at_least(sigma_min, lower, sigma_max, tol) and at_most(sigma_max, upper, sigma_max, tol)
+            and not at_most(sigma_min, 0.0, sigma_max, tol)
+            and at_least(1.0 / sigma_max, report.inverse_lower, sigma_max, tol)
+            and at_most(1.0 / sigma_min, report.inverse_upper, sigma_max, tol))
+        if not report.conclusion_ok:
             raise InternalConsistencyError(
                 f"certified case breaks the singular value bounds: "
                 f"sigma in [{sigma_min:g}, {sigma_max:g}], "
@@ -410,8 +407,9 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         """Fold a block of probes into the search; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
         gaps, scales = _violations(masks, data, k_mat, fs, params, work)
-        if (gaps > tol.tau_abs + tol.tau_rel * scales).any():
-            falsified = True
+        if not falsified:
+            within = at_most(gaps, 0.0, scales, tol)  # a NaN gap: not within, falsifies nothing
+            falsified = not within.all() and not np.isnan(gaps[~within]).all()
         for f, row_gaps, row in zip(fs, gaps, np.argmax(gaps, axis=1)):
             probes_tested += 1
             gap = float(row_gaps[row])
@@ -580,23 +578,23 @@ def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
                                 tol: ToleranceProfile = DEFAULT_TOL) -> PerturbationReport:
     """Check a perturbation theorem's conclusion against measured bounds.
 
-    Preconditions: the base is a frame for k and :func:`perturb_hypothesis`
-    does not falsify the hypothesis.  The perturbed family -- theta's local
-    operators over the base subspaces and weights, the family the hypothesis
-    was tested on -- is verified as a frame for k and its optimal bounds are
-    compared with :func:`predicted_bounds`.  For the square-sum mode with a
-    spectrally certified hypothesis a containment failure raises
-    :class:`InternalConsistencyError`; in every other case failures are
-    recorded in ``erratum_log`` and reported, because the constants in those
-    conclusions are not independently established.
+    This is :func:`perturb_report`, which verifies the perturbed family --
+    theta's local operators over the base subspaces and weights -- as a frame
+    for k and compares its optimal bounds with :func:`predicted_bounds`, with
+    two outcomes raised: a falsified hypothesis as :class:`PreconditionError`,
+    and the :class:`InternalConsistencyError` the report records when a
+    spectrally certified square-sum hypothesis meets a containment failure.
+    Every other failure is recorded in ``erratum_log``, because the constants
+    in those conclusions are not independently established.
     """
-    family = _on_base(base, theta)
-    verdict = perturb_hypothesis(base, family, k, params, tol)
-    if verdict.falsified:
+    report = perturb_report(base, theta, k, params, tol=tol)
+    if report.verdict.falsified:
         raise PreconditionError(
-            f"hypothesis falsified with worst violation {verdict.worst_violation:g}; "
+            f"hypothesis falsified with worst violation {report.verdict.worst_violation:g}; "
             "the theorem's conclusion is not in play")
-    return _conclusion(base, family, k, params, verdict, tol)
+    if report.error is not None:
+        raise InternalConsistencyError(report.error)
+    return report
 
 
 def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
@@ -632,10 +630,10 @@ def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
             raise InternalConsistencyError(record["detail"])
         report.erratum_log.append(record)
         return report
-    report.theta_bounds = optimal_bounds(family, k, tol)
-    slack = tol.for_scale(max(report.predicted.upper, report.theta_bounds.upper))
-    report.lower_contained = bool(report.predicted.lower <= report.theta_bounds.lower + slack)
-    report.upper_contained = bool(report.theta_bounds.upper <= report.predicted.upper + slack)
+    measured = report.theta_bounds = optimal_bounds(family, k, tol)
+    scale = max(report.predicted.upper, measured.upper)
+    report.lower_contained = bool(at_most(report.predicted.lower, measured.lower, scale, tol))
+    report.upper_contained = bool(at_most(measured.upper, report.predicted.upper, scale, tol))
     if not (report.lower_contained and report.upper_contained):
         record = {
             "kind": "bound-containment-failure",

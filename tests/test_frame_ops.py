@@ -70,6 +70,12 @@ def test_fix_a_bounds_and_claims(fix_a):
     assert too_high.claimed_upper_ok
 
 
+@pytest.mark.parametrize("lower, upper", [(0.5, np.inf), (np.inf, 2.0), (0.5, np.nan)])
+def test_frame_bounds_must_be_finite(lower, upper):
+    with pytest.raises(InputError, match="bounds must be finite"):
+        FrameBounds(lower, upper)
+
+
 def test_fix_a_u_operator_is_frame(fix_a):
     report = verify_k_g_fusion(fix_a.system, fix_a.operators["u"])
     assert report.is_frame

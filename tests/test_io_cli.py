@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -729,3 +731,15 @@ def test_analyze_reports_a_non_finite_erratum_as_one_input_error(tmp_path, human
         assert report["exit_code"] == 2
         assert report["error"] == "non-finite value nan cannot be serialized"
         assert "frame" not in report and "discrepancies" not in report
+
+
+@pytest.mark.parametrize("bounds", [("0.5", "inf"), ("inf", "2"), ("0.5", "1e309")])
+def test_analyze_rejects_infinite_claimed_bounds_quietly(bounds):
+    path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "framelab", "analyze",
+         str(REPO_ROOT / "src" / "framelab" / "fixtures" / "fix_i.json"), "--bounds", *bounds],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"].startswith("bounds must be finite")
+    assert proc.stderr == ""

@@ -51,6 +51,8 @@ def test_weighted_subspace_validation():
 def test_bounded_operator_basics():
     with pytest.raises(InputError):
         BoundedOperator(np.zeros((2, 3)))
+    with pytest.raises(InputError, match="must not be empty"):
+        BoundedOperator(np.zeros((0, 0)))
     k = fixture("FIX-A").operators["k"]
     assert k.dim == 3
     assert k.rank() == 2

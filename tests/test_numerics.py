@@ -10,6 +10,8 @@ from framelab import BoundedOperator, InputError, ToleranceProfile, douglas_fact
 from framelab.numerics import (
     adjoint,
     as_matrix,
+    at_least,
+    at_most,
     column_norms,
     hermitian_eig,
     inner,
@@ -20,6 +22,7 @@ from framelab.numerics import (
     pinv,
     psd_check,
     unit_probes,
+    within_relative,
 )
 from conftest import decode_case_matrix, load_suite
 
@@ -381,3 +384,69 @@ def test_psd_check_of_an_exactly_hermitian_matrix_runs_no_svd(linalg_calls, comp
     assert psd_check(hermitian)
     assert not psd_check(-hermitian)
     assert linalg_calls == {"svd": 0, "eigvalsh": 2, "pinv": 0}
+
+
+# Each threshold verdict with the inline form it replaced at its call sites
+# (``perturb`` is the falsification test's form, which skips the clamp of
+# scales it knows to be at least 1) and the threshold that form computes.
+# The second profile's digits make any reordering of the arithmetic round apart.
+BOUND = 0.75
+
+
+def verdict_forms(tol):
+    return {
+        "within_relative": (lambda v, s: within_relative(v, s, tol),
+                            lambda v, s: v <= tol.for_scale(1.0) * s,
+                            lambda s: tol.for_scale(1.0) * s),
+        "at_most": (lambda v, s: at_most(v, BOUND, s, tol),
+                    lambda v, s: v <= BOUND + tol.for_scale(s),
+                    lambda s: BOUND + tol.for_scale(s)),
+        "at_least": (lambda v, s: at_least(v, BOUND, s, tol),
+                     lambda v, s: v >= BOUND - tol.for_scale(s),
+                     lambda s: BOUND - tol.for_scale(s)),
+        "perturb": (lambda v, s: at_most(v, 0.0, s, tol),
+                    lambda v, s: v <= tol.tau_abs + tol.tau_rel * s,
+                    lambda s: tol.tau_abs + tol.tau_rel * s),
+    }
+
+
+def around(threshold):
+    """One ulp below the threshold, the threshold, one ulp above, and NaN."""
+    return [np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf), np.nan]
+
+
+# the falsification test meets no scale below 1
+@pytest.mark.parametrize("tol", [ToleranceProfile(), ToleranceProfile(0.1, 0.3)],
+                         ids=["default", "coarse"])
+@pytest.mark.parametrize("name, scale", [(name, scale) for name in verdict_forms(None)
+                                         for scale in (0.5, 1.0, 1e6)
+                                         if name != "perturb" or scale >= 1.0])
+def test_threshold_verdicts_have_the_bits_of_their_inline_forms(name, scale, tol):
+    verdict, inline, threshold = verdict_forms(tol)[name]
+    values = around(threshold(scale))
+    got = [verdict(v, scale) for v in values]
+    assert got == [inline(v, scale) for v in values]
+    assert got == ([False, True, True, False] if name == "at_least"
+                   else [True, True, False, False])
+    # a (p, s) block: each entry at its own scale, one ulp either side of its threshold
+    scales = scale * np.random.default_rng(7).lognormal(0.0, 1.0, (4, 64))
+    scales[:, 0] = scale
+    if name == "perturb":
+        scales = np.fmax(scales, 1.0)
+    else:
+        scales[1, 1] = np.nan  # for_scale(nan) is for_scale(1)
+    blocks = np.array([[around(threshold(float(s)))[(i + j) % 4] for j, s in enumerate(row)]
+                       for i, row in enumerate(scales)])
+    for block in (blocks, blocks[:, ::-1]):
+        got = verdict(block, scales)
+        assert got.dtype == bool and got.shape == scales.shape
+        npt.assert_array_equal(got, [[inline(float(v), float(c)) for v, c in zip(*rows)]
+                                     for rows in zip(block, scales)])
+
+
+def test_threshold_verdicts_leave_their_scale_block_unchanged():
+    scales = np.array([[0.5, 2.0], [1e6, np.nan]])
+    before = scales.copy()
+    for verdict, _, _ in verdict_forms(ToleranceProfile()).values():
+        verdict(np.zeros_like(scales), scales)
+    npt.assert_array_equal(scales, before)

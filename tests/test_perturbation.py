@@ -17,6 +17,7 @@ from framelab import (
     perturbation,
 )
 from framelab.documents import (
+    load_document,
     load_packaged_fixture,
     packaged_fixture_names,
     spec_document,
@@ -37,7 +38,7 @@ from framelab.perturbation import (
     variant_gamma_readings,
     verify_perturbation_theorem,
 )
-from conftest import count_calls, decode_case_matrix, fix_r_names, load_suite
+from conftest import DATA_DIR, count_calls, decode_case_matrix, fix_r_names, load_suite
 
 MODE_PARAMS = [
     PerturbationParams(0.2, 0.2, 0.1, 0.0, "P1-sqrt-sum"),
@@ -79,6 +80,11 @@ def test_paley_wiener_half_identity():
     assert report.conclusion_ok
     assert report.inverse_lower == pytest.approx(1.0 / 1.5, abs=1e-12)
     assert report.inverse_upper == pytest.approx(2.0, abs=1e-12)
+
+
+def test_paley_wiener_rejects_an_empty_operator():
+    with pytest.raises(InputError, match="must not be empty"):
+        paley_wiener_check(np.zeros((0, 0)), 0.1, 0.1)
 
 
 def test_paley_wiener_identity_and_diagonal():
@@ -614,6 +620,47 @@ def test_perturb_report_searches_once_and_gives_the_theorem_check(fix_i, monkeyp
     assert report.passed and report.error is None
     assert (report.theta_bounds, report.predicted, report.erratum_log) == (
         checked.theta_bounds, checked.predicted, checked.erratum_log)
+
+
+def test_the_theorem_check_is_the_report_with_its_two_raises(fix_i):
+    theta = to_system(load_document(DATA_DIR / "cli" / "theta_fix_i_c11.json"))[0]
+    k = fix_i.operators["k"]
+    kept = 0
+    for params in MODE_PARAMS + [PerturbationParams(0.0, 0.0, 0.0, 0.5, "C-p2-normsum"),
+                                 PerturbationParams(0.0, 0.0, 0.0, 0.5, "T-sqsum")]:
+        report = perturbation.perturb_report(fix_i.system, theta, k, params, tol=DEFAULT_TOL)
+        if report.verdict.falsified:
+            with pytest.raises(PreconditionError, match="hypothesis falsified with worst"):
+                verify_perturbation_theorem(fix_i.system, theta, k, params)
+            continue
+        kept += 1
+        checked = verify_perturbation_theorem(fix_i.system, theta, k, params)
+        for got in (report, checked):
+            assert got.error is None
+        verdicts = [(v.falsified, v.worst_violation, v.worst_subset, v.probes_tested,
+                     v.worst_probe.tobytes()) for v in (report.verdict, checked.verdict)]
+        assert verdicts[0] == verdicts[1]
+        fields = ("base_bounds", "predicted", "theta_bounds", "lower_contained",
+                  "upper_contained", "hypothesis_certified", "gamma_readings", "erratum_log")
+        assert [getattr(report, f) for f in fields] == [getattr(checked, f) for f in fields]
+    assert kept >= 3
+
+
+@pytest.mark.parametrize("excess, falsified", [(0.0, False), (1e-3, True)])
+def test_a_nan_gap_falsifies_nothing(fix_i, monkeypatch, excess, falsified):
+    real = perturbation._violations
+
+    def with_a_nan(*args):
+        gaps, scales = real(*args)
+        gaps[:] = np.minimum(gaps, 0.0)
+        gaps[1:, 0], scales[1:, 0] = np.nan, np.nan  # the first probe keeps a number
+        gaps[0, -1] = excess
+        return gaps, scales
+
+    monkeypatch.setattr(perturbation, "_violations", with_a_nan)
+    verdict = perturb_hypothesis(fix_i.system, nudged(fix_i.system), fix_i.operators["k"],
+                                 MODE_PARAMS[2])
+    assert verdict.falsified is falsified
 
 
 def looped_subset_masks(size, rng_seed=0x5B5E7):
