@@ -12,8 +12,12 @@ the working directory: it builds the workload from the seed as
 the sha256 of its exit code and its report text (or of the exception that
 escaped it).  For each checkout the script prints the job count, the line
 total of its ``src/framelab/*.py`` and the jobs whose check failed, then the
-keys of the jobs whose digests differ between the two.  It exits 1 when any
-digest or job key differs, and 0 otherwise.
+keys of the jobs whose digests differ between the two.  Under each such key
+it names what moved: the exit code, and the dotted fields of the JSON report
+(``hypothesis.worst_violation``) whose values differ, with the parent's and
+the change's value; a list is one value, and a report that is not a JSON
+object is one field, ``(text)``.  It exits 1 when any digest or job key
+differs, and 0 otherwise.
 The workloads default to those ``BENCHMARK.json`` of PARENT_DIR lists.
 """
 from __future__ import annotations
@@ -35,7 +39,7 @@ import hashlib, json, sys
 import workloads
 
 work = workloads.WORKLOADS[sys.argv[1]](int(sys.argv[2]))
-digests, failed = {}, {}
+digests, failed, reports = {}, {}, {}
 for job in work.jobs:
     try:
         code, text = job.call()
@@ -44,9 +48,10 @@ for job in work.jobs:
         code, text = None, f"uncaught {type(exc).__name__}: {exc}"
         error = text
     digests[job.key] = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
+    reports[job.key] = [code, text]
     if error is not None:
         failed[job.key] = error
-print(json.dumps({"digests": digests, "failed": failed}))
+print(json.dumps({"digests": digests, "failed": failed, "reports": reports}))
 """
 
 
@@ -66,6 +71,39 @@ def run_checkout(checkout: str, workload: str, seed: int) -> dict:
         sys.exit(f"{workload} seed {seed} failed in {checkout} "
                  f"(exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report_fields(text: str) -> dict:
+    """A report as ``{dotted field: value}``, with lists as values; text that
+    is not a JSON object is the one field ``(text)``."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        report = None
+    if not isinstance(report, dict):
+        return {"(text)": text}
+    fields = {}
+
+    def walk(value, name):
+        if isinstance(value, dict) and value:
+            for key, item in value.items():
+                walk(item, f"{name}.{key}" if name else key)
+        else:
+            fields[name] = value
+    walk(report, "")
+    return fields
+
+
+def moved(old, new) -> list:
+    """``(name, parent value, change value)`` of what differs between two
+    ``[exit code, report text]`` pairs of one job."""
+    rows = [("(exit code)", old[0], new[0])] if old[0] != new[0] else []
+    old_fields, new_fields = report_fields(old[1]), report_fields(new[1])
+    for name in sorted(old_fields.keys() | new_fields.keys()):
+        before, after = old_fields.get(name, "(absent)"), new_fields.get(name, "(absent)")
+        if before != after:
+            rows.append((name, before, after))
+    return rows
 
 
 def package_lines(checkout: str) -> int:
@@ -105,6 +143,12 @@ def main() -> int:
             keys = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
             for key in keys:
                 print(f"  differs: {key}")
+                if key in old and key in new:
+                    for name, before, after in moved(runs["parent"]["reports"][key],
+                                                     runs["change"]["reports"][key]):
+                        print(f"    {name}: {before!r} -> {after!r}")
+                else:
+                    print(f"    run only in the {'parent' if key in old else 'change'}")
             differing += len(keys)
     print(f"{differing} differing job reports")
     return 1 if differing else 0

@@ -90,7 +90,7 @@ class ToleranceProfile:
             raise InputError("tau_rel must be finite and nonnegative")
 
     def for_scale(self, scale: float) -> float:
-        return self.tau_abs + self.tau_rel * max(1.0, float(scale))
+        return self.tau_abs + self.tau_rel * max(float(scale), 1.0)  # NaN stays NaN
 
     def rank_cutoff(self, sigma_max: float) -> float:
         return self.tau_abs + self.tau_rel * float(sigma_max)
@@ -153,7 +153,7 @@ def row_sq_norms(x) -> np.ndarray:
     return np.float_power(row_norms(x), 2.0)
 
 
-def column_norms(x, out=None, squares=None) -> np.ndarray:
+def column_norms(x, out=None, squares=None, conjugates=None) -> np.ndarray:
     """|x| along axis -2: one ``np.add.reduce`` of the squares over that axis.
 
     numpy reduces an axis that is not the innermost one row at a time, so an
@@ -161,13 +161,14 @@ def column_norms(x, out=None, squares=None) -> np.ndarray:
     of x; with one column it sums the axis pairwise, still per column.
     Below 8 rows the order, rows in turn, is also ``np.linalg.norm``'s.
     ``squares`` (x's shape and dtype) is scratch, and may be x itself when x
-    is real, which is then squared in place; ``out`` (x's shape without axis
-    -2, real) receives the norms.  With both given, a call allocates less
-    than one row of x.
+    is real, which is then squared in place; a complex x takes ``conj(x)``
+    into a second one, ``conjugates``, since numpy multiplies a one-entry
+    array in place in a scalar loop that rounds otherwise.  ``out`` (x's
+    shape without axis -2, real) receives the norms.  With every scratch
+    and ``out`` given, a call allocates less than one row of x.
     """
     if np.iscomplexobj(x):
-        sq = np.conjugate(x, out=squares)
-        sq = np.multiply(sq, x, out=sq).real
+        sq = np.multiply(np.conjugate(x, out=conjugates), x, out=squares).real
     else:
         # x.conj() is x, and x * x is one correctly rounded product either way
         sq = np.square(x, out=squares)
@@ -234,8 +235,8 @@ def within_relative(residual, scale, tol: ToleranceProfile):
 
 def _shifted(bound, scale, sign: float, tol: ToleranceProfile):
     """``bound + sign * tol.for_scale(scale)`` per entry, in one new buffer."""
-    # np.fmax(s, 1) is for_scale's max(1.0, s) for a NaN s too; negation is exact
-    t = np.fmax(scale, 1.0)
+    # np.maximum(s, 1) is for_scale's max(s, 1.0), NaN for a NaN s; negation is exact
+    t = np.maximum(scale, 1.0)
     t *= sign * tol.tau_rel
     t += sign * tol.tau_abs
     t += bound

@@ -11,9 +11,10 @@ quantified over index subsets I and probe vectors f:
 
 where D_I = sum_I v^2 (pi L* L pi - pi Th* Th pi), S_I and S'_I are the
 partial frame operators of the base and perturbed families, and
-q_I(f) = sum_I v^2 |L pi f|^2.  Hypotheses are falsified by search, never
-proved, except T-sqsum whose hypothesis is equivalent to the spectral
-containment S_delta <= R k k* and can be certified exactly.
+q_I(f) = sum_I v^2 |L pi f|^2.  The first three are falsified by search,
+never proved.  T-sqsum is decided exactly: its terms are nonnegative, so the
+full set dominates, the hypothesis is S_delta <= R k k* (S_delta the frame operator
+of the gaps L_j - Th_j) and its worst probe the top eigenvector of S_delta - R k k*.
 
 The search evaluates probes in blocks: one kernel takes a ``(p, n)`` block
 of probes, forms the member terms and every subset sum as one stacked
@@ -60,6 +61,7 @@ from .numerics import (
     at_least,
     at_most,
     column_norms,
+    hermitian_eig,
     operator_norm,
     psd_check,
     row_norms,
@@ -138,8 +140,9 @@ class HypothesisVerdict:
     """Outcome of a falsification search over (subset, probe) pairs.
 
     ``falsified`` means some tested pair violated the inequality beyond
-    tolerance; the converse is evidence, not proof.  ``worst_violation`` is
-    the signed maximum of lhs - rhs over everything tested.
+    tolerance, or for T-sqsum that its exact test failed; otherwise it is
+    evidence, not proof.  ``worst_violation`` is the signed maximum of
+    lhs - rhs over everything tested.
     """
 
     falsified: bool
@@ -263,11 +266,11 @@ class _Workspace:
     ``(probes, dim, subsets)`` subset sums ``terms^T @ weights_t``,
     ``column_sums`` the ``(probes, subsets, 1)`` sums ``weights @ scalars``
     of scalar member terms, and ``norms`` three ``(probes, subsets)``
-    results.  A real search squares ``sums`` in place, so ``squares`` is
-    None; a complex one squares into the complex ``squares`` scratch of the
-    same shape, since ``(conj(x) * x).real``, the product ``column_norms``
-    takes, need not have the bits of ``re**2 + im**2``.  The scalar sums
-    stay in the ``(subsets, members)`` layout: as a product with
+    results.  A real search squares ``sums`` in place, so ``squares`` and
+    ``conjugates`` are None; a complex one writes ``conj(sums)`` and the
+    product ``column_norms`` takes, ``(conj(x) * x).real``, into these two
+    complex scratches of that shape (``column_norms`` says why).  The scalar sums stay
+    in the ``(subsets, members)`` layout: as a product with
     ``weights_t`` their matrix-vector products round otherwise.  Built for
     blocks of up to ``len(probes)`` probes of that dtype; a smaller block
     writes into leading views, which keep the layout of a fresh array and
@@ -298,6 +301,7 @@ class _Workspace:
         self.scalars = np.empty((rows, members, 1))
         self.sums = np.empty((rows, n, subsets), dtype)
         self.squares = np.empty_like(self.sums) if self.sums.dtype.kind == "c" else None
+        self.conjugates = None if self.squares is None else np.empty_like(self.sums)
         self.column_sums = np.empty((rows, subsets, 1))
         self.norms = np.empty((3, rows, subsets))
 
@@ -337,8 +341,10 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     def sum_norms(terms, slot):
         """(p, subsets) norms of the subset sums of (p, members, n) member terms."""
         sums = np.matmul(terms.transpose(0, 2, 1), work.weights_t, out=work.sums[:p])
-        squares = sums if work.squares is None else work.squares[:p]
-        return column_norms(sums, out=work.norms[slot, :p], squares=squares)
+        if work.squares is None:
+            return column_norms(sums, out=work.norms[slot, :p], squares=sums)
+        return column_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p],
+                            conjugates=work.conjugates[:p])
 
     kf_norm = row_norms((adjoint(k_mat) @ probes[:, :, None])[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
@@ -377,14 +383,15 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     Subsets are exhaustive up to 12 members, otherwise a deterministic sample
     of 512 including the full set, singletons, and their complements.  Probes
-    are the standard basis, 200 seeded unit vectors, and a gradient-ascent
-    refinement of the worst probe found.  The basis and the seeded probes
-    are evaluated in blocks of consecutive probes, each block sized so that
-    a (probes, dim, subsets) buffer holds about ``PROBE_BLOCK_ENTRIES``
-    entries, and folded in probe order; the refinement evaluates one probe
-    per step.  The buffers are allocated once per search and shared by
-    every block and step.  Ties go to the earliest probe.  A verdict of
-    not-falsified is evidence over the tested pairs, never a proof.
+    are the standard basis and 200 seeded unit vectors, evaluated in blocks
+    of consecutive probes, each block sized so that a (probes, dim, subsets)
+    buffer holds about ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe
+    order; ties go to the earliest probe.  T-sqsum then evaluates its exact
+    worst probe, the top eigenvector of S_delta - R kk*, and its verdict is
+    ``psd_check(R kk* - S_delta)``.  The other modes end with a
+    gradient-ascent refinement of the worst probe, one probe per step, and
+    their not-falsified verdict is evidence, never a proof.  The buffers are
+    allocated once per search and shared by every block and step.
     """
     family = _on_base(base, theta)
     data = _member_data(base, family)
@@ -397,6 +404,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
     work = _Workspace(masks, data, probes[:block])
 
+    exact = params.mode is PerturbationMode.SQUARE_SUM  # decided by S_delta <= R kk*
     worst = -math.inf
     worst_subset = ()
     worst_probe = None
@@ -407,12 +415,17 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         """Fold a block of probes into the search; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
         gaps, scales = _violations(masks, data, k_mat, fs, params, work)
-        if not falsified:
+        if not (falsified or exact):
             within = at_most(gaps, 0.0, scales, tol)  # a NaN gap: not within, falsifies nothing
             falsified = not within.all() and not np.isnan(gaps[~within]).all()
         for f, row_gaps, row in zip(fs, gaps, np.argmax(gaps, axis=1)):
             probes_tested += 1
             gap = float(row_gaps[row])
+            if math.isnan(gap):  # argmax lands on a NaN only when the row holds one
+                if np.isnan(row_gaps).all():
+                    continue
+                row = np.nanargmax(row_gaps)
+                gap = float(row_gaps[row])
             # ties go to the earliest probe: noise-level gains never displace it
             if worst_probe is None or gap > worst + 1e-12 * max(1.0, abs(worst)):
                 worst = gap
@@ -423,7 +436,12 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     for start in range(0, probes.shape[0], block):
         consider(probes[start:start + block])
 
-    if worst_probe is not None:
+    if exact:
+        gaps = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
+        margin = params.R * k.times_adjoint - frame_operator(base.with_local_operators(gaps))
+        consider(np.array([hermitian_eig(-margin, tol)[1][:, -1]]))
+        falsified = not psd_check(margin, tol)
+    elif worst_probe is not None:
         f = worst_probe.astype(complex if complex_field else float)
         current = worst
         step = 0.25
@@ -564,15 +582,6 @@ class PerturbationReport:
         return self.error is None and (self.theta_report is None or self.theta_report.is_frame)
 
 
-def _square_sum_certificate(base: GFusionSystem, family: GFusionSystem,
-                            k: BoundedOperator, r: float, tol: ToleranceProfile) -> bool:
-    """Exact spectral test of the T-sqsum hypothesis: S_delta <= R k k*."""
-    gaps = [op.matrix - th.matrix
-            for (_, op), (_, th) in zip(base.members, family.members)]
-    s_delta = frame_operator(base.with_local_operators(gaps))
-    return psd_check(r * k.times_adjoint - s_delta, tol)
-
-
 def verify_perturbation_theorem(base: GFusionSystem, theta, k: BoundedOperator,
                                 params: PerturbationParams,
                                 tol: ToleranceProfile = DEFAULT_TOL) -> PerturbationReport:
@@ -605,7 +614,7 @@ def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
     theta_report = verify_k_g_fusion(family, k, tol=tol)
     report = PerturbationReport(params, verdict, base_bounds, theta_report)
     if params.mode is PerturbationMode.SQUARE_SUM:
-        report.hypothesis_certified = _square_sum_certificate(base, family, k, params.R, tol)
+        report.hypothesis_certified = True  # the search's exact test held
     if params.mode is PerturbationMode.ADJOINT_TERM:
         report.gamma_readings = variant_gamma_readings(
             params, base_bounds.lower, base_bounds.upper, k.norm)

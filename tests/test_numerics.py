@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from framelab import BoundedOperator, InputError, ToleranceProfile, douglas_factor
+from framelab import DEFAULT_TOL, BoundedOperator, InputError, ToleranceProfile, douglas_factor
 from framelab.numerics import (
     adjoint,
     as_matrix,
@@ -23,6 +23,7 @@ from framelab.numerics import (
     psd_check,
     unit_probes,
     within_relative,
+    within_scale,
 )
 from conftest import decode_case_matrix, load_suite
 
@@ -283,9 +284,6 @@ def test_column_norms_of_a_block_are_those_of_each_probe_alone(complex_field):
                 rows, subsets, complex_field, rng)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "numpy multiplies a one-entry complex array in place in its scalar loop, "
-    "whose product rounds otherwise than the vector loop a block takes"))
 def test_column_norms_of_one_complex_entry_are_those_of_its_block_row():
     rng = np.random.Generator(np.random.PCG64(0xB10C))
     _assert_each_probe_alone_has_the_bits_of_its_block_row(1, 1, True, rng)
@@ -302,11 +300,12 @@ def test_column_norms_copy_no_row(complex_field):
         for width in [*range(1, 17), 64, 129]:
             x = _random_columns(rng, (probes, width, subsets), 1.0, complex_field)
             squares = np.empty_like(x) if complex_field else x
+            conjugates = np.empty_like(x) if complex_field else None
             out = np.empty((probes, subsets))
-            column_norms(x, out=out, squares=squares)
+            column_norms(x, out=out, squares=squares, conjugates=conjugates)
             tracemalloc.start()
             try:
-                column_norms(x, out=out, squares=squares)
+                column_norms(x, out=out, squares=squares, conjugates=conjugates)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -434,7 +433,7 @@ def test_threshold_verdicts_have_the_bits_of_their_inline_forms(name, scale, tol
     if name == "perturb":
         scales = np.fmax(scales, 1.0)
     else:
-        scales[1, 1] = np.nan  # for_scale(nan) is for_scale(1)
+        scales[1, 1] = np.nan  # for_scale(nan) is NaN: no value passes
     blocks = np.array([[around(threshold(float(s)))[(i + j) % 4] for j, s in enumerate(row)]
                        for i, row in enumerate(scales)])
     for block in (blocks, blocks[:, ::-1]):
@@ -442,6 +441,14 @@ def test_threshold_verdicts_have_the_bits_of_their_inline_forms(name, scale, tol
         assert got.dtype == bool and got.shape == scales.shape
         npt.assert_array_equal(got, [[inline(float(v), float(c)) for v, c in zip(*rows)]
                                      for rows in zip(block, scales)])
+
+
+def test_a_nan_scale_passes_no_threshold():
+    # an overflowed scale is no licence for the tightest threshold
+    assert np.isnan(DEFAULT_TOL.for_scale(np.nan))
+    assert not at_most(0.0, 0.0, np.nan, DEFAULT_TOL)
+    assert not at_least(0.0, 0.0, np.nan, DEFAULT_TOL)
+    assert not within_scale(1e-12, np.nan, DEFAULT_TOL)
 
 
 def test_threshold_verdicts_leave_their_scale_block_unchanged():

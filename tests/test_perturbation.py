@@ -25,7 +25,7 @@ from framelab.documents import (
 )
 from framelab.frame_ops import subset_masks
 from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
-from framelab.numerics import adjoint, unit_probes
+from framelab.numerics import adjoint, psd_check, unit_probes
 from framelab.perturbation import (
     PerturbationMode,
     PerturbationParams,
@@ -370,6 +370,125 @@ def test_theta_shape_mismatch_rejected(fix_i, fix_a):
                            params)
 
 
+# -- T-sqsum is decided by its exact spectral test --------------------------
+
+SQUARE_SUM_SCALES = (1e-3, 1.0, 1e3, 1e6)
+
+
+def twelve_member_case(c=1.0):
+    """Twelve 3x2 members in dim 6 (``gen --spec 6 3x2 ... --seed 4``), each
+    L_j scaled entrywise by 1 + 0.05 N(0, 1), and both families by c."""
+    system, operators = to_system(spec_document(["6"] + ["3x2"] * 12, 4))
+    rng = np.random.default_rng(1)
+    theta = [c * op.matrix * (1 + 0.05 * rng.standard_normal(op.matrix.shape))
+             for _, op in system.members]
+    system = system.with_local_operators([c * op.matrix for _, op in system.members])
+    return system, _on_base(system, theta), operators["k"]
+
+
+def transports():
+    """The identity and six seeded orthogonal matrices of dim 6."""
+    yield np.eye(6)
+    for seed in range(1, 7):
+        yield np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))[0]
+
+
+def transported(system, family, k, u):
+    """Base, perturbed family and k moved by an orthogonal u: W_j -> u W_j,
+    L_j P_j -> L_j P_j u*, Th_j P_j -> Th_j P_j u* and k -> u k."""
+    moved = GFusionSystem(system.space, tuple(
+        (WeightedSubspace(u @ sub.basis, sub.weight), LocalOperator(lp @ u.T))
+        for (sub, _), lp in zip(system.members, system.local_factors)))
+    theta = [tp @ u.T for tp in family.local_factors]
+    return moved, _on_base(moved, theta), BoundedOperator(u @ k.matrix)
+
+
+def narrow_cases(count=20):
+    """One member on R^6 with k = I whose gap Delta = L - Th has
+    Delta* Delta = Q diag(1.001, 0.1, ..., 0.1) Q*: at R = 1 the hypothesis
+    fails by 1e-3, and only near the first column of Q."""
+    rng = np.random.default_rng(99)
+    for _ in range(count):
+        lmat = 2.0 * np.eye(6) + 0.1 * rng.standard_normal((6, 6))
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        delta = np.diag(np.sqrt([1.001] + [0.1] * 5)) @ q.T
+        system = GFusionSystem(HilbertSpace("real", 6), (
+            (WeightedSubspace(np.eye(6), 1.0), LocalOperator(lmat)),))
+        yield system, _on_base(system, [lmat - delta]), BoundedOperator(np.eye(6))
+
+
+def exact_square_sum_falsified(system, family, k, r):
+    """not psd_check(R kk* - S_delta), with S_delta summed member by member."""
+    s_delta = sum(w2 * adjoint(lp - tp) @ (lp - tp)
+                  for w2, lp, tp in _member_data(system, family))
+    return not psd_check(r * k.matrix @ adjoint(k.matrix) - s_delta)
+
+
+def test_square_sum_finds_a_narrow_violation():
+    params = PerturbationParams(0.0, 0.0, 0.0, 1.0, "T-sqsum")
+    for system, family, k in narrow_cases():
+        report = perturbation.perturb_report(system, family, k, params, tol=DEFAULT_TOL)
+        assert report.verdict.falsified
+        assert report.verdict.worst_violation == pytest.approx(1e-3, rel=1e-9)
+        assert report.verdict.worst_subset == (0,)
+
+
+def test_square_sum_verdict_does_not_depend_on_the_basis():
+    params = PerturbationParams(0.0, 0.0, 0.0, 0.058, "T-sqsum")
+    worst = []
+    for u in transports():
+        verdict = perturb_hypothesis(*transported(*twelve_member_case(), u), params)
+        assert verdict.falsified
+        assert verdict.worst_subset == tuple(range(12))
+        worst.append(verdict.worst_violation)
+    npt.assert_allclose(worst, worst[0], rtol=1e-12, atol=0.0)
+
+
+def fix_r_square_sum_cases():
+    """Each FIX-R system, nudged, at R one part in 1e6 either side of the
+    least R for which S_delta <= R kk* holds, and at R = 0."""
+    for name in fix_r_names():
+        bundle = fixture(name)
+        system, k = bundle.system, bundle.operators["k"]
+        family = _on_base(system, nudged(system))
+        gaps = system.with_local_operators(
+            [lp - tp for lp, tp in zip(system.local_factors, family.local_factors)])
+        k_inv = np.linalg.pinv(k.matrix)
+        pulled = k_inv @ frame_operator(gaps) @ adjoint(k_inv)
+        least = float(np.linalg.eigvalsh((pulled + adjoint(pulled)) / 2.0)[-1])
+        for r in (0.0, least * (1.0 - 1e-6), least * (1.0 + 1e-6)):
+            yield (system, family, k), r
+
+
+def test_square_sum_verdict_is_the_exact_spectral_test():
+    cases = [(case, 1.0) for case in narrow_cases()]
+    cases += [(transported(*twelve_member_case(), u), r)
+              for u in transports() for r in (0.058, 0.5)]
+    cases += list(fix_r_square_sum_cases())
+    verdicts = []
+    for (system, family, k), r in cases:
+        verdict = perturb_hypothesis(system, family, k,
+                                     PerturbationParams(0.0, 0.0, 0.0, r, "T-sqsum"))
+        assert verdict.falsified is exact_square_sum_falsified(system, family, k, r)
+        verdicts.append(verdict.falsified)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_square_sum_verdict_is_scale_covariant():
+    # L, Th -> cL, cTh with R -> c^2 R moves every term by c^2; below c = 1e-3
+    # the absolute part of the tolerance decides instead
+    for r in (0.058, 0.5):
+        params = PerturbationParams(0.0, 0.0, 0.0, r, "T-sqsum")
+        reference = perturb_hypothesis(*twelve_member_case(), params)
+        for c in SQUARE_SUM_SCALES:
+            scaled = PerturbationParams(0.0, 0.0, 0.0, r * c * c, "T-sqsum")
+            verdict = perturb_hypothesis(*twelve_member_case(c), scaled)
+            assert verdict.falsified is reference.falsified
+            assert verdict.worst_subset == reference.worst_subset
+            assert verdict.worst_violation / (c * c) == pytest.approx(
+                reference.worst_violation, rel=1e-9)
+
+
 # -- the probe-block kernel against the one-probe, member-by-member loop ----
 
 
@@ -581,8 +700,13 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
     monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES",
                         (first + 1) * masks.shape[0] * system.dim)
+    # T-sqsum evaluates one more probe after the blocks, the top eigenvector of
+    # S_delta - R kk*; made a third copy of the worst probe, it keeps the earliest too
+    monkeypatch.setattr(perturbation, "hermitian_eig",
+                        lambda m, tol: (None, -probes[first][:, None]))
     verdict = perturb_hypothesis(system, _on_base(system, nudged(system)), k, params)
-    assert verdict.probes_tested == crafted.shape[0]
+    witness = params.mode is PerturbationMode.SQUARE_SUM
+    assert verdict.probes_tested == crafted.shape[0] + witness
     assert verdict.worst_violation == float(gaps.max())
     assert_bits(verdict.worst_probe, probes[first])
 
@@ -646,21 +770,41 @@ def test_the_theorem_check_is_the_report_with_its_two_raises(fix_i):
     assert kept >= 3
 
 
-@pytest.mark.parametrize("excess, falsified", [(0.0, False), (1e-3, True)])
-def test_a_nan_gap_falsifies_nothing(fix_i, monkeypatch, excess, falsified):
+# ``first`` is the first probe whose first subset gets the NaN
+@pytest.mark.parametrize("excess, falsified, first", [
+    (0.0, False, 1), (1e-3, True, 1), (0.0, False, 0), (1e-3, True, 0),
+], ids=["0.0-False", "0.001-True", "0.0-False-first-probe", "0.001-True-first-probe"])
+def test_a_nan_gap_falsifies_nothing(fix_i, monkeypatch, excess, falsified, first):
     real = perturbation._violations
 
     def with_a_nan(*args):
         gaps, scales = real(*args)
         gaps[:] = np.minimum(gaps, 0.0)
-        gaps[1:, 0], scales[1:, 0] = np.nan, np.nan  # the first probe keeps a number
-        gaps[0, -1] = excess
+        gaps[first:, 0], scales[first:, 0] = np.nan, np.nan
+        gaps[0, -1] = excess  # a NaN in the first probe's row hides no violation of it
         return gaps, scales
 
     monkeypatch.setattr(perturbation, "_violations", with_a_nan)
     verdict = perturb_hypothesis(fix_i.system, nudged(fix_i.system), fix_i.operators["k"],
                                  MODE_PARAMS[2])
     assert verdict.falsified is falsified
+    assert verdict.worst_violation == excess
+
+
+def test_an_all_nan_row_is_tested_and_sets_nothing(fix_i, monkeypatch):
+    real = perturbation._violations
+
+    def first_row_nan(*args):
+        gaps, scales = real(*args)
+        gaps[0], scales[0] = np.nan, np.nan  # every refinement step's only row too
+        return gaps, scales
+
+    monkeypatch.setattr(perturbation, "_violations", first_row_nan)
+    verdict = perturb_hypothesis(fix_i.system, nudged(fix_i.system), fix_i.operators["k"],
+                                 MODE_PARAMS[2])
+    assert verdict.probes_tested >= fix_i.system.dim + perturbation.RANDOM_PROBES
+    assert not np.isnan(verdict.worst_violation)
+    assert not np.array_equal(verdict.worst_probe, np.eye(fix_i.system.dim)[0])
 
 
 def looped_subset_masks(size, rng_seed=0x5B5E7):
