@@ -40,6 +40,7 @@ __all__ = [
     "numerical_rank",
     "orthonormalize",
     "psd_check",
+    "psd_eig",
     "DouglasFactorization",
     "douglas_factor",
     "unit_probes",
@@ -160,12 +161,11 @@ def column_norms(x, out=None, squares=None, conjugates=None) -> np.ndarray:
     entry of the result depends on its own column alone, never on the rest
     of x; with one column it sums the axis pairwise, still per column.
     Below 8 rows the order, rows in turn, is also ``np.linalg.norm``'s.
-    ``squares`` (x's shape and dtype) is scratch, and may be x itself when x
-    is real, which is then squared in place; a complex x takes ``conj(x)``
-    into a second one, ``conjugates``, since numpy multiplies a one-entry
-    array in place in a scalar loop that rounds otherwise.  ``out`` (x's
-    shape without axis -2, real) receives the norms.  With every scratch
-    and ``out`` given, a call allocates less than one row of x.
+    ``squares`` (x's shape and dtype) is scratch and may be a real x, squared
+    in place; a complex x takes ``conj(x)`` into a second, ``conjugates``, as
+    numpy multiplies a one-entry array in place in a scalar loop that rounds
+    otherwise.  ``out`` (x's shape without axis -2, real) receives the norms;
+    with all three, a call allocates less than one row of x.
     """
     if np.iscomplexobj(x):
         sq = np.multiply(np.conjugate(x, out=conjugates), x, out=squares).real
@@ -258,8 +258,6 @@ def is_hermitian(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    if m.size == 0:
-        return True
     return within_scale(m - adjoint(m), m, tol)
 
 
@@ -329,13 +327,20 @@ def orthonormalize(columns, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return u[:, :significant_rank(s, tol)]
 
 
+def _clears_psd_floor(w: np.ndarray, tol: ToleranceProfile) -> bool:
+    """True iff the spectrum ``w`` is empty or clears the PSD floor."""
+    return not w.size or bool(w.min() >= tol.psd_floor(float(np.max(np.abs(w)))))
+
+
 def psd_check(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian and its spectrum clears the PSD floor."""
-    h = _hermitian_part(as_matrix(m), tol)
-    if h.size == 0:
-        return True
-    w = np.linalg.eigvalsh(h)
-    return bool(w.min() >= tol.psd_floor(float(np.max(np.abs(w)))))
+    return _clears_psd_floor(np.linalg.eigvalsh(_hermitian_part(as_matrix(m), tol)), tol)
+
+
+def psd_eig(m, tol: ToleranceProfile = DEFAULT_TOL):
+    """:func:`psd_check`'s verdict and :func:`hermitian_eig`'s ``(w, v)`` from one eigh."""
+    w, v = hermitian_eig(m, tol)
+    return _clears_psd_floor(w, tol), w, v
 
 
 @dataclass(frozen=True)

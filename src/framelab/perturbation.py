@@ -12,7 +12,7 @@ quantified over index subsets I and probe vectors f:
 where D_I = sum_I v^2 (pi L* L pi - pi Th* Th pi), S_I and S'_I are the
 partial frame operators of the base and perturbed families, and
 q_I(f) = sum_I v^2 |L pi f|^2.  The first three are falsified by search,
-never proved.  T-sqsum is decided exactly: its terms are nonnegative, so the
+never proved.  T-sqsum is also decided exactly: its terms are nonnegative, so the
 full set dominates, the hypothesis is S_delta <= R k k* (S_delta the frame operator
 of the gaps L_j - Th_j) and its worst probe the top eigenvector of S_delta - R k k*.
 
@@ -61,9 +61,8 @@ from .numerics import (
     at_least,
     at_most,
     column_norms,
-    hermitian_eig,
     operator_norm,
-    psd_check,
+    psd_eig,
     row_norms,
     row_sq_norms,
     unit_probes,
@@ -141,8 +140,8 @@ class HypothesisVerdict:
 
     ``falsified`` means some tested pair violated the inequality beyond
     tolerance, or for T-sqsum that its exact test failed; otherwise it is
-    evidence, not proof.  ``worst_violation`` is the signed maximum of
-    lhs - rhs over everything tested.
+    evidence, not proof.  ``worst_violation`` is the signed maximum of lhs -
+    rhs over everything tested, for T-sqsum also lambda_max(S_delta - R kk*).
     """
 
     falsified: bool
@@ -266,15 +265,13 @@ class _Workspace:
     ``(probes, dim, subsets)`` subset sums ``terms^T @ weights_t``,
     ``column_sums`` the ``(probes, subsets, 1)`` sums ``weights @ scalars``
     of scalar member terms, and ``norms`` three ``(probes, subsets)``
-    results.  A real search squares ``sums`` in place, so ``squares`` and
-    ``conjugates`` are None; a complex one writes ``conj(sums)`` and the
-    product ``column_norms`` takes, ``(conj(x) * x).real``, into these two
-    complex scratches of that shape (``column_norms`` says why).  The scalar sums stay
-    in the ``(subsets, members)`` layout: as a product with
-    ``weights_t`` their matrix-vector products round otherwise.  Built for
-    blocks of up to ``len(probes)`` probes of that dtype; a smaller block
-    writes into leading views, which keep the layout of a fresh array and
-    so its bits.
+    results.  A real search squares ``sums`` in place; a complex one writes
+    ``conj(sums)`` and ``(conj(x) * x).real`` into the complex scratches
+    ``conjugates`` and ``squares`` (None for a real one), as ``column_norms``
+    says.  The scalar sums stay in the ``(subsets, members)`` layout: as a
+    product with ``weights_t`` their matrix-vector products round otherwise.
+    Built for blocks of up to ``len(probes)`` probes of that dtype; a smaller
+    block writes into leading views, which keep a fresh array's layout and bits.
     """
 
     def __init__(self, masks, data, probes):
@@ -386,12 +383,12 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     are the standard basis and 200 seeded unit vectors, evaluated in blocks
     of consecutive probes, each block sized so that a (probes, dim, subsets)
     buffer holds about ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe
-    order; ties go to the earliest probe.  T-sqsum then evaluates its exact
-    worst probe, the top eigenvector of S_delta - R kk*, and its verdict is
-    ``psd_check(R kk* - S_delta)``.  The other modes end with a
-    gradient-ascent refinement of the worst probe, one probe per step, and
-    their not-falsified verdict is evidence, never a proof.  The buffers are
-    allocated once per search and shared by every block and step.
+    order; ties go to the earliest probe; a pair whose gap fails ``at_most``
+    falsifies.  T-sqsum also falsifies when ``psd_check(R kk* - S_delta)``
+    fails, and ends with its exact worst probe, the top eigenvector of
+    S_delta - R kk*.  The other modes end with a gradient-ascent refinement,
+    one probe per step, and their not-falsified verdict is evidence, never a
+    proof.  The buffers are allocated once per search and shared by all.
     """
     family = _on_base(base, theta)
     data = _member_data(base, family)
@@ -404,18 +401,22 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
     work = _Workspace(masks, data, probes[:block])
 
-    exact = params.mode is PerturbationMode.SQUARE_SUM  # decided by S_delta <= R kk*
+    exact = params.mode is PerturbationMode.SQUARE_SUM
+    if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested
+        deltas = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
+        holds, w, v = psd_eig(params.R * k.times_adjoint
+                              - frame_operator(base.with_local_operators(deltas)), tol)
     worst = -math.inf
     worst_subset = ()
     worst_probe = None
-    falsified = False
+    falsified = exact and not holds
     probes_tested = 0
 
     def consider(fs):
         """Fold a block of probes into the search; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
         gaps, scales = _violations(masks, data, k_mat, fs, params, work)
-        if not (falsified or exact):
+        if not falsified:
             within = at_most(gaps, 0.0, scales, tol)  # a NaN gap: not within, falsifies nothing
             falsified = not within.all() and not np.isnan(gaps[~within]).all()
         for f, row_gaps, row in zip(fs, gaps, np.argmax(gaps, axis=1)):
@@ -436,11 +437,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     for start in range(0, probes.shape[0], block):
         consider(probes[start:start + block])
 
-    if exact:
-        gaps = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
-        margin = params.R * k.times_adjoint - frame_operator(base.with_local_operators(gaps))
-        consider(np.array([hermitian_eig(-margin, tol)[1][:, -1]]))
-        falsified = not psd_check(margin, tol)
+    if exact:  # the worst pair: the full set at the top eigenvector of S_delta - R kk*
+        consider(v[:, :1].T)
+        if -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
+            worst, worst_subset, worst_probe = -float(w[0]), tuple(range(base.size)), v[:, 0]
     elif worst_probe is not None:
         f = worst_probe.astype(complex if complex_field else float)
         current = worst
@@ -464,13 +464,8 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                     break
 
     return HypothesisVerdict(
-        falsified=bool(falsified),
-        worst_violation=float(worst),
-        subsets_tested=int(masks.shape[0]),
-        probes_tested=probes_tested,
-        worst_subset=worst_subset,
-        worst_probe=worst_probe,
-    )
+        falsified=bool(falsified), worst_violation=float(worst), subsets_tested=int(masks.shape[0]),
+        probes_tested=probes_tested, worst_subset=worst_subset, worst_probe=worst_probe)
 
 
 def _sqrt_sum_reading(params: PerturbationParams, gamma_eff: float, lower: float,

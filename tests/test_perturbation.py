@@ -372,7 +372,7 @@ def test_theta_shape_mismatch_rejected(fix_i, fix_a):
 
 # -- T-sqsum is decided by its exact spectral test --------------------------
 
-SQUARE_SUM_SCALES = (1e-3, 1.0, 1e3, 1e6)
+SQUARE_SUM_SCALES = (1e-6, 1e-5, 1e-3, 1.0, 1e3, 1e6)
 
 
 def twelve_member_case(c=1.0):
@@ -411,17 +411,27 @@ def narrow_cases(count=20):
     for _ in range(count):
         lmat = 2.0 * np.eye(6) + 0.1 * rng.standard_normal((6, 6))
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        delta = np.diag(np.sqrt([1.001] + [0.1] * 5)) @ q.T
-        system = GFusionSystem(HilbertSpace("real", 6), (
-            (WeightedSubspace(np.eye(6), 1.0), LocalOperator(lmat)),))
-        yield system, _on_base(system, [lmat - delta]), BoundedOperator(np.eye(6))
+        yield one_member_case(lmat, np.diag(np.sqrt([1.001] + [0.1] * 5)) @ q.T, np.eye(6))
+
+
+def one_member_case(lmat, delta, k):
+    """One member on R^n with weight 1, local operator L, Th = L - Delta, and k."""
+    n = lmat.shape[0]
+    system = GFusionSystem(HilbertSpace("real", n), (
+        (WeightedSubspace(np.eye(n), 1.0), LocalOperator(lmat)),))
+    return system, _on_base(system, [lmat - delta]), BoundedOperator(k)
+
+
+def square_sum_margin(system, family, k, r):
+    """R kk* - S_delta, with S_delta summed member by member."""
+    s_delta = sum(w2 * adjoint(lp - tp) @ (lp - tp)
+                  for w2, lp, tp in _member_data(system, family))
+    return r * k.matrix @ adjoint(k.matrix) - s_delta
 
 
 def exact_square_sum_falsified(system, family, k, r):
-    """not psd_check(R kk* - S_delta), with S_delta summed member by member."""
-    s_delta = sum(w2 * adjoint(lp - tp) @ (lp - tp)
-                  for w2, lp, tp in _member_data(system, family))
-    return not psd_check(r * k.matrix @ adjoint(k.matrix) - s_delta)
+    """not psd_check(R kk* - S_delta)."""
+    return not psd_check(square_sum_margin(system, family, k, r))
 
 
 def test_square_sum_finds_a_narrow_violation():
@@ -475,18 +485,53 @@ def test_square_sum_verdict_is_the_exact_spectral_test():
 
 
 def test_square_sum_verdict_is_scale_covariant():
-    # L, Th -> cL, cTh with R -> c^2 R moves every term by c^2; below c = 1e-3
-    # the absolute part of the tolerance decides instead
+    # L, Th -> cL, cTh with R -> c^2 R moves every term by c^2, and the worst
+    # violation with them; below c = 1e-3 the absolute part of the tolerance
+    # decides the verdict instead
     for r in (0.058, 0.5):
         params = PerturbationParams(0.0, 0.0, 0.0, r, "T-sqsum")
         reference = perturb_hypothesis(*twelve_member_case(), params)
         for c in SQUARE_SUM_SCALES:
             scaled = PerturbationParams(0.0, 0.0, 0.0, r * c * c, "T-sqsum")
             verdict = perturb_hypothesis(*twelve_member_case(c), scaled)
-            assert verdict.falsified is reference.falsified
+            if c >= 1e-3:
+                assert verdict.falsified is reference.falsified
             assert verdict.worst_subset == reference.worst_subset
             assert verdict.worst_violation / (c * c) == pytest.approx(
                 reference.worst_violation, rel=1e-9)
+
+
+@pytest.mark.parametrize("s_delta, k_diag, worst", [
+    ([1 + 1e-5, 0.0], [1.0, 1e3], 1e-5),
+    ([1e6 + 2e-5, 1 + 1e-5, 0.0], [1e3, 1.0, 1e3], 2e-5),
+], ids=["at-the-witness", "below-the-witness-scale"])
+def test_square_sum_falsifies_a_pair_that_clears_an_anisotropic_psd_floor(s_delta, k_diag,
+                                                                          worst):
+    # the eigenvalue 1e6 of kk* - S_delta lifts psd_check's floor to -1e-3, far
+    # below the violation, while each pair is judged at its own scale 1 + lhs + rhs;
+    # in the second case the witness e1 clears its scale 2e6 and only e2 fails
+    n = len(s_delta)
+    case = one_member_case(2.0 * np.eye(n), np.diag(np.sqrt(s_delta)), np.diag(k_diag))
+    assert not exact_square_sum_falsified(*case, 1.0)
+    verdict = perturb_hypothesis(*case, PerturbationParams(0.0, 0.0, 0.0, 1.0, "T-sqsum"))
+    assert verdict.falsified
+    assert verdict.worst_violation == pytest.approx(worst, rel=1e-4)
+
+
+def test_square_sum_reports_the_exact_violation_its_kernel_rounds_away():
+    # |L| ~ 1e8 and an exact violation of about 3e-9: L f - Th f cancels every
+    # digit of it, so the kernel reads no gap above 0 while psd_check fails
+    rng = np.random.default_rng(8)
+    lmat = 1e8 * (np.eye(2) + 0.1 * rng.standard_normal((2, 2)))
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    case = one_member_case(lmat, np.diag(np.sqrt([1 + 5e-9, 0.1])) @ q.T, np.eye(2))
+    violation = -np.linalg.eigvalsh(square_sum_margin(*case, 1.0))[0]
+    assert exact_square_sum_falsified(*case, 1.0)
+    report = perturbation.perturb_report(*case, PerturbationParams(0.0, 0.0, 0.0, 1.0, "T-sqsum"),
+                                         tol=DEFAULT_TOL)
+    assert report.verdict.falsified
+    assert report.verdict.worst_violation >= violation * (1.0 - 1e-9) > 0.0
+    assert report.verdict.worst_subset == (0,)
 
 
 # -- the probe-block kernel against the one-probe, member-by-member loop ----
@@ -701,9 +746,10 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES",
                         (first + 1) * masks.shape[0] * system.dim)
     # T-sqsum evaluates one more probe after the blocks, the top eigenvector of
-    # S_delta - R kk*; made a third copy of the worst probe, it keeps the earliest too
-    monkeypatch.setattr(perturbation, "hermitian_eig",
-                        lambda m, tol: (None, -probes[first][:, None]))
+    # S_delta - R kk*; made a third copy of the worst probe, with that worst gap
+    # as its eigenvalue, it keeps the earliest too
+    monkeypatch.setattr(perturbation, "psd_eig", lambda m, tol: (
+        True, np.array([-gaps.max()]), -probes[first][:, None]))
     verdict = perturb_hypothesis(system, _on_base(system, nudged(system)), k, params)
     witness = params.mode is PerturbationMode.SQUARE_SUM
     assert verdict.probes_tested == crafted.shape[0] + witness
