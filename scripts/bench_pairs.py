@@ -11,9 +11,14 @@ Every run's ``correct``, ``attempted`` and ``failed`` are printed as it ends.
 Then, for every end-to-end metric of ``BENCHMARK.json``, the table gives each
 side's median and quartiles, how many pairs the change won (ties count for
 neither side), the change of the median as a share of the parent's, the
-metric's regression bound, and whether the gain rule holds: the change wins
-at least nine tenths of the pairs and its median is better than the parent's
-by more than the distance between the parent's quartiles.
+metric's regression bound, whether the change stays within that bound, and
+whether the gain rule holds: the change wins at least nine tenths of the
+pairs and its median is better than the parent's by more than the distance
+between the parent's quartiles.  The bound column reads "unresolved" when
+the parent's quartile spread, as a share of its median, is wider than the
+bound and not every change run beats every parent run: such runs cannot
+tell a change within the bound from one beyond it.  Otherwise it reads
+"within" or "beyond".
 """
 from __future__ import annotations
 
@@ -75,7 +80,7 @@ def main() -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds} s runs")
     print(f"{'metric':<18} {'parent q1/median/q3':<28} {'change q1/median/q3':<28} "
-          f"{'wins':>6} {'change':>8} {'bound':>6}  gain rule")
+          f"{'wins':>6} {'change':>8} {'bound':>6}  {'bound check':<11} gain rule")
     for metric in metrics:
         name, lower_is_better = metric["name"], metric["better"] == "lower"
         old = [run["metrics"][name]["value"] for run in runs["parent"]]
@@ -86,9 +91,16 @@ def main() -> int:
         gain = median - change_median if lower_is_better else change_median - median
         rule = wins >= WIN_SHARE * args.pairs and gain > q3 - q1
         share = (change_median - median) / median if median else float("nan")
+        bound = metric["bound"]
+        separated = max(new) < min(old) if lower_is_better else min(new) > max(old)
+        worse = share if lower_is_better else -share
+        if q3 - q1 > bound * abs(median) and not separated:
+            check = "unresolved"
+        else:
+            check = "beyond" if worse > bound else "within"
         print(f"{name:<18} {q1:8.4g} {median:8.4g} {q3:8.4g}   "
               f"{c1:8.4g} {change_median:8.4g} {c3:8.4g}   "
-              f"{wins:>2}/{args.pairs:<3} {share:+8.1%} {metric['bound']:6.0%}  "
+              f"{wins:>2}/{args.pairs:<3} {share:+8.1%} {bound:6.0%}  {check:<11} "
               f"{'met' if rule else 'not met'}")
     return 0
 

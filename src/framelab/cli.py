@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify operator-relative fusion frame systems.")
     parser.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.tau_abs,
                         help="absolute tolerance floor (default 1e-10)")
-    parser.add_argument("--tol-rel", type=float, default=None,
-                        help="relative tolerance (default 1e-9; env FRAMELAB_TOL_REL)")
+    parser.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.tau_rel,
+                        help="relative tolerance (default 1e-9)")
     parser.add_argument("--human", action="store_true",
                         help="flat key: value output instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,14 +298,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _tolerance(args) -> ToleranceProfile:
-    tau_rel = args.tol_rel
-    if tau_rel is None:
-        try:
-            tau_rel = float(os.environ.get("FRAMELAB_TOL_REL", DEFAULT_TOL.tau_rel))
-        except ValueError:
-            raise InputError("FRAMELAB_TOL_REL must be a number") from None
     try:
-        return ToleranceProfile(tau_abs=args.tol_abs, tau_rel=tau_rel)
+        return ToleranceProfile(tau_abs=args.tol_abs, tau_rel=args.tol_rel)
     except InputError as exc:
         raise InputError(f"invalid tolerance: {exc}") from None
 

@@ -67,15 +67,10 @@ class FrameDocument:
     meta: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.field not in ("real", "complex"):
-            raise InputError(f"field must be 'real' or 'complex', got {self.field!r}")
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
-            raise InputError(f"dim must be a positive integer, got {dim!r}")
+        dim, dtype = self.dim, np.dtype(HilbertSpace(self.field, self.dim).dtype)
         counts = (len(self.weights), len(self.subspaces), len(self.local_operators))
         if len(set(counts)) != 1:
             raise InputError(f"member counts disagree: {counts}")
-        dtype = np.dtype(np.complex128 if self.field == "complex" else np.float64)
         self.weights = [float(w) for w in self.weights]
         self.subspaces = [_gated(vs, dtype, dim, "subspace {} vectors must have length {}", i)
                           for i, vs in enumerate(self.subspaces)]

@@ -397,9 +397,9 @@ def _partial_tables(system: GFusionSystem, other, groups, probes, target):
                                   return_index=True, return_inverse=True)
     distinct = flat[first]
     stack = subset_frame_operators(system, distinct, other)
-    # one stacked matrix-vector product per probe keeps the bits of S_I @ f
-    products = np.stack([stack @ f for f in probes], axis=1)
-    target_f = np.array([target @ f for f in probes])
+    # every (subset, probe) slice is one (n, n) @ (n, 1) product, with the bits of S_I @ f
+    products = (stack[:, None] @ probes[None, :, :, None])[..., 0]
+    target_f = (target @ probes[:, :, None])[..., 0]
     rows, start = [], 0
     for g in groups:
         count = math.prod(g.shape[:-1])

@@ -166,7 +166,7 @@ def subset_frame_operators(system: GFusionSystem, masks,
     if other.dim != system.dim:
         raise InputError("base and dual live in different ambient dimensions")
     masks = _require_masks(masks, system.size)
-    dtype = np.result_type(system.space.dtype, *system.local_factors, *other.local_factors)
+    dtype = np.result_type(system.space.dtype, other.space.dtype)
     out = np.zeros((masks.shape[0], system.dim, system.dim), dtype=dtype)
     for j in np.flatnonzero(masks.any(axis=0)):
         term = (system.members[j][0].weight**2) * (
@@ -240,6 +240,8 @@ class FrameReport:
 def _require_compatible(system: GFusionSystem, k: BoundedOperator):
     if k.dim != system.dim:
         raise InputError(f"operator dimension {k.dim} != system dimension {system.dim}")
+    if np.result_type(system.space.dtype, k.matrix) != system.space.dtype:
+        raise InputError("complex operator on a system over a real space")
 
 
 def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,

@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Ambient space: scalar field tag plus finite dimension."""
+    """Ambient space: scalar field tag plus finite dimension, the dtype of everything over it."""
 
     field: str
     dim: int
@@ -51,7 +51,7 @@ class HilbertSpace:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise InputError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
 
     @property
@@ -117,7 +117,7 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class GFusionSystem:
-    """Finite weighted family of (subspace, local operator) members."""
+    """Finite weighted family of (subspace, local operator) members over one space."""
 
     space: HilbertSpace
     members: tuple
@@ -135,6 +135,8 @@ class GFusionSystem:
             if op.ambient_dim != self.space.dim:
                 raise InputError(f"member {j}: local operator domain {op.ambient_dim} "
                                  f"!= space dimension {self.space.dim}")
+            if np.result_type(self.space.dtype, sub.basis, op.matrix) != self.space.dtype:
+                raise InputError(f"member {j}: complex matrix in a real space")
         object.__setattr__(self, "members", members)
 
     @property
@@ -159,8 +161,7 @@ class GFusionSystem:
     @cached_property
     def synthesis_matrix(self) -> np.ndarray:
         """T, column block j equal to ``v_j pi_Wj Lj*`` in member order; built once, read-only."""
-        dtype = np.result_type(self.space.dtype, *(op.matrix.dtype for _, op in self.members))
-        t = np.zeros((self.dim, sum(self.local_dims())), dtype=dtype)
+        t = np.zeros((self.dim, sum(self.local_dims())), dtype=self.space.dtype)
         start = 0
         for sub, op in self.members:
             stop = start + op.local_dim

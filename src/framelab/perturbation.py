@@ -45,6 +45,7 @@ import numpy as np
 from .frame_ops import (
     FrameBounds,
     FrameReport,
+    _require_compatible,
     frame_operator,
     optimal_bounds,
     subset_masks,
@@ -277,7 +278,6 @@ class _Workspace:
     def __init__(self, masks, data, probes):
         rows, n = probes.shape
         subsets, members = masks.shape
-        dtype = np.result_type(probes, *(m for _, lp, tp in data for m in (lp, tp)))
         self.weights = _read_only(masks.astype(float))
         self.weights_t = _read_only(np.ascontiguousarray(masks.T, dtype=float))
         self.w2 = _read_only(np.array([[w2] for w2, _, _ in data], dtype=float))
@@ -292,11 +292,11 @@ class _Workspace:
                 np.array(columns), lps, np.conj(lps).transpose(0, 2, 1),
                 tps, np.conj(tps).transpose(0, 2, 1))))
         self.groups = tuple(groups)
-        self.base = np.empty((rows, members, n), dtype)
+        self.base = np.empty((rows, members, n), probes.dtype)
         self.pert = np.empty_like(self.base)
         self.terms = np.empty_like(self.base)
         self.scalars = np.empty((rows, members, 1))
-        self.sums = np.empty((rows, n, subsets), dtype)
+        self.sums = np.empty((rows, n, subsets), probes.dtype)
         self.squares = np.empty_like(self.sums) if self.sums.dtype.kind == "c" else None
         self.conjugates = None if self.squares is None else np.empty_like(self.sums)
         self.column_sums = np.empty((rows, subsets, 1))
@@ -391,12 +391,12 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     proof.  The buffers are allocated once per search and shared by all.
     """
     family = _on_base(base, theta)
+    _require_compatible(base, k)
     data = _member_data(base, family)
     k_mat = k.matrix
     masks = subset_masks(base.size)
     n = base.dim
-    complex_field = base.space.field == "complex" or any(
-        np.iscomplexobj(tp) for _, _, tp in data)
+    complex_field = base.space.field == "complex"
     probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
     work = _Workspace(masks, data, probes[:block])

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frame_ops import FrameBounds, FrameReport, optimal_bounds, verify_k_g_fusion
+from .frame_ops import (FrameBounds, FrameReport, _require_compatible, optimal_bounds,
+                        verify_k_g_fusion)
 from .model import BoundedOperator, GFusionSystem, LocalOperator, WeightedSubspace
 from .numerics import (
     DEFAULT_TOL,
@@ -51,8 +52,7 @@ def transform_invertible(system: GFusionSystem, k: BoundedOperator, u: BoundedOp
     for u k with bounds (A, B |u|^2), (A, B) the optimal bounds of the
     input.  Requires u invertible beyond the rank cutoff.
     """
-    if u.dim != system.dim:
-        raise InputError("transform operator has wrong dimension")
+    _require_compatible(system, u)
     if not u.is_invertible(tol):
         raise PreconditionError("transform operator is numerically singular")
     bounds = optimal_bounds(system, k, tol)
@@ -75,8 +75,7 @@ def transform_unitary(system: GFusionSystem, k: BoundedOperator, u: BoundedOpera
     the invertible pushforward: on u W_j, L_j u^-1 = L_j pi_Wj u*, so this is
     :func:`transform_invertible` once u*u = I holds within tolerance.
     """
-    if u.dim != system.dim:
-        raise InputError("transform operator has wrong dimension")
+    _require_compatible(system, u)
     if not u.is_unitary(tol):
         raise PreconditionError("transform operator is not unitary within tolerance")
     return transform_invertible(system, k, u, tol)
@@ -108,8 +107,7 @@ def reduce_operator(system: GFusionSystem, k: BoundedOperator, u: BoundedOperato
     ``fallback_report`` is a direct :func:`verify_k_g_fusion` against u, which
     tells "not derivable by factorization" from "not a u-frame".
     """
-    if u.dim != system.dim:
-        raise InputError("target operator has wrong dimension")
+    _require_compatible(system, u)
     bounds = optimal_bounds(system, k, tol)
     dg = douglas_factor(u.matrix, k.matrix, tol)
     if dg.included:

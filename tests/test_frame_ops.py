@@ -297,6 +297,11 @@ def test_dimension_mismatch_rejected(fix_i):
         verify_k_g_fusion(fix_i.system, BoundedOperator.identity(3))
 
 
+def test_a_complex_target_on_a_real_system_is_rejected(fix_i):
+    with pytest.raises(InputError, match="complex operator on a system over a real space"):
+        verify_k_g_fusion(fix_i.system, BoundedOperator(np.diag([1.0, 1j])))
+
+
 def test_tightened_tolerance_changes_verdict(fix_i):
     # a Parseval defect of 1e-6 passes a loose profile and fails the default
     theta = fix_i.system.with_local_operators(

@@ -43,22 +43,10 @@ from framelab.documents import (
 from conftest import REPO_ROOT, DATA_DIR, count_calls
 
 
-def run_cli(argv, env=None):
-    saved = {}
-    if env:
-        for key, value in env.items():
-            saved[key] = os.environ.get(key)
-            os.environ[key] = value
+def run_cli(argv):
     buf = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(buf):
-            code = main(list(argv))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
     return code, buf.getvalue()
 
 
@@ -284,20 +272,15 @@ def test_report_shape_and_tolerance_echo(repo_cwd):
     assert list(report["frame"]) == sorted(report["frame"])
 
 
-def test_tolerance_flag_and_env(repo_cwd):
+def test_tolerance_flags(repo_cwd):
     fix_i = "src/framelab/fixtures/fix_i.json"
-    _, out = run_cli(["analyze", fix_i, "--k", "k"],
-                     env={"FRAMELAB_TOL_REL": "1e-6"})
-    assert json.loads(out)["tolerance"]["tau_rel"] == 1e-6
-    _, out = run_cli(["--tol-rel", "1e-5", "analyze", fix_i, "--k", "k"],
-                     env={"FRAMELAB_TOL_REL": "1e-6"})
+    _, out = run_cli(["--tol-rel", "1e-5", "analyze", fix_i, "--k", "k"])
     assert json.loads(out)["tolerance"]["tau_rel"] == 1e-5
     # an invalid tolerance is one input-error report, with no profile in it
-    for argv, env, named in ((["analyze", fix_i], {"FRAMELAB_TOL_REL": "banana"},
-                              "FRAMELAB_TOL_REL"),
-                             (["--tol-abs", "-1", "analyze", fix_i], None, "tau_abs"),
-                             (["--tol-abs", "nan", "analyze", fix_i], None, "tau_abs")):
-        code, out = run_cli(argv, env=env)
+    for argv, named in ((["--tol-rel", "-1", "analyze", fix_i], "tau_rel"),
+                        (["--tol-abs", "-1", "analyze", fix_i], "tau_abs"),
+                        (["--tol-abs", "nan", "analyze", fix_i], "tau_abs")):
+        code, out = run_cli(argv)
         report = json.loads(out)
         assert code == report["exit_code"] == 2, out
         assert named in report["error"]

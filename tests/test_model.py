@@ -77,6 +77,22 @@ def test_system_validation_and_views(fix_a):
         GFusionSystem(space, (bad_member,))
 
 
+def test_a_bool_is_not_a_dimension():
+    # isinstance(True, int) holds, so the space tests for bool first
+    with pytest.raises(InputError, match="dim must be a positive integer, got True"):
+        HilbertSpace("real", True)
+
+
+@pytest.mark.parametrize("basis, local", [
+    (np.eye(2), [[1j, 0.0]]),
+    (np.eye(2, dtype=complex), [[1.0, 0.0]]),
+], ids=["complex-operator", "complex-basis"])
+def test_a_real_space_holds_no_complex_member(basis, local):
+    member = (WeightedSubspace(basis, 1.0), LocalOperator(local))
+    with pytest.raises(InputError, match="member 0: complex matrix in a real space"):
+        GFusionSystem(HilbertSpace("real", 2), (member,))
+
+
 def test_with_local_operators_replaces_blocks(fix_i):
     scaled = fix_i.system.with_local_operators(
         [2.0 * op.matrix for _, op in fix_i.system.members])

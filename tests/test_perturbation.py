@@ -370,6 +370,18 @@ def test_theta_shape_mismatch_rejected(fix_i, fix_a):
                            params)
 
 
+def test_a_complex_theta_or_target_over_a_real_base_is_an_input_error(fix_i):
+    params = PerturbationParams(R=0.01, mode="T-sqsum")
+    theta = [op.matrix * (1 + 0.01j) for _, op in fix_i.system.members]
+    with pytest.raises(InputError, match="complex matrix in a real space"):
+        perturbation.perturb_report(fix_i.system, theta, fix_i.operators["k"], params,
+                                    tol=DEFAULT_TOL)
+    with pytest.raises(InputError, match="complex operator on a system over a real space"):
+        perturbation.perturb_report(fix_i.system, scaled_system(fix_i, 1.5),
+                                    BoundedOperator(np.diag([1.0, 1j])), params,
+                                    tol=DEFAULT_TOL)
+
+
 # -- T-sqsum is decided by its exact spectral test --------------------------
 
 SQUARE_SUM_SCALES = (1e-6, 1e-5, 1e-3, 1.0, 1e3, 1e6)

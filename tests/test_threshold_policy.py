@@ -9,9 +9,9 @@ TOLERANCE_READS = {"tau_abs", "tau_rel", "for_scale", "rank_cutoff", "psd_floor"
 
 # (module, function, attribute) reads that stay outside numerics, and why.
 ALLOWED = {
-    # the CLI parses the --tol-abs default and FRAMELAB_TOL_REL into a profile ...
+    # the CLI parses its --tol-abs and --tol-rel defaults into a profile ...
     ("cli", "build_parser", "tau_abs"),
-    ("cli", "_tolerance", "tau_rel"),
+    ("cli", "build_parser", "tau_rel"),
     # ... and echoes the profile it used in every report
     ("cli", "main.render", "tau_abs"),
     ("cli", "main.render", "tau_rel"),

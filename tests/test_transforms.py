@@ -16,6 +16,7 @@ from framelab import (
     transform_unitary,
     verify_k_g_fusion,
 )
+from framelab.documents import from_system, to_system
 
 
 def test_transform_invertible_certifies_moved_system(fix_i):
@@ -82,6 +83,31 @@ def test_transform_unitary_rejects_non_unitary(fix_i):
     stretch = BoundedOperator(np.diag([2.0, 1.0]))
     with pytest.raises(PreconditionError):
         transform_unitary(fix_i.system, fix_i.operators["k"], stretch)
+
+
+@pytest.mark.parametrize("transform, u", [
+    (transform_unitary, np.diag([1.0, 1j])),
+    (transform_invertible, [[1.0, 0.1j], [0.0, 1.0]]),
+    (reduce_operator, np.diag([0.5j, 0.5])),
+], ids=["unitary", "invertible", "reduce"])
+def test_a_complex_operator_on_a_real_system_is_an_input_error(fix_i, transform, u):
+    with pytest.raises(InputError, match="complex operator on a system over a real space"):
+        transform(fix_i.system, fix_i.operators["k"], BoundedOperator(u))
+
+
+def test_a_complex_unitary_transport_of_a_complex_system_round_trips_its_document():
+    bundle = fixture("FIX-R002")
+    dim = bundle.system.dim
+    rng = np.random.Generator(np.random.PCG64(0x0F2))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    moved = transform_unitary(bundle.system, bundle.operators["k"],
+                              BoundedOperator(np.linalg.qr(z)[0]))
+    assert moved.report.claimed_valid
+    system, operators = to_system(from_system(moved.system, {"k": moved.target_operator}))
+    assert system.space == moved.system.space == bundle.system.space
+    npt.assert_array_equal(operators["k"].matrix, moved.target_operator.matrix)
+    npt.assert_array_equal(system.frame_matrix, moved.system.frame_matrix)
+    assert verify_k_g_fusion(system, operators["k"]).is_frame
 
 
 def test_reduce_operator_factor_through_k(fix_a):
