@@ -9,9 +9,11 @@ import sys
 from conftest import REPO_ROOT
 
 ARTIFACT_DIRS = ("src/framelab/fixtures", "tests/data")
-# the files the script does not write: the two documents it reads, and a placeholder
+# the search verdicts pinned from an earlier version of the program, not written by the script
+PINNED = "tests/data/perturb_verdicts.json"
+# the files the script does not write: the two documents it reads, a placeholder, and PINNED
 KEPT = {"src/framelab/fixtures/fix_a.json", "src/framelab/fixtures/fix_i.json",
-        "src/framelab/fixtures/.gitkeep"}
+        "src/framelab/fixtures/.gitkeep", PINNED}
 
 
 def artifacts(root):
@@ -25,6 +27,8 @@ def test_make_fixtures_regenerates_the_committed_artifacts(tmp_path):
     ignore = shutil.ignore_patterns("__pycache__")
     shutil.copytree(REPO_ROOT / "scripts", tmp_path / "scripts", ignore=ignore)
     shutil.copytree(REPO_ROOT / "src", tmp_path / "src", ignore=ignore)
+    (tmp_path / PINNED).parent.mkdir(parents=True)
+    shutil.copyfile(REPO_ROOT / PINNED, tmp_path / PINNED)
     # only KEPT stays, so a file the script no longer writes goes missing
     for rel in set(committed) - KEPT:
         (tmp_path / rel).unlink(missing_ok=True)

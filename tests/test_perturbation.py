@@ -1,5 +1,7 @@
 """Near-identity certificates and the four perturbation hypothesis shapes."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -630,6 +632,17 @@ def interleaved_complex_system():
     return GFusionSystem(HilbertSpace("complex", 3), tuple(members))
 
 
+def twelve_member_system():
+    # the exhaustive limit: the search walks all 4,095 subsets, in two shape groups
+    rng = np.random.Generator(np.random.PCG64(12))
+    members = []
+    for j in range(12):
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 1 + j % 3)))
+        members.append((WeightedSubspace(basis, 1.0 + 0.1 * j),
+                        LocalOperator(rng.standard_normal((1 + j % 2, 4)))))
+    return GFusionSystem(HilbertSpace("real", 4), tuple(members))
+
+
 def complex_dim10_system():
     # dim 10: each subset norm sums 10 squares, past numpy norm's in-turn order
     rng = np.random.Generator(np.random.PCG64(10))
@@ -767,6 +780,39 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     assert verdict.probes_tested == crafted.shape[0] + witness
     assert verdict.worst_violation == float(gaps.max())
     assert_bits(verdict.worst_probe, probes[first])
+
+
+# (system builder, k) of the searches whose verdicts tests/data/perturb_verdicts.json pins
+SEARCH_CASES = {
+    "real-m12": (twelve_member_system, np.diag([0.5, 1.0, 1.5, 2.0])),
+    "complex-m6": (interleaved_complex_system, np.diag([1.0, 0.5 + 0.5j, 2.0j])),
+    "sampled-m14": (fourteen_member_system, np.eye(3)),
+}
+
+
+def search_verdicts():
+    """The pinned fields of every search of SEARCH_CASES, at two perturbation sizes.
+
+    ``json.dumps(search_verdicts())`` wrote tests/data/perturb_verdicts.json.
+    """
+    rows = {}
+    for name, (build, k_mat) in SEARCH_CASES.items():
+        system = build()
+        for eps in (0.002, 0.5):
+            family = nudged(system, eps)
+            for params in MODE_PARAMS:
+                verdict = perturb_hypothesis(system, family, BoundedOperator(k_mat), params)
+                rows[f"{name}:{eps}:{params.mode.value}"] = {
+                    "falsified": verdict.falsified,
+                    "worst_violation": verdict.worst_violation.hex(),
+                    "worst_subset": list(verdict.worst_subset),
+                    "probes_tested": verdict.probes_tested}
+    return rows
+
+
+def test_search_verdicts_match_the_pinned_ones():
+    pinned = json.loads((DATA_DIR / "perturb_verdicts.json").read_text(encoding="utf-8"))
+    assert search_verdicts() == pinned
 
 
 def test_exhaustive_subset_masks_keep_the_enumeration_order():
