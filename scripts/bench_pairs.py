@@ -2,7 +2,7 @@
 """Alternating parent/change runs of the benchmark, and the gain rule on them.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload perturb-search \\
-        --seed 31 --pairs 10 [--seconds 30]
+        --seed 31 --pairs 10 [--seconds 30] [--out BENCH.json]
 
 PARENT_DIR and CHANGE_DIR are two source checkouts.  Each pair runs
 ``bench/run.py --trace 0`` once in each, with the same workload, seed and run
@@ -18,7 +18,9 @@ between the parent's quartiles.  The bound column reads "unresolved" when
 the parent's quartile spread, as a share of its median, is wider than the
 bound and not every change run beats every parent run: such runs cannot
 tell a change within the bound from one beyond it.  Otherwise it reads
-"within" or "beyond".
+"within" or "beyond".  With ``--out PATH`` the script also writes, as one
+JSON object, the workload, seed, pair count and run length, every run's
+summary in pair order under ``runs``, and the table under ``rows``.
 """
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--out", metavar="PATH", help="write the runs and the table as JSON")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -81,6 +84,7 @@ def main() -> int:
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds} s runs")
     print(f"{'metric':<18} {'parent q1/median/q3':<28} {'change q1/median/q3':<28} "
           f"{'wins':>6} {'change':>8} {'bound':>6}  {'bound check':<11} gain rule")
+    rows = []
     for metric in metrics:
         name, lower_is_better = metric["name"], metric["better"] == "lower"
         old = [run["metrics"][name]["value"] for run in runs["parent"]]
@@ -102,6 +106,14 @@ def main() -> int:
               f"{c1:8.4g} {change_median:8.4g} {c3:8.4g}   "
               f"{wins:>2}/{args.pairs:<3} {share:+8.1%} {bound:6.0%}  {check:<11} "
               f"{'met' if rule else 'not met'}")
+        rows.append({"metric": name, "parent": [q1, median, q3], "change": [c1, change_median, c3],
+                     "wins": wins, "pairs": args.pairs, "change_share": share, "bound": bound,
+                     "bound_check": check, "gain_rule": rule})
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+                       "seconds": args.seconds, "runs": runs, "rows": rows}, handle, indent=1)
+            handle.write("\n")
     return 0
 
 

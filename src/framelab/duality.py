@@ -22,6 +22,7 @@ from .frame_ops import (
     _memoized,
     _one_probe,
     _probe_block,
+    _require_compatible,
     _require_masks,
     frame_operator,
     optimal_bounds,
@@ -101,6 +102,9 @@ class QDualPair:
     reading: str = "given"
     well_defined_residual: float = float("nan")
 
+    def __post_init__(self):
+        _require_compatible(self.base, self.k, self.dual)
+
 
 @dataclass(frozen=True)
 class QDualReport:
@@ -136,7 +140,7 @@ def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile) -> QDualReport:
     form1 = operator_norm(t_base @ adjoint(q) @ adjoint(t_dual) - k)
     form2 = operator_norm(t_dual @ q @ adjoint(t_base) - adjoint(k))
     n = pair.base.dim
-    complex_field = any(np.iscomplexobj(m) for m in (t_base, t_dual, q, k))
+    complex_field = pair.base.space.field == "complex"
     fs = unit_probes(n, 25, complex_field=complex_field, seed=0xD0A)[:, :, None]
     gs = unit_probes(n, 25, complex_field=complex_field, seed=0xD0B)[:, :, None]
     lhs = row_inners((k @ fs)[..., 0], gs[..., 0])
@@ -275,6 +279,9 @@ class KGFDualPair:
     k: BoundedOperator
     exploratory: bool = False
 
+    def __post_init__(self):
+        _require_compatible(self.base, self.k, self.dual)
+
     @cached_property
     def coupling(self) -> np.ndarray:
         """The reconstruction coupling ``frame_operator(base, dual)``; built once, read-only."""
@@ -299,8 +306,7 @@ class KGFDualPair:
 def _probe_residual(pair: KGFDualPair, coupling: np.ndarray) -> float:
     """Worst |k f - coupling f| / (1 + |k f|) over the standard basis plus 50
     seeded probes, as one block."""
-    k = pair.k.matrix
-    complex_field = np.iscomplexobj(coupling) or np.iscomplexobj(k)
+    k, complex_field = pair.k.matrix, pair.base.space.field == "complex"
     fs = unit_probes(pair.base.dim, 50, complex_field=complex_field, seed=0xCAFE)[:, :, None]
     kf = (k @ fs)[..., 0]
     defects = row_norms(kf - (coupling @ fs)[..., 0]) / (1.0 + row_norms(kf))

@@ -237,7 +237,9 @@ class FrameReport:
         return self.is_frame and (self.claimed is None or self.claimed_valid)
 
 
-def _require_compatible(system: GFusionSystem, k: BoundedOperator):
+def _require_compatible(system: GFusionSystem, k: BoundedOperator, *duals: GFusionSystem):
+    if any(dual.space != system.space for dual in duals):
+        raise InputError(f"a dual system must share its base's space {system.space}")
     if k.dim != system.dim:
         raise InputError(f"operator dimension {k.dim} != system dimension {system.dim}")
     if np.result_type(system.space.dtype, k.matrix) != system.space.dtype:

@@ -16,23 +16,22 @@ never proved.  T-sqsum is also decided exactly: its terms are nonnegative, so th
 full set dominates, the hypothesis is S_delta <= R k k* (S_delta the frame operator
 of the gaps L_j - Th_j) and its worst probe the top eigenvector of S_delta - R k k*.
 
-The search evaluates probes in blocks: one kernel takes a ``(p, n)`` block
-of probes, forms the member terms and every subset sum as one stacked
-product, and returns lhs - rhs for each (probe, subset) pair.  Each entry
-keeps the bits of the same inequality evaluated at its probe alone, so the
-verdict does not depend on the block size.  The member stage runs per
-group of members with equal factor shapes and dtypes, not per member: the
-factors ``L_j P_j`` and ``Th_j P_j`` of a group and their adjoints are
-stacked once per search, and each block makes a few stacked matvecs per
-group, scatters them into the members' columns of ``(p, members, dim)``
-term buffers and applies the squared weights as one broadcast multiply.
-Its cost per block grows with the number of groups, not members.  The
-vector subset sums are stored dim-major, ``(p, dim, subsets)``; a real
-search squares them in place, and each norm is one ``np.add.reduce`` over
-the dim axis (:func:`~framelab.numerics.column_norms`), which adds whole
-rows of ``subsets`` contiguous entries and copies none.  The float subset
-weights, the member stacks and every buffer are built once per search, and
-every block writes into the buffers.
+The search runs in two stages.  The member stage (``_member_terms``) forms
+``|k* f|`` and the weighted member terms once for the search's whole probe
+set, and once per refinement step.  It runs per group of members with equal
+factor shapes and dtypes, not per member: the factors ``L_j P_j`` and
+``Th_j P_j`` of a group and their adjoints are stacked once per search, and
+a few stacked matvecs per group are scattered into the members' columns of
+``(probes, members, dim)`` arrays and weighted by one broadcast multiply.
+The subset stage (``_violations``) runs per block of consecutive probes on
+slices of those arrays and returns lhs - rhs for each (probe, subset) pair.
+Its vector subset sums are one stacked product each, stored dim-major,
+``(p, dim, subsets)``; a real search squares them in place, and each norm is
+one ``np.add.reduce`` over the dim axis
+(:func:`~framelab.numerics.column_norms`).  Every entry keeps the bits of
+the same inequality evaluated at its probe alone, so the verdict does not
+depend on the blocking.  The float subset weights, the member stacks and the
+subset-stage buffers are built once per search; every block writes into them.
 """
 from __future__ import annotations
 
@@ -85,10 +84,9 @@ __all__ = [
 
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
-# Entries of each (probes, dim, subsets) buffer a search allocates for its
-# probe blocks, so that its memory stays flat however many subsets it walks.
-# The subset sums are stored dim-major so that a real search squares them in
-# place and sums each norm over whole rows.
+# Entries of the largest buffer a search allocates for its probe blocks,
+# (probes, dim, subsets), or (probes, subsets) for T-sqsum, so that its memory
+# stays flat however many subsets it walks.
 PROBE_BLOCK_ENTRIES = 65_536
 
 
@@ -246,7 +244,7 @@ def _member_data(base: GFusionSystem, family: GFusionSystem):
 
 
 class _Workspace:
-    """The member stacks and buffers of one search, reused by every probe block.
+    """The member stacks and subset-stage buffers of one search.
 
     The per-search constants are read-only: ``weights`` holds the subset
     masks as floats, ``weights_t`` a C-contiguous copy of its transpose,
@@ -260,24 +258,20 @@ class _Workspace:
     padded to one shape: that would change the inner length of the
     products, and with it the summation inside them.
 
-    The buffers: ``base``, ``pert`` and ``terms`` hold the
-    ``(probes, members, dim)`` member terms of one block, ``scalars`` its
-    ``(probes, members, 1)`` scalar member terms, ``sums`` the dim-major
+    The buffers are the subset stage's: ``sums`` holds the dim-major
     ``(probes, dim, subsets)`` subset sums ``terms^T @ weights_t``,
-    ``column_sums`` the ``(probes, subsets, 1)`` sums ``weights @ scalars``
-    of scalar member terms, and ``norms`` three ``(probes, subsets)``
-    results.  A real search squares ``sums`` in place; a complex one writes
-    ``conj(sums)`` and ``(conj(x) * x).real`` into the complex scratches
-    ``conjugates`` and ``squares`` (None for a real one), as ``column_norms``
-    says.  The scalar sums stay in the ``(subsets, members)`` layout: as a
-    product with ``weights_t`` their matrix-vector products round otherwise.
-    Built for blocks of up to ``len(probes)`` probes of that dtype; a smaller
-    block writes into leading views, which keep a fresh array's layout and bits.
+    ``column_sums`` the ``(probes, subsets, 1)`` scalar sums ``weights @
+    scalars`` (as a product with ``weights_t`` their matrix-vector products
+    round otherwise), and ``norms`` three ``(probes, subsets)`` results.  A
+    real search squares ``sums`` in place; a complex one writes into the
+    scratches ``conjugates`` and ``squares`` (None for a real one), as
+    ``column_norms`` says.  A T-sqsum ``mode`` writes only ``column_sums``;
+    its other buffers are None.  A block of fewer than ``len(probes)``
+    probes writes into leading views, which keep a fresh array's layout and bits.
     """
 
-    def __init__(self, masks, data, probes):
-        rows, n = probes.shape
-        subsets, members = masks.shape
+    def __init__(self, masks, data, probes, mode: PerturbationMode | None = None):
+        (rows, n), subsets = probes.shape, len(masks)
         self.weights = _read_only(masks.astype(float))
         self.weights_t = _read_only(np.ascontiguousarray(masks.T, dtype=float))
         self.w2 = _read_only(np.array([[w2] for w2, _, _ in data], dtype=float))
@@ -292,15 +286,12 @@ class _Workspace:
                 np.array(columns), lps, np.conj(lps).transpose(0, 2, 1),
                 tps, np.conj(tps).transpose(0, 2, 1))))
         self.groups = tuple(groups)
-        self.base = np.empty((rows, members, n), probes.dtype)
-        self.pert = np.empty_like(self.base)
-        self.terms = np.empty_like(self.base)
-        self.scalars = np.empty((rows, members, 1))
-        self.sums = np.empty((rows, n, subsets), probes.dtype)
-        self.squares = np.empty_like(self.sums) if self.sums.dtype.kind == "c" else None
-        self.conjugates = None if self.squares is None else np.empty_like(self.sums)
         self.column_sums = np.empty((rows, subsets, 1))
-        self.norms = np.empty((3, rows, subsets))
+        vectors = mode is not PerturbationMode.SQUARE_SUM
+        self.sums = np.empty((rows, n, subsets), probes.dtype) if vectors else None
+        self.squares = np.empty_like(self.sums) if vectors and probes.dtype.kind == "c" else None
+        self.conjugates = None if self.squares is None else np.empty_like(self.sums)
+        self.norms = np.empty((3, rows, subsets)) if vectors else None
 
 
 def _gap_and_scale(lhs, rhs):
@@ -310,29 +301,49 @@ def _gap_and_scale(lhs, rhs):
     return lhs - rhs, scale
 
 
+def _member_terms(work: _Workspace, k_mat, probes, params: PerturbationParams) -> tuple:
+    """The member stage of a ``(p, n)`` probe set, every array with the probes first.
+
+    ``(kf_norm, scalars)`` for T-sqsum: ``|k* f|`` and ``v^2 |(L - Th) pi f|^2``;
+    for the other modes ``(kf_norm, scalars, gaps, base, pert)``, ``scalars``
+    being ``v^2 |L pi f|^2`` and the last three the ``(p, members, dim)`` terms
+    ``v^2 (pi L* L pi - pi Th* Th pi) f``, ``v^2 pi L* L pi f`` and
+    ``v^2 pi Th* Th pi f``.  Each shape group makes a few stacked matvecs over
+    all the probes, so row i has the bits of probe i alone.
+    """
+    stacked = probes[:, None, :, None]
+    kf_norm = row_norms((adjoint(k_mat) @ probes[:, :, None])[..., 0])[:, None]
+    scalars = np.empty((probes.shape[0], len(work.w2), 1))
+    base, pert = np.empty((2,) + scalars.shape[:2] + probes.shape[1:], probes.dtype)
+    for columns, lps, lph, tps, tph in work.groups:
+        images = lps @ stacked
+        if params.mode is PerturbationMode.SQUARE_SUM:
+            scalars[:, columns, 0] = row_sq_norms((images - tps @ stacked)[..., 0])
+            continue
+        base[:, columns] = (lph @ images)[..., 0]
+        pert[:, columns] = (tph @ (tps @ stacked))[..., 0]
+        scalars[:, columns, 0] = row_sq_norms(images[..., 0])
+    terms = () if params.mode is PerturbationMode.SQUARE_SUM else (base - pert, base, pert)
+    return (kf_norm, *(a * work.w2 for a in (scalars, *terms)))
+
+
 def _violations(masks, data, k_mat, probes, params: PerturbationParams,
-                work: _Workspace | None = None):
+                work: _Workspace | None = None, members: tuple | None = None):
     """lhs - rhs and scale for every (probe, subset) pair of a probe block.
 
-    ``probes`` is a ``(p, n)`` block; both results are new ``(p, subsets)``
-    arrays.  The member terms of each group of equal factor shapes are a few
-    stacked matvecs over the block, scattered into the members' columns of
-    the ``(p, members, dim)`` term buffers and weighted by one broadcast
-    multiply; vector subset sums are stacked ``terms^T @ weights_t`` and
-    their norms are one reduce over the dim axis, so every entry carries the
-    bits of the same inequality evaluated member by member at its probe
-    alone.  Every larger intermediate is written into ``work``, the stacks
-    and buffers of the search (built here when not given).
+    The subset stage: ``probes`` is a ``(p, n)`` block and ``members`` its
+    rows of :func:`_member_terms` (formed here when not given); both results
+    are new ``(p, subsets)`` arrays.  Each entry carries the bits of the same
+    inequality evaluated member by member at its probe alone.  Intermediates
+    go into ``work``, the buffers of the search (built here when not given).
     """
-    work = work or _Workspace(masks, data, probes)
+    work = work or _Workspace(masks, data, probes, params.mode)
+    kf_norm, scalars, *vectors = members or _member_terms(work, k_mat, probes, params)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
     p = probes.shape[0]
-    stacked = probes[:, None, :, None]
-    scalars = work.scalars[:p]
 
     def scalar_sums():
         """(p, subsets) subset sums of the weighted scalar member terms."""
-        np.multiply(scalars, work.w2, out=scalars)
         return np.matmul(work.weights, scalars, out=work.column_sums[:p])[..., 0]
 
     def sum_norms(terms, slot):
@@ -343,25 +354,14 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
         return column_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p],
                             conjugates=work.conjugates[:p])
 
-    kf_norm = row_norms((adjoint(k_mat) @ probes[:, :, None])[..., 0])[:, None]
     if params.mode is PerturbationMode.SQUARE_SUM:
-        for columns, lps, _, tps, _ in work.groups:
-            scalars[:, columns, 0] = row_sq_norms((lps @ stacked - tps @ stacked)[..., 0])
         return _gap_and_scale(scalar_sums(), r * np.float_power(kf_norm, 2.0))
-    base, pert, terms = work.base[:p], work.pert[:p], work.terms[:p]
-    for columns, lps, lph, tps, tph in work.groups:
-        images = lps @ stacked
-        base[:, columns] = (lph @ images)[..., 0]
-        pert[:, columns] = (tph @ (tps @ stacked))[..., 0]
-        if params.mode is PerturbationMode.SQRT_SUM:
-            scalars[:, columns, 0] = row_sq_norms(images[..., 0])
-    np.subtract(base, pert, out=terms)
-    lhs = sum_norms(np.multiply(terms, work.w2, out=terms), 0)
+    lhs = sum_norms(vectors[0], 0)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
         return _gap_and_scale(lhs, r * kf_norm)
-    rhs = sum_norms(np.multiply(base, work.w2, out=base), 1)
+    rhs = sum_norms(vectors[1], 1)
     rhs *= lam1
-    term = sum_norms(np.multiply(pert, work.w2, out=pert), 2)
+    term = sum_norms(vectors[2], 2)
     term *= lam2
     rhs += term
     if params.mode is PerturbationMode.SQRT_SUM:
@@ -380,15 +380,16 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     Subsets are exhaustive up to 12 members, otherwise a deterministic sample
     of 512 including the full set, singletons, and their complements.  Probes
-    are the standard basis and 200 seeded unit vectors, evaluated in blocks
-    of consecutive probes, each block sized so that a (probes, dim, subsets)
-    buffer holds about ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe
-    order; ties go to the earliest probe; a pair whose gap fails ``at_most``
-    falsifies.  T-sqsum also falsifies when ``psd_check(R kk* - S_delta)``
-    fails, and ends with its exact worst probe, the top eigenvector of
-    S_delta - R kk*.  The other modes end with a gradient-ascent refinement,
-    one probe per step, and their not-falsified verdict is evidence, never a
-    proof.  The buffers are allocated once per search and shared by all.
+    are the standard basis and 200 seeded unit vectors.  Their member terms
+    are formed once, and their subset sums in blocks of consecutive probes,
+    each sized so that its largest buffer holds about
+    ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe order; ties go to
+    the earliest probe; a pair whose gap fails ``at_most`` falsifies.
+    T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and
+    ends with its exact worst probe, the top eigenvector of S_delta - R kk*.
+    The other modes end with a gradient-ascent refinement, one probe and
+    both stages per step, and their not-falsified verdict is evidence, never
+    a proof.  The buffers are allocated once per search and shared by all.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -398,10 +399,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     n = base.dim
     complex_field = base.space.field == "complex"
     probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
-    block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
-    work = _Workspace(masks, data, probes[:block])
-
     exact = params.mode is PerturbationMode.SQUARE_SUM
+    block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * (1 if exact else n)))
+    work = _Workspace(masks, data, probes[:block], params.mode)
+    members = _member_terms(work, k_mat, probes, params)
     if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested
         deltas = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
         holds, w, v = psd_eig(params.R * k.times_adjoint
@@ -412,10 +413,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     falsified = exact and not holds
     probes_tested = 0
 
-    def consider(fs):
-        """Fold a block of probes into the search; the last probe's gap."""
+    def consider(fs, rows=None):
+        """Fold a block of probes and its member-stage rows in; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
-        gaps, scales = _violations(masks, data, k_mat, fs, params, work)
+        gaps, scales = _violations(masks, data, k_mat, fs, params, work, rows)
         if not falsified:
             within = at_most(gaps, 0.0, scales, tol)  # a NaN gap: not within, falsifies nothing
             falsified = not within.all() and not np.isnan(gaps[~within]).all()
@@ -435,7 +436,8 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         return gap
 
     for start in range(0, probes.shape[0], block):
-        consider(probes[start:start + block])
+        rows = slice(start, start + block)
+        consider(probes[rows], [a[rows] for a in members])
 
     if exact:  # the worst pair: the full set at the top eigenvector of S_delta - R kk*
         consider(v[:, :1].T)

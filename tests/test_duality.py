@@ -12,6 +12,7 @@ from framelab import (
     frame_ops,
     GFusionSystem,
     HilbertSpace,
+    InputError,
     LocalOperator,
     PreconditionError,
     ToleranceProfile,
@@ -262,6 +263,34 @@ def test_subset_identity_requires_certified_pair(fix_i):
     broken = KGFDualPair(fix_i.system, double, fix_i.operators["k"])
     with pytest.raises(PreconditionError):
         check_dual_subset_identity(broken, (0,), np.array([1.0, 0.0]))
+
+
+def rotated_complex_copy(system, phase):
+    """The system's members over the complex space of its dimension, each local
+    operator times exp(i phase)."""
+    return GFusionSystem(HilbertSpace("complex", system.dim), tuple(
+        (WeightedSubspace(sub.basis.astype(complex), sub.weight),
+         LocalOperator(np.exp(1j * phase) * op.matrix)) for sub, op in system.members))
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_dual_pairs_refuse_a_dual_over_another_space(fix_i, phase):
+    base, k = fix_i.system, fix_i.operators["k"]
+    dual = rotated_complex_copy(base, phase)
+    with pytest.raises(InputError, match="share its base's space"):
+        KGFDualPair(base, dual, k)
+    with pytest.raises(InputError, match="share its base's space"):
+        QDualPair(base, dual, np.eye(dual.synthesis_matrix.shape[1]), k, float("nan"))
+    # a complex base accepts the dual, and refuses a real one
+    assert KGFDualPair(dual, dual, BoundedOperator(k.matrix.astype(complex))).dual is dual
+    with pytest.raises(InputError, match="share its base's space"):
+        KGFDualPair(dual, base, BoundedOperator(k.matrix.astype(complex)))
+
+
+def test_dual_pairs_refuse_a_k_over_another_space(fix_i):
+    complex_k = BoundedOperator(1j * fix_i.operators["k"].matrix)
+    with pytest.raises(InputError, match="complex operator on a system over a real"):
+        KGFDualPair(fix_i.system, fix_i.system, complex_k)
 
 
 def test_parseval_subset_identity_values(fix_i):

@@ -426,6 +426,25 @@ def test_perturb_refuses_a_theta_over_another_space(tmp_path):
         assert "perturbed document is over a" in report["error"]
 
 
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_identities_refuses_a_dual_over_another_space(repo_cwd, tmp_path, phase):
+    base_path = "src/framelab/fixtures/fix_i.json"
+    base = load_document(base_path)
+    # FIX-I's members over the complex plane, each local operator times exp(i phase)
+    dual = FrameDocument(
+        "complex", base.dim, base.weights,
+        [np.asarray(vs, dtype=complex) for vs in base.subspaces],
+        [np.exp(1j * phase) * np.asarray(m) for m in base.local_operators])
+    dual_path = tmp_path / "dual_complex.json"
+    save_document(dual, dual_path)
+    code, out = run_cli(["identities", base_path, "--k", "k", "--dual", str(dual_path),
+                         "--trials", "5"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 2
+    assert "checks" not in report
+    assert "a dual system must share its base's space" in report["error"]
+
+
 def test_perturb_refuses_a_theta_with_another_member_count(repo_cwd, tmp_path):
     base = load_document("src/framelab/fixtures/fix_i.json")
     theta_path = tmp_path / "theta_one_member.json"

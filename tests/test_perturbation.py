@@ -757,6 +757,46 @@ def test_blocks_through_one_workspace_match_fresh_calls(name):
             assert_bits(scales, fresh_scales)
 
 
+def search_case(name):
+    """(system, k) of a search: a real fixture, a complex system whose shape groups
+    interleave, or the 14-member system whose subsets are sampled."""
+    if name == "interleaved":
+        return interleaved_complex_system(), BoundedOperator(np.diag([1.0, 0.5 + 0.5j, 2.0j]))
+    if name == "fourteen-members":
+        return fourteen_member_system(), BoundedOperator(np.eye(3))
+    bundle = fixture(name)
+    return bundle.system, bundle.operators["k"]
+
+
+@pytest.mark.parametrize("name", ["FIX-R003", "interleaved", "fourteen-members"])
+def test_member_stage_of_all_probes_has_the_bits_of_each_probe_alone(name):
+    system, k = search_case(name)
+    masks, data, probes = kernel_case(system, trials=20)
+    for params in MODE_PARAMS:
+        work = perturbation._Workspace(masks, data, probes, params.mode)
+        whole = perturbation._member_terms(work, k.matrix, probes, params)
+        single = [perturbation._member_terms(work, k.matrix, probes[i:i + 1], params)
+                  for i in range(probes.shape[0])]
+        assert len(whole) == (2 if params.mode is PerturbationMode.SQUARE_SUM else 5)
+        for part, together in zip(zip(*single), whole):
+            assert_bits(np.concatenate(part), together)
+
+
+@pytest.mark.parametrize("name", ["FIX-R003", "interleaved", "fourteen-members"])
+@pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
+def test_search_does_not_depend_on_the_blocking(name, params, monkeypatch):
+    system, k = search_case(name)
+    family = nudged(system)
+    verdicts = []
+    # one probe per block, the default blocks, and one block for all probes
+    for entries in (1, perturbation.PROBE_BLOCK_ENTRIES, 2**40):
+        monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", entries)
+        v = perturb_hypothesis(system, family, k, params)
+        verdicts.append((v.falsified, v.worst_violation, v.worst_subset, v.probes_tested,
+                         v.worst_probe.dtype, v.worst_probe.tobytes()))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
 @pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
 def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monkeypatch):
     bundle = fixture("FIX-R005")
@@ -768,8 +808,9 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     crafted = np.insert(probes, first + 1, -probes[first], axis=0)
     monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: crafted)
     monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
-    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES",
-                        (first + 1) * masks.shape[0] * system.dim)
+    # a T-sqsum block holds (probes, subsets) sums, the other modes' (probes, dim, subsets)
+    per_probe = masks.shape[0] * (1 if params.mode is PerturbationMode.SQUARE_SUM else system.dim)
+    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", (first + 1) * per_probe)
     # T-sqsum evaluates one more probe after the blocks, the top eigenvector of
     # S_delta - R kk*; made a third copy of the worst probe, with that worst gap
     # as its eigenvalue, it keeps the earliest too
