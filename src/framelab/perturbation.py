@@ -84,9 +84,9 @@ __all__ = [
 
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
-# Entries of the largest buffer a search allocates for its probe blocks,
-# (probes, dim, subsets), or (probes, subsets) for T-sqsum, so that its memory
-# stays flat however many subsets it walks.
+# Entries of a (probes, dim, subsets) block of probes, so that a search's memory
+# stays flat however many subsets it walks.  T-sqsum blocks are sized the same:
+# its (probes, subsets) sums and gaps stay as small as the other modes'.
 PROBE_BLOCK_ENTRIES = 65_536
 
 
@@ -258,16 +258,15 @@ class _Workspace:
     padded to one shape: that would change the inner length of the
     products, and with it the summation inside them.
 
-    The buffers are the subset stage's: ``sums`` holds the dim-major
-    ``(probes, dim, subsets)`` subset sums ``terms^T @ weights_t``,
-    ``column_sums`` the ``(probes, subsets, 1)`` scalar sums ``weights @
-    scalars`` (as a product with ``weights_t`` their matrix-vector products
-    round otherwise), and ``norms`` three ``(probes, subsets)`` results.  A
-    real search squares ``sums`` in place; a complex one writes into the
-    scratches ``conjugates`` and ``squares`` (None for a real one), as
-    ``column_norms`` says.  A T-sqsum ``mode`` writes only ``column_sums``;
-    its other buffers are None.  A block of fewer than ``len(probes)``
-    probes writes into leading views, which keep a fresh array's layout and bits.
+    The buffers are the subset stage's: ``sums`` holds the dim-major subset sums
+    ``terms^T @ weights_t``, ``(probes, dim, subsets)``; ``column_sums`` the scalar sums
+    ``weights @ scalars``, ``(probes, subsets, 1)`` (as a product with ``weights_t`` their
+    matrix-vector products round otherwise); and ``norms`` three ``(probes, subsets)``
+    results.  A real search squares ``sums`` in place; a complex one writes into the
+    scratches ``conjugates`` and ``squares`` (None for a real one), as ``column_norms``
+    says.  A T-sqsum ``mode`` writes only ``column_sums``; its other buffers are None.  A
+    block of fewer than ``len(probes)`` probes writes into leading views, which keep a
+    fresh array's layout and bits.
     """
 
     def __init__(self, masks, data, probes, mode: PerturbationMode | None = None):
@@ -302,29 +301,30 @@ def _gap_and_scale(lhs, rhs):
 
 
 def _member_terms(work: _Workspace, k_mat, probes, params: PerturbationParams) -> tuple:
-    """The member stage of a ``(p, n)`` probe set, every array with the probes first.
+    """The member stage of a ``(p, n)`` probe set: ``|k* f|`` and the mode's member terms.
 
-    ``(kf_norm, scalars)`` for T-sqsum: ``|k* f|`` and ``v^2 |(L - Th) pi f|^2``;
-    for the other modes ``(kf_norm, scalars, gaps, base, pert)``, ``scalars``
-    being ``v^2 |L pi f|^2`` and the last three the ``(p, members, dim)`` terms
-    ``v^2 (pi L* L pi - pi Th* Th pi) f``, ``v^2 pi L* L pi f`` and
-    ``v^2 pi Th* Th pi f``.  Each shape group makes a few stacked matvecs over
-    all the probes, so row i has the bits of probe i alone.
+    Each array has the probes first: ``(p, 1)`` norms, then T-sqsum's ``v^2 |(L - Th) pi f|^2``
+    or the ``(p, members, dim)`` terms ``v^2 pi (L* L - Th* Th) pi f``, ``v^2 pi L* L pi f``
+    and ``v^2 pi Th* Th pi f`` (C-p2-normsum the first alone), then P1-sqrt-sum's ``v^2 |L pi
+    f|^2``.  A few stacked matvecs per shape group, so row i has the bits of probe i alone.
     """
-    stacked = probes[:, None, :, None]
+    mode, stacked = params.mode, probes[:, None, :, None]
     kf_norm = row_norms((adjoint(k_mat) @ probes[:, :, None])[..., 0])[:, None]
     scalars = np.empty((probes.shape[0], len(work.w2), 1))
     base, pert = np.empty((2,) + scalars.shape[:2] + probes.shape[1:], probes.dtype)
     for columns, lps, lph, tps, tph in work.groups:
         images = lps @ stacked
-        if params.mode is PerturbationMode.SQUARE_SUM:
+        if mode is PerturbationMode.SQUARE_SUM:
             scalars[:, columns, 0] = row_sq_norms((images - tps @ stacked)[..., 0])
             continue
         base[:, columns] = (lph @ images)[..., 0]
         pert[:, columns] = (tph @ (tps @ stacked))[..., 0]
-        scalars[:, columns, 0] = row_sq_norms(images[..., 0])
-    terms = () if params.mode is PerturbationMode.SQUARE_SUM else (base - pert, base, pert)
-    return (kf_norm, *(a * work.w2 for a in (scalars, *terms)))
+        if mode is PerturbationMode.SQRT_SUM:
+            scalars[:, columns, 0] = row_sq_norms(images[..., 0])
+    count = {PerturbationMode.AGGREGATE_NORM: 1, PerturbationMode.ADJOINT_TERM: 3}.get(mode, 4)
+    terms = ((scalars,) if mode is PerturbationMode.SQUARE_SUM
+             else (base - pert, base, pert, scalars))
+    return (kf_norm, *(np.multiply(a, work.w2, out=a) for a in terms[:count]))
 
 
 def _violations(masks, data, k_mat, probes, params: PerturbationParams,
@@ -338,34 +338,34 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     go into ``work``, the buffers of the search (built here when not given).
     """
     work = work or _Workspace(masks, data, probes, params.mode)
-    kf_norm, scalars, *vectors = members or _member_terms(work, k_mat, probes, params)
+    kf_norm, *terms = members or _member_terms(work, k_mat, probes, params)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
     p = probes.shape[0]
 
-    def scalar_sums():
-        """(p, subsets) subset sums of the weighted scalar member terms."""
+    def scalar_sums(scalars):
+        """(p, subsets) subset sums of (p, members, 1) scalar member terms."""
         return np.matmul(work.weights, scalars, out=work.column_sums[:p])[..., 0]
 
-    def sum_norms(terms, slot):
+    def sum_norms(vectors, slot):
         """(p, subsets) norms of the subset sums of (p, members, n) member terms."""
-        sums = np.matmul(terms.transpose(0, 2, 1), work.weights_t, out=work.sums[:p])
+        sums = np.matmul(vectors.transpose(0, 2, 1), work.weights_t, out=work.sums[:p])
         if work.squares is None:
             return column_norms(sums, out=work.norms[slot, :p], squares=sums)
         return column_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p],
                             conjugates=work.conjugates[:p])
 
     if params.mode is PerturbationMode.SQUARE_SUM:
-        return _gap_and_scale(scalar_sums(), r * np.float_power(kf_norm, 2.0))
-    lhs = sum_norms(vectors[0], 0)
+        return _gap_and_scale(scalar_sums(terms[0]), r * np.float_power(kf_norm, 2.0))
+    lhs = sum_norms(terms[0], 0)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
         return _gap_and_scale(lhs, r * kf_norm)
-    rhs = sum_norms(vectors[1], 1)
+    rhs = sum_norms(terms[1], 1)
     rhs *= lam1
-    term = sum_norms(vectors[2], 2)
+    term = sum_norms(terms[2], 2)
     term *= lam2
     rhs += term
     if params.mode is PerturbationMode.SQRT_SUM:
-        term = np.sqrt(scalar_sums(), out=work.norms[2, :p])
+        term = np.sqrt(scalar_sums(terms[3]), out=work.norms[2, :p])
         term *= gamma
         rhs += term
     else:
@@ -382,7 +382,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     of 512 including the full set, singletons, and their complements.  Probes
     are the standard basis and 200 seeded unit vectors.  Their member terms
     are formed once, and their subset sums in blocks of consecutive probes,
-    each sized so that its largest buffer holds about
+    each sized so that a (probes, dim, subsets) buffer holds about
     ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe order; ties go to
     the earliest probe; a pair whose gap fails ``at_most`` falsifies.
     T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and
@@ -400,7 +400,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     complex_field = base.space.field == "complex"
     probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
     exact = params.mode is PerturbationMode.SQUARE_SUM
-    block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * (1 if exact else n)))
+    block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
     work = _Workspace(masks, data, probes[:block], params.mode)
     members = _member_terms(work, k_mat, probes, params)
     if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested

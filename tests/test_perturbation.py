@@ -777,7 +777,7 @@ def test_member_stage_of_all_probes_has_the_bits_of_each_probe_alone(name):
         whole = perturbation._member_terms(work, k.matrix, probes, params)
         single = [perturbation._member_terms(work, k.matrix, probes[i:i + 1], params)
                   for i in range(probes.shape[0])]
-        assert len(whole) == (2 if params.mode is PerturbationMode.SQUARE_SUM else 5)
+        assert len(whole) == {"P1-sqrt-sum": 5, "P-variant-kstar": 4}.get(params.mode.value, 2)
         for part, together in zip(zip(*single), whole):
             assert_bits(np.concatenate(part), together)
 
@@ -808,9 +808,8 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     crafted = np.insert(probes, first + 1, -probes[first], axis=0)
     monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: crafted)
     monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
-    # a T-sqsum block holds (probes, subsets) sums, the other modes' (probes, dim, subsets)
-    per_probe = masks.shape[0] * (1 if params.mode is PerturbationMode.SQUARE_SUM else system.dim)
-    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", (first + 1) * per_probe)
+    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES",
+                        (first + 1) * masks.shape[0] * system.dim)
     # T-sqsum evaluates one more probe after the blocks, the top eigenvector of
     # S_delta - R kk*; made a third copy of the worst probe, with that worst gap
     # as its eigenvalue, it keeps the earliest too
