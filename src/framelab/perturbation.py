@@ -84,9 +84,9 @@ __all__ = [
 
 RANDOM_PROBES = 200
 REFINE_STEPS = 40
-# Entries of a (probes, dim, subsets) block of probes, so that a search's memory
-# stays flat however many subsets it walks.  T-sqsum blocks are sized the same:
-# its (probes, subsets) sums and gaps stay as small as the other modes'.
+# Entries of the (probes, dim, subsets) sums of one block of probes, so that a
+# search's memory stays flat however many subsets it walks.  T-sqsum blocks are
+# sized the same, so its (probes, subsets) sums and gaps stay as small.
 PROBE_BLOCK_ENTRIES = 65_536
 
 
@@ -399,10 +399,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     n = base.dim
     complex_field = base.space.field == "complex"
     probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
-    exact = params.mode is PerturbationMode.SQUARE_SUM
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
     work = _Workspace(masks, data, probes[:block], params.mode)
     members = _member_terms(work, k_mat, probes, params)
+    exact = params.mode is PerturbationMode.SQUARE_SUM
     if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested
         deltas = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
         holds, w, v = psd_eig(params.R * k.times_adjoint
