@@ -250,14 +250,13 @@ def loads(text: str) -> FrameDocument:
                  for i, vs in enumerate(data["subspaces"])]
     local_ops = [_decode_matrix(m, complex_field, f"local operator {i}")
                  for i, m in enumerate(data["local_operators"])]
-    operators = data.get("operators") or {}
-    if not isinstance(operators, dict):
-        raise InputError("operators must be an object")
+    # a missing or null operators or meta is empty; any other non-object is refused
+    for key in ("operators", "meta"):
+        if data.get(key) is not None and not isinstance(data[key], dict):
+            raise InputError(f"{key} must be an object")
     operators = {name: _decode_matrix(m, complex_field, f"operator {name!r}")
-                 for name, m in operators.items()}
+                 for name, m in (data.get("operators") or {}).items()}
     meta = data.get("meta") or {}
-    if not isinstance(meta, dict):
-        raise InputError("meta must be an object")
     return FrameDocument(data["field"], data["dim"], weights, subspaces, local_ops, operators,
                          meta)
 

@@ -11,7 +11,7 @@ and the three-quarters lower bound) are evaluated on probe vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,23 +87,28 @@ __all__ = [
 class QDualPair:
     """A base system, a candidate dual, and the coupling operator Q.
 
-    ``q`` maps the coordinate sum of the base into that of the dual, so the
-    defining identity reads T_base Q* T_dual* = k.  ``reading`` records which
-    subspace construction produced the dual; ``well_defined_residual`` is the
-    mass of the factor u on ker(T_dual*), which the construction must
-    annihilate for the coupling to be canonical.
+    ``q`` maps the base's coordinate sum into the dual's, so the defining
+    identity reads T_base Q* T_dual* = k; ``residual`` is its defect, formed
+    with the pair.  ``reading`` names the subspace construction of the dual;
+    ``well_defined_residual`` is the mass of the factor u on ker(T_dual*),
+    which the construction must annihilate for the coupling to be canonical.
     """
 
     base: GFusionSystem
     dual: GFusionSystem
     q: np.ndarray
     k: BoundedOperator
-    residual: float
     reading: str = "given"
     well_defined_residual: float = float("nan")
+    residual: float = field(init=False)
 
     def __post_init__(self):
         _require_compatible(self.base, self.k, self.dual)
+        t_base, t_dual = self.base.synthesis_matrix, self.dual.synthesis_matrix
+        if self.q.shape != (t_dual.shape[1], t_base.shape[1]):
+            raise InputError(f"coupling operator has shape {self.q.shape}, expected "
+                             f"{(t_dual.shape[1], t_base.shape[1])}")
+        self.residual = operator_norm(t_base @ adjoint(self.q) @ adjoint(t_dual) - self.k.matrix)
 
 
 @dataclass(frozen=True)
@@ -132,12 +137,8 @@ def _q_dual_forms(pair: QDualPair, tol: ToleranceProfile) -> QDualReport:
     t_base = pair.base.synthesis_matrix
     t_dual = pair.dual.synthesis_matrix
     q = pair.q
-    if q.shape != (t_dual.shape[1], t_base.shape[1]):
-        raise InputError(
-            f"coupling operator has shape {q.shape}, expected "
-            f"{(t_dual.shape[1], t_base.shape[1])}")
     k = pair.k.matrix
-    form1 = operator_norm(t_base @ adjoint(q) @ adjoint(t_dual) - k)
+    form1 = pair.residual
     form2 = operator_norm(t_dual @ q @ adjoint(t_base) - adjoint(k))
     n = pair.base.dim
     complex_field = pair.base.space.field == "complex"
@@ -175,7 +176,6 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
         raise PreconditionError("system is not a frame for k; no dual exists")
-    t = system.synthesis_matrix
     u = report.douglas.u_min
     blocks = np.split(u, np.cumsum(system.local_dims())[:-1])
     gram = adjoint(u) @ u
@@ -198,13 +198,10 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
         dual = _dual_candidate(system, bases)
         t_dual_adj = adjoint(dual.synthesis_matrix)
         t_dual_pinv = pinv(t_dual_adj, tol)
-        phi = u @ t_dual_pinv
-        residual = operator_norm(t @ phi @ t_dual_adj - k.matrix)
-        residuals[name] = float(residual)
-        if within_scale(residual, k.norm, tol):
-            well_defined = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
-            pair = QDualPair(system, dual, adjoint(phi), k, float(residual),
-                             reading=name, well_defined_residual=float(well_defined))
+        pair = QDualPair(system, dual, adjoint(u @ t_dual_pinv), k, reading=name)
+        residuals[name] = pair.residual
+        if within_scale(pair.residual, k.norm, tol):
+            pair.well_defined_residual = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
             verify_q_dual(pair, tol)
             return pair
     raise DualConstructionError(

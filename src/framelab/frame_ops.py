@@ -160,14 +160,12 @@ def subset_frame_operators(system: GFusionSystem, masks,
     weights are always those of ``system``.
     """
     other = system if other is None else other
+    _require_shared_space(system, other)
     if other.size != system.size:
         raise InputError(
             f"base has {system.size} members but the dual has {other.size}")
-    if other.dim != system.dim:
-        raise InputError("base and dual live in different ambient dimensions")
     masks = _require_masks(masks, system.size)
-    dtype = np.result_type(system.space.dtype, other.space.dtype)
-    out = np.zeros((masks.shape[0], system.dim, system.dim), dtype=dtype)
+    out = np.zeros((masks.shape[0], system.dim, system.dim), dtype=system.space.dtype)
     for j in np.flatnonzero(masks.any(axis=0)):
         term = (system.members[j][0].weight**2) * (
             adjoint(system.local_factors[j]) @ other.local_factors[j])
@@ -237,9 +235,14 @@ class FrameReport:
         return self.is_frame and (self.claimed is None or self.claimed_valid)
 
 
-def _require_compatible(system: GFusionSystem, k: BoundedOperator, *duals: GFusionSystem):
-    if any(dual.space != system.space for dual in duals):
+def _require_shared_space(system: GFusionSystem, *others: GFusionSystem):
+    """The one rule for pairing systems: every other system lives over ``system``'s space."""
+    if any(other.space != system.space for other in others):
         raise InputError(f"a dual system must share its base's space {system.space}")
+
+
+def _require_compatible(system: GFusionSystem, k: BoundedOperator, *duals: GFusionSystem):
+    _require_shared_space(system, *duals)
     if k.dim != system.dim:
         raise InputError(f"operator dimension {k.dim} != system dimension {system.dim}")
     if np.result_type(system.space.dtype, k.matrix) != system.space.dtype:
@@ -415,8 +418,7 @@ def cross_frame_check(lambda_system: GFusionSystem, theta_system: GFusionSystem,
     ``lambda_certified`` / ``theta_certified`` are the PSD verdicts of those
     two inequalities; otherwise the four stay None.
     """
-    _require_compatible(lambda_system, k)
-    _require_compatible(theta_system, k)
+    _require_compatible(lambda_system, k, theta_system)
     if lambda_system.local_dims() != theta_system.local_dims():
         raise InputError("systems must share their local coordinate dimensions blockwise")
     s_lambda = lambda_system.frame_matrix

@@ -81,7 +81,10 @@ class WeightedSubspace:
         gram = adjoint(basis) @ basis
         if basis.shape[1] and not within_scale(gram - np.eye(basis.shape[1]), 1.0, DEFAULT_TOL):
             raise InputError("subspace basis columns are not orthonormal")
-        w = float(self.weight)
+        try:
+            w = float(self.weight)
+        except (TypeError, ValueError):
+            w = float("nan")  # not a number: refused below, naming the given value
         if not (w > 0.0 and np.isfinite(w)):
             raise InputError(f"weight must be positive and finite, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
@@ -304,6 +307,8 @@ def embed_k_frame(vectors) -> GFusionSystem:
     vecs = [np.asarray(v) for v in vectors]
     if not vecs:
         raise InputError("at least one vector required")
+    if vecs[0].ndim != 1:
+        raise InputError(f"a frame vector must be 1-dimensional, got {vecs[0].tolist()!r}")
     n = vecs[0].shape[0]
     field = "complex" if any(np.iscomplexobj(v) for v in vecs) else "real"
     space = HilbertSpace(field, int(n))

@@ -36,6 +36,7 @@ subset-stage buffers are built once per search; every block writes into them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,6 +46,7 @@ from .frame_ops import (
     FrameBounds,
     FrameReport,
     _require_compatible,
+    _require_shared_space,
     frame_operator,
     optimal_bounds,
     subset_masks,
@@ -103,9 +105,9 @@ class PerturbationMode(Enum):
 class PerturbationParams:
     """Constants of a perturbation hypothesis.
 
-    lambda1 and lambda2 live in [0, 1); gamma and R are nonnegative.  The
-    bound-dependent admissibility (involving the base lower bound A) is
-    checked by :func:`predicted_bounds`, not here.
+    All four are real scalars: lambda1 and lambda2 in [0, 1), gamma and R
+    nonnegative.  The bound-dependent admissibility (involving the base
+    lower bound A) is checked by :func:`predicted_bounds`, not here.
     """
 
     lambda1: float = 0.0
@@ -115,6 +117,9 @@ class PerturbationParams:
     mode: PerturbationMode = PerturbationMode.SQRT_SUM
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "gamma", "R"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InputError(f"{name} must be a real scalar, got {getattr(self, name)!r}")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             if not (0.0 <= value < 1.0) or not math.isfinite(value):
@@ -222,16 +227,16 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
 def _on_base(base: GFusionSystem, theta) -> GFusionSystem:
     """The perturbed local operators over the base subspaces and weights.
 
-    ``theta`` is a system of the base shape (only its local operators are
-    read) or a plain sequence of local operators/matrices.  A system already
-    built over the base's own subspaces is returned as it is, so its cached
-    factors are reused.
+    ``theta`` is a system over the base's space with as many members (only
+    its local operators are read) or a plain sequence of local
+    operators/matrices.  A system already built over the base's own
+    subspaces is returned as it is, so its cached factors are reused.
     """
     if isinstance(theta, GFusionSystem):
-        if theta.size != base.size or theta.dim != base.dim:
+        _require_shared_space(base, theta)
+        if theta.size != base.size:
             raise InputError("perturbed system does not match the base shape")
-        if theta.space == base.space and all(
-                sub is base_sub for (sub, _), (base_sub, _) in zip(theta.members, base.members)):
+        if all(sub is base_sub for (sub, _), (base_sub, _) in zip(theta.members, base.members)):
             return theta
         theta = [op for _, op in theta.members]
     return base.with_local_operators(theta)
@@ -444,7 +449,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         if -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
             worst, worst_subset, worst_probe = -float(w[0]), tuple(range(base.size)), v[:, 0]
     elif worst_probe is not None:
-        f = worst_probe.astype(complex if complex_field else float)
+        f = worst_probe
         current = worst
         step = 0.25
         rng = np.random.Generator(np.random.PCG64(0xA5CE17))

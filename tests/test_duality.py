@@ -39,7 +39,9 @@ from framelab.duality import (
     verify_kgf_dual,
     verify_q_dual,
 )
-from framelab.numerics import adjoint, inner, unit_probes
+from framelab.frame_ops import cross_frame_check, subset_frame_operators, subset_masks
+from framelab.numerics import DEFAULT_TOL, adjoint, inner, unit_probes
+from framelab.perturbation import PerturbationParams, perturb_report
 from conftest import count_calls, fix_r_names, thin_direction_system
 
 
@@ -114,8 +116,7 @@ def test_q_dual_bound_corollary_equalities(fix_a):
 
 def test_q_dual_wrong_coupling_fails(fix_i):
     good = construct_q_dual(fix_i.system, fix_i.operators["k"])
-    bad = QDualPair(good.base, good.dual, 2.0 * np.eye(2), good.k,
-                    residual=float("nan"), reading="given")
+    bad = QDualPair(good.base, good.dual, 2.0 * np.eye(2), good.k, reading="given")
     report = verify_q_dual(bad)
     assert not report.passed
     assert report.synthesis_residual == pytest.approx(1.0, abs=1e-12)
@@ -280,11 +281,29 @@ def test_dual_pairs_refuse_a_dual_over_another_space(fix_i, phase):
     with pytest.raises(InputError, match="share its base's space"):
         KGFDualPair(base, dual, k)
     with pytest.raises(InputError, match="share its base's space"):
-        QDualPair(base, dual, np.eye(dual.synthesis_matrix.shape[1]), k, float("nan"))
+        QDualPair(base, dual, np.eye(dual.synthesis_matrix.shape[1]), k)
     # a complex base accepts the dual, and refuses a real one
     assert KGFDualPair(dual, dual, BoundedOperator(k.matrix.astype(complex))).dual is dual
     with pytest.raises(InputError, match="share its base's space"):
         KGFDualPair(dual, base, BoundedOperator(k.matrix.astype(complex)))
+
+
+PAIRING_CALLS = {
+    "frame_operator": lambda real, cplx, k: frame_operator(real, cplx),
+    "subset_frame_operators": lambda real, cplx, k: subset_frame_operators(
+        real, subset_masks(real.size), cplx),
+    "cross_frame_check": lambda real, cplx, k: cross_frame_check(real, cplx, k),
+    "cross_frame_check_swapped": lambda real, cplx, k: cross_frame_check(cplx, real, k),
+    "perturb_report": lambda real, cplx, k: perturb_report(
+        real, cplx, k, PerturbationParams(), tol=DEFAULT_TOL),
+}
+
+
+@pytest.mark.parametrize("call", PAIRING_CALLS.values(), ids=PAIRING_CALLS.keys())
+def test_two_system_entry_points_refuse_an_operand_over_another_space(fix_i, call):
+    base, k = fix_i.system, fix_i.operators["k"]
+    with pytest.raises(InputError, match="share its base's space"):
+        call(base, rotated_complex_copy(base, 0.3), k)
 
 
 def test_dual_pairs_refuse_a_k_over_another_space(fix_i):
@@ -430,7 +449,7 @@ def seeded_coupling(pair, seed=7):
     q = rng.standard_normal(pair.q.shape)
     if np.iscomplexobj(pair.q):
         q = q + 1j * rng.standard_normal(pair.q.shape)
-    return QDualPair(pair.base, pair.dual, q, pair.k, float("nan"))
+    return QDualPair(pair.base, pair.dual, q, pair.k)
 
 
 @pytest.mark.parametrize("name", packaged_fixture_names())
@@ -457,6 +476,17 @@ def test_bilinear_residual_block_matches_the_probe_loop(name):
     built = construct_q_dual(system, operators["k"])
     for pair in (built, seeded_coupling(built)):
         assert verify_q_dual(pair).bilinear_residual == reference_bilinear_residual(pair)
+
+
+@pytest.mark.parametrize("name", packaged_fixture_names())
+def test_a_q_dual_pair_measures_its_own_synthesis_residual(name):
+    system, operators = to_system(load_packaged_fixture(name))
+    built = construct_q_dual(system, operators["k"])
+    for pair in (built, seeded_coupling(built)):
+        defect = (pair.base.synthesis_matrix @ adjoint(pair.q)
+                  @ adjoint(pair.dual.synthesis_matrix) - pair.k.matrix)
+        assert pair.residual == pytest.approx(np.linalg.norm(defect, 2), rel=1e-12, abs=1e-15)
+        assert pair.residual == verify_q_dual(pair).synthesis_residual
 
 
 def test_q_dual_forms_run_once_per_pair_and_tolerance(monkeypatch):

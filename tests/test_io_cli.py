@@ -81,6 +81,25 @@ def test_loads_rejects_malformed_documents():
         loads(json.dumps(ragged))
 
 
+@pytest.mark.parametrize("key", ["operators", "meta"])
+@pytest.mark.parametrize("value", [0, [], "", False, "x"],
+                         ids=["zero", "empty-list", "empty-string", "false", "string"])
+def test_loads_refuses_a_non_object_operators_or_meta(key, value):
+    data = json.loads(dumps(load_packaged_fixture("FIX-I")))
+    data[key] = value
+    with pytest.raises(InputError, match=f"{key} must be an object"):
+        loads(json.dumps(data))
+
+
+@pytest.mark.parametrize("key", ["operators", "meta"])
+def test_loads_reads_a_missing_or_null_operators_or_meta_as_empty(key):
+    data = json.loads(dumps(load_packaged_fixture("FIX-I")))
+    data[key] = None
+    assert getattr(loads(json.dumps(data)), key) == {}
+    del data[key]
+    assert getattr(loads(json.dumps(data)), key) == {}
+
+
 def test_complex_document_entries_are_pairs():
     doc = load_packaged_fixture("FIX-R002")
     assert doc.field == "complex"

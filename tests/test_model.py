@@ -48,6 +48,16 @@ def test_weighted_subspace_validation():
     npt.assert_allclose(projection(empty), np.zeros((3, 3)), atol=0.0)
 
 
+def test_weighted_subspace_refuses_a_weight_that_is_no_number():
+    with pytest.raises(InputError, match="weight must be positive and finite, got 'abc'"):
+        WeightedSubspace(np.eye(2), "abc")
+
+
+def test_weighted_subspace_refuses_a_missing_weight():
+    with pytest.raises(InputError, match="weight must be positive and finite, got None"):
+        WeightedSubspace(np.eye(2), None)
+
+
 def test_bounded_operator_basics():
     with pytest.raises(InputError):
         BoundedOperator(np.zeros((2, 3)))
@@ -141,6 +151,11 @@ def test_embed_k_frame_rank_one_members():
     # rank-one analysis functionals sum to S = sum f_j f_j^*
     npt.assert_allclose(frame_operator(system),
                         [[1.5, 0.5], [0.5, 1.5]], atol=1e-14)
+
+
+def test_embed_k_frame_refuses_scalar_vectors():
+    with pytest.raises(InputError, match="must be 1-dimensional, got 1.0"):
+        embed_k_frame([1.0])
 
 
 def test_fixture_bundles(fix_a, fix_i):

@@ -70,6 +70,16 @@ def test_params_validation():
         PerturbationParams(0.0, 0.0, 0.0, 0.0, "bogus-mode")
 
 
+def test_params_refuse_a_string_constant():
+    with pytest.raises(InputError, match="lambda1 must be a real scalar, got '0.1'"):
+        PerturbationParams(lambda1="0.1")
+
+
+def test_params_refuse_a_missing_constant():
+    with pytest.raises(InputError, match="R must be a real scalar, got None"):
+        PerturbationParams(R=None)
+
+
 def test_paley_wiener_half_identity():
     report = paley_wiener_check(0.5 * np.eye(3), 0.5, 0.0)
     assert report.certified
