@@ -22,6 +22,7 @@ from .numerics import (
     operator_norm,
     orthonormalize,
     pinv,
+    real_scalar,
     significant_rank,
     within_scale,
 )
@@ -81,12 +82,10 @@ class WeightedSubspace:
         gram = adjoint(basis) @ basis
         if basis.shape[1] and not within_scale(gram - np.eye(basis.shape[1]), 1.0, DEFAULT_TOL):
             raise InputError("subspace basis columns are not orthonormal")
-        try:
-            w = float(self.weight)
-        except (TypeError, ValueError):
-            w = float("nan")  # not a number: refused below, naming the given value
+        message = f"weight must be positive and finite, got {self.weight!r}"
+        w = real_scalar(self.weight, message)
         if not (w > 0.0 and np.isfinite(w)):
-            raise InputError(f"weight must be positive and finite, got {self.weight!r}")
+            raise InputError(message)
         object.__setattr__(self, "weight", w)
 
     @property
@@ -304,7 +303,10 @@ def embed_k_frame(vectors) -> GFusionSystem:
     and the rank-one local functional f -> <f, f_j>.  The space is complex
     when any vector is, else real.
     """
-    vecs = [np.asarray(v) for v in vectors]
+    try:
+        vecs = [np.asarray(v) for v in vectors]
+    except ValueError as exc:  # a ragged vector
+        raise InputError(f"a frame vector is not a flat array of numbers: {exc}") from exc
     if not vecs:
         raise InputError("at least one vector required")
     if vecs[0].ndim != 1:
@@ -317,6 +319,8 @@ def embed_k_frame(vectors) -> GFusionSystem:
     for v in vecs:
         if v.shape != (n,):
             raise InputError("all vectors must share one dimension")
+        if v.dtype.kind not in "biufc":
+            raise InputError(f"a frame vector must hold numbers, got {v.tolist()!r}")
         row = np.conj(v).reshape(1, n).astype(space.dtype)
         members.append((WeightedSubspace(eye.copy(), 1.0), LocalOperator(row)))
     return GFusionSystem(space, tuple(members))

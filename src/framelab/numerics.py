@@ -9,6 +9,7 @@ it with complex data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,14 @@ __all__ = [
     "ToleranceProfile",
     "DEFAULT_TOL",
     "as_matrix",
+    "real_scalar",
     "adjoint",
     "inner",
     "row_inners",
     "row_norms",
     "row_sq_norms",
     "column_norms",
+    "rounding_bound",
     "operator_norm",
     "within_scale",
     "within_relative",
@@ -122,6 +125,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def real_scalar(value, message: str) -> float:
+    """``value`` as a float if it is a real number, else ``InputError(message)``.
+
+    A bool or a string is not a real number here, though Python and
+    ``float()`` would take them as one.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(message)
+    return float(value)
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
@@ -174,6 +188,28 @@ def column_norms(x, out=None, squares=None, conjugates=None) -> np.ndarray:
         sq = np.square(x, out=squares)
     out = np.add.reduce(sq, axis=-2, out=out)
     return np.sqrt(out, out=out)
+
+
+# Above the absolute error gradual underflow can leave in a sum, dot product or
+# norm of fewer than 2**20 float64 terms: at most 2**-1075 per rounded product,
+# and so at most sqrt(2**20 * 2**-1075) = 2**-527.5 in a norm.
+_UNDERFLOW_ERROR = 2.0**-500
+
+
+def rounding_bound(count: int, magnitude):
+    """``gamma_count * magnitude + 2**-500`` per entry: the rounding error of a
+    float64 sum whose terms each take at most ``count`` roundings and whose
+    magnitudes add up to at most ``magnitude``.
+
+    ``gamma_count = count u / (1 - count u)``, u = 2**-53, bounds the relative
+    error of ``count`` roundings (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).  The constant covers gradual underflow, where that
+    relative model fails.  NaN in, NaN out.
+    """
+    unit = count * 2.0**-53
+    bound = np.multiply(unit / (1.0 - unit), magnitude)
+    bound += _UNDERFLOW_ERROR
+    return bound
 
 
 def operator_norm(m) -> float:

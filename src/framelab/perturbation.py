@@ -32,11 +32,26 @@ one ``np.add.reduce`` over the dim axis
 the same inequality evaluated at its probe alone, so the verdict does not
 depend on the blocking.  The float subset weights, the member stacks and the
 subset-stage buffers are built once per search; every block writes into them.
+
+In the two sqrt-sum modes every block after the first bounds each pair from
+above before it forms the right-hand side (:func:`_bound_terms`): with |D_I f|
+and t, sqrt(q_I(f)) or |k* f|, formed in full, Cauchy-Schwarz (``|s| >=
+Re<s, h>`` at a unit h) gives
+
+    lhs - rhs <= |D_I f| - max_h sum_I Re<l1 b_j + l2 p_j, h> - g t + slack
+
+over two unit vectors h, the probe f and the direction of its whole family's
+``sum_j (l1 b_j + l2 p_j)``, the slack a stated rounding bound (Higham,
+ch. 3) on the subset sums of the member magnitudes ``|d_j| + l1 |b_j| +
+l2 |p_j|`` and on ``g t``.  A pair whose bound is at most the worst gap
+before its block and, until the search is falsified, within tolerance at
+scale 1 (its own scale is at least 1) can change no field of the verdict:
+the bound decides it, no sample skips it, and its two right-hand norms are
+never formed.  The other pairs keep the bits of the full sweep.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,6 +80,8 @@ from .numerics import (
     column_norms,
     operator_norm,
     psd_eig,
+    real_scalar,
+    rounding_bound,
     row_norms,
     row_sq_norms,
     unit_probes,
@@ -118,8 +135,9 @@ class PerturbationParams:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "gamma", "R"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InputError(f"{name} must be a real scalar, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            object.__setattr__(self, name, real_scalar(
+                value, f"{name} must be a real scalar, got {value!r}"))
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             if not (0.0 <= value < 1.0) or not math.isfinite(value):
@@ -332,8 +350,107 @@ def _member_terms(work: _Workspace, k_mat, probes, params: PerturbationParams) -
     return (kf_norm, *(np.multiply(a, work.w2, out=a) for a in terms[:count]))
 
 
+def _bound_terms(members, probes, params: PerturbationParams):
+    """The bound stage's ``(p, 2, members)`` terms of a sqrt-sum mode at ``probes``, from
+    their rows ``members`` of :func:`_member_terms`.
+
+    With the gap, base and perturbed member terms ``d_j``, ``b_j`` and ``p_j`` at probe f,
+    the terms are, at the two unit vectors h = f and h = the direction of the whole
+    family's ``sum_j (l1 b_j + l2 p_j)`` (f where that sum is 0),
+
+        e_j(h) = Re<l1 b_j + l2 p_j, h>
+                 - rounding_bound(K, |d_j| + l1 |b_j| + l2 |p_j| + tau_j),
+
+    where ``tau_j`` is ``gamma sqrt(v^2 |L pi f|^2)`` (P1-sqrt-sum) or ``gamma |k* f|``
+    (P-variant-kstar), so that ``lhs - gamma t - max_h sum_I e_j(h)`` bounds each computed
+    gap ``lhs - rhs`` from above.  For a unit h, Cauchy-Schwarz gives ``|s| >= Re<s, h>``
+    for the subset sum ``s`` of any computed vectors, so ``rhs >= sum_I Re<l1 b_j + l2
+    p_j, h> + gamma t`` up to rounding: h = f is tight where f is near an eigenvector of
+    S_I, the other h where ``S_I f`` leans toward the whole family's.  Counting u = 2**-53
+    per rounding, and n = 2 dim real components, that rounding is below ``(2 members + 3
+    n + 15) u`` times ``|D_I f| + l1 sum_I |b_j| + l2 sum_I |p_j| + gamma t``: a subset
+    sum rounds at most ``members`` times per term, a norm or dot product n + 2 times,
+    each h's norm lies within n + 4 roundings of 1, and the two sides, the gap and its
+    bound take 15 more.  ``K = 4 (members + 3 dim + 8)`` is twice that count.  Each of
+    the three subset magnitudes is at most its sum of member magnitudes, ``gamma t`` at
+    most the sum of the members' ``tau_j`` (a square root is subadditive), and every
+    subset holds a member, so the allowances in the terms cover the rounding, and the
+    constant of ``rounding_bound`` the error of underflow.  Inner products and norms here
+    are sums over the real views of the vectors.
+    """
+    lam1, lam2 = params.lambda1, params.lambda2
+    diff, base, pert = (np.ascontiguousarray(a).view(np.float64) for a in members[1:4])
+
+    def norms(real):
+        return np.sqrt(np.einsum("...i,...i", real, real))
+
+    mixed = lam1 * base + lam2 * pert
+    whole = mixed.sum(axis=1)
+    length = norms(whole)[:, None]
+    flat = np.ascontiguousarray(probes).view(np.float64)
+    toward = np.divide(whole, length, out=flat.copy(), where=length > 0.0)
+    tau = (np.sqrt(members[4][..., 0]) if params.mode is PerturbationMode.SQRT_SUM
+           else members[0])
+    magnitude = norms(diff) + lam1 * norms(base) + lam2 * norms(pert)
+    magnitude += params.gamma * tau
+    terms = mixed @ np.stack((flat, toward), axis=2)
+    count, dim = members[1].shape[1:]
+    terms -= rounding_bound(4 * (count + 3 * dim + 8), magnitude)[..., None]
+    return np.ascontiguousarray(terms.transpose(0, 2, 1))
+
+
+def _pending_violations(work: _Workspace, lhs, vectors, t_term, index, params):
+    """lhs - rhs and scale of a sqrt-sum block, formed only for the pairs at the flat
+    ``index`` of its ``(p, subsets)`` arrays.
+
+    ``vectors`` are the block's base and perturbed member terms.  The indexed subsets
+    of each probe that has any are gathered into a batch of one common width, padded
+    with subset 0; their sums and norms keep the bits of the whole block's, as each
+    column of a product and of ``column_norms`` is computed alone.  The width is at
+    least 2: ``column_norms`` sums a lone column in another order.  Every other pair
+    reads gap -inf and scale 1 + lhs.  None, for the full block, when the batch's
+    gathered weights and sums would not fit in the block's ``(p, n, subsets)`` sums:
+    so the search's memory stays as flat as with the full block.
+    """
+    p, subsets = lhs.shape
+    gaps = np.full(lhs.shape, -np.inf)
+    scales = np.add(1.0, lhs)
+    if not index.size:
+        return gaps, scales
+    rows, cols = np.divmod(index, subsets)
+    counts = np.bincount(rows, minlength=p)
+    active = np.flatnonzero(counts)
+    width = max(2, int(counts.max()))
+    members, n = vectors[0].shape[1:]
+    if active.size * width * (members + n) > p * n * subsets:
+        return None
+    # the batch's slots in row-major order are the pending pairs in index order
+    filled = np.arange(width) < counts[active, None]
+    picked = np.zeros(filled.shape, np.intp)
+    picked[filled] = cols
+    weights = work.weights[picked].transpose(0, 2, 1)
+
+    def norms(terms):
+        sums = np.matmul(terms[active].transpose(0, 2, 1), weights)
+        return column_norms(sums, squares=sums if work.squares is None else None)[filled]
+
+    rhs = norms(vectors[0])
+    rhs *= params.lambda1
+    term = norms(vectors[1])
+    term *= params.lambda2
+    rhs += term
+    rhs += t_term[rows, cols if t_term.shape[1] > 1 else 0]
+    kept = np.take(lhs, index)
+    np.put(gaps, index, kept - rhs)
+    kept += 1.0
+    kept += rhs
+    np.put(scales, index, kept)
+    return gaps, scales
+
+
 def _violations(masks, data, k_mat, probes, params: PerturbationParams,
-                work: _Workspace | None = None, members: tuple | None = None):
+                work: _Workspace | None = None, members: tuple | None = None,
+                bound: tuple | None = None):
     """lhs - rhs and scale for every (probe, subset) pair of a probe block.
 
     The subset stage: ``probes`` is a ``(p, n)`` block and ``members`` its
@@ -341,6 +458,11 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     are new ``(p, subsets)`` arrays.  Each entry carries the bits of the same
     inequality evaluated member by member at its probe alone.  Intermediates
     go into ``work``, the buffers of the search (built here when not given).
+    ``bound``, read in the two sqrt-sum modes, is the block's rows of
+    :func:`_bound_terms` and a function that maps the pairs' ``(p, subsets)``
+    upper bounds ``lhs - gamma t - max_h sum_I e_j(h)`` to the mask of the
+    pairs they leave undecided; only those form their two right-hand norms,
+    and every other pair reads gap -inf and scale 1 + lhs.
     """
     work = work or _Workspace(masks, data, probes, params.mode)
     kf_norm, *terms = members or _member_terms(work, k_mat, probes, params)
@@ -364,17 +486,28 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     lhs = sum_norms(terms[0], 0)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
         return _gap_and_scale(lhs, r * kf_norm)
+    if params.mode is PerturbationMode.SQRT_SUM:
+        t_term = scalar_sums(terms[3])
+        np.sqrt(t_term, out=t_term)
+        t_term *= gamma
+    else:
+        t_term = gamma * kf_norm
+    if bound is not None:
+        bound_rows, undecided = bound
+        sums = (bound_rows.reshape(2 * p, -1) @ work.weights_t).reshape(p, 2, -1)
+        bounds = np.maximum(sums[:, 0], sums[:, 1])
+        np.subtract(lhs, bounds, out=bounds)
+        bounds -= t_term
+        pending = np.flatnonzero(undecided(bounds))
+        result = _pending_violations(work, lhs, terms[1:3], t_term, pending, params)
+        if result is not None:
+            return result
     rhs = sum_norms(terms[1], 1)
     rhs *= lam1
     term = sum_norms(terms[2], 2)
     term *= lam2
     rhs += term
-    if params.mode is PerturbationMode.SQRT_SUM:
-        term = np.sqrt(scalar_sums(terms[3]), out=work.norms[2, :p])
-        term *= gamma
-        rhs += term
-    else:
-        rhs += gamma * kf_norm
+    rhs += t_term
     return _gap_and_scale(lhs, rhs)
 
 
@@ -395,6 +528,12 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     The other modes end with a gradient-ascent refinement, one probe and
     both stages per step, and their not-falsified verdict is evidence, never
     a proof.  The buffers are allocated once per search and shared by all.
+    In P1-sqrt-sum and P-variant-kstar each block after the first bounds
+    every pair's gap from above, by Cauchy-Schwarz and a stated rounding
+    allowance (:func:`_bound_terms`), and forms the two right-hand norms
+    only of the pairs whose bound could still raise the worst gap or,
+    before a falsification, falsify; the bound decides the rest, so every
+    field of the verdict is that of the full sweep.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -417,11 +556,25 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     worst_probe = None
     falsified = exact and not holds
     probes_tested = 0
+    # the bound stage: every block but the first, which has no worst gap to compare with
+    bounded = params.mode in (PerturbationMode.SQRT_SUM, PerturbationMode.ADJOINT_TERM)
+    if bounded:
+        bound_terms = _bound_terms([a[block:] for a in members], probes[block:], params)
 
-    def consider(fs, rows=None):
+    def undecided(bounds):
+        """The pairs whose gap bound could raise the worst gap or, until the search
+        is falsified, falsify it: a pair's own scale is at least 1.  A NaN bound
+        decides nothing."""
+        decided = bounds <= worst
+        # below a worst gap that is within tolerance at scale 1, every bound is too
+        if not (falsified or at_most(worst, 0.0, 1.0, tol)):
+            decided &= at_most(bounds, 0.0, 1.0, tol)
+        return np.logical_not(decided, out=decided)
+
+    def consider(fs, rows=None, bound=None):
         """Fold a block of probes and its member-stage rows in; the last probe's gap."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
-        gaps, scales = _violations(masks, data, k_mat, fs, params, work, rows)
+        gaps, scales = _violations(masks, data, k_mat, fs, params, work, rows, bound)
         if not falsified:
             within = at_most(gaps, 0.0, scales, tol)  # a NaN gap: not within, falsifies nothing
             falsified = not within.all() and not np.isnan(gaps[~within]).all()
@@ -442,7 +595,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     for start in range(0, probes.shape[0], block):
         rows = slice(start, start + block)
-        consider(probes[rows], [a[rows] for a in members])
+        bound = None
+        if bounded and start and worst > -math.inf:
+            bound = (bound_terms[start - block:start], undecided)
+        consider(probes[rows], [a[rows] for a in members], bound)
 
     if exact:  # the worst pair: the full set at the top eigenvector of S_delta - R kk*
         consider(v[:, :1].T)

@@ -58,6 +58,18 @@ def test_weighted_subspace_refuses_a_missing_weight():
         WeightedSubspace(np.eye(2), None)
 
 
+@pytest.mark.parametrize("weight", ["2.0", True, np.True_])
+def test_weighted_subspace_refuses_a_string_or_a_bool(weight):
+    with pytest.raises(InputError, match=f"weight must be positive and finite, got {weight!r}"):
+        WeightedSubspace(np.eye(2), weight)
+
+
+@pytest.mark.parametrize("weight", [2, np.float32(0.5), np.int64(3)])
+def test_weighted_subspace_stores_a_float_weight(weight):
+    stored = WeightedSubspace(np.eye(2), weight).weight
+    assert type(stored) is float and stored == weight
+
+
 def test_bounded_operator_basics():
     with pytest.raises(InputError):
         BoundedOperator(np.zeros((2, 3)))
@@ -156,6 +168,17 @@ def test_embed_k_frame_rank_one_members():
 def test_embed_k_frame_refuses_scalar_vectors():
     with pytest.raises(InputError, match="must be 1-dimensional, got 1.0"):
         embed_k_frame([1.0])
+
+
+def test_embed_k_frame_refuses_a_ragged_vector():
+    with pytest.raises(InputError, match="a frame vector is not a flat array of numbers"):
+        embed_k_frame([[1.0, [2.0]]])
+
+
+@pytest.mark.parametrize("vector", [["a", "b"], [1.0, None]])
+def test_embed_k_frame_refuses_entries_that_are_no_numbers(vector):
+    with pytest.raises(InputError, match="a frame vector must hold numbers"):
+        embed_k_frame([vector])
 
 
 def test_fixture_bundles(fix_a, fix_i):

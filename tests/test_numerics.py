@@ -1,5 +1,6 @@
 """Dense-kernel checks: pseudoinverse, rank, orthonormalization, PSD, Douglas."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,8 @@ from framelab.numerics import (
     orthonormalize,
     pinv,
     psd_check,
+    real_scalar,
+    rounding_bound,
     unit_probes,
     within_relative,
     within_scale,
@@ -457,3 +460,27 @@ def test_threshold_verdicts_leave_their_scale_block_unchanged():
     for verdict, _, _ in verdict_forms(ToleranceProfile()).values():
         verdict(np.zeros_like(scales), scales)
     npt.assert_array_equal(scales, before)
+
+
+@pytest.mark.parametrize("value", ["1.5", True, np.True_, None, 1 + 0j, np.array(1.5)])
+def test_real_scalar_refuses_what_is_no_real_number(value):
+    with pytest.raises(InputError, match="^no$"):
+        real_scalar(value, "no")
+
+
+@pytest.mark.parametrize("value", [3, 1.5, np.float32(0.25), np.int64(-2), float("nan")])
+def test_real_scalar_gives_a_float(value):
+    got = real_scalar(value, "no")
+    assert type(got) is float and (got == value or np.isnan(value))
+
+
+def test_rounding_bound_is_gamma_n_times_the_magnitude_plus_the_underflow_allowance():
+    gamma = 10 * 2.0**-53 / (1 - 10 * 2.0**-53)
+    npt.assert_array_equal(rounding_bound(10, np.array([0.0, 1.0, 2.0**600, np.nan])),
+                           [2.0**-500, gamma + 2.0**-500, gamma * 2.0**600, np.nan])
+    # it bounds the rounding of a float sum of ``count`` terms
+    rng = np.random.default_rng(5)
+    terms = rng.standard_normal((200, 64)) * 10.0 ** rng.integers(-8, 8, (200, 64))
+    exact = [math.fsum(row) for row in terms]
+    rounded = np.add.reduce(terms, axis=1)
+    assert (np.abs(rounded - exact) <= rounding_bound(64, np.abs(terms).sum(axis=1))).all()

@@ -27,7 +27,7 @@ from framelab.documents import (
 )
 from framelab.frame_ops import subset_masks
 from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
-from framelab.numerics import adjoint, psd_check, unit_probes
+from framelab.numerics import adjoint, column_norms, psd_check, unit_probes
 from framelab.perturbation import (
     PerturbationMode,
     PerturbationParams,
@@ -78,6 +78,20 @@ def test_params_refuse_a_string_constant():
 def test_params_refuse_a_missing_constant():
     with pytest.raises(InputError, match="R must be a real scalar, got None"):
         PerturbationParams(R=None)
+
+
+def test_params_refuse_a_bool_constant():
+    with pytest.raises(InputError, match="gamma must be a real scalar, got True"):
+        PerturbationParams(gamma=True, R=False)
+    with pytest.raises(InputError, match="R must be a real scalar, got False"):
+        PerturbationParams(R=False)
+
+
+def test_params_store_float_constants():
+    params = PerturbationParams(0, np.float32(0.5), np.int64(2), 1)
+    stored = (params.lambda1, params.lambda2, params.gamma, params.R)
+    assert all(type(value) is float for value in stored)
+    assert stored == (0.0, 0.5, 2.0, 1.0)
 
 
 def test_paley_wiener_half_identity():
@@ -863,6 +877,166 @@ def search_verdicts():
 def test_search_verdicts_match_the_pinned_ones():
     pinned = json.loads((DATA_DIR / "perturb_verdicts.json").read_text(encoding="utf-8"))
     assert search_verdicts() == pinned
+
+
+# -- the bound stage of the two sqrt-sum modes --------------------------------
+
+SQRT_SUM_PARAMS = MODE_PARAMS[:2]
+
+
+def dim16_case():
+    """The reference system of the timings cut to its first 6 members: real, dim 16."""
+    system, operators = to_system(
+        spec_document(["16", "4x3", "5x4", "6x2", "3x5", "8x3", "2x2"], 3))
+    return system, operators["k"].matrix
+
+
+def bound_stage(system, family, k_mat, params, probes):
+    """The subset-stage inputs of a probe set and its bound terms."""
+    masks, data = subset_masks(system.size), _member_data(system, family)
+    work = perturbation._Workspace(masks, data, probes, params.mode)
+    members = perturbation._member_terms(work, k_mat, probes, params)
+    return masks, data, work, members, perturbation._bound_terms(members, probes, params)
+
+
+def gaps_and_bounds(system, family, k_mat, params):
+    """Every (probe, subset) gap of a search's probe set and its bound, a block at a time."""
+    probes = unit_probes(system.dim, perturbation.RANDOM_PROBES,
+                         complex_field=system.space.field == "complex", seed=0xFA15)
+    subsets = subset_masks(system.size).shape[0]
+    block = max(1, perturbation.PROBE_BLOCK_ENTRIES // (subsets * system.dim))
+    gaps, bounds = [], []
+
+    def undecided(b):
+        bounds.append(b.copy())
+        return np.ones(b.shape, bool)  # every pair formed: the gaps of the unbounded stage
+
+    for start in range(0, probes.shape[0], block):
+        fs = probes[start:start + block]
+        masks, data, work, members, terms = bound_stage(system, family, k_mat, params, fs)
+        gaps.append(_violations(masks, data, k_mat, fs, params, work, members,
+                                (terms, undecided))[0])
+        assert_bits(gaps[-1], _violations(masks, data, k_mat, fs, params)[0])
+    return np.concatenate(gaps), np.concatenate(bounds)
+
+
+def scalar_system(field, scales):
+    """Members ``c_j I`` on the whole of a dim-8 space: every member term is parallel
+    to the probe, so Cauchy-Schwarz holds with equality and only the rounding
+    allowance keeps a gap below its bound."""
+    eye = np.eye(8, dtype=HilbertSpace(field, 8).dtype)
+    return GFusionSystem(HilbertSpace(field, 8), tuple(
+        (WeightedSubspace(np.eye(8), 1.0 + 0.1 * j), LocalOperator(c * eye))
+        for j, c in enumerate(scales)))
+
+
+def bound_case(name, eps):
+    """(system, family, k) of a bound-stage test at perturbation size ``eps``."""
+    if name.startswith("scalar-"):
+        scales = np.linspace(0.5, 2.0, 6)
+        moved = scales * (1.0 + eps * np.cos(np.arange(6.0)))
+        field = name.split("-")[1]
+        return scalar_system(field, scales), scalar_system(field, moved), np.eye(8)
+    system, k_mat = dim16_case() if name == "real-dim16" else (
+        SEARCH_CASES[name][0](), SEARCH_CASES[name][1])
+    return system, nudged(system, eps), k_mat
+
+
+@pytest.mark.parametrize("name", [*SEARCH_CASES, "real-dim16", "scalar-real", "scalar-complex"])
+@pytest.mark.parametrize("params", SQRT_SUM_PARAMS, ids=lambda p: p.mode.value)
+def test_every_gap_is_at_most_its_bound(name, params, monkeypatch):
+    for eps in (0.002, 0.5):
+        case = bound_case(name, eps)
+        gaps, bounds = gaps_and_bounds(*case, params)
+        assert not np.isnan(bounds).any()
+        assert (gaps <= bounds).all()
+        # and the bound decides most pairs against the worst gap
+        assert np.mean(bounds <= gaps.max()) > 0.5
+        if name.startswith("scalar-"):  # where the allowance is needed
+            monkeypatch.setattr(perturbation, "rounding_bound",
+                                lambda count, magnitude: np.zeros_like(magnitude))
+            assert (gaps > gaps_and_bounds(*case, params)[1]).any()
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["FIX-R003", "interleaved", "fourteen-members"])
+@pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
+def test_the_bound_stage_changes_no_verdict(name, params, monkeypatch):
+    system, k = search_case(name)
+    family = nudged(system)
+    formed = []
+    pending_violations = perturbation._pending_violations
+
+    def counted(work, lhs, vectors, t_term, index, prm):
+        formed.append(index.size / lhs.size)
+        return pending_violations(work, lhs, vectors, t_term, index, prm)
+
+    def verdicts():
+        rows = []
+        for entries in (1, perturbation.PROBE_BLOCK_ENTRIES, 2**40):
+            monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", entries)
+            v = perturb_hypothesis(system, family, k, params)
+            rows.append((v.falsified, v.worst_violation, v.worst_subset, v.probes_tested,
+                         v.worst_probe.dtype, v.worst_probe.tobytes()))
+        return rows
+
+    monkeypatch.setattr(perturbation, "_pending_violations", counted)
+    bounded = verdicts()
+    # only the sqrt-sum modes bound their pairs, and there the bound decides most
+    assert bool(formed) is (params in SQRT_SUM_PARAMS)
+    assert not formed or min(formed) < 0.5
+    violations = perturbation._violations
+    monkeypatch.setattr(perturbation, "_violations", lambda *args: violations(*args[:7]))
+    assert verdicts() == bounded
+
+
+def test_a_bound_below_the_worst_gap_settles_no_pair_that_could_falsify(monkeypatch):
+    # probe e1 finds subset {0} at a gap of 1e-6, within tolerance at its scale of
+    # 7e4; probe e2 finds subset {1} at a gap of 1e-8, which fails at its scale of
+    # 1.7, though its bound lies below the worst gap found so far
+    def system(a2, b2):
+        e = np.eye(2)
+        return GFusionSystem(HilbertSpace("real", 2), (
+            (WeightedSubspace(e[:, :1], 1.0), LocalOperator([[np.sqrt(a2), 0.0]])),
+            (WeightedSubspace(e[:, 1:], 1.0), LocalOperator([[0.0, np.sqrt(b2)]]))))
+
+    monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: np.eye(2))
+    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
+    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", 1)
+    verdict = perturb_hypothesis(system(1e5, 1.0),
+                                 system((0.8e5 - 1e-6) / 1.2, (0.8 - 1e-8) / 1.2),
+                                 BoundedOperator(np.eye(2)),
+                                 PerturbationParams(0.2, 0.2, 0.0, 0.0, "P1-sqrt-sum"))
+    assert verdict.falsified
+    assert verdict.worst_subset == (0,)
+    assert verdict.worst_violation == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["real-dim16", "complex-dim10"])
+@pytest.mark.parametrize("params", SQRT_SUM_PARAMS, ids=lambda p: p.mode.value)
+def test_a_block_that_keeps_one_subset_keeps_its_bits(name, params):
+    if name == "real-dim16":
+        system, k_mat = dim16_case()
+    else:
+        system = complex_dim10_system()
+        k_mat = np.diag(np.linspace(0.5, 2.0, 10)) + 0.25j * np.eye(10, k=1)
+    family = nudged(system)
+    probes = kernel_case(system)[2]
+    masks, data, work, members, terms = bound_stage(system, family, k_mat, params, probes)
+    gaps, scales = _violations(masks, data, k_mat, probes, params)
+    # the pairs whose base norm, summed as a lone column, rounds otherwise
+    sums = np.matmul(members[2].transpose(0, 2, 1), work.weights_t)
+    lone = np.stack([column_norms(sums[..., s:s + 1])[:, 0] for s in range(masks.shape[0])], 1)
+    traps = np.argwhere(lone != column_norms(sums))
+    assert len(traps) > 0
+    for i, s in traps[::max(1, len(traps) // 8)]:
+        pending = np.zeros(gaps.shape, bool)
+        pending[i, s] = True
+        kept_gaps, kept_scales = _violations(masks, data, k_mat, probes, params, work,
+                                             members, (terms, lambda b: pending))
+        assert_bits(kept_gaps[pending], gaps[pending])
+        assert_bits(kept_scales[pending], scales[pending])
+        assert (kept_gaps[~pending] == -np.inf).all()
 
 
 def test_exhaustive_subset_masks_keep_the_enumeration_order():
