@@ -29,7 +29,7 @@ from .model import (
     WeightedSubspace,
     _read_only,
 )
-from .numerics import InputError, orthonormalize
+from .numerics import InputError, orthonormalize, real_scalar
 
 __all__ = [
     "FrameDocument",
@@ -71,7 +71,8 @@ class FrameDocument:
         counts = (len(self.weights), len(self.subspaces), len(self.local_operators))
         if len(set(counts)) != 1:
             raise InputError(f"member counts disagree: {counts}")
-        self.weights = [float(w) for w in self.weights]
+        self.weights = [real_scalar(w, f"weight {i} must be a real number, got {w!r}")
+                        for i, w in enumerate(self.weights)]
         self.subspaces = [_gated(vs, dtype, dim, "subspace {} vectors must have length {}", i)
                           for i, vs in enumerate(self.subspaces)]
         self.local_operators = [

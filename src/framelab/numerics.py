@@ -112,7 +112,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         arr = np.asarray(a)
     except ValueError as exc:
         raise InputError(f"{name} is not a rectangular array: {exc}") from exc
-    if arr.dtype == object:
+    if arr.dtype.kind not in "biufc":  # objects, strings, dates
         raise InputError(f"{name} is not a rectangular numeric array")
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-dimensional, got shape {arr.shape}")

@@ -48,6 +48,15 @@ before its block and, until the search is falsified, within tolerance at
 scale 1 (its own scale is at least 1) can change no field of the verdict:
 the bound decides it, no sample skips it, and its two right-hand norms are
 never formed.  The other pairs keep the bits of the full sweep.
+
+In C-p2-normsum and T-sqsum every block after the first bounds each probe's whole
+row instead (:func:`_row_bounds`), as ``U - rhs`` with U an upper bound on the row's
+every computed lhs.  T-sqsum's terms are nonnegative, so U is the full sum plus a
+rounding allowance; C-p2's ``|sum_I d_j|`` is at most the norm of the coordinate box
+``M_k = max(sum_j d_jk^+, sum_j d_jk^-)`` (real and imaginary parts apart), plus an
+allowance on ``sum_j |d_j|``.  A row whose bound passes the same rule as a pair's is
+settled: it is counted as tested, and only the other rows of the block go through
+the subset stage, as one gathered block whose rows keep their bits.
 """
 from __future__ import annotations
 
@@ -350,6 +359,11 @@ def _member_terms(work: _Workspace, k_mat, probes, params: PerturbationParams) -
     return (kf_norm, *(np.multiply(a, work.w2, out=a) for a in terms[:count]))
 
 
+def _real_norms(real):
+    """The norms along the last axis of a real view."""
+    return np.sqrt(np.einsum("...i,...i", real, real))
+
+
 def _bound_terms(members, probes, params: PerturbationParams):
     """The bound stage's ``(p, 2, members)`` terms of a sqrt-sum mode at ``probes``, from
     their rows ``members`` of :func:`_member_terms`.
@@ -380,23 +394,62 @@ def _bound_terms(members, probes, params: PerturbationParams):
     """
     lam1, lam2 = params.lambda1, params.lambda2
     diff, base, pert = (np.ascontiguousarray(a).view(np.float64) for a in members[1:4])
-
-    def norms(real):
-        return np.sqrt(np.einsum("...i,...i", real, real))
-
     mixed = lam1 * base + lam2 * pert
     whole = mixed.sum(axis=1)
-    length = norms(whole)[:, None]
+    length = _real_norms(whole)[:, None]
     flat = np.ascontiguousarray(probes).view(np.float64)
     toward = np.divide(whole, length, out=flat.copy(), where=length > 0.0)
     tau = (np.sqrt(members[4][..., 0]) if params.mode is PerturbationMode.SQRT_SUM
            else members[0])
-    magnitude = norms(diff) + lam1 * norms(base) + lam2 * norms(pert)
+    magnitude = _real_norms(diff) + lam1 * _real_norms(base) + lam2 * _real_norms(pert)
     magnitude += params.gamma * tau
     terms = mixed @ np.stack((flat, toward), axis=2)
     count, dim = members[1].shape[1:]
     terms -= rounding_bound(4 * (count + 3 * dim + 8), magnitude)[..., None]
     return np.ascontiguousarray(terms.transpose(0, 2, 1))
+
+
+def _row_bounds(members, params: PerturbationParams):
+    """An upper bound on every computed gap of each probe's row, ``(p,)``, from the rows
+    ``members`` of :func:`_member_terms` of a T-sqsum or C-p2-normsum search.
+
+    The bound is ``U - rhs``, with rhs formed as :func:`_violations` forms it: rounding
+    is monotone, so ``fl(U - rhs)`` is at least ``fl(lhs - rhs)`` wherever the computed
+    lhs is at most U.  With u = 2**-53 per rounding, m members and n = 2 dim real
+    coordinates:
+
+    * T-sqsum.  Every term ``s_j`` is at least 0, so every subset's sum is at most the
+      full sum.  A computed subset sum is within ``(1 + gamma_m)`` of the exact one, the
+      computed full sum ``S`` at least ``(1 - gamma_m)`` times the exact one, so every
+      computed subset sum is below ``S`` plus ``(2 m + 1) u S``, the last u for forming
+      ``U = S + rounding_bound(K, S)`` itself.
+    * C-p2-normsum.  Per real coordinate k (Re and Im apart), ``|sum_I d_jk|`` is at most
+      ``M_k = max(sum_j d_jk^+, sum_j d_jk^-)``, so ``|sum_I d_j|`` is at most ``|M|``.
+      A computed subset sum is off by ``gamma_m sum_j |d_jk|`` per coordinate, whose norm
+      is at most ``s = sum_j |d_j|``; a computed norm, of the subset sum or of M, is within
+      ``gamma_{n+2}``, and every M_k within ``gamma_m``; and ``|M| <= s``.  So every
+      computed lhs is below ``fl(|M|)`` plus ``(2 m + 2 n + 6) u s``, forming U included,
+      and ``U = |M| + rounding_bound(K, s)``.
+
+    ``K`` is twice the count: ``4 (m + 1)``, and ``4 (m + 2 dim + 3)``.  Its second-order
+    terms and the roundings of the allowance itself are far below the other half, and the
+    constant of :func:`~framelab.numerics.rounding_bound` covers gradual underflow.  A
+    NaN or infinite U gives a NaN bound, which settles nothing.
+    """
+    kf_norm, terms = members[0][:, 0], members[1]
+    count, dim = terms.shape[1:]
+    if params.mode is PerturbationMode.SQUARE_SUM:
+        total = terms[..., 0].sum(axis=1)
+        upper = total + rounding_bound(4 * (count + 1), total)
+        rhs = params.R * np.float_power(kf_norm, 2.0)
+    else:
+        real = np.ascontiguousarray(terms).view(np.float64)
+        box = np.maximum(np.maximum(real, 0.0).sum(axis=1), -np.minimum(real, 0.0).sum(axis=1))
+        upper = _real_norms(box)
+        upper += rounding_bound(4 * (count + 2 * dim + 3), _real_norms(real).sum(axis=1))
+        rhs = params.R * kf_norm
+    upper[~np.isfinite(upper)] = np.nan
+    return upper - rhs
 
 
 def _pending_violations(work: _Workspace, lhs, vectors, t_term, index, params):
@@ -533,7 +586,12 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     allowance (:func:`_bound_terms`), and forms the two right-hand norms
     only of the pairs whose bound could still raise the worst gap or,
     before a falsification, falsify; the bound decides the rest, so every
-    field of the verdict is that of the full sweep.
+    field of the verdict is that of the full sweep.  In C-p2-normsum and
+    T-sqsum each block after the first bounds every probe's row instead
+    (:func:`_row_bounds`: the full sum for T-sqsum, the coordinate box for
+    C-p2, each with its stated allowance ``K``); a row whose bound passes the
+    same rule is decided by it and counted as tested, and only the other rows
+    reach the subset stage.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -556,15 +614,19 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     worst_probe = None
     falsified = exact and not holds
     probes_tested = 0
-    # the bound stage: every block but the first, which has no worst gap to compare with
+    # the bound stage: every block but the first, which has no worst gap to compare with;
+    # the sqrt-sum modes bound each pair, the other two each probe's row
     bounded = params.mode in (PerturbationMode.SQRT_SUM, PerturbationMode.ADJOINT_TERM)
+    later = [a[block:] for a in members]
     if bounded:
-        bound_terms = _bound_terms([a[block:] for a in members], probes[block:], params)
+        bound_terms = _bound_terms(later, probes[block:], params)
+    else:
+        row_bounds = _row_bounds(later, params)
 
     def undecided(bounds):
-        """The pairs whose gap bound could raise the worst gap or, until the search
-        is falsified, falsify it: a pair's own scale is at least 1.  A NaN bound
-        decides nothing."""
+        """The pairs or rows whose gap bound could raise the worst gap or, until the
+        search is falsified, falsify it: a pair's own scale is at least 1.  A NaN
+        bound decides nothing."""
         decided = bounds <= worst
         # below a worst gap that is within tolerance at scale 1, every bound is too
         if not (falsified or at_most(worst, 0.0, 1.0, tol)):
@@ -596,8 +658,15 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     for start in range(0, probes.shape[0], block):
         rows = slice(start, start + block)
         bound = None
-        if bounded and start and worst > -math.inf:
-            bound = (bound_terms[start - block:start], undecided)
+        if start and worst > -math.inf:
+            if bounded:
+                bound = (bound_terms[start - block:start], undecided)
+            else:  # a settled row is tested: its bound decides it
+                open_rows = undecided(row_bounds[start - block:start])
+                rows = start + np.flatnonzero(open_rows)
+                probes_tested += open_rows.size - rows.size
+                if not rows.size:
+                    continue
         consider(probes[rows], [a[rows] for a in members], bound)
 
     if exact:  # the worst pair: the full set at the top eigenvector of S_delta - R kk*

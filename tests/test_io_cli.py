@@ -200,6 +200,13 @@ def test_the_constructor_rejects_malformed_matrices(changes, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("weight", ["2.0", True, "abc"])
+def test_the_constructor_refuses_a_weight_that_is_not_a_real_number(weight):
+    with pytest.raises(InputError) as exc:
+        _fix_i_with(weights=[1.0, weight])
+    assert str(exc.value) == f"weight 1 must be a real number, got {weight!r}"
+
+
 def test_documents_keep_non_finite_entries_for_the_writer_to_report():
     doc = _fix_i_with(operators={"k": [[1.0, 0.0], [math.inf, 1.0]]})
     with pytest.raises(InputError, match="non-finite value inf cannot be serialized"):

@@ -62,6 +62,14 @@ def test_as_matrix_rejects_bad_input():
     assert m.dtype == np.float64
 
 
+@pytest.mark.parametrize("value", [[["1", "2"]], [[b"1", b"2"]],
+                                   np.array([["2026-01-01"]], dtype="datetime64[D]")],
+                         ids=["strings", "bytes", "dates"])
+def test_as_matrix_refuses_an_array_that_is_not_numeric(value):
+    with pytest.raises(InputError, match="is not a rectangular numeric array"):
+        as_matrix(value, "k")
+
+
 def test_inner_and_adjoint_conventions():
     a = np.array([1.0 + 2.0j, 0.0])
     b = np.array([1.0j, 1.0])

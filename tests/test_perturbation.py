@@ -1039,6 +1039,143 @@ def test_a_block_that_keeps_one_subset_keeps_its_bits(name, params):
         assert (kept_gaps[~pending] == -np.inf).all()
 
 
+# -- the row stage of C-p2-normsum and T-sqsum ---------------------------------
+
+ROW_PARAMS = MODE_PARAMS[2:]
+
+
+def row_gaps_and_bounds(system, family, k_mat, params):
+    """Each probe's worst gap over its row, a block at a time, and its row bound."""
+    probes = unit_probes(system.dim, perturbation.RANDOM_PROBES,
+                         complex_field=system.space.field == "complex", seed=0xFA15)
+    masks, data = subset_masks(system.size), _member_data(system, family)
+    work = perturbation._Workspace(masks, data, probes, params.mode)
+    members = perturbation._member_terms(work, k_mat, probes, params)
+    gaps = [_violations(masks, data, k_mat, probes[s:s + 8], params, work,
+                        [a[s:s + 8] for a in members])[0].max(axis=1)
+            for s in range(0, probes.shape[0], 8)]
+    return np.concatenate(gaps), perturbation._row_bounds(members, params)
+
+
+@pytest.mark.parametrize("name", [*SEARCH_CASES, "real-dim16", "scalar-real", "scalar-complex"])
+@pytest.mark.parametrize("params", ROW_PARAMS, ids=lambda p: p.mode.value)
+def test_every_gap_is_at_most_its_row_bound(name, params, monkeypatch):
+    tight = name.startswith("scalar-")
+    exceeded = []
+    for eps in (0.002, 0.5):
+        case = bound_case(name, eps)
+        gaps, bounds = row_gaps_and_bounds(*case, params)
+        assert not np.isnan(bounds).any()
+        assert (gaps <= bounds).all()
+        if not tight:
+            # and the bound settles most rows against the worst gap
+            assert np.mean(bounds <= gaps.max()) > 0.5
+            continue
+        # members c_j I: the full set (T-sqsum) or the members of one sign (C-p2) attain
+        # the bound, so only the rounding allowance keeps a gap below it
+        assert np.all(gaps >= bounds - 1e-13 * np.maximum(1.0, np.abs(bounds)))
+        monkeypatch.setattr(perturbation, "rounding_bound",
+                            lambda count, magnitude: np.zeros_like(magnitude))
+        exceeded.append((gaps > row_gaps_and_bounds(*case, params)[1]).any())
+        monkeypatch.undo()
+    assert any(exceeded) is tight
+
+
+def formed_rows(monkeypatch):
+    """The probes of every block the subset stage forms, as a list that grows."""
+    formed = []
+    violations = perturbation._violations
+
+    def counted(masks, data, k_mat, probes, *rest):
+        formed.extend(probes)
+        return violations(masks, data, k_mat, probes, *rest)
+
+    monkeypatch.setattr(perturbation, "_violations", counted)
+    return formed
+
+
+@pytest.mark.parametrize("name", ["FIX-R003", "interleaved", "fourteen-members"])
+@pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
+def test_the_row_stage_changes_no_verdict(name, params, monkeypatch):
+    system, k = search_case(name)
+    family = nudged(system)
+
+    def verdicts():
+        rows = []
+        for entries in (1, perturbation.PROBE_BLOCK_ENTRIES, 2**40):
+            monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", entries)
+            v = perturb_hypothesis(system, family, k, params)
+            rows.append((v.falsified, v.worst_violation, v.worst_subset, v.probes_tested,
+                         v.worst_probe.dtype, v.worst_probe.tobytes()))
+        return rows
+
+    formed = formed_rows(monkeypatch)
+    settled = verdicts()
+    count = len(formed)
+    # the row bound off: every bound NaN, so no row settles
+    monkeypatch.setattr(perturbation, "_row_bounds",
+                        lambda members, prm: np.full(members[0].shape[0], np.nan))
+    assert verdicts() == settled
+    # only C-p2-normsum and T-sqsum settle rows, and with one probe per block most
+    assert (count < len(formed) - count) is (params in ROW_PARAMS)
+    assert params not in ROW_PARAMS or count < 0.75 * (len(formed) - count)
+
+
+@pytest.mark.parametrize("params", ROW_PARAMS, ids=lambda p: p.mode.value)
+def test_a_nan_member_term_leaves_its_row_unsettled(params, monkeypatch):
+    system, k = search_case("FIX-R003")
+    family = nudged(system)
+    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
+    formed = formed_rows(monkeypatch)
+    perturb_hypothesis(system, family, k, params)
+    probes = unit_probes(system.dim, perturbation.RANDOM_PROBES, seed=0xFA15)
+    kept = {f.tobytes() for f in formed}
+    row = next(i for i in range(1, probes.shape[0]) if probes[i].tobytes() not in kept)
+    # an infinite term gives an infinite U, which settles nothing either
+    work = perturbation._Workspace(subset_masks(system.size), _member_data(system, family),
+                                   probes, params.mode)
+    members = perturbation._member_terms(work, k.matrix, probes, params)
+    for bad in (np.inf, np.nan):
+        members[1][row, 0, 0] = bad
+        bounds = perturbation._row_bounds(members, params)
+        assert np.isnan(bounds[row]) and not np.isnan(np.delete(bounds, row)).any()
+    member_terms = perturbation._member_terms
+
+    def spoiled(*args):
+        terms = member_terms(*args)
+        if terms[0].shape[0] == probes.shape[0]:
+            terms[1][row, 0, 0] = np.nan
+        return terms
+
+    monkeypatch.setattr(perturbation, "_member_terms", spoiled)
+    formed.clear()
+    perturb_hypothesis(system, family, k, params)
+    assert probes[row].tobytes() in {f.tobytes() for f in formed}
+
+
+def test_a_row_bound_below_the_worst_gap_settles_no_row_that_could_falsify(monkeypatch):
+    # C-p2-normsum at R = 1 and k = diag(3.5e4, 0.8): probe e1 finds subset {0} at a
+    # gap of 1e-6, within tolerance at its scale of 7e4; probe e2 finds subset {1} at
+    # a gap of 1e-8, which fails at its scale of 2.6, though its row bound lies below
+    # the worst gap found so far
+    def system(a2, b2):
+        e = np.eye(2)
+        return GFusionSystem(HilbertSpace("real", 2), (
+            (WeightedSubspace(e[:, :1], 1.0), LocalOperator([[np.sqrt(a2), 0.0]])),
+            (WeightedSubspace(e[:, 1:], 1.0), LocalOperator([[0.0, np.sqrt(b2)]]))))
+
+    monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: np.eye(2))
+    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
+    monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", 1)
+    verdict = perturb_hypothesis(system(1e5, 1.0), system(1e5 - 3.5e4 - 1e-6, 0.2 - 1e-8),
+                                 BoundedOperator(np.diag([3.5e4, 0.8])),
+                                 PerturbationParams(0.0, 0.0, 0.0, 1.0, "C-p2-normsum"))
+    assert verdict.falsified
+    assert verdict.worst_subset == (0,)
+    assert verdict.worst_violation == pytest.approx(1e-6, rel=1e-3)
+
+
 def test_exhaustive_subset_masks_keep_the_enumeration_order():
     for size in range(1, 13):
         old = np.zeros((2**size - 1, size), dtype=bool)
