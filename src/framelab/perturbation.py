@@ -15,10 +15,13 @@ q_I(f) = sum_I v^2 |L pi f|^2.  The first three are falsified by search,
 never proved.  T-sqsum is also decided exactly: its terms are nonnegative, so the
 full set dominates, the hypothesis is S_delta <= R k k* (S_delta the frame operator
 of the gaps L_j - Th_j) and its worst probe the top eigenvector of S_delta - R k k*.
+Every search ends at such a spectral witness (:func:`_witness`): the other modes
+take the top eigenvector of D_I^2 - R^2 kk* or D_I^2 - 3 (l1^2 S_I^2 + l2^2 S'_I^2 +
+g^2 X) at the worst subset the probes found, and test it over every subset.
 
 The search runs in two stages.  The member stage (``_member_terms``) forms
 ``|k* f|`` and the weighted member terms once for the search's whole probe
-set, and once per refinement step.  It runs per group of members with equal
+set, and once for the witness.  It runs per group of members with equal
 factor shapes and dtypes, not per member: the factors ``L_j P_j`` and
 ``Th_j P_j`` of a group and their adjoints are stacked once per search, and
 a few stacked matvecs per group are scattered into the members' columns of
@@ -33,30 +36,16 @@ the same inequality evaluated at its probe alone, so the verdict does not
 depend on the blocking.  The float subset weights, the member stacks and the
 subset-stage buffers are built once per search; every block writes into them.
 
-In the two sqrt-sum modes every block after the first bounds each pair from
-above before it forms the right-hand side (:func:`_bound_terms`): with |D_I f|
-and t, sqrt(q_I(f)) or |k* f|, formed in full, Cauchy-Schwarz (``|s| >=
-Re<s, h>`` at a unit h) gives
-
-    lhs - rhs <= |D_I f| - max_h sum_I Re<l1 b_j + l2 p_j, h> - g t + slack
-
-over two unit vectors h, the probe f and the direction of its whole family's
-``sum_j (l1 b_j + l2 p_j)``, the slack a stated rounding bound (Higham,
-ch. 3) on the subset sums of the member magnitudes ``|d_j| + l1 |b_j| +
-l2 |p_j|`` and on ``g t``.  A pair whose bound is at most the worst gap
-before its block and, until the search is falsified, within tolerance at
-scale 1 (its own scale is at least 1) can change no field of the verdict:
-the bound decides it, no sample skips it, and its two right-hand norms are
-never formed.  The other pairs keep the bits of the full sweep.
-
-In C-p2-normsum and T-sqsum every block after the first bounds each probe's whole
-row instead (:func:`_row_bounds`), as ``U - rhs`` with U an upper bound on the row's
-every computed lhs.  T-sqsum's terms are nonnegative, so U is the full sum plus a
-rounding allowance; C-p2's ``|sum_I d_j|`` is at most the norm of the coordinate box
-``M_k = max(sum_j d_jk^+, sum_j d_jk^-)`` (real and imaginary parts apart), plus an
-allowance on ``sum_j |d_j|``.  A row whose bound passes the same rule as a pair's is
-settled: it is counted as tested, and only the other rows of the block go through
-the subset stage, as one gathered block whose rows keep their bits.
+Every block after the first is bounded before its right-hand side is formed.  The
+sqrt-sum modes bound each pair by Cauchy-Schwarz (:func:`_bound_terms`), C-p2-normsum
+and T-sqsum each probe's whole row (:func:`_row_bounds`: T-sqsum's full sum, C-p2's
+coordinate box), each with a stated rounding allowance (Higham, ch. 3).  A pair or
+row whose bound is at most the worst gap before its block and, until the search is
+falsified, within tolerance at scale 1 (its own scale is at least 1) can change no
+field of the verdict: the bound decides it, and a settled row is counted as tested.
+A settled pair never forms its two right-hand norms, and only the open rows of a
+block reach the subset stage, as one gathered block; every other gap keeps the bits
+of the full sweep.
 """
 from __future__ import annotations
 
@@ -111,7 +100,6 @@ __all__ = [
 ]
 
 RANDOM_PROBES = 200
-REFINE_STEPS = 40
 # Entries of the (probes, dim, subsets) sums of one block of probes, so that a
 # search's memory stays flat however many subsets it walks.  T-sqsum blocks are
 # sized the same, so its (probes, subsets) sums and gaps stay as small.
@@ -125,6 +113,15 @@ class PerturbationMode(Enum):
     ADJOINT_TERM = "P-variant-kstar"
     AGGREGATE_NORM = "C-p2-normsum"
     SQUARE_SUM = "T-sqsum"
+
+
+def _constant(value, name: str, below: float) -> float:
+    """``value`` as a float in [0, below), else InputError: the one gate of every
+    perturbation constant, lambda1 and lambda2 below 1, gamma and R finite."""
+    value = real_scalar(value, f"{name} must be a real scalar, got {value!r}")
+    if not 0.0 <= value < below:  # NaN fails this too
+        raise InputError(f"{name} must lie in [0, {below:g}), got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -143,18 +140,9 @@ class PerturbationParams:
     mode: PerturbationMode = PerturbationMode.SQRT_SUM
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "gamma", "R"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, real_scalar(
-                value, f"{name} must be a real scalar, got {value!r}"))
-        for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not (0.0 <= value < 1.0) or not math.isfinite(value):
-                raise InputError(f"{name} must lie in [0, 1), got {value!r}")
-        for name in ("gamma", "R"):
-            value = getattr(self, name)
-            if value < 0.0 or not math.isfinite(value):
-                raise InputError(f"{name} must be a finite nonnegative scalar, got {value!r}")
+        for name, below in (("lambda1", 1.0), ("lambda2", 1.0), ("gamma", math.inf),
+                            ("R", math.inf)):
+            object.__setattr__(self, name, _constant(getattr(self, name), name, below))
         if not isinstance(self.mode, PerturbationMode):
             try:
                 object.__setattr__(self, "mode", PerturbationMode(self.mode))
@@ -171,8 +159,10 @@ class HypothesisVerdict:
 
     ``falsified`` means some tested pair violated the inequality beyond
     tolerance, or for T-sqsum that its exact test failed; otherwise it is
-    evidence, not proof.  ``worst_violation`` is the signed maximum of lhs -
-    rhs over everything tested, for T-sqsum also lambda_max(S_delta - R kk*).
+    evidence, not proof.  The tested pairs are the sweep's and those of its
+    witness probe (:func:`perturb_hypothesis`).  ``worst_violation`` is the
+    signed maximum of lhs - rhs over them, for T-sqsum also lambda_max(S_delta -
+    R kk*); ``probes_tested`` counts the sweep's probes and the witness.
     """
 
     falsified: bool
@@ -215,8 +205,7 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
     :class:`InternalConsistencyError`.  An uncertified case is inconclusive,
     not a failure.
     """
-    if not (0.0 <= lambda1 < 1.0 and 0.0 <= lambda2 < 1.0):
-        raise InputError("lambda1 and lambda2 must lie in [0, 1)")
+    lambda1, lambda2 = _constant(lambda1, "lambda1", 1.0), _constant(lambda2, "lambda2", 1.0)
     op = u if isinstance(u, BoundedOperator) else BoundedOperator(u)
     n = op.dim
     defect = operator_norm(op.matrix - np.eye(n, dtype=op.matrix.dtype))
@@ -564,6 +553,42 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     return _gap_and_scale(lhs, rhs)
 
 
+def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
+             params: PerturbationParams, subset) -> np.ndarray:
+    """The Hermitian M whose top eigenvector is the mode's witness at ``subset``.
+
+    T-sqsum's M is S_delta - R kk*, whose eigenvalues at the full set are its exact
+    gaps.  C-p2-normsum's is D_I^2 - R^2 kk*, the sqrt-sum modes' D_I^2 - 3 (l1^2
+    S_I^2 + l2^2 S'_I^2 + g^2 X) with X = S_I (P1-sqrt-sum) or kk* (P-variant-kstar):
+    as (a + b + c)^2 <= 3 (a^2 + b^2 + c^2), a positive ``<M f, f>`` is a violation at
+    (I, f).  These three are formed from S_I and S'_I over one common scale, the
+    largest of their entries and of the right-hand operand (R |k|, g |k| or g sqrt|S_I|),
+    so M stays finite wherever the hypothesis's two sides do, with the same eigenvectors.
+    """
+    mode, gamma = params.mode, params.gamma
+    if mode is PerturbationMode.SQUARE_SUM:
+        deltas = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
+        return (frame_operator(base.with_local_operators(deltas), index_set=subset)
+                - params.R * k.times_adjoint)
+    s_base, s_pert = (frame_operator(system, index_set=subset) for system in (base, family))
+    size = np.abs(s_base).max()
+    reach = params.R if mode is PerturbationMode.AGGREGATE_NORM else gamma
+    operand = (gamma * math.sqrt(size) if mode is PerturbationMode.SQRT_SUM
+               else reach * np.abs(k.matrix).max())
+    scale = float(max(size, np.abs(s_pert).max(), operand)) or 1.0
+    s_base, s_pert = s_base / scale, s_pert / scale
+    gap = s_base - s_pert
+    if mode is PerturbationMode.SQRT_SUM:
+        rhs = gamma * (gamma / scale) * s_base
+    else:
+        rhs = k.matrix * (reach / scale)
+        rhs = rhs @ adjoint(rhs)
+    if mode is PerturbationMode.AGGREGATE_NORM:
+        return gap @ gap - rhs
+    return gap @ gap - 3.0 * (params.lambda1**2 * (s_base @ s_base)
+                              + params.lambda2**2 * (s_pert @ s_pert) + rhs)
+
+
 def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                        params: PerturbationParams,
                        tol: ToleranceProfile = DEFAULT_TOL) -> HypothesisVerdict:
@@ -571,27 +596,19 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     Subsets are exhaustive up to 12 members, otherwise a deterministic sample
     of 512 including the full set, singletons, and their complements.  Probes
-    are the standard basis and 200 seeded unit vectors.  Their member terms
-    are formed once, and their subset sums in blocks of consecutive probes,
-    each sized so that a (probes, dim, subsets) buffer holds about
-    ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe order; ties go to
-    the earliest probe; a pair whose gap fails ``at_most`` falsifies.
-    T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and
-    ends with its exact worst probe, the top eigenvector of S_delta - R kk*.
-    The other modes end with a gradient-ascent refinement, one probe and
-    both stages per step, and their not-falsified verdict is evidence, never
-    a proof.  The buffers are allocated once per search and shared by all.
-    In P1-sqrt-sum and P-variant-kstar each block after the first bounds
-    every pair's gap from above, by Cauchy-Schwarz and a stated rounding
-    allowance (:func:`_bound_terms`), and forms the two right-hand norms
-    only of the pairs whose bound could still raise the worst gap or,
-    before a falsification, falsify; the bound decides the rest, so every
-    field of the verdict is that of the full sweep.  In C-p2-normsum and
-    T-sqsum each block after the first bounds every probe's row instead
-    (:func:`_row_bounds`: the full sum for T-sqsum, the coordinate box for
-    C-p2, each with its stated allowance ``K``); a row whose bound passes the
-    same rule is decided by it and counted as tested, and only the other rows
-    reach the subset stage.
+    are the standard basis and 200 seeded unit vectors, swept through the
+    module's two stages in blocks of consecutive probes, each sized so that a
+    (probes, dim, subsets) buffer holds about ``PROBE_BLOCK_ENTRIES`` entries,
+    and folded in probe order; ties go to the earliest probe; a pair whose gap
+    fails ``at_most`` falsifies.  Each block after the first is bounded first,
+    per pair (:func:`_bound_terms`) or per row (:func:`_row_bounds`), and a
+    bound settles only what can change no field of the verdict, so each is
+    the full sweep.  Every search then tests one more probe over every subset,
+    the witness: the top eigenvector of :func:`_witness`'s M, at the full set
+    for T-sqsum and at the sweep's worst subset for the other modes.  T-sqsum
+    also falsifies when ``psd_check(R kk* - S_delta)`` fails, and reports at
+    least lambda_max(S_delta - R kk*); the other modes' not-falsified verdict is
+    evidence, never a proof.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -599,19 +616,15 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     k_mat = k.matrix
     masks = subset_masks(base.size)
     n = base.dim
-    complex_field = base.space.field == "complex"
-    probes = unit_probes(n, RANDOM_PROBES, complex_field=complex_field, seed=0xFA15)
+    probes = unit_probes(n, RANDOM_PROBES, complex_field=base.space.field == "complex",
+                         seed=0xFA15)
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
     work = _Workspace(masks, data, probes[:block], params.mode)
     members = _member_terms(work, k_mat, probes, params)
     exact = params.mode is PerturbationMode.SQUARE_SUM
     if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested
-        deltas = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
-        holds, w, v = psd_eig(params.R * k.times_adjoint
-                              - frame_operator(base.with_local_operators(deltas)), tol)
-    worst = -math.inf
-    worst_subset = ()
-    worst_probe = None
+        holds, w, v = psd_eig(-_witness(base, family, k, params, range(base.size)), tol)
+    worst, worst_subset, worst_probe = -math.inf, (), None
     falsified = exact and not holds
     probes_tested = 0
     # the bound stage: every block but the first, which has no worst gap to compare with;
@@ -634,7 +647,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         return np.logical_not(decided, out=decided)
 
     def consider(fs, rows=None, bound=None):
-        """Fold a block of probes and its member-stage rows in; the last probe's gap."""
+        """Fold a block of probes and its member-stage rows in."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
         gaps, scales = _violations(masks, data, k_mat, fs, params, work, rows, bound)
         if not falsified:
@@ -653,7 +666,6 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                 worst = gap
                 worst_subset = tuple(int(j) for j in np.flatnonzero(masks[row]))
                 worst_probe = np.array(f)
-        return gap
 
     for start in range(0, probes.shape[0], block):
         rows = slice(start, start + block)
@@ -669,31 +681,13 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                     continue
         consider(probes[rows], [a[rows] for a in members], bound)
 
-    if exact:  # the worst pair: the full set at the top eigenvector of S_delta - R kk*
+    # the witness: the top eigenvector of M, at the full set (T-sqsum) or the worst subset
+    if not exact and worst_probe is not None:
+        _, w, v = psd_eig(-_witness(base, family, k, params, worst_subset), tol)
+    if exact or worst_probe is not None:
         consider(v[:, :1].T)
-        if -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
-            worst, worst_subset, worst_probe = -float(w[0]), tuple(range(base.size)), v[:, 0]
-    elif worst_probe is not None:
-        f = worst_probe
-        current = worst
-        step = 0.25
-        rng = np.random.Generator(np.random.PCG64(0xA5CE17))
-        for _ in range(REFINE_STEPS):
-            direction = rng.standard_normal(n)
-            if complex_field:
-                direction = direction + 1j * rng.standard_normal(n)
-            candidate = f + step * direction
-            norm = np.linalg.norm(candidate)
-            if norm == 0.0:
-                continue
-            gap = consider((candidate / norm)[None, :])
-            if gap > current:
-                current = gap
-                f = candidate / norm
-            else:
-                step *= 0.5
-                if step < 1e-6:
-                    break
+    if exact and -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
+        worst, worst_subset, worst_probe = -float(w[0]), tuple(range(base.size)), v[:, 0]
 
     return HypothesisVerdict(
         falsified=bool(falsified), worst_violation=float(worst), subsets_tested=int(masks.shape[0]),

@@ -27,7 +27,7 @@ from framelab.documents import (
 )
 from framelab.frame_ops import subset_masks
 from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
-from framelab.numerics import adjoint, column_norms, psd_check, unit_probes
+from framelab.numerics import adjoint, at_most, column_norms, psd_check, unit_probes
 from framelab.perturbation import (
     PerturbationMode,
     PerturbationParams,
@@ -137,6 +137,14 @@ def test_paley_wiener_lambda2_enters_certificate():
     helped = paley_wiener_check(u, 0.4, 0.21)
     assert helped.certified
     assert helped.conclusion_ok
+
+
+@pytest.mark.parametrize("value", ["0.1", [0.1], None, False, True, float("nan"), 1.0, -0.1],
+                         ids=["str", "list", "None", "False", "True", "nan", "one", "negative"])
+def test_paley_wiener_gates_the_lambdas_as_the_params_do(value):
+    for lambdas in ((value, 0.0), (0.0, value)):
+        with pytest.raises(InputError, match="lambda[12] must"):
+            paley_wiener_check(np.eye(2), *lambdas)
 
 
 def test_paley_wiener_suite():
@@ -366,7 +374,9 @@ def test_aggregate_norm_upper_bound_containment_failure_is_logged():
     params = PerturbationParams(0.0, 0.0, 0.0, 1.0, "C-p2-normsum")
     report = verify_perturbation_theorem(system, theta, operators["k"], params)
     assert not report.verdict.falsified
-    assert report.verdict.worst_violation == pytest.approx(-0.150, abs=5e-4)
+    # the witness of the worst subset finds more than the probes did (-0.150)
+    assert report.verdict.worst_violation == pytest.approx(-0.0476, abs=5e-4)
+    assert report.verdict.worst_violation >= -0.150
     # the R|k| + sqrt(B) term of the upper bound lies below the measured B'
     assert (report.predicted.lower, report.predicted.upper) == (
         pytest.approx(0.97083, abs=5e-6), pytest.approx(6.19613, abs=5e-6))
@@ -413,10 +423,10 @@ def test_a_complex_theta_or_target_over_a_real_base_is_an_input_error(fix_i):
 SQUARE_SUM_SCALES = (1e-6, 1e-5, 1e-3, 1.0, 1e3, 1e6)
 
 
-def twelve_member_case(c=1.0):
-    """Twelve 3x2 members in dim 6 (``gen --spec 6 3x2 ... --seed 4``), each
+def spec_case(c=1.0, members=12):
+    """``members`` 3x2 members in dim 6 (``gen --spec 6 3x2 ... --seed 4``), each
     L_j scaled entrywise by 1 + 0.05 N(0, 1), and both families by c."""
-    system, operators = to_system(spec_document(["6"] + ["3x2"] * 12, 4))
+    system, operators = to_system(spec_document(["6"] + ["3x2"] * members, 4))
     rng = np.random.default_rng(1)
     theta = [c * op.matrix * (1 + 0.05 * rng.standard_normal(op.matrix.shape))
              for _, op in system.members]
@@ -485,7 +495,7 @@ def test_square_sum_verdict_does_not_depend_on_the_basis():
     params = PerturbationParams(0.0, 0.0, 0.0, 0.058, "T-sqsum")
     worst = []
     for u in transports():
-        verdict = perturb_hypothesis(*transported(*twelve_member_case(), u), params)
+        verdict = perturb_hypothesis(*transported(*spec_case(), u), params)
         assert verdict.falsified
         assert verdict.worst_subset == tuple(range(12))
         worst.append(verdict.worst_violation)
@@ -510,7 +520,7 @@ def fix_r_square_sum_cases():
 
 def test_square_sum_verdict_is_the_exact_spectral_test():
     cases = [(case, 1.0) for case in narrow_cases()]
-    cases += [(transported(*twelve_member_case(), u), r)
+    cases += [(transported(*spec_case(), u), r)
               for u in transports() for r in (0.058, 0.5)]
     cases += list(fix_r_square_sum_cases())
     verdicts = []
@@ -528,10 +538,10 @@ def test_square_sum_verdict_is_scale_covariant():
     # decides the verdict instead
     for r in (0.058, 0.5):
         params = PerturbationParams(0.0, 0.0, 0.0, r, "T-sqsum")
-        reference = perturb_hypothesis(*twelve_member_case(), params)
+        reference = perturb_hypothesis(*spec_case(), params)
         for c in SQUARE_SUM_SCALES:
             scaled = PerturbationParams(0.0, 0.0, 0.0, r * c * c, "T-sqsum")
-            verdict = perturb_hypothesis(*twelve_member_case(c), scaled)
+            verdict = perturb_hypothesis(*spec_case(c), scaled)
             if c >= 1e-3:
                 assert verdict.falsified is reference.falsified
             assert verdict.worst_subset == reference.worst_subset
@@ -753,7 +763,7 @@ def test_blocks_through_one_workspace_match_fresh_calls(name):
         system, operators = to_system(load_packaged_fixture(name))
         k_mat = operators["k"].matrix
     masks, data, probes = kernel_case(system, trials=12)
-    # full blocks, a shorter last block, and a one-probe refinement step
+    # full blocks, a shorter last block, and a one-probe witness
     blocks = [probes[i:i + 5] for i in range(0, probes.shape[0], 5)] + [probes[3:4]]
     for params in MODE_PARAMS:
         work = perturbation._Workspace(masks, data, probes[:5])
@@ -831,17 +841,17 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     # -f has the same gap as f at every subset; it opens the next block
     crafted = np.insert(probes, first + 1, -probes[first], axis=0)
     monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: crafted)
-    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
     monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES",
                         (first + 1) * masks.shape[0] * system.dim)
-    # T-sqsum evaluates one more probe after the blocks, the top eigenvector of
-    # S_delta - R kk*; made a third copy of the worst probe, with that worst gap
-    # as its eigenvalue, it keeps the earliest too
-    monkeypatch.setattr(perturbation, "psd_eig", lambda m, tol: (
+    # every mode evaluates one more probe after the blocks, the top eigenvector of its
+    # witness matrix; made a third copy of the worst probe, with that worst gap as
+    # T-sqsum's exact eigenvalue, it keeps the earliest too
+    eigs = []
+    monkeypatch.setattr(perturbation, "psd_eig", lambda m, tol: eigs.append(m) or (
         True, np.array([-gaps.max()]), -probes[first][:, None]))
     verdict = perturb_hypothesis(system, _on_base(system, nudged(system)), k, params)
-    witness = params.mode is PerturbationMode.SQUARE_SUM
-    assert verdict.probes_tested == crafted.shape[0] + witness
+    assert len(eigs) == 1
+    assert verdict.probes_tested == crafted.shape[0] + 1
     assert verdict.worst_violation == float(gaps.max())
     assert_bits(verdict.worst_probe, probes[first])
 
@@ -877,6 +887,94 @@ def search_verdicts():
 def test_search_verdicts_match_the_pinned_ones():
     pinned = json.loads((DATA_DIR / "perturb_verdicts.json").read_text(encoding="utf-8"))
     assert search_verdicts() == pinned
+
+
+def climbed(system, family, k, params):
+    """Whether the search as it ended before its witness falsifies: the sweep, then a
+    40-step random climb from the sweep's worst probe (PCG64 seed 0xA5CE17, steps of
+    0.25 halved on each step that gains nothing, down to 1e-6), one probe per step
+    over every subset."""
+    masks, data = subset_masks(system.size), _member_data(system, family)
+    complex_field = system.space.field == "complex"
+    falsified = False
+
+    def tested(fs):
+        nonlocal falsified
+        gaps, scales = _violations(masks, data, k.matrix, fs, params)
+        falsified |= bool((~at_most(gaps, 0.0, scales, DEFAULT_TOL) & ~np.isnan(gaps)).any())
+        return np.nanmax(gaps, axis=1)
+
+    probes = unit_probes(system.dim, perturbation.RANDOM_PROBES, complex_field=complex_field,
+                         seed=0xFA15)
+    worst, f = -np.inf, None
+    for probe, gap in zip(probes, tested(probes)):
+        if f is None or gap > worst + 1e-12 * max(1.0, abs(worst)):
+            worst, f = gap, probe
+    step, rng = 0.25, np.random.Generator(np.random.PCG64(0xA5CE17))
+    for _ in range(40):
+        direction = rng.standard_normal(system.dim)
+        if complex_field:
+            direction = direction + 1j * rng.standard_normal(system.dim)
+        candidate = f + step * direction
+        candidate /= np.linalg.norm(candidate)
+        gap = tested(candidate[None, :])[0]
+        if gap > worst:
+            worst, f = gap, candidate
+        else:
+            step *= 0.5
+            if step < 1e-6:
+                break
+    return falsified
+
+
+SEARCHED_PARAMS = MODE_PARAMS[:3] + [
+    PerturbationParams(0.2, 0.2, gamma, 0.0, mode)
+    for gamma in (0.01, 0.001) for mode in ("P1-sqrt-sum", "P-variant-kstar")]
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_the_witness_falsifies_every_search_the_climb_did(name):
+    build, k_mat = SEARCH_CASES[name]
+    system, k = build(), BoundedOperator(k_mat)
+    verdicts = []
+    for eps in (0.002, 0.5):
+        family = nudged(system, eps)
+        for params in SEARCHED_PARAMS:
+            verdicts.append((climbed(system, family, k, params),
+                             perturb_hypothesis(system, family, k, params).falsified))
+    assert all(new for old, new in verdicts if old)
+    assert any(old for old, _ in verdicts) and not all(old for old, _ in verdicts)
+
+
+def test_the_witness_falsification_holds_member_by_member():
+    # the one pinned verdict the witness flips: the climb left it at -0.0166
+    system, k_mat = SEARCH_CASES["complex-m6"][0](), SEARCH_CASES["complex-m6"][1]
+    family = nudged(system, 0.002)
+    params = MODE_PARAMS[0]
+    verdict = perturb_hypothesis(system, family, BoundedOperator(k_mat), params)
+    assert verdict.falsified and verdict.worst_subset == (1,)
+    masks = subset_masks(system.size)
+    gaps, scales = reference_violations(masks, _member_data(system, family), k_mat,
+                                        verdict.worst_probe, params)
+    worst = int(np.argmax(gaps))
+    assert tuple(np.flatnonzero(masks[worst])) == (1,)
+    assert gaps[worst] == verdict.worst_violation == pytest.approx(0.00249, abs=1e-5)
+    assert scales[worst] == pytest.approx(1.004, abs=5e-4)
+    assert not at_most(gaps[worst], 0.0, scales[worst], DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("members, r, falsified", [
+    (12, 0.90, True), (12, 0.95, False), (14, 1.4, True),
+], ids=["m12-falsified", "m12-holds", "m14-sampled"])
+def test_aggregate_norm_witness_finds_the_exact_maximum(members, r, falsified):
+    # max_I |D_I pinv(k*)| is 0.9434 at 12 members and 1.4796 at 14, where the probes
+    # alone read -0.046 at R = 0.90 and -0.091 over the 512 sampled subsets at R = 1.4;
+    # L, Th -> cL, cTh with R -> c^2 R keeps each verdict, with no overflow at c = 1e50
+    for c in (1.0, 1e50):
+        verdict = perturb_hypothesis(*spec_case(c, members),
+                                     PerturbationParams(R=r * c * c, mode="C-p2-normsum"))
+        assert verdict.falsified is falsified
+        assert verdict.probes_tested == 6 + perturbation.RANDOM_PROBES + 1
 
 
 # -- the bound stage of the two sqrt-sum modes --------------------------------
@@ -990,6 +1088,13 @@ def test_the_bound_stage_changes_no_verdict(name, params, monkeypatch):
     assert verdicts() == bounded
 
 
+def witness_at(monkeypatch, probe):
+    """Make ``probe`` the witness of every search: the e2 a diagonal case's M would give
+    falsifies by itself, so a test of the sweep's bounds pins e1, which cannot."""
+    monkeypatch.setattr(perturbation, "psd_eig", lambda m, tol: (
+        True, np.zeros(1), np.array(probe, dtype=float)[:, None]))
+
+
 def test_a_bound_below_the_worst_gap_settles_no_pair_that_could_falsify(monkeypatch):
     # probe e1 finds subset {0} at a gap of 1e-6, within tolerance at its scale of
     # 7e4; probe e2 finds subset {1} at a gap of 1e-8, which fails at its scale of
@@ -1001,13 +1106,13 @@ def test_a_bound_below_the_worst_gap_settles_no_pair_that_could_falsify(monkeypa
             (WeightedSubspace(e[:, 1:], 1.0), LocalOperator([[0.0, np.sqrt(b2)]]))))
 
     monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: np.eye(2))
-    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
     monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", 1)
+    witness_at(monkeypatch, [1.0, 0.0])
     verdict = perturb_hypothesis(system(1e5, 1.0),
                                  system((0.8e5 - 1e-6) / 1.2, (0.8 - 1e-8) / 1.2),
                                  BoundedOperator(np.eye(2)),
                                  PerturbationParams(0.2, 0.2, 0.0, 0.0, "P1-sqrt-sum"))
-    assert verdict.falsified
+    assert verdict.falsified and verdict.probes_tested == 3
     assert verdict.worst_subset == (0,)
     assert verdict.worst_violation == pytest.approx(1e-6, rel=1e-3)
 
@@ -1126,7 +1231,6 @@ def test_a_nan_member_term_leaves_its_row_unsettled(params, monkeypatch):
     system, k = search_case("FIX-R003")
     family = nudged(system)
     monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
     formed = formed_rows(monkeypatch)
     perturb_hypothesis(system, family, k, params)
     probes = unit_probes(system.dim, perturbation.RANDOM_PROBES, seed=0xFA15)
@@ -1166,12 +1270,12 @@ def test_a_row_bound_below_the_worst_gap_settles_no_row_that_could_falsify(monke
             (WeightedSubspace(e[:, 1:], 1.0), LocalOperator([[0.0, np.sqrt(b2)]]))))
 
     monkeypatch.setattr(perturbation, "unit_probes", lambda *args, **kwargs: np.eye(2))
-    monkeypatch.setattr(perturbation, "REFINE_STEPS", 0)
     monkeypatch.setattr(perturbation, "PROBE_BLOCK_ENTRIES", 1)
+    witness_at(monkeypatch, [1.0, 0.0])
     verdict = perturb_hypothesis(system(1e5, 1.0), system(1e5 - 3.5e4 - 1e-6, 0.2 - 1e-8),
                                  BoundedOperator(np.diag([3.5e4, 0.8])),
                                  PerturbationParams(0.0, 0.0, 0.0, 1.0, "C-p2-normsum"))
-    assert verdict.falsified
+    assert verdict.falsified and verdict.probes_tested == 3
     assert verdict.worst_subset == (0,)
     assert verdict.worst_violation == pytest.approx(1e-6, rel=1e-3)
 
@@ -1261,7 +1365,7 @@ def test_an_all_nan_row_is_tested_and_sets_nothing(fix_i, monkeypatch):
 
     def first_row_nan(*args):
         gaps, scales = real(*args)
-        gaps[0], scales[0] = np.nan, np.nan  # every refinement step's only row too
+        gaps[0], scales[0] = np.nan, np.nan  # the witness's only row too
         return gaps, scales
 
     monkeypatch.setattr(perturbation, "_violations", first_row_nan)
