@@ -15,9 +15,9 @@ q_I(f) = sum_I v^2 |L pi f|^2.  The first three are falsified by search,
 never proved.  T-sqsum is also decided exactly: its terms are nonnegative, so the
 full set dominates, the hypothesis is S_delta <= R k k* (S_delta the frame operator
 of the gaps L_j - Th_j) and its worst probe the top eigenvector of S_delta - R k k*.
-Every search ends at such a spectral witness (:func:`_witness`): the other modes
-take the top eigenvector of D_I^2 - R^2 kk* or D_I^2 - 3 (l1^2 S_I^2 + l2^2 S'_I^2 +
-g^2 X) at the worst subset the probes found, and test it over every subset.
+Every search ends at such a spectral witness (:func:`_witness`): the other modes take
+the top eigenvector of D_I^2 less R^2 kk* or a Cauchy-Schwarz bound on the squared
+right-hand side, at the worst subset and probe of the sweep, and test it everywhere.
 
 The search runs in two stages.  The member stage (``_member_terms``) forms
 ``|k* f|`` and the weighted member terms once for the search's whole probe
@@ -36,16 +36,30 @@ the same inequality evaluated at its probe alone, so the verdict does not
 depend on the blocking.  The float subset weights, the member stacks and the
 subset-stage buffers are built once per search; every block writes into them.
 
-Every block after the first is bounded before its right-hand side is formed.  The
-sqrt-sum modes bound each pair by Cauchy-Schwarz (:func:`_bound_terms`), C-p2-normsum
-and T-sqsum each probe's whole row (:func:`_row_bounds`: T-sqsum's full sum, C-p2's
-coordinate box), each with a stated rounding allowance (Higham, ch. 3).  A pair or
-row whose bound is at most the worst gap before its block and, until the search is
-falsified, within tolerance at scale 1 (its own scale is at least 1) can change no
-field of the verdict: the bound decides it, and a settled row is counted as tested.
-A settled pair never forms its two right-hand norms, and only the open rows of a
-block reach the subset stage, as one gathered block; every other gap keeps the bits
-of the full sweep.
+In the two sqrt-sum modes every block after the first bounds each pair from
+above before it forms the right-hand side (:func:`_bound_terms`): with |D_I f|
+and t, sqrt(q_I(f)) or |k* f|, formed in full, Cauchy-Schwarz (``|s| >=
+Re<s, h>`` at a unit h) gives
+
+    lhs - rhs <= |D_I f| - max_h sum_I Re<l1 b_j + l2 p_j, h> - g t + slack
+
+over two unit vectors h, the probe f and the direction of its whole family's
+``sum_j (l1 b_j + l2 p_j)``, the slack a stated rounding bound (Higham,
+ch. 3) on the subset sums of the member magnitudes ``|d_j| + l1 |b_j| +
+l2 |p_j|`` and on ``g t``.  A pair whose bound is at most the worst gap
+before its block and, until the search is falsified, within tolerance at
+scale 1 (its own scale is at least 1) can change no field of the verdict:
+the bound decides it, no sample skips it, and its two right-hand norms are
+never formed.  The other pairs keep the bits of the full sweep.
+
+In C-p2-normsum and T-sqsum every block after the first bounds each probe's whole
+row instead (:func:`_row_bounds`), as ``U - rhs`` with U an upper bound on the row's
+every computed lhs.  T-sqsum's terms are nonnegative, so U is the full sum plus a
+rounding allowance; C-p2's ``|sum_I d_j|`` is at most the norm of the coordinate box
+``M_k = max(sum_j d_jk^+, sum_j d_jk^-)`` (real and imaginary parts apart), plus an
+allowance on ``sum_j |d_j|``.  A row whose bound passes the same rule as a pair's is
+settled: it is counted as tested, and only the other rows of the block go through
+the subset stage, as one gathered block whose rows keep their bits.
 """
 from __future__ import annotations
 
@@ -157,12 +171,11 @@ class PerturbationParams:
 class HypothesisVerdict:
     """Outcome of a falsification search over (subset, probe) pairs.
 
-    ``falsified`` means some tested pair violated the inequality beyond
-    tolerance, or for T-sqsum that its exact test failed; otherwise it is
-    evidence, not proof.  The tested pairs are the sweep's and those of its
-    witness probe (:func:`perturb_hypothesis`).  ``worst_violation`` is the
-    signed maximum of lhs - rhs over them, for T-sqsum also lambda_max(S_delta -
-    R kk*); ``probes_tested`` counts the sweep's probes and the witness.
+    ``falsified`` means some tested pair violated the inequality beyond tolerance, or
+    for T-sqsum that its exact test failed; otherwise it is evidence, not proof.  The
+    tested pairs are the sweep's and its witness probe's (:func:`perturb_hypothesis`).
+    ``worst_violation`` is the signed maximum of lhs - rhs over them, for T-sqsum also
+    lambda_max(S_delta - R kk*); ``probes_tested`` counts the sweep's probes and the witness.
     """
 
     falsified: bool
@@ -215,16 +228,10 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
     lower = (1.0 - lambda1) / (1.0 + lambda2)
     upper = (1.0 + lambda1) / (1.0 - lambda2)
     report = PaleyWienerReport(
-        certified=bool(certified),
-        defect_norm=float(defect),
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        predicted_sigma_lower=float(lower),
-        predicted_sigma_upper=float(upper),
-        inverse_lower=1.0 / upper,
-        inverse_upper=1.0 / lower if lower > 0 else math.inf,
-        conclusion_ok=None,
-    )
+        certified=bool(certified), defect_norm=float(defect), sigma_min=sigma_min,
+        sigma_max=sigma_max, predicted_sigma_lower=float(lower),
+        predicted_sigma_upper=float(upper), inverse_lower=1.0 / upper,
+        inverse_upper=1.0 / lower if lower > 0 else math.inf, conclusion_ok=None)
     if certified:
         # the inverse bounds are read only where sigma_min clears the tolerance
         report.conclusion_ok = bool(
@@ -554,16 +561,20 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
 
 
 def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
-             params: PerturbationParams, subset) -> np.ndarray:
+             params: PerturbationParams, subset, probe=None, excess=0.0) -> np.ndarray:
     """The Hermitian M whose top eigenvector is the mode's witness at ``subset``.
 
-    T-sqsum's M is S_delta - R kk*, whose eigenvalues at the full set are its exact
-    gaps.  C-p2-normsum's is D_I^2 - R^2 kk*, the sqrt-sum modes' D_I^2 - 3 (l1^2
-    S_I^2 + l2^2 S'_I^2 + g^2 X) with X = S_I (P1-sqrt-sum) or kk* (P-variant-kstar):
-    as (a + b + c)^2 <= 3 (a^2 + b^2 + c^2), a positive ``<M f, f>`` is a violation at
-    (I, f).  These three are formed from S_I and S'_I over one common scale, the
-    largest of their entries and of the right-hand operand (R |k|, g |k| or g sqrt|S_I|),
-    so M stays finite wherever the hypothesis's two sides do, with the same eigenvectors.
+    T-sqsum's M is S_delta - R kk*, whose eigenvalues at the full set are its exact gaps;
+    C-p2-normsum's is D_I^2 - R^2 kk*.  The sqrt-sum modes' is D_I^2 - (sum v_i) sum T_i /
+    v_i over the squared right-hand terms T_i: l1^2 S_I^2, l2^2 S'_I^2, g^2 X (X = S_I or
+    kk*) and, if the sweep's worst gap ``excess`` is positive, excess^2.  By Cauchy-Schwarz
+    a positive ``<M f, f>`` is a gap above ``excess`` at (I, f) for any positive weights;
+    v_i = <T_i f, f>^(1/2) at ``probe``, the sweep's worst, makes M tight there, so its top
+    eigenvector reads at least that probe's gap, or its squared gap where that is below 0.
+    A zero T_i is left out, and all weigh 1 if another is 0 at ``probe``.  These three Ms
+    are formed from S_I and S'_I over one common scale, the largest of their entries and
+    of the right-hand operand (R |k|, g |k| or g sqrt|S_I|), so M stays finite wherever the
+    hypothesis's two sides do, with the same eigenvectors.
     """
     mode, gamma = params.mode, params.gamma
     if mode is PerturbationMode.SQUARE_SUM:
@@ -585,8 +596,13 @@ def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
         rhs = rhs @ adjoint(rhs)
     if mode is PerturbationMode.AGGREGATE_NORM:
         return gap @ gap - rhs
-    return gap @ gap - 3.0 * (params.lambda1**2 * (s_base @ s_base)
-                              + params.lambda2**2 * (s_pert @ s_pert) + rhs)
+    excess = excess / scale if 0.0 < excess < math.inf else 0.0
+    terms = [t for t in (params.lambda1**2 * (s_base @ s_base), params.lambda2**2
+                         * (s_pert @ s_pert), rhs, excess**2 * np.eye(base.dim)) if t.any()]
+    weights = [math.sqrt(max(float(np.vdot(probe, t @ probe).real), 0.0)) for t in terms]
+    if not all(0.0 < v < math.inf for v in weights):
+        weights = [1.0] * len(terms)
+    return gap @ gap - sum(weights) * sum(t / v for t, v in zip(terms, weights))
 
 
 def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
@@ -594,21 +610,18 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                        tol: ToleranceProfile = DEFAULT_TOL) -> HypothesisVerdict:
     """Search for a (subset, probe) pair violating the mode's inequality.
 
-    Subsets are exhaustive up to 12 members, otherwise a deterministic sample
-    of 512 including the full set, singletons, and their complements.  Probes
-    are the standard basis and 200 seeded unit vectors, swept through the
-    module's two stages in blocks of consecutive probes, each sized so that a
-    (probes, dim, subsets) buffer holds about ``PROBE_BLOCK_ENTRIES`` entries,
-    and folded in probe order; ties go to the earliest probe; a pair whose gap
-    fails ``at_most`` falsifies.  Each block after the first is bounded first,
-    per pair (:func:`_bound_terms`) or per row (:func:`_row_bounds`), and a
-    bound settles only what can change no field of the verdict, so each is
-    the full sweep.  Every search then tests one more probe over every subset,
-    the witness: the top eigenvector of :func:`_witness`'s M, at the full set
-    for T-sqsum and at the sweep's worst subset for the other modes.  T-sqsum
-    also falsifies when ``psd_check(R kk* - S_delta)`` fails, and reports at
-    least lambda_max(S_delta - R kk*); the other modes' not-falsified verdict is
-    evidence, never a proof.
+    Subsets are exhaustive up to 12 members, otherwise a deterministic sample of 512
+    including the full set, singletons, and their complements.  Probes are the standard
+    basis and 200 seeded unit vectors, swept through the module's two stages in blocks of
+    consecutive probes, each sized so that a (probes, dim, subsets) buffer holds about
+    ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe order; ties go to the earliest
+    probe; a pair whose gap fails ``at_most`` falsifies.  Each block after the first is
+    bounded first, per pair (:func:`_bound_terms`) or per row (:func:`_row_bounds`), and a
+    bound settles only what can change no field of the verdict.  Every search then tests
+    one more probe over every subset, the witness: the top eigenvector of :func:`_witness`'s
+    M, at the full set for T-sqsum and at the sweep's worst subset and probe for the other
+    modes.  T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and reports at
+    least lambda_max(S_delta - R kk*); the other modes' not-falsified verdict is evidence.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -683,7 +696,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     # the witness: the top eigenvector of M, at the full set (T-sqsum) or the worst subset
     if not exact and worst_probe is not None:
-        _, w, v = psd_eig(-_witness(base, family, k, params, worst_subset), tol)
+        _, w, v = psd_eig(-_witness(base, family, k, params, worst_subset, worst_probe, worst), tol)
     if exact or worst_probe is not None:
         consider(v[:, :1].T)
     if exact and -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
@@ -843,19 +856,14 @@ def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
         report.predicted = predicted_bounds(params, base_bounds.lower,
                                             base_bounds.upper, k.norm)
     except InputError as exc:
-        report.erratum_log.append({
-            "kind": "inadmissible-parameters",
-            "mode": params.mode.value,
-            "detail": str(exc),
-        })
+        report.erratum_log.append({"kind": "inadmissible-parameters",
+                                   "mode": params.mode.value, "detail": str(exc)})
         return report
     if not theta_report.is_frame:
-        record = {
-            "kind": "perturbed-family-not-a-frame",
-            "mode": params.mode.value,
-            "predicted_lower": report.predicted.lower,
-            "detail": "hypothesis not falsified yet the perturbed family fails frame verification",
-        }
+        record = {"kind": "perturbed-family-not-a-frame", "mode": params.mode.value,
+                  "predicted_lower": report.predicted.lower,
+                  "detail": "hypothesis not falsified yet the perturbed family "
+                            "fails frame verification"}
         if report.hypothesis_certified:
             raise InternalConsistencyError(record["detail"])
         report.erratum_log.append(record)
@@ -865,14 +873,11 @@ def _conclusion(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
     report.lower_contained = bool(at_most(report.predicted.lower, measured.lower, scale, tol))
     report.upper_contained = bool(at_most(measured.upper, report.predicted.upper, scale, tol))
     if not (report.lower_contained and report.upper_contained):
-        record = {
-            "kind": "bound-containment-failure",
-            "mode": params.mode.value,
-            "predicted": [report.predicted.lower, report.predicted.upper],
-            "measured": [report.theta_bounds.lower, report.theta_bounds.upper],
-            "lower_contained": report.lower_contained,
-            "upper_contained": report.upper_contained,
-        }
+        record = {"kind": "bound-containment-failure", "mode": params.mode.value,
+                  "predicted": [report.predicted.lower, report.predicted.upper],
+                  "measured": [report.theta_bounds.lower, report.theta_bounds.upper],
+                  "lower_contained": report.lower_contained,
+                  "upper_contained": report.upper_contained}
         if report.hypothesis_certified:
             raise InternalConsistencyError(
                 f"certified square-sum hypothesis but containment fails: {record}")

@@ -27,7 +27,7 @@ from framelab.documents import (
 )
 from framelab.frame_ops import subset_masks
 from framelab.model import HilbertSpace, LocalOperator, WeightedSubspace
-from framelab.numerics import adjoint, at_most, column_norms, psd_check, unit_probes
+from framelab.numerics import adjoint, at_most, column_norms, psd_check, psd_eig, unit_probes
 from framelab.perturbation import (
     PerturbationMode,
     PerturbationParams,
@@ -930,20 +930,48 @@ def climbed(system, family, k, params):
 SEARCHED_PARAMS = MODE_PARAMS[:3] + [
     PerturbationParams(0.2, 0.2, gamma, 0.0, mode)
     for gamma in (0.01, 0.001) for mode in ("P1-sqrt-sum", "P-variant-kstar")]
+# (eps, nudge seed, params) of searches past the default ones: the climb falsifies the
+# first at +0.166, where the sqrt-sum witness with equal weights on its three terms
+# (the factor 3) reads -0.036
+FURTHER_SEARCHES = {
+    "real-m12": [(0.5, 5, PerturbationParams(0.2, 0.2, 7.461, 0.0, "P-variant-kstar"))],
+}
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
 def test_the_witness_falsifies_every_search_the_climb_did(name):
     build, k_mat = SEARCH_CASES[name]
     system, k = build(), BoundedOperator(k_mat)
+    searches = [(eps, 11, params) for eps in (0.002, 0.5) for params in SEARCHED_PARAMS]
     verdicts = []
-    for eps in (0.002, 0.5):
-        family = nudged(system, eps)
-        for params in SEARCHED_PARAMS:
-            verdicts.append((climbed(system, family, k, params),
-                             perturb_hypothesis(system, family, k, params).falsified))
+    for eps, seed, params in searches + FURTHER_SEARCHES.get(name, []):
+        family = nudged(system, eps, seed)
+        verdicts.append((climbed(system, family, k, params),
+                         perturb_hypothesis(system, family, k, params).falsified))
     assert all(new for old, new in verdicts if old)
     assert any(old for old, _ in verdicts) and not all(old for old, _ in verdicts)
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_a_falsified_witness_reads_at_least_the_sweep_at_its_subset(name, monkeypatch):
+    # the sweep's worst gap enters the sqrt-sum M as a fourth term, so the witness's own
+    # gap at the sweep's worst subset is at least that gap, up to rounding
+    build, k_mat = SEARCH_CASES[name]
+    system, k = build(), BoundedOperator(k_mat)
+    family = _on_base(system, nudged(system, 0.5))
+    masks, data = subset_masks(system.size), _member_data(system, family)
+    calls, witness = [], perturbation._witness
+    monkeypatch.setattr(perturbation, "_witness", lambda *args: calls.append(args) or (
+        witness(*args)))
+    for params in MODE_PARAMS[:2]:
+        assert perturb_hypothesis(system, family, k, params).falsified
+        *_, subset, probe, excess = calls.pop()
+        assert excess > 0
+        _, _, v = psd_eig(-witness(system, family, k, params, subset, probe, excess),
+                          DEFAULT_TOL)
+        gaps, _ = _violations(masks, data, k.matrix, v[:, :1].T, params)
+        row = int(np.flatnonzero((masks == np.isin(np.arange(system.size), subset)).all(1))[0])
+        assert gaps[0, row] >= excess * (1 - 1e-9)
 
 
 def test_the_witness_falsification_holds_member_by_member():
@@ -958,7 +986,7 @@ def test_the_witness_falsification_holds_member_by_member():
                                         verdict.worst_probe, params)
     worst = int(np.argmax(gaps))
     assert tuple(np.flatnonzero(masks[worst])) == (1,)
-    assert gaps[worst] == verdict.worst_violation == pytest.approx(0.00249, abs=1e-5)
+    assert gaps[worst] == verdict.worst_violation == pytest.approx(0.00250, abs=1e-5)
     assert scales[worst] == pytest.approx(1.004, abs=5e-4)
     assert not at_most(gaps[worst], 0.0, scales[worst], DEFAULT_TOL)
 
