@@ -569,8 +569,8 @@ def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
     v_i over the squared right-hand terms T_i: l1^2 S_I^2, l2^2 S'_I^2, g^2 X (X = S_I or
     kk*) and, if the sweep's worst gap ``excess`` is positive, excess^2.  By Cauchy-Schwarz
     a positive ``<M f, f>`` is a gap above ``excess`` at (I, f) for any positive weights;
-    v_i = <T_i f, f>^(1/2) at ``probe``, the sweep's worst, makes M tight there, so its top
-    eigenvector reads at least that probe's gap, or its squared gap where that is below 0.
+    v_i = <T_i f, f>^(1/2) at ``probe``, the sweep's worst, makes M tight there: at I, its top
+    eigenvector's gap (or, below 0, |D_I f|^2 - rhs^2) is at least that probe's.
     A zero T_i is left out, and all weigh 1 if another is 0 at ``probe``.  These three Ms
     are formed from S_I and S'_I over one common scale, the largest of their entries and
     of the right-hand operand (R |k|, g |k| or g sqrt|S_I|), so M stays finite wherever the
