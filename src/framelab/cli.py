@@ -262,8 +262,7 @@ def cmd_gen(args, tol):
     doc_path = os.path.join(args.out, stem + ".json")
     documents.save_document(doc, doc_path)
     sidecar_path = documents.oracle_sidecar_path(doc_path)
-    sidecar_path.write_text(documents.canonical_json(oracle.oracle_payload(doc)),
-                            encoding="utf-8")
+    documents.save_text(sidecar_path, documents.canonical_json(oracle.oracle_payload(doc)))
     body = {
         "written": [doc_path, str(sidecar_path)],
         "members": len(doc.weights),

@@ -37,6 +37,7 @@ __all__ = [
     "dumps",
     "loads",
     "save_document",
+    "save_text",
     "load_document",
     "to_system",
     "from_system",
@@ -263,7 +264,14 @@ def loads(text: str) -> FrameDocument:
 
 
 def save_document(doc: FrameDocument, path) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    save_text(path, dumps(doc))
+
+
+def save_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file, unlinking what is there: ext4 flushes a
+    file truncated and rewritten in place to disk on close, tens of ms on a busy disk."""
+    Path(path).unlink(missing_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_document(path) -> FrameDocument:

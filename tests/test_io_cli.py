@@ -249,6 +249,23 @@ def test_gen_regenerates_packaged_fixture_bytes(repo_cwd, tmp_path):
     assert fresh_oracle == committed_oracle
 
 
+def test_written_documents_replace_the_old_file_instead_of_rewriting_it(tmp_path):
+    # A hard link keeps the old file: an in-place rewrite would show through it.
+    assert run_cli(["gen", "--fixture", "FIX-A", "--out", str(tmp_path)])[0] == 0
+    dual_path = tmp_path / "dual.json"
+    dual_argv = ["dual", str(tmp_path / "fix_a.json"), "--method", "q", "--out", str(dual_path)]
+    assert run_cli(dual_argv)[0] == 0
+    written = [tmp_path / "fix_a.json", tmp_path / "fix_a.oracle.json", dual_path]
+    for path in written:
+        path.write_text("stale", encoding="utf-8")
+        os.link(path, path.with_suffix(".link"))
+    assert run_cli(["gen", "--fixture", "FIX-A", "--out", str(tmp_path)])[0] == 0
+    assert run_cli(dual_argv)[0] == 0
+    for path in written:
+        assert path.with_suffix(".link").read_text(encoding="utf-8") == "stale"
+        assert path.read_text(encoding="utf-8") != "stale"
+
+
 def test_gen_spec_systems_are_valid_and_deterministic(tmp_path):
     argv = ["gen", "--spec", "3", "2x2", "3x2", "--seed", "11",
             "--out", str(tmp_path)]
