@@ -45,8 +45,8 @@ from framelab.documents import (
 )
 from framelab.duality import (
     canonical_dual,
-    complement_residual,
     construct_q_dual,
+    dual_subset_sweep,
     parsevalize,
     qdual_bound_corollary,
     verify_kgf_dual,
@@ -145,7 +145,9 @@ def validate_candidate(system, k):
         return "canonical dual verification"
     if max(creport.operator_residual, creport.probe_residual) > 1e-9:
         return "canonical dual residual"
-    if complement_residual(cpair, (0,), TOL) > 1e-10 * max(1.0, k.norm):
+    first = (np.arange(system.size) == 0)[None, :]
+    complement = dual_subset_sweep(cpair, first, np.eye(system.dim)[:1], TOL).complement_residual
+    if complement[0] > 1e-10 * max(1.0, k.norm):
         return "partial-operator identity"
 
     root = parsevalize(system, TOL)

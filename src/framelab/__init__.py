@@ -31,10 +31,9 @@ _EXPORTS = {
     "transforms": ("reduce_operator", "transform_invertible", "transform_unitary"),
     "duality": (
         "IdentitiesReport", "KGFDualPair", "QDualPair", "canonical_dual",
-        "check_dual_subset_identity", "check_parseval_subset_identity",
-        "check_three_quarters_bound", "complement_residual", "construct_q_dual",
-        "dual_subset_sweep", "identities_report", "parseval_subset_sweep",
-        "parsevalize", "qdual_bound_corollary", "verify_kgf_dual", "verify_q_dual",
+        "construct_q_dual", "dual_subset_sweep", "identities_report",
+        "parseval_subset_sweep", "parsevalize", "qdual_bound_corollary",
+        "verify_kgf_dual", "verify_q_dual",
     ),
     "perturbation": (
         "HypothesisVerdict", "PerturbationMode", "PerturbationParams",

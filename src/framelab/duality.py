@@ -18,9 +18,7 @@ import numpy as np
 
 from .frame_ops import (
     FrameReport,
-    _index_mask,
     _memoized,
-    _one_probe,
     _probe_block,
     _require_compatible,
     _require_masks,
@@ -67,12 +65,8 @@ __all__ = [
     "canonical_dual",
     "KGFDualReport",
     "verify_kgf_dual",
-    "complement_residual",
     "SubsetIdentityResult",
-    "check_dual_subset_identity",
-    "check_parseval_subset_identity",
     "ThreeQuartersResult",
-    "check_three_quarters_bound",
     "DualSubsetSweep",
     "dual_subset_sweep",
     "ParsevalSubsetSweep",
@@ -416,35 +410,15 @@ def _complement_defects(stack, rows, rows_c, k_mat):
     return np.linalg.svd(stack[rows] + stack[rows_c] - k_mat, compute_uv=False).max(axis=-1)
 
 
-def complement_residual(pair: KGFDualPair, index_set,
-                        tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Defect of S_I + S_{I^c} = k in operator norm.
-
-    The one-subset view of :func:`dual_subset_sweep`'s complement residual;
-    unlike the sweep it does not require a certified pair.
-    """
-    mask = _index_mask(pair.base.size, index_set)
-    stack = subset_frame_operators(pair.base, np.stack([mask, ~mask]), pair.dual)
-    return float(_complement_defects(stack, 0, 1, pair.k.matrix))
-
-
 @dataclass
 class SubsetIdentityResult:
-    """Two sides of a subset identity and their normalized disagreement.
+    """Two sides of a subset identity and their normalized disagreement, each an
+    array over the swept subsets (and extensions) and probes."""
 
-    The scalar checks return one (subset, probe) pair; in a sweep each field
-    is an array over the swept subsets (and extensions) and probes.
-    """
-
-    lhs: complex
-    rhs: complex
-    residual: float
-    passed: bool
-
-
-def _identity_entry(result: SubsetIdentityResult, index) -> SubsetIdentityResult:
-    return SubsetIdentityResult(complex(result.lhs[index]), complex(result.rhs[index]),
-                                float(result.residual[index]), bool(result.passed[index]))
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: np.ndarray
+    passed: np.ndarray
 
 
 @dataclass
@@ -469,7 +443,9 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
     The coefficient sum over I is ``<S_I f, k f>``.  The identity needs
     S_I + S_{I^c} = k, so an uncertified pair is rejected, once per sweep.
     ``masks`` is a boolean (subsets, members) array and ``probes`` a
-    (probes, dim) block; each entry carries the bits of the one-subset check.
+    (probes, dim) block; each entry carries the bits of its subset and probe
+    checked alone, so one (subset, probe) pair is a one-row mask and a
+    one-row probe block.
     """
     masks = _require_masks(masks, pair.base.size)
     probes = _probe_block(probes, pair.base.dim)
@@ -488,18 +464,6 @@ def dual_subset_sweep(pair: KGFDualPair, masks, probes,
                            _complement_defects(stack, rows, rows_c, k_mat))
 
 
-def check_dual_subset_identity(pair: KGFDualPair, index_set, f,
-                               tol: ToleranceProfile = DEFAULT_TOL) -> SubsetIdentityResult:
-    """Complementary-subset identity at one subset and one probe.
-
-    The one-pair view of :func:`dual_subset_sweep`: an uncertified pair is
-    rejected with :class:`PreconditionError`.
-    """
-    mask = _index_mask(pair.base.size, index_set)
-    sweep = dual_subset_sweep(pair, mask[None, :], _one_probe(f, pair.base.dim), tol)
-    return _identity_entry(sweep.identity, (0, 0))
-
-
 def _require_parseval(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile):
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_parseval:
@@ -510,17 +474,15 @@ def _require_parseval(system: GFusionSystem, k: BoundedOperator, tol: ToleranceP
 
 @dataclass
 class ThreeQuartersResult:
-    """Both orientations of the three-quarters bound and the attained slack.
+    """Both orientations of the three-quarters bound and the attained slack, each a
+    (subsets, probes) array."""
 
-    Scalar for one (subset, probe) pair; (subsets, probes) arrays in a sweep.
-    """
-
-    lhs: float
-    rhs: float
-    target: float
-    symmetry_residual: float
-    slack: float
-    passed: bool
+    lhs: np.ndarray
+    rhs: np.ndarray
+    target: np.ndarray
+    symmetry_residual: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
 
 
 @dataclass
@@ -554,8 +516,8 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
       three quarters of ``|k k* f|^2``.
 
     The partial operators I, I^c, I u E, I^c - E and E are looked up in one
-    stack of their distinct masks; each entry carries the bits of the
-    one-subset check.
+    stack of their distinct masks; each entry carries the bits of its
+    subset, extension and probe checked alone.
     """
     masks = _require_masks(masks, system.size)
     extensions = np.asarray(extensions)
@@ -591,43 +553,6 @@ def parseval_subset_sweep(system: GFusionSystem, k: BoundedOperator, masks,
     return ParsevalSubsetSweep(
         identity,
         ThreeQuartersResult(tq_lhs, tq_rhs, target, symmetry_residual, slack, passed))
-
-
-def check_parseval_subset_identity(system: GFusionSystem, k: BoundedOperator,
-                                   index_set, extension_set, f,
-                                   tol: ToleranceProfile = DEFAULT_TOL) -> SubsetIdentityResult:
-    """Subset-extension identity for Parseval systems at one (I, E, f).
-
-    With S_J = k k*, extending I by a disjoint E inside its complement shifts
-    the difference of squared partial-operator norms by twice the real part of
-    the E-indexed coefficient sum ``<S_E f, k k* f>``.  The one-entry view of
-    :func:`parseval_subset_sweep`.
-    """
-    mask = _index_mask(system.size, index_set)
-    ext = _index_mask(system.size, extension_set)
-    sweep = parseval_subset_sweep(system, k, mask[None, :], ext[None, None, :],
-                                  _one_probe(f, system.dim), tol)
-    return _identity_entry(sweep.identity, (0, 0, 0))
-
-
-def check_three_quarters_bound(system: GFusionSystem, k: BoundedOperator,
-                               index_set, f,
-                               tol: ToleranceProfile = DEFAULT_TOL) -> ThreeQuartersResult:
-    """Lower bound |S_I f|^2 + Re sum_{I^c} coeff >= (3/4) |k k* f|^2.
-
-    Requires a Parseval system; the coefficient sum over I^c is
-    ``<S_{I^c} f, k k* f>``.  Both subset orientations are evaluated; they
-    agree identically and each clears three quarters of |k k* f|^2.  The
-    one-pair view of :func:`parseval_subset_sweep`.
-    """
-    mask = _index_mask(system.size, index_set)
-    sweep = parseval_subset_sweep(system, k, mask[None, :],
-                                  np.zeros((1, 0, system.size), dtype=bool),
-                                  _one_probe(f, system.dim), tol)
-    tq = sweep.three_quarters
-    return ThreeQuartersResult(*(float(getattr(tq, name)[0, 0]) for name in
-                                 ("lhs", "rhs", "target", "symmetry_residual", "slack")),
-                               bool(tq.passed[0, 0]))
 
 
 def parsevalize(system: GFusionSystem, tol: ToleranceProfile = DEFAULT_TOL) -> BoundedOperator:

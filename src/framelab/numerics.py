@@ -168,25 +168,23 @@ def row_sq_norms(x) -> np.ndarray:
     return np.float_power(row_norms(x), 2.0)
 
 
-def column_norms(x, out=None, squares=None, conjugates=None) -> np.ndarray:
+def column_norms(x, squares=None) -> np.ndarray:
     """|x| along axis -2: one ``np.add.reduce`` of the squares over that axis.
 
     numpy reduces an axis that is not the innermost one row at a time, so an
     entry of the result depends on its own column alone, never on the rest
     of x; with one column it sums the axis pairwise, still per column.
     Below 8 rows the order, rows in turn, is also ``np.linalg.norm``'s.
-    ``squares`` (x's shape and dtype) is scratch and may be a real x, squared
-    in place; a complex x takes ``conj(x)`` into a second, ``conjugates``, as
-    numpy multiplies a one-entry array in place in a scalar loop that rounds
-    otherwise.  ``out`` (x's shape without axis -2, real) receives the norms;
-    with all three, a call allocates less than one row of x.
+    ``squares`` (x's shape and dtype) receives the squares and may be a real
+    x, squared in place; a complex x should not be its own: numpy multiplies
+    a one-entry array in place in a scalar loop that rounds otherwise.
     """
     if np.iscomplexobj(x):
-        sq = np.multiply(np.conjugate(x, out=conjugates), x, out=squares).real
+        sq = np.multiply(np.conjugate(x), x, out=squares).real
     else:
         # x.conj() is x, and x * x is one correctly rounded product either way
         sq = np.square(x, out=squares)
-    out = np.add.reduce(sq, axis=-2, out=out)
+    out = np.add.reduce(sq, axis=-2)
     return np.sqrt(out, out=out)
 
 

@@ -33,8 +33,8 @@ Its vector subset sums are one stacked product each, stored dim-major,
 one ``np.add.reduce`` over the dim axis
 (:func:`~framelab.numerics.column_norms`).  Every entry keeps the bits of
 the same inequality evaluated at its probe alone, so the verdict does not
-depend on the blocking.  The float subset weights, the member stacks and the
-subset-stage buffers are built once per search; every block writes into them.
+depend on the blocking.  The float subset weights and the member stacks are
+built once per search and only read; each block's sums and norms are new arrays.
 
 In the two sqrt-sum modes every block after the first bounds each pair from
 above before it forms the right-hand side (:func:`_bound_terms`): with |D_I f|
@@ -272,33 +272,21 @@ def _member_data(base: GFusionSystem, family: GFusionSystem):
 
 
 class _Workspace:
-    """The member stacks and subset-stage buffers of one search.
+    """The read-only member stacks and subset weights of one search.
 
-    The per-search constants are read-only: ``weights`` holds the subset
-    masks as floats, ``weights_t`` a C-contiguous copy of its transpose,
-    ``w2`` the squared member weights as a ``(members, 1)`` column, and
-    ``groups`` the members grouped by factor shape and dtypes, each as
-    ``(columns, L P, (L P)*, Th P, (Th P)*)`` with ``(g, r, n)`` factor
-    stacks and ``(g, n, r)`` adjoint stacks.  An adjoint stack is
-    ``np.conj(stack).transpose(0, 2, 1)``, so each slice has the F-order
-    layout of ``adjoint(lp)``, and each matmul slice keeps the shape and
-    strides, and so the bits, of the one-member product.  Members are not
-    padded to one shape: that would change the inner length of the
-    products, and with it the summation inside them.
-
-    The buffers are the subset stage's: ``sums`` holds the dim-major subset sums
-    ``terms^T @ weights_t``, ``(probes, dim, subsets)``; ``column_sums`` the scalar sums
-    ``weights @ scalars``, ``(probes, subsets, 1)`` (as a product with ``weights_t`` their
-    matrix-vector products round otherwise); and ``norms`` three ``(probes, subsets)``
-    results.  A real search squares ``sums`` in place; a complex one writes into the
-    scratches ``conjugates`` and ``squares`` (None for a real one), as ``column_norms``
-    says.  A T-sqsum ``mode`` writes only ``column_sums``; its other buffers are None.  A
-    block of fewer than ``len(probes)`` probes writes into leading views, which keep a
-    fresh array's layout and bits.
+    ``weights`` holds the subset masks as floats, ``weights_t`` a C-contiguous
+    copy of its transpose, ``w2`` the squared member weights as a
+    ``(members, 1)`` column, and ``groups`` the members grouped by factor
+    shape and dtypes, each as ``(columns, L P, (L P)*, Th P, (Th P)*)`` with
+    ``(g, r, n)`` factor stacks and ``(g, n, r)`` adjoint stacks.  An adjoint
+    stack is ``np.conj(stack).transpose(0, 2, 1)``, so each slice has the
+    F-order layout of ``adjoint(lp)``, and each matmul slice keeps the shape
+    and strides, and so the bits, of the one-member product.  Members are not
+    padded to one shape: that would change the inner length of the products,
+    and with it the summation inside them.
     """
 
-    def __init__(self, masks, data, probes, mode: PerturbationMode | None = None):
-        (rows, n), subsets = probes.shape, len(masks)
+    def __init__(self, masks, data):
         self.weights = _read_only(masks.astype(float))
         self.weights_t = _read_only(np.ascontiguousarray(masks.T, dtype=float))
         self.w2 = _read_only(np.array([[w2] for w2, _, _ in data], dtype=float))
@@ -313,12 +301,6 @@ class _Workspace:
                 np.array(columns), lps, np.conj(lps).transpose(0, 2, 1),
                 tps, np.conj(tps).transpose(0, 2, 1))))
         self.groups = tuple(groups)
-        self.column_sums = np.empty((rows, subsets, 1))
-        vectors = mode is not PerturbationMode.SQUARE_SUM
-        self.sums = np.empty((rows, n, subsets), probes.dtype) if vectors else None
-        self.squares = np.empty_like(self.sums) if vectors and probes.dtype.kind == "c" else None
-        self.conjugates = None if self.squares is None else np.empty_like(self.sums)
-        self.norms = np.empty((3, rows, subsets)) if vectors else None
 
 
 def _gap_and_scale(lhs, rhs):
@@ -326,6 +308,13 @@ def _gap_and_scale(lhs, rhs):
     scale = np.add(1.0, lhs)
     scale += rhs
     return lhs - rhs, scale
+
+
+def _sum_norms(vectors, weights):
+    """The norms of the subset sums ``vectors^T @ weights`` of ``(p, members, n)`` member
+    terms, one column per subset; real sums are squared in place."""
+    sums = np.matmul(vectors.transpose(0, 2, 1), weights)
+    return column_norms(sums, squares=None if np.iscomplexobj(sums) else sums)
 
 
 def _member_terms(work: _Workspace, k_mat, probes, params: PerturbationParams) -> tuple:
@@ -478,14 +467,9 @@ def _pending_violations(work: _Workspace, lhs, vectors, t_term, index, params):
     picked = np.zeros(filled.shape, np.intp)
     picked[filled] = cols
     weights = work.weights[picked].transpose(0, 2, 1)
-
-    def norms(terms):
-        sums = np.matmul(terms[active].transpose(0, 2, 1), weights)
-        return column_norms(sums, squares=sums if work.squares is None else None)[filled]
-
-    rhs = norms(vectors[0])
+    rhs = _sum_norms(vectors[0][active], weights)[filled]
     rhs *= params.lambda1
-    term = norms(vectors[1])
+    term = _sum_norms(vectors[1][active], weights)[filled]
     term *= params.lambda2
     rhs += term
     rhs += t_term[rows, cols if t_term.shape[1] > 1 else 0]
@@ -505,34 +489,26 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
     The subset stage: ``probes`` is a ``(p, n)`` block and ``members`` its
     rows of :func:`_member_terms` (formed here when not given); both results
     are new ``(p, subsets)`` arrays.  Each entry carries the bits of the same
-    inequality evaluated member by member at its probe alone.  Intermediates
-    go into ``work``, the buffers of the search (built here when not given).
+    inequality evaluated member by member at its probe alone.  ``work`` holds
+    the search's member stacks and subset weights (built here when not given).
     ``bound``, read in the two sqrt-sum modes, is the block's rows of
     :func:`_bound_terms` and a function that maps the pairs' ``(p, subsets)``
     upper bounds ``lhs - gamma t - max_h sum_I e_j(h)`` to the mask of the
     pairs they leave undecided; only those form their two right-hand norms,
     and every other pair reads gap -inf and scale 1 + lhs.
     """
-    work = work or _Workspace(masks, data, probes, params.mode)
+    work = work or _Workspace(masks, data)
     kf_norm, *terms = members or _member_terms(work, k_mat, probes, params)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
     p = probes.shape[0]
 
     def scalar_sums(scalars):
         """(p, subsets) subset sums of (p, members, 1) scalar member terms."""
-        return np.matmul(work.weights, scalars, out=work.column_sums[:p])[..., 0]
-
-    def sum_norms(vectors, slot):
-        """(p, subsets) norms of the subset sums of (p, members, n) member terms."""
-        sums = np.matmul(vectors.transpose(0, 2, 1), work.weights_t, out=work.sums[:p])
-        if work.squares is None:
-            return column_norms(sums, out=work.norms[slot, :p], squares=sums)
-        return column_norms(sums, out=work.norms[slot, :p], squares=work.squares[:p],
-                            conjugates=work.conjugates[:p])
+        return np.matmul(work.weights, scalars)[..., 0]
 
     if params.mode is PerturbationMode.SQUARE_SUM:
         return _gap_and_scale(scalar_sums(terms[0]), r * np.float_power(kf_norm, 2.0))
-    lhs = sum_norms(terms[0], 0)
+    lhs = _sum_norms(terms[0], work.weights_t)
     if params.mode is PerturbationMode.AGGREGATE_NORM:
         return _gap_and_scale(lhs, r * kf_norm)
     if params.mode is PerturbationMode.SQRT_SUM:
@@ -551,9 +527,9 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
         result = _pending_violations(work, lhs, terms[1:3], t_term, pending, params)
         if result is not None:
             return result
-    rhs = sum_norms(terms[1], 1)
+    rhs = _sum_norms(terms[1], work.weights_t)
     rhs *= lam1
-    term = sum_norms(terms[2], 2)
+    term = _sum_norms(terms[2], work.weights_t)
     term *= lam2
     rhs += term
     rhs += t_term
@@ -596,7 +572,7 @@ def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
         rhs = rhs @ adjoint(rhs)
     if mode is PerturbationMode.AGGREGATE_NORM:
         return gap @ gap - rhs
-    excess = excess / scale if 0.0 < excess < math.inf else 0.0
+    excess = max(excess, 0.0) / scale
     terms = [t for t in (params.lambda1**2 * (s_base @ s_base), params.lambda2**2
                          * (s_pert @ s_pert), rhs, excess**2 * np.eye(base.dim)) if t.any()]
     weights = [math.sqrt(max(float(np.vdot(probe, t @ probe).real), 0.0)) for t in terms]
@@ -613,7 +589,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     Subsets are exhaustive up to 12 members, otherwise a deterministic sample of 512
     including the full set, singletons, and their complements.  Probes are the standard
     basis and 200 seeded unit vectors, swept through the module's two stages in blocks of
-    consecutive probes, each sized so that a (probes, dim, subsets) buffer holds about
+    consecutive probes, each sized so that a (probes, dim, subsets) array holds about
     ``PROBE_BLOCK_ENTRIES`` entries, and folded in probe order; ties go to the earliest
     probe; a pair whose gap fails ``at_most`` falsifies.  Each block after the first is
     bounded first, per pair (:func:`_bound_terms`) or per row (:func:`_row_bounds`), and a
@@ -622,6 +598,8 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     M, at the full set for T-sqsum and at the sweep's worst subset and probe for the other
     modes.  T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and reports at
     least lambda_max(S_delta - R kk*); the other modes' not-falsified verdict is evidence.
+    A NaN or +inf gap, or a non-finite scale, which finite inputs give only by overflow,
+    raises InputError; a pair a bound settles reads gap -inf.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -632,7 +610,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     probes = unit_probes(n, RANDOM_PROBES, complex_field=base.space.field == "complex",
                          seed=0xFA15)
     block = max(1, PROBE_BLOCK_ENTRIES // (masks.shape[0] * n))
-    work = _Workspace(masks, data, probes[:block], params.mode)
+    work = _Workspace(masks, data)
     members = _member_terms(work, k_mat, probes, params)
     exact = params.mode is PerturbationMode.SQUARE_SUM
     if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested
@@ -663,17 +641,16 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         """Fold a block of probes and its member-stage rows in."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
         gaps, scales = _violations(masks, data, k_mat, fs, params, work, rows, bound)
-        if not falsified:
-            within = at_most(gaps, 0.0, scales, tol)  # a NaN gap: not within, falsifies nothing
-            falsified = not within.all() and not np.isnan(gaps[~within]).all()
-        for f, row_gaps, row in zip(fs, gaps, np.argmax(gaps, axis=1)):
+        best = np.argmax(gaps, axis=1)  # each row's worst gap, or its first NaN
+        row_worst = gaps[np.arange(best.size), best]
+        # finite inputs give a NaN or +inf gap, or a non-finite scale, only by overflow;
+        # a settled pair's gap is -inf
+        if not (row_worst.max() < math.inf and scales.max() < math.inf):
+            raise InputError("the perturbation search overflowed: a gap or its scale is not "
+                             "finite; rescale the systems and constants")
+        falsified = falsified or not at_most(gaps, 0.0, scales, tol).all()
+        for f, gap, row in zip(fs, row_worst.tolist(), best):
             probes_tested += 1
-            gap = float(row_gaps[row])
-            if math.isnan(gap):  # argmax lands on a NaN only when the row holds one
-                if np.isnan(row_gaps).all():
-                    continue
-                row = np.nanargmax(row_gaps)
-                gap = float(row_gaps[row])
             # ties go to the earliest probe: noise-level gains never displace it
             if worst_probe is None or gap > worst + 1e-12 * max(1.0, abs(worst)):
                 worst = gap
@@ -695,10 +672,9 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
         consider(probes[rows], [a[rows] for a in members], bound)
 
     # the witness: the top eigenvector of M, at the full set (T-sqsum) or the worst subset
-    if not exact and worst_probe is not None:
+    if not exact:
         _, w, v = psd_eig(-_witness(base, family, k, params, worst_subset, worst_probe, worst), tol)
-    if exact or worst_probe is not None:
-        consider(v[:, :1].T)
+    consider(v[:, :1].T)
     if exact and -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
         worst, worst_subset, worst_probe = -float(w[0]), tuple(range(base.size)), v[:, 0]
 

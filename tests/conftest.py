@@ -91,6 +91,14 @@ def thin_direction_system(eps):
     return GFusionSystem(HilbertSpace("real", 2), (member,))
 
 
+def subset_rows(size, subsets):
+    """The boolean (subsets, size) rows the subset sweeps take."""
+    rows = np.zeros((len(subsets), size), dtype=bool)
+    for row, subset in enumerate(subsets):
+        rows[row, list(subset)] = True
+    return rows
+
+
 def fix_r_names():
     return sorted(p.name[:-5].upper().replace("_", "-")
                   for p in FIXTURE_DIR.glob("fix_r*.json")

@@ -30,11 +30,9 @@ from framelab import (
 from framelab.cli import main
 from framelab.duality import (
     canonical_dual,
-    check_dual_subset_identity,
-    check_parseval_subset_identity,
-    check_three_quarters_bound,
-    complement_residual,
     construct_q_dual,
+    dual_subset_sweep,
+    parseval_subset_sweep,
     parsevalize,
     qdual_bound_corollary,
     verify_kgf_dual,
@@ -57,6 +55,7 @@ from conftest import (
     fix_r_names,
     load_sidecar,
     load_suite,
+    subset_rows,
 )
 
 
@@ -250,11 +249,12 @@ def test_09_identity_theorems():
             probes = unit_probes(
                 bundle.system.dim, 20,
                 complex_field=bundle.system.space.field == "complex", seed=0xACC9)
-            for subset in all_subsets(bundle.system.size):
-                for f in probes:
-                    result = check_dual_subset_identity(pair, subset, f)
-                    assert result.passed, (name, subset)
-                    assert result.residual <= 1e-9, (name, subset)
+            subsets = all_subsets(bundle.system.size)
+            result = dual_subset_sweep(pair, subset_rows(bundle.system.size, subsets),
+                                       probes).identity
+            for subset, passed, residual in zip(subsets, result.passed, result.residual):
+                assert passed.all(), (name, subset)
+                assert (residual <= 1e-9).all(), (name, subset)
         # Parseval identity and the 3/4 inequality, each fixture made Parseval
         for name in all_fixture_names():
             bundle = fixture(name)
@@ -263,31 +263,32 @@ def test_09_identity_theorems():
             probes = unit_probes(
                 bundle.system.dim, 20,
                 complex_field=bundle.system.space.field == "complex", seed=0xACC8)
-            for index_set in all_subsets(size):
+            index_sets = all_subsets(size)
+            masks = subset_rows(size, index_sets)
+            # the extensions of each I: the empty set and I^c
+            sweep = parseval_subset_sweep(bundle.system, root, masks,
+                                          np.stack([np.zeros_like(masks), ~masks], axis=1),
+                                          probes)
+            result, check = sweep.identity, sweep.three_quarters
+            for row, index_set in enumerate(index_sets):
                 comp = tuple(sorted(set(range(size)) - set(index_set)))
-                for ext in {(), comp}:
-                    if set(ext) & set(index_set):
-                        continue
-                    for f in probes:
-                        result = check_parseval_subset_identity(
-                            bundle.system, root, index_set, ext, f)
-                        assert result.passed, (name, index_set, ext)
-                        assert result.residual <= 1e-9, (name, index_set, ext)
-                for f in probes:
-                    check = check_three_quarters_bound(
-                        bundle.system, root, index_set, f)
-                    assert check.passed, (name, index_set)
-                    assert check.slack >= -1e-9, (name, index_set)
+                for e, ext in enumerate(((), comp)):
+                    assert result.passed[row, e].all(), (name, index_set, ext)
+                    assert (result.residual[row, e] <= 1e-9).all(), (name, index_set, ext)
+                assert check.passed[row].all(), (name, index_set)
+                assert (check.slack[row] >= -1e-9).all(), (name, index_set)
         # two equal half-weight copies of the full space attain equality
         member = (WeightedSubspace(np.eye(2), 1.0),
                   LocalOperator(np.eye(2) / np.sqrt(2.0)))
         extremal = GFusionSystem(HilbertSpace("real", 2), (member, member))
         k = BoundedOperator.identity(2)
         assert verify_k_g_fusion(extremal, k).is_parseval
-        for f in unit_probes(2, 20, seed=0x3F4):
-            result = check_three_quarters_bound(extremal, k, (0,), f)
-            assert result.slack == pytest.approx(0.0, abs=1e-9)
-            assert result.lhs == pytest.approx(0.75, abs=1e-9)
+        result = parseval_subset_sweep(extremal, k, subset_rows(2, [(0,)]),
+                                       np.zeros((1, 0, 2), dtype=bool),
+                                       unit_probes(2, 20, seed=0x3F4)).three_quarters
+        for slack, lhs in zip(result.slack[0], result.lhs[0]):
+            assert slack == pytest.approx(0.0, abs=1e-9)
+            assert lhs == pytest.approx(0.75, abs=1e-9)
 
 
 def test_10_partial_operator_complement_identity():
@@ -296,8 +297,11 @@ def test_10_partial_operator_complement_identity():
         for name in invertible_k_names():
             bundle = fixture(name)
             pair = canonical_dual(bundle.system, bundle.operators["k"])
-            for subset in all_subsets(bundle.system.size):
-                assert complement_residual(pair, subset) <= 1e-10, (name, subset)
+            subsets = all_subsets(bundle.system.size)
+            sweep = dual_subset_sweep(pair, subset_rows(bundle.system.size, subsets),
+                                      np.eye(bundle.system.dim)[:1])
+            for subset, residual in zip(subsets, sweep.complement_residual):
+                assert residual <= 1e-10, (name, subset)
 
 
 def test_11_scaling_perturbation_containment(fix_i):

@@ -29,11 +29,9 @@ from framelab.duality import (
     QDualPair,
     _probe_residual,
     canonical_dual,
-    check_dual_subset_identity,
-    check_parseval_subset_identity,
-    check_three_quarters_bound,
-    complement_residual,
     construct_q_dual,
+    dual_subset_sweep,
+    parseval_subset_sweep,
     parsevalize,
     qdual_bound_corollary,
     verify_kgf_dual,
@@ -42,13 +40,18 @@ from framelab.duality import (
 from framelab.frame_ops import cross_frame_check, subset_frame_operators, subset_masks
 from framelab.numerics import DEFAULT_TOL, adjoint, inner, unit_probes
 from framelab.perturbation import PerturbationParams, perturb_report
-from conftest import count_calls, fix_r_names, thin_direction_system
+from conftest import count_calls, fix_r_names, subset_rows, thin_direction_system
 
 
 def all_subsets(size):
     items = range(size)
     return [tuple(c) for r in range(size + 1)
             for c in itertools.combinations(items, r)]
+
+
+def no_extensions(masks):
+    """Each subset's empty list of extension sets."""
+    return np.zeros((masks.shape[0], 0, masks.shape[1]), dtype=bool)
 
 
 def extremal_half_weight_system():
@@ -235,27 +238,26 @@ def test_partial_operators_split_the_target(fix_i):
                         np.eye(2), atol=1e-12)
     npt.assert_allclose(frame_operator(pair.base, pair.dual, ()),
                         np.zeros((2, 2)), atol=0.0)
-    for subset in all_subsets(pair.base.size):
-        assert complement_residual(pair, subset) <= 1e-12
+    masks = subset_rows(pair.base.size, all_subsets(pair.base.size))
+    assert (dual_subset_sweep(pair, masks, np.eye(2)).complement_residual <= 1e-12).all()
 
 
 def test_subset_identity_hand_value(fix_i):
     pair = canonical_dual(fix_i.system, fix_i.operators["k"])
-    result = check_dual_subset_identity(pair, (0,), np.array([1.0, 2.0]))
-    assert result.passed
-    assert result.lhs == pytest.approx(0.0, abs=1e-12)
-    assert result.rhs == pytest.approx(0.0, abs=1e-12)
+    result = dual_subset_sweep(pair, subset_rows(2, [(0,)]), [[1.0, 2.0]]).identity
+    assert result.passed[0, 0]
+    assert result.lhs[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert result.rhs[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subset_identity_exhaustive(fix_a):
     k = completion_of_fix_a_k(fix_a)
     pair = canonical_dual(fix_a.system, k)
     probes = unit_probes(3, 20, seed=0x791)
-    for subset in all_subsets(pair.base.size):
-        for f in probes:
-            result = check_dual_subset_identity(pair, subset, f)
-            assert result.passed
-            assert result.residual <= 1e-9
+    masks = subset_rows(pair.base.size, all_subsets(pair.base.size))
+    result = dual_subset_sweep(pair, masks, probes).identity
+    assert result.passed.all()
+    assert (result.residual <= 1e-9).all()
 
 
 def test_subset_identity_requires_certified_pair(fix_i):
@@ -263,7 +265,7 @@ def test_subset_identity_requires_certified_pair(fix_i):
         [2.0 * op.matrix for _, op in fix_i.system.members])
     broken = KGFDualPair(fix_i.system, double, fix_i.operators["k"])
     with pytest.raises(PreconditionError):
-        check_dual_subset_identity(broken, (0,), np.array([1.0, 0.0]))
+        dual_subset_sweep(broken, subset_rows(2, [(0,)]), [[1.0, 0.0]])
 
 
 def rotated_complex_copy(system, phase):
@@ -314,67 +316,69 @@ def test_dual_pairs_refuse_a_k_over_another_space(fix_i):
 
 def test_parseval_subset_identity_values(fix_i):
     k = fix_i.operators["k"]
-    f = np.array([1.0, 2.0])
-    plain = check_parseval_subset_identity(fix_i.system, k, (0,), (), f)
-    assert plain.passed
-    assert plain.lhs == pytest.approx(-3.0, abs=1e-12)
-    assert plain.rhs == pytest.approx(-3.0, abs=1e-12)
-    extended = check_parseval_subset_identity(fix_i.system, k, (0,), (1,), f)
-    assert extended.passed
-    assert extended.lhs == pytest.approx(5.0, abs=1e-12)
-    from framelab import InputError
-    with pytest.raises(InputError):
-        check_parseval_subset_identity(fix_i.system, k, (0,), (0,), f)
+    f = [[1.0, 2.0]]
+    # at I = {0}: the empty extension, then E = {1}
+    masks = subset_rows(2, [(0,)])
+    result = parseval_subset_sweep(fix_i.system, k, masks,
+                                   subset_rows(2, [(), (1,)])[None], f).identity
+    assert result.passed.all()
+    assert result.lhs[0, 0, 0] == pytest.approx(-3.0, abs=1e-12)
+    assert result.rhs[0, 0, 0] == pytest.approx(-3.0, abs=1e-12)
+    assert result.lhs[0, 1, 0] == pytest.approx(5.0, abs=1e-12)
+    with pytest.raises(InputError):  # an extension inside I
+        parseval_subset_sweep(fix_i.system, k, masks, masks[None], f)
 
 
 def test_parseval_subset_identity_exhaustive(fix_i):
     k = fix_i.operators["k"]
+    size = fix_i.system.size
     probes = unit_probes(2, 20, seed=0x7E1)
-    for index_set in all_subsets(fix_i.system.size):
-        complement = tuple(sorted(set(range(fix_i.system.size)) - set(index_set)))
-        extensions = {(), complement}
-        if complement:
-            extensions.add((complement[0],))
-        for ext in extensions:
-            for f in probes:
-                result = check_parseval_subset_identity(
-                    fix_i.system, k, index_set, ext, f)
-                assert result.passed
-                assert result.residual <= 1e-9
+    index_sets = all_subsets(size)
+    masks = subset_rows(size, index_sets)
+    # the extensions of each I: the empty set, I^c and the first member of I^c
+    firsts = [tuple(sorted(set(range(size)) - set(i)))[:1] for i in index_sets]
+    extensions = np.stack([np.zeros_like(masks), ~masks, subset_rows(size, firsts)], axis=1)
+    result = parseval_subset_sweep(fix_i.system, k, masks, extensions, probes).identity
+    assert result.passed.all()
+    assert (result.residual <= 1e-9).all()
 
 
 def test_parseval_identity_rejects_non_parseval(fix_a):
+    masks = subset_rows(fix_a.system.size, [(0,)])
     with pytest.raises(PreconditionError):
-        check_parseval_subset_identity(fix_a.system, fix_a.operators["k"],
-                                       (0,), (), np.array([1.0, 0.0, 0.0]))
+        parseval_subset_sweep(fix_a.system, fix_a.operators["k"], masks,
+                              no_extensions(masks), [[1.0, 0.0, 0.0]])
 
 
 def test_three_quarters_bound_plain_fixture(fix_i):
     k = fix_i.operators["k"]
-    result = check_three_quarters_bound(fix_i.system, k, (0,),
-                                        np.array([1.0, 0.0]))
-    assert result.passed
-    assert result.lhs == pytest.approx(1.0, abs=1e-12)
-    assert result.target == pytest.approx(0.75, abs=1e-12)
-    assert result.slack == pytest.approx(0.25, abs=1e-12)
-    assert result.symmetry_residual <= 1e-12
+    masks = subset_rows(2, [(0,)])
+    result = parseval_subset_sweep(fix_i.system, k, masks, no_extensions(masks),
+                                   [[1.0, 0.0]]).three_quarters
+    assert result.passed[0, 0]
+    assert result.lhs[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert result.target[0, 0] == pytest.approx(0.75, abs=1e-12)
+    assert result.slack[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert result.symmetry_residual[0, 0] <= 1e-12
     probes = unit_probes(2, 20, seed=0x3F4)
-    for subset in all_subsets(fix_i.system.size):
-        for f in probes:
-            check = check_three_quarters_bound(fix_i.system, k, subset, f)
-            assert check.passed
-            assert check.slack >= -1e-9
+    masks = subset_rows(fix_i.system.size, all_subsets(fix_i.system.size))
+    check = parseval_subset_sweep(fix_i.system, k, masks, no_extensions(masks),
+                                  probes).three_quarters
+    assert check.passed.all()
+    assert (check.slack >= -1e-9).all()
 
 
 def test_three_quarters_bound_attained_by_extremal_system():
     system = extremal_half_weight_system()
     k = BoundedOperator.identity(2)
     assert verify_k_g_fusion(system, k).is_parseval
-    for f in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
-        result = check_three_quarters_bound(system, k, (0,), f)
-        assert result.passed
-        assert result.slack == pytest.approx(0.0, abs=1e-9)
-        assert result.lhs == pytest.approx(0.75, abs=1e-9)
+    masks = subset_rows(2, [(0,)])
+    result = parseval_subset_sweep(system, k, masks, no_extensions(masks),
+                                   [[1.0, 0.0], [0.6, 0.8]]).three_quarters
+    assert result.passed.all()
+    for slack, lhs in zip(result.slack[0], result.lhs[0]):
+        assert slack == pytest.approx(0.0, abs=1e-9)
+        assert lhs == pytest.approx(0.75, abs=1e-9)
 
 
 def test_parsevalize_square_root_generator(fix_a):

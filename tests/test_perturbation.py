@@ -1,6 +1,7 @@
 """Near-identity certificates and the four perturbation hypothesis shapes."""
 
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -734,7 +735,7 @@ def test_block_kernel_matches_member_loop_on_sampled_subsets():
 
 def test_block_kernel_matches_member_loop_on_interleaved_factor_shapes():
     system = interleaved_complex_system()
-    work = perturbation._Workspace(*kernel_case(system))
+    work = perturbation._Workspace(*kernel_case(system)[:2])
     assert [list(group[0]) for group in work.groups] == [[0, 4], [1, 3], [2, 5]]
     k_mat = np.diag([1.0, 0.5 + 0.5j, 2.0j])
     assert_kernel_matches_reference(system, k_mat)
@@ -753,44 +754,6 @@ def test_block_kernel_does_not_depend_on_the_blocking(name):
             assert_bits(np.concatenate(part), together)
 
 
-@pytest.mark.parametrize("name", ["FIX-R003", "FIX-R011", "fourteen-members", "interleaved"])
-def test_blocks_through_one_workspace_match_fresh_calls(name):
-    if name == "fourteen-members":
-        system, k_mat = fourteen_member_system(), np.eye(3)
-    elif name == "interleaved":
-        system, k_mat = interleaved_complex_system(), np.eye(3)
-    else:
-        system, operators = to_system(load_packaged_fixture(name))
-        k_mat = operators["k"].matrix
-    masks, data, probes = kernel_case(system, trials=12)
-    # full blocks, a shorter last block, and a one-probe witness
-    blocks = [probes[i:i + 5] for i in range(0, probes.shape[0], 5)] + [probes[3:4]]
-    for params in MODE_PARAMS:
-        work = perturbation._Workspace(masks, data, probes[:5])
-        arrays = {attr: value for attr, value in vars(work).items()
-                  if isinstance(value, np.ndarray)}
-        # the per-search constants are read-only; every other array is a buffer
-        assert {attr for attr, value in arrays.items()
-                if not value.flags.writeable} == {"weights", "weights_t", "w2"}
-        # a real search squares its subset sums in place: no squares buffer
-        assert (work.squares is None) == (system.space.field == "real")
-        assert all(not a.flags.writeable for group in work.groups for a in group)
-        for value in arrays.values():
-            if value.flags.writeable:
-                value.fill(np.nan)
-        kept = []
-        for block in blocks:
-            gaps, scales = _violations(masks, data, k_mat, block, params, work)
-            fresh_gaps, fresh_scales = _violations(masks, data, k_mat, block, params)
-            assert_bits(gaps, fresh_gaps)
-            assert_bits(scales, fresh_scales)
-            kept.append((gaps, scales, fresh_gaps, fresh_scales))
-        # later blocks reuse the buffers, never the arrays an earlier block returned
-        for gaps, scales, fresh_gaps, fresh_scales in kept:
-            assert_bits(gaps, fresh_gaps)
-            assert_bits(scales, fresh_scales)
-
-
 def search_case(name):
     """(system, k) of a search: a real fixture, a complex system whose shape groups
     interleave, or the 14-member system whose subsets are sampled."""
@@ -807,7 +770,7 @@ def test_member_stage_of_all_probes_has_the_bits_of_each_probe_alone(name):
     system, k = search_case(name)
     masks, data, probes = kernel_case(system, trials=20)
     for params in MODE_PARAMS:
-        work = perturbation._Workspace(masks, data, probes, params.mode)
+        work = perturbation._Workspace(masks, data)
         whole = perturbation._member_terms(work, k.matrix, probes, params)
         single = [perturbation._member_terms(work, k.matrix, probes[i:i + 1], params)
                   for i in range(probes.shape[0])]
@@ -1020,7 +983,7 @@ def dim16_case():
 def bound_stage(system, family, k_mat, params, probes):
     """The subset-stage inputs of a probe set and its bound terms."""
     masks, data = subset_masks(system.size), _member_data(system, family)
-    work = perturbation._Workspace(masks, data, probes, params.mode)
+    work = perturbation._Workspace(masks, data)
     members = perturbation._member_terms(work, k_mat, probes, params)
     return masks, data, work, members, perturbation._bound_terms(members, probes, params)
 
@@ -1182,7 +1145,7 @@ def row_gaps_and_bounds(system, family, k_mat, params):
     probes = unit_probes(system.dim, perturbation.RANDOM_PROBES,
                          complex_field=system.space.field == "complex", seed=0xFA15)
     masks, data = subset_masks(system.size), _member_data(system, family)
-    work = perturbation._Workspace(masks, data, probes, params.mode)
+    work = perturbation._Workspace(masks, data)
     members = perturbation._member_terms(work, k_mat, probes, params)
     gaps = [_violations(masks, data, k_mat, probes[s:s + 8], params, work,
                         [a[s:s + 8] for a in members])[0].max(axis=1)
@@ -1265,8 +1228,7 @@ def test_a_nan_member_term_leaves_its_row_unsettled(params, monkeypatch):
     kept = {f.tobytes() for f in formed}
     row = next(i for i in range(1, probes.shape[0]) if probes[i].tobytes() not in kept)
     # an infinite term gives an infinite U, which settles nothing either
-    work = perturbation._Workspace(subset_masks(system.size), _member_data(system, family),
-                                   probes, params.mode)
+    work = perturbation._Workspace(subset_masks(system.size), _member_data(system, family))
     members = perturbation._member_terms(work, k.matrix, probes, params)
     for bad in (np.inf, np.nan):
         members[1][row, 0, 0] = bad
@@ -1282,7 +1244,9 @@ def test_a_nan_member_term_leaves_its_row_unsettled(params, monkeypatch):
 
     monkeypatch.setattr(perturbation, "_member_terms", spoiled)
     formed.clear()
-    perturb_hypothesis(system, family, k, params)
+    # the row is formed, and its NaN gaps stop the search
+    with pytest.raises(InputError, match="overflowed"):
+        perturb_hypothesis(system, family, k, params)
     assert probes[row].tobytes() in {f.tobytes() for f in formed}
 
 
@@ -1367,41 +1331,47 @@ def test_the_theorem_check_is_the_report_with_its_two_raises(fix_i):
     assert kept >= 3
 
 
-# ``first`` is the first probe whose first subset gets the NaN
-@pytest.mark.parametrize("excess, falsified, first", [
-    (0.0, False, 1), (1e-3, True, 1), (0.0, False, 0), (1e-3, True, 0),
-], ids=["0.0-False", "0.001-True", "0.0-False-first-probe", "0.001-True-first-probe"])
-def test_a_nan_gap_falsifies_nothing(fix_i, monkeypatch, excess, falsified, first):
+# finite inputs give a NaN or +inf gap, or a non-finite scale, only by overflow; a pair
+# a bound settles reads gap -inf at a finite scale
+@pytest.mark.parametrize("gap, scale", [
+    (np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (0.0, np.nan), (-np.inf, 1.0),
+], ids=["nan-gap", "inf-gap", "inf-scale", "nan-scale", "settled"])
+@pytest.mark.parametrize("first", [0, 1], ids=["first-probe", "later-probe"])
+def test_only_an_overflowed_gap_or_scale_raises(fix_i, monkeypatch, gap, scale, first):
     real = perturbation._violations
 
-    def with_a_nan(*args):
+    def spoiled(*args):
         gaps, scales = real(*args)
-        gaps[:] = np.minimum(gaps, 0.0)
-        gaps[first:, 0], scales[first:, 0] = np.nan, np.nan
-        gaps[0, -1] = excess  # a NaN in the first probe's row hides no violation of it
+        gaps[first:, 0], scales[first:, 0] = gap, scale
         return gaps, scales
 
-    monkeypatch.setattr(perturbation, "_violations", with_a_nan)
-    verdict = perturb_hypothesis(fix_i.system, nudged(fix_i.system), fix_i.operators["k"],
-                                 MODE_PARAMS[2])
-    assert verdict.falsified is falsified
-    assert verdict.worst_violation == excess
+    monkeypatch.setattr(perturbation, "_violations", spoiled)
+    args = (fix_i.system, nudged(fix_i.system), fix_i.operators["k"], MODE_PARAMS[2])
+    if gap == -np.inf:
+        verdict = perturb_hypothesis(*args)
+        assert verdict.probes_tested == fix_i.system.dim + perturbation.RANDOM_PROBES + 1
+        assert math.isfinite(verdict.worst_violation)
+        return
+    with pytest.raises(InputError, match="overflowed"):
+        perturb_hypothesis(*args)
 
 
-def test_an_all_nan_row_is_tested_and_sets_nothing(fix_i, monkeypatch):
-    real = perturbation._violations
-
-    def first_row_nan(*args):
-        gaps, scales = real(*args)
-        gaps[0], scales[0] = np.nan, np.nan  # the witness's only row too
-        return gaps, scales
-
-    monkeypatch.setattr(perturbation, "_violations", first_row_nan)
-    verdict = perturb_hypothesis(fix_i.system, nudged(fix_i.system), fix_i.operators["k"],
-                                 MODE_PARAMS[2])
-    assert verdict.probes_tested >= fix_i.system.dim + perturbation.RANDOM_PROBES
-    assert not np.isnan(verdict.worst_violation)
-    assert not np.array_equal(verdict.worst_probe, np.eye(fix_i.system.dim)[0])
+@pytest.mark.parametrize("params", [
+    PerturbationParams(R=0.90, mode="C-p2-normsum"),
+    PerturbationParams(0.2, 0.2, 1e-3, mode="P1-sqrt-sum"),
+], ids=lambda p: p.mode.value)
+def test_an_overflowing_search_raises_instead_of_holding(params):
+    # both are falsified at c = 1; at c = 1e100 the subset sums square past the float
+    # range, and the search read "not falsified" (worst inf, or -inf with no witness)
+    assert perturb_hypothesis(*spec_case(), params).falsified
+    c = 1e100
+    scaled = PerturbationParams(params.lambda1, params.lambda2, c * params.gamma,
+                                c * c * params.R, params.mode)
+    case = spec_case(c)
+    # numpy warns of the overflow, which stops no search outside this suite's filters
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match="overflowed"):
+            perturb_hypothesis(*case, scaled)
 
 
 def looped_subset_masks(size, rng_seed=0x5B5E7):

@@ -3,8 +3,8 @@
 The sweeps in ``duality`` evaluate every (subset, probe) pair at once.  Each
 entry must carry the bits of the one-subset loop it replaces: S_I summed
 member by member in ascending j, ``S_I @ f`` per probe, ``np.linalg.norm``
-squared with Python's ``**`` and ``numerics.inner``.  The scalar checks are
-one-entry views of the sweeps and must return the same entries.
+squared with Python's ``**`` and ``numerics.inner``.  A scalar view, a sweep
+over one subset (and extension) and one probe, must return the same entry.
 """
 
 import numpy as np
@@ -20,10 +20,6 @@ from framelab.documents import (
 from framelab.duality import (
     KGFDualPair,
     canonical_dual,
-    check_dual_subset_identity,
-    check_parseval_subset_identity,
-    check_three_quarters_bound,
-    complement_residual,
     dual_subset_sweep,
     identities_report,
     parseval_subset_sweep,
@@ -77,6 +73,24 @@ def members(mask):
     return tuple(int(j) for j in np.flatnonzero(mask))
 
 
+def dual_view(pair, mask, f):
+    """The dual sweep's scalar view: its identity at one subset and one probe, and
+    that subset's complement residual."""
+    sweep = dual_subset_sweep(pair, mask[None], [f])
+    return sweep.identity, sweep.complement_residual[0]
+
+
+def parseval_view(system, k, mask, ext, f):
+    """The Parseval sweep's extension identity at one subset, extension and probe."""
+    return parseval_subset_sweep(system, k, mask[None], ext[None, None], [f]).identity
+
+
+def three_quarters_view(system, k, mask, f):
+    """The Parseval sweep's three-quarters bound at one subset and one probe."""
+    return parseval_subset_sweep(system, k, mask[None], np.zeros((1, 0, system.size), bool),
+                                 [f]).three_quarters
+
+
 def partial_reference(system, other, subset):
     """S_I summed member by member in ascending j."""
     other = system if other is None else other
@@ -108,7 +122,6 @@ def check_dual_entries(pair, masks, probes):
         s_c = partial_reference(pair.base, pair.dual, set(range(size)) - set(subset))
         complement = operator_norm(s_i + s_c - pair.k.matrix)
         assert sweep.complement_residual[i] == complement, subset
-        assert complement_residual(pair, subset) == complement, subset
         for p, f in enumerate(probes):
             s_i_f, s_c_f = s_i @ f, s_c @ f
             lhs = inner(s_i_f, kf[p]) - sq(s_i_f)
@@ -117,11 +130,11 @@ def check_dual_entries(pair, masks, probes):
             assert_same(result.lhs[i, p], lhs, context)
             assert_same(result.rhs[i, p], rhs, context)
             assert result.residual[i, p] == abs(lhs - rhs), context
-            view = check_dual_subset_identity(pair, subset, f)
-            assert view.lhs == complex(result.lhs[i, p]), context
-            assert view.rhs == complex(result.rhs[i, p]), context
-            assert view.residual == result.residual[i, p], context
-            assert view.passed == result.passed[i, p], context
+            view, view_complement = dual_view(pair, mask, f)
+            assert view_complement == complement, context
+            assert (view.lhs[0, 0], view.rhs[0, 0], view.residual[0, 0], view.passed[0, 0]) == (
+                result.lhs[i, p], result.rhs[i, p], result.residual[i, p],
+                result.passed[i, p]), context
 
 
 def check_parseval_entries(system, k, masks, probes):
@@ -147,9 +160,9 @@ def check_parseval_entries(system, k, masks, probes):
             assert tq.target[i, p] == target, context
             assert tq.symmetry_residual[i, p] == abs(lhs - rhs), context
             assert tq.slack[i, p] == lhs - target, context
-            view = check_three_quarters_bound(system, k, subset, f)
-            assert (view.lhs, view.rhs, view.target, view.symmetry_residual,
-                    view.slack, view.passed) == (
+            view = three_quarters_view(system, k, mask, f)
+            assert tuple(getattr(view, name)[0, 0] for name in (
+                "lhs", "rhs", "target", "symmetry_residual", "slack", "passed")) == (
                 tq.lhs[i, p], tq.rhs[i, p], tq.target[i, p],
                 tq.symmetry_residual[i, p], tq.slack[i, p], tq.passed[i, p]), context
         for e, ext_mask in enumerate(extensions[i]):
@@ -166,11 +179,11 @@ def check_parseval_entries(system, k, masks, probes):
                 assert sweep.identity.rhs[entry] == rhs, context
                 assert sweep.identity.residual[entry] == (
                     abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))), context
-                view = check_parseval_subset_identity(system, k, subset, ext, f)
-                assert view.lhs == sweep.identity.lhs[entry], context
-                assert view.rhs == sweep.identity.rhs[entry], context
-                assert view.residual == sweep.identity.residual[entry], context
-                assert view.passed == sweep.identity.passed[entry], context
+                view = parseval_view(system, k, mask, ext_mask, f)
+                assert tuple(getattr(view, name)[0, 0, 0] for name in (
+                    "lhs", "rhs", "residual", "passed")) == tuple(
+                    getattr(sweep.identity, name)[entry] for name in (
+                        "lhs", "rhs", "residual", "passed")), context
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -204,18 +217,16 @@ def test_the_identities_report_is_the_worst_of_the_scalar_checks(name, parsevali
     assert (report.subsets_tested, report.probes) == (len(masks), len(probes))
     pair = canonical_dual(system, k)
     assert report.checks["dual_subset_identity"]["max_residual"] == max(
-        check_dual_subset_identity(pair, members(mask), f).residual
-        for mask in masks for f in probes)
+        dual_view(pair, mask, f)[0].residual[0, 0] for mask in masks for f in probes)
     # FIX-R000 is not Parseval for its k, so the report skips that branch
     assert ("three_quarters_bound" in report.checks) == (name != "FIX-R000")
     if name == "FIX-R000":
         return
     assert report.checks["parseval_subset_identity"]["max_residual"] == max(
-        check_parseval_subset_identity(system, k, members(mask), members(ext), f).residual
+        parseval_view(system, k, mask, ext, f).residual[0, 0, 0]
         for mask, exts in zip(masks, cli_extensions(masks)) for ext in exts for f in probes)
     assert report.checks["three_quarters_bound"]["min_slack"] == min(
-        check_three_quarters_bound(system, k, members(mask), f).slack
-        for mask in masks for f in probes)
+        three_quarters_view(system, k, mask, f).slack[0, 0] for mask in masks for f in probes)
 
 
 def test_subset_stack_matches_oracle_member_sums():
@@ -243,11 +254,13 @@ def test_frame_operator_is_the_one_row_view_of_the_stack():
         assert np.array_equal(frame_operator(system, index_set=members(mask)), s_i)
 
 
+FIRST, SECOND = np.eye(2, dtype=bool)
+
+
 @pytest.mark.parametrize("view, bad", [
-    (lambda system, k, f: check_dual_subset_identity(canonical_dual(system, k), (0,), f),
-     np.nan),
-    (lambda system, k, f: check_parseval_subset_identity(system, k, (0,), (1,), f), np.nan),
-    (lambda system, k, f: check_three_quarters_bound(system, k, (0,), f), np.inf),
+    (lambda system, k, f: dual_view(canonical_dual(system, k), FIRST, f), np.nan),
+    (lambda system, k, f: parseval_view(system, k, FIRST, SECOND, f), np.nan),
+    (lambda system, k, f: three_quarters_view(system, k, FIRST, f), np.inf),
 ], ids=["dual", "parseval", "three-quarters"])
 def test_scalar_views_reject_a_non_finite_probe(view, bad):
     bundle = fixture("FIX-I")
@@ -259,7 +272,7 @@ def test_scalar_views_reject_a_non_finite_probe(view, bad):
                          ids=["ragged", "ragged-column", "column"])
 @pytest.mark.parametrize("view", [
     reconstruction_check,
-    lambda system, k, f: check_dual_subset_identity(canonical_dual(system, k), (0,), f),
+    lambda system, k, f: dual_view(canonical_dual(system, k), FIRST, f),
 ], ids=["reconstruction", "dual"])
 def test_one_probe_views_reject_a_probe_that_is_not_a_vector(view, probe):
     bundle = fixture("FIX-I")
