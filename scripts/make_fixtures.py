@@ -41,6 +41,7 @@ from framelab.documents import (
     dumps,
     load_packaged_fixture,
     oracle_sidecar_path,
+    spec_document,
     to_system,
 )
 from framelab.duality import (
@@ -348,7 +349,12 @@ def build_cli_documents():
                                 operators={"k": [[1, 0], [0, 1]]},
                                 meta={"name": "not-a-frame"})
     (cli_dir / "not_a_frame.json").write_text(dumps(not_a_frame), encoding="utf-8")
-    print("  cli documents: theta_fix_i_c11, bad_dual_fix_i, not_a_frame")
+
+    # the reference system at desk scale: dim 16, 10 members, 1,024 subsets
+    desk = spec_document(["16", "4x3", "5x4", "6x2", "3x5", "8x3", "2x2", "7x4", "5x5",
+                          "4x4", "6x3"], 3)
+    (cli_dir / "desk_reference.json").write_text(dumps(desk), encoding="utf-8")
+    print("  cli documents: theta_fix_i_c11, bad_dual_fix_i, not_a_frame, desk_reference")
 
 
 CLI_CASES = [
@@ -437,6 +443,12 @@ CLI_CASES = [
      "argv": ["identities", "src/framelab/fixtures/fix_i.json", "--k", "k",
               "--dual", "tests/data/cli/not_a_frame.json", "--trials", "5"],
      "exit_code": 2},
+    {"name": "identities_desk_reference",
+     "argv": ["identities", "tests/data/cli/desk_reference.json"],
+     "exit_code": 0},
+    {"name": "identities_desk_reference_parsevalize",
+     "argv": ["identities", "tests/data/cli/desk_reference.json", "--parsevalize"],
+     "exit_code": 0},
 ]
 
 
