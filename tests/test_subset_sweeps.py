@@ -205,6 +205,48 @@ def test_sweeps_match_member_by_member_reference_and_scalar_views(name):
         check_parseval_entries(system, operators["k"], masks, probes)
 
 
+
+def stacked_svd_slices(monkeypatch):
+    """The slice count of every stacked ``np.linalg.svd`` call, in call order."""
+    real, slices = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            slices.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return slices
+
+
+@pytest.mark.parametrize("name", ["FIX-R003", "FIX-R011"], ids=["real", "complex"])
+def test_the_complement_stage_takes_one_svd_per_complement_pair(name, monkeypatch):
+    bundle = fixture(name)
+    pair = canonical_dual(bundle.system, bundle.operators["k"])
+    assert pair.certified(DEFAULT_TOL)
+    size = bundle.system.size
+    probes = np.eye(bundle.system.dim)[:1]
+    slices = stacked_svd_slices(monkeypatch)
+    dual_subset_sweep(pair, walked_masks(size), probes)
+    # 2^m subsets, closed under complement: one slice per pair {I, I^c}
+    assert slices == [2**(size - 1)]
+
+    # not closed under complement: {0, 1} and {2, .., m-1} pair up, its repeat shares
+    # their slice, and neither {0} nor the empty set (the full set is not swept) nor
+    # {1, 2} has its complement among the rows
+    rows = [{0, 1}, {0}, set(range(2, size)), set(), {1, 2}, {0, 1}]
+    masks = np.array([[j in r for j in range(size)] for r in rows])
+    slices.clear()
+    sweep = dual_subset_sweep(pair, masks, probes)
+    assert slices == [4]
+    assert not masks.all(axis=1).any()
+    for i, mask in enumerate(masks):
+        subset = members(mask)
+        s_i = partial_reference(pair.base, pair.dual, subset)
+        s_c = partial_reference(pair.base, pair.dual, set(range(size)) - set(subset))
+        assert sweep.complement_residual[i] == operator_norm(s_i + s_c - pair.k.matrix), subset
+
+
 @pytest.mark.parametrize("name, parsevalized", [("FIX-I", False), ("FIX-R000", False),
                                                  ("FIX-A", True)])
 def test_the_identities_report_is_the_worst_of_the_scalar_checks(name, parsevalized):
