@@ -581,6 +581,8 @@ def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
     return gap @ gap - sum(weights) * sum(t / v for t, v in zip(terms, weights))
 
 
+# an overflow raises InputError below; numpy's own warning would only add noise
+@np.errstate(over="ignore", invalid="ignore")
 def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
                        params: PerturbationParams,
                        tol: ToleranceProfile = DEFAULT_TOL) -> HypothesisVerdict:

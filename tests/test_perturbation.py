@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from framelab import (
     GFusionSystem,
     InputError,
     PreconditionError,
+    cli,
     fixture,
     frame_operator,
     frame_ops,
@@ -23,6 +25,7 @@ from framelab.documents import (
     load_document,
     load_packaged_fixture,
     packaged_fixture_names,
+    save_document,
     spec_document,
     to_system,
 )
@@ -1367,11 +1370,31 @@ def test_an_overflowing_search_raises_instead_of_holding(params):
     c = 1e100
     scaled = PerturbationParams(params.lambda1, params.lambda2, c * params.gamma,
                                 c * c * params.R, params.mode)
-    case = spec_case(c)
-    # numpy warns of the overflow, which stops no search outside this suite's filters
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InputError, match="overflowed"):
-            perturb_hypothesis(*case, scaled)
+    with pytest.raises(InputError, match="overflowed"):
+        perturb_hypothesis(*spec_case(c), scaled)
+
+
+@pytest.mark.parametrize("constants", [
+    ["--mode", "C-p2-normsum", "--R", "0.9e200"],
+    ["--mode", "P1-sqrt-sum", "--lambda1", "0.2", "--lambda2", "0.2", "--gamma", "1e97"],
+], ids=["C-p2-normsum", "P1-sqrt-sum"])
+def test_an_overflowing_perturb_reports_the_overflow_and_nothing_else(tmp_path, capsys,
+                                                                      constants):
+    # the c = 1e100 searches above through the CLI: numpy's overflow warning and its
+    # source line used to reach stderr ahead of the report's own error
+    doc = spec_document(["6"] + ["3x2"] * 12, 4)
+    system, theta, _ = spec_case(1e100)
+    paths = []
+    for name, family in (("base", system), ("theta", theta)):
+        path = tmp_path / f"{name}.json"
+        save_document(replace(doc, local_operators=[op.matrix for _, op in family.members]),
+                      path)
+        paths.append(str(path))
+    code = cli.main(["perturb", paths[0], "--theta", paths[1], *constants])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "the perturbation search overflowed" in json.loads(out)["error"]
+    assert err == ""
 
 
 def looped_subset_masks(size, rng_seed=0x5B5E7):
