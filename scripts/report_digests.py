@@ -16,8 +16,9 @@ keys of the jobs whose digests differ between the two.  Under each such key
 it names what moved: the exit code, and the dotted fields of the JSON report
 (``hypothesis.worst_violation``) whose values differ, with the parent's and
 the change's value; a list is one value, and a report that is not a JSON
-object is one field, ``(text)``.  It exits 1 when any digest or job key
-differs, and 0 otherwise.
+object is one field, ``(text)``.  Last it prints each ``src/framelab/*.py``
+file whose line count differs between the checkouts, with both counts.  It
+exits 1 when any digest or job key differs, and 0 otherwise.
 The workloads default to those ``BENCHMARK.json`` of PARENT_DIR lists.
 """
 from __future__ import annotations
@@ -106,13 +107,14 @@ def moved(old, new) -> list:
     return rows
 
 
-def package_lines(checkout: str) -> int:
-    """Line total of the checkout's ``src/framelab/*.py``, as ``wc -l`` counts it."""
-    total = 0
+def package_lines(checkout: str) -> dict:
+    """Line count of each of the checkout's ``src/framelab/*.py``, as ``wc -l``
+    counts it, keyed by file name."""
+    counts = {}
     for path in glob.glob(os.path.join(checkout, "src", "framelab", "*.py")):
         with open(path, "rb") as handle:
-            total += handle.read().count(b"\n")
-    return total
+            counts[os.path.basename(path)] = handle.read().count(b"\n")
+    return counts
 
 
 def main() -> int:
@@ -126,7 +128,8 @@ def main() -> int:
         with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
             args.workloads = [w["name"] for w in json.load(handle)["workloads"]]
 
-    lines = {"parent": package_lines(args.parent), "change": package_lines(args.change)}
+    files = {"parent": package_lines(args.parent), "change": package_lines(args.change)}
+    lines = {side: sum(counts.values()) for side, counts in files.items()}
     differing = 0
     for workload in args.workloads:
         for seed in args.seeds:
@@ -151,6 +154,10 @@ def main() -> int:
                     print(f"    run only in the {'parent' if key in old else 'change'}")
             differing += len(keys)
     print(f"{differing} differing job reports")
+    for name in sorted(files["parent"].keys() | files["change"].keys()):
+        before, after = (files[side].get(name, "(absent)") for side in ("parent", "change"))
+        if before != after:
+            print(f"  src/framelab/{name}: {before} -> {after} lines")
     return 1 if differing else 0
 
 

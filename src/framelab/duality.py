@@ -637,10 +637,10 @@ def identities_report(system: GFusionSystem, k: BoundedOperator, trials: int,
     frame = verify_k_g_fusion(system, k, tol=tol)
     checks["parseval_defect"] = float(frame.parseval_residual)
     if frame.is_parseval:
-        # extensions of each I: the empty set, I^c, and the first member of I^c
+        # extensions E of each I: I^c and its first member (E = {} reads exactly 0)
         comp = ~masks
         first = comp & (np.cumsum(comp, axis=1) == 1)
-        extensions = np.stack([np.zeros_like(masks), comp, first], axis=1)
+        extensions = np.stack([comp, first], axis=1)
         sweep = parseval_subset_sweep(system, k, masks, extensions, probes, tol)
         ti_ok, tq = bool(sweep.identity.passed.all()), sweep.three_quarters
         tq_ok = bool(tq.passed.all())

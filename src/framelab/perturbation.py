@@ -49,8 +49,10 @@ ch. 3) on the subset sums of the member magnitudes ``|d_j| + l1 |b_j| +
 l2 |p_j|`` and on ``g t``.  A pair whose bound is at most the worst gap
 before its block and, until the search is falsified, within tolerance at
 scale 1 (its own scale is at least 1) can change no field of the verdict:
-the bound decides it, no sample skips it, and its two right-hand norms are
-never formed.  The other pairs keep the bits of the full sweep.
+the bound decides it, and no sample skips it.  Only the subsets that hold an
+undecided pair form their two right-hand norms, at every probe of the block,
+with the bits of the full sweep; a settled pair among them reads its own gap,
+which is at most its bound and so changes nothing either.
 
 In C-p2-normsum and T-sqsum every block after the first bounds each probe's whole
 row instead (:func:`_row_bounds`), as ``U - rhs`` with U an upper bound on the row's
@@ -437,67 +439,25 @@ def _row_bounds(members, params: PerturbationParams):
     return upper - rhs
 
 
-def _pending_violations(work: _Workspace, lhs, vectors, t_term, index, params):
-    """lhs - rhs and scale of a sqrt-sum block, formed only for the pairs at the flat
-    ``index`` of its ``(p, subsets)`` arrays.
-
-    ``vectors`` are the block's base and perturbed member terms.  The indexed subsets
-    of each probe that has any are gathered into a batch of one common width, padded
-    with subset 0; their sums and norms keep the bits of the whole block's, as each
-    column of a product and of ``column_norms`` is computed alone.  The width is at
-    least 2: ``column_norms`` sums a lone column in another order.  Every other pair
-    reads gap -inf and scale 1 + lhs.  None, for the full block, when the batch's
-    gathered weights and sums would not fit in the block's ``(p, n, subsets)`` sums:
-    so the search's memory stays as flat as with the full block.
-    """
-    p, subsets = lhs.shape
-    gaps = np.full(lhs.shape, -np.inf)
-    scales = np.add(1.0, lhs)
-    if not index.size:
-        return gaps, scales
-    rows, cols = np.divmod(index, subsets)
-    counts = np.bincount(rows, minlength=p)
-    active = np.flatnonzero(counts)
-    width = max(2, int(counts.max()))
-    members, n = vectors[0].shape[1:]
-    if active.size * width * (members + n) > p * n * subsets:
-        return None
-    # the batch's slots in row-major order are the pending pairs in index order
-    filled = np.arange(width) < counts[active, None]
-    picked = np.zeros(filled.shape, np.intp)
-    picked[filled] = cols
-    weights = work.weights[picked].transpose(0, 2, 1)
-    rhs = _sum_norms(vectors[0][active], weights)[filled]
-    rhs *= params.lambda1
-    term = _sum_norms(vectors[1][active], weights)[filled]
-    term *= params.lambda2
-    rhs += term
-    rhs += t_term[rows, cols if t_term.shape[1] > 1 else 0]
-    kept = np.take(lhs, index)
-    np.put(gaps, index, kept - rhs)
-    kept += 1.0
-    kept += rhs
-    np.put(scales, index, kept)
-    return gaps, scales
-
-
-def _violations(masks, data, k_mat, probes, params: PerturbationParams,
-                work: _Workspace | None = None, members: tuple | None = None,
-                bound: tuple | None = None):
+def _violations(work: _Workspace, k_mat, probes, params: PerturbationParams,
+                members: tuple | None = None, bound: tuple | None = None):
     """lhs - rhs and scale for every (probe, subset) pair of a probe block.
 
-    The subset stage: ``probes`` is a ``(p, n)`` block and ``members`` its
-    rows of :func:`_member_terms` (formed here when not given); both results
-    are new ``(p, subsets)`` arrays.  Each entry carries the bits of the same
-    inequality evaluated member by member at its probe alone.  ``work`` holds
-    the search's member stacks and subset weights (built here when not given).
-    ``bound``, read in the two sqrt-sum modes, is the block's rows of
+    The subset stage: ``work`` holds the search's member stacks and subset
+    weights, ``probes`` is a ``(p, n)`` block and ``members`` its rows of
+    :func:`_member_terms` (formed here when not given); both results are new
+    ``(p, subsets)`` arrays.  Each entry carries the bits of the same
+    inequality evaluated member by member at its probe alone.  ``bound``,
+    read in the two sqrt-sum modes, is the block's rows of
     :func:`_bound_terms` and a function that maps the pairs' ``(p, subsets)``
     upper bounds ``lhs - gamma t - max_h sum_I e_j(h)`` to the mask of the
-    pairs they leave undecided; only those form their two right-hand norms,
-    and every other pair reads gap -inf and scale 1 + lhs.
+    pairs they leave undecided.  Only the subsets that hold an undecided pair
+    form their two right-hand norms, at every probe of the block, and keep
+    the full block's bits: each column of a product and of ``column_norms``
+    is computed alone, and a lone column is repeated, as ``column_norms``
+    sums a width-1 array in another order.  Every other subset reads gap
+    -inf and scale 1 + lhs.
     """
-    work = work or _Workspace(masks, data)
     kf_norm, *terms = members or _member_terms(work, k_mat, probes, params)
     lam1, lam2, gamma, r = params.lambda1, params.lambda2, params.gamma, params.R
     p = probes.shape[0]
@@ -517,23 +477,30 @@ def _violations(masks, data, k_mat, probes, params: PerturbationParams,
         t_term *= gamma
     else:
         t_term = gamma * kf_norm
+    weights = work.weights_t
     if bound is not None:
         bound_rows, undecided = bound
-        sums = (bound_rows.reshape(2 * p, -1) @ work.weights_t).reshape(p, 2, -1)
+        sums = (bound_rows.reshape(2 * p, -1) @ weights).reshape(p, 2, -1)
         bounds = np.maximum(sums[:, 0], sums[:, 1])
         np.subtract(lhs, bounds, out=bounds)
         bounds -= t_term
-        pending = np.flatnonzero(undecided(bounds))
-        result = _pending_violations(work, lhs, terms[1:3], t_term, pending, params)
-        if result is not None:
-            return result
-    rhs = _sum_norms(terms[1], work.weights_t)
+        columns = np.flatnonzero(undecided(bounds).any(axis=0))
+        gaps, scales = np.full(lhs.shape, -np.inf), np.add(1.0, lhs)
+        if not columns.size:
+            return gaps, scales
+        weights = weights[:, np.repeat(columns, 2) if columns.size == 1 else columns]
+        lhs = lhs[:, columns]
+        t_term = t_term[:, columns] if t_term.shape[1] > 1 else t_term
+    rhs = _sum_norms(terms[1], weights)[:, :lhs.shape[1]]
     rhs *= lam1
-    term = _sum_norms(terms[2], work.weights_t)
+    term = _sum_norms(terms[2], weights)[:, :lhs.shape[1]]
     term *= lam2
     rhs += term
     rhs += t_term
-    return _gap_and_scale(lhs, rhs)
+    if bound is None:
+        return _gap_and_scale(lhs, rhs)
+    gaps[:, columns], scales[:, columns] = _gap_and_scale(lhs, rhs)
+    return gaps, scales
 
 
 def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
@@ -601,7 +568,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     modes.  T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and reports at
     least lambda_max(S_delta - R kk*); the other modes' not-falsified verdict is evidence.
     A NaN or +inf gap, or a non-finite scale, which finite inputs give only by overflow,
-    raises InputError; a pair a bound settles reads gap -inf.
+    raises InputError; a subset a bound settles at every probe of a block reads gap -inf.
     """
     family = _on_base(base, theta)
     _require_compatible(base, k)
@@ -642,7 +609,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     def consider(fs, rows=None, bound=None):
         """Fold a block of probes and its member-stage rows in."""
         nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
-        gaps, scales = _violations(masks, data, k_mat, fs, params, work, rows, bound)
+        gaps, scales = _violations(work, k_mat, fs, params, rows, bound)
         best = np.argmax(gaps, axis=1)  # each row's worst gap, or its first NaN
         row_worst = gaps[np.arange(best.size), best]
         # finite inputs give a NaN or +inf gap, or a non-finite scale, only by overflow;

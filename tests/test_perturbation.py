@@ -701,8 +701,9 @@ def kernel_case(system, trials=8):
 
 def assert_kernel_matches_reference(system, k_mat):
     masks, data, probes = kernel_case(system)
+    work = perturbation._Workspace(masks, data)
     for params in MODE_PARAMS:
-        gaps, scales = _violations(masks, data, k_mat, probes, params)
+        gaps, scales = _violations(work, k_mat, probes, params)
         assert gaps.shape == scales.shape == (probes.shape[0], masks.shape[0])
         for f, row_gaps, row_scales in zip(probes, gaps, scales):
             ref_gaps, ref_scales = reference_violations(masks, data, k_mat, f, params)
@@ -748,10 +749,11 @@ def test_block_kernel_matches_member_loop_on_interleaved_factor_shapes():
 def test_block_kernel_does_not_depend_on_the_blocking(name):
     system, operators = to_system(load_packaged_fixture(name))
     masks, data, probes = kernel_case(system, trials=20)
+    work = perturbation._Workspace(masks, data)
     k_mat = operators["k"].matrix
     for params in MODE_PARAMS:
-        whole = _violations(masks, data, k_mat, probes, params)
-        single = [_violations(masks, data, k_mat, probes[i:i + 1], params)
+        whole = _violations(work, k_mat, probes, params)
+        single = [_violations(work, k_mat, probes[i:i + 1], params)
                   for i in range(probes.shape[0])]
         for part, together in zip(zip(*single), whole):
             assert_bits(np.concatenate(part), together)
@@ -802,7 +804,7 @@ def test_duplicate_probe_across_a_block_boundary_keeps_the_earliest(params, monk
     bundle = fixture("FIX-R005")
     system, k = bundle.system, bundle.operators["k"]
     masks, data, probes = kernel_case(system, trials=12)
-    gaps, _ = _violations(masks, data, k.matrix, probes, params)
+    gaps, _ = _violations(perturbation._Workspace(masks, data), k.matrix, probes, params)
     first = int(np.argmax(gaps.max(axis=1)))
     # -f has the same gap as f at every subset; it opens the next block
     crafted = np.insert(probes, first + 1, -probes[first], axis=0)
@@ -860,13 +862,13 @@ def climbed(system, family, k, params):
     40-step random climb from the sweep's worst probe (PCG64 seed 0xA5CE17, steps of
     0.25 halved on each step that gains nothing, down to 1e-6), one probe per step
     over every subset."""
-    masks, data = subset_masks(system.size), _member_data(system, family)
+    work = perturbation._Workspace(subset_masks(system.size), _member_data(system, family))
     complex_field = system.space.field == "complex"
     falsified = False
 
     def tested(fs):
         nonlocal falsified
-        gaps, scales = _violations(masks, data, k.matrix, fs, params)
+        gaps, scales = _violations(work, k.matrix, fs, params)
         falsified |= bool((~at_most(gaps, 0.0, scales, DEFAULT_TOL) & ~np.isnan(gaps)).any())
         return np.nanmax(gaps, axis=1)
 
@@ -925,7 +927,8 @@ def test_a_falsified_witness_reads_at_least_the_sweep_at_its_subset(name, monkey
     build, k_mat = SEARCH_CASES[name]
     system, k = build(), BoundedOperator(k_mat)
     family = _on_base(system, nudged(system, 0.5))
-    masks, data = subset_masks(system.size), _member_data(system, family)
+    masks = subset_masks(system.size)
+    work = perturbation._Workspace(masks, _member_data(system, family))
     calls, witness = [], perturbation._witness
     monkeypatch.setattr(perturbation, "_witness", lambda *args: calls.append(args) or (
         witness(*args)))
@@ -935,7 +938,7 @@ def test_a_falsified_witness_reads_at_least_the_sweep_at_its_subset(name, monkey
         assert excess > 0
         _, _, v = psd_eig(-witness(system, family, k, params, subset, probe, excess),
                           DEFAULT_TOL)
-        gaps, _ = _violations(masks, data, k.matrix, v[:, :1].T, params)
+        gaps, _ = _violations(work, k.matrix, v[:, :1].T, params)
         row = int(np.flatnonzero((masks == np.isin(np.arange(system.size), subset)).all(1))[0])
         assert gaps[0, row] >= excess * (1 - 1e-9)
 
@@ -985,10 +988,9 @@ def dim16_case():
 
 def bound_stage(system, family, k_mat, params, probes):
     """The subset-stage inputs of a probe set and its bound terms."""
-    masks, data = subset_masks(system.size), _member_data(system, family)
-    work = perturbation._Workspace(masks, data)
+    work = perturbation._Workspace(subset_masks(system.size), _member_data(system, family))
     members = perturbation._member_terms(work, k_mat, probes, params)
-    return masks, data, work, members, perturbation._bound_terms(members, probes, params)
+    return work, members, perturbation._bound_terms(members, probes, params)
 
 
 def gaps_and_bounds(system, family, k_mat, params):
@@ -1005,10 +1007,9 @@ def gaps_and_bounds(system, family, k_mat, params):
 
     for start in range(0, probes.shape[0], block):
         fs = probes[start:start + block]
-        masks, data, work, members, terms = bound_stage(system, family, k_mat, params, fs)
-        gaps.append(_violations(masks, data, k_mat, fs, params, work, members,
-                                (terms, undecided))[0])
-        assert_bits(gaps[-1], _violations(masks, data, k_mat, fs, params)[0])
+        work, members, terms = bound_stage(system, family, k_mat, params, fs)
+        gaps.append(_violations(work, k_mat, fs, params, members, (terms, undecided))[0])
+        assert_bits(gaps[-1], _violations(work, k_mat, fs, params)[0])
     return np.concatenate(gaps), np.concatenate(bounds)
 
 
@@ -1056,12 +1057,22 @@ def test_every_gap_is_at_most_its_bound(name, params, monkeypatch):
 def test_the_bound_stage_changes_no_verdict(name, params, monkeypatch):
     system, k = search_case(name)
     family = nudged(system)
-    formed = []
-    pending_violations = perturbation._pending_violations
+    formed, sum_norms, violations = [], perturbation._sum_norms, perturbation._violations
 
-    def counted(work, lhs, vectors, t_term, index, prm):
-        formed.append(index.size / lhs.size)
-        return pending_violations(work, lhs, vectors, t_term, index, prm)
+    def counted(work, k_mat, probes, prm, members=None, bound=None):
+        widths = []
+        monkeypatch.setattr(perturbation, "_sum_norms", lambda vectors, weights: (
+            widths.append(weights.shape[1]) or sum_norms(vectors, weights)))
+        result = violations(work, k_mat, probes, prm, members, bound)
+        monkeypatch.setattr(perturbation, "_sum_norms", sum_norms)
+        if bound is not None:
+            # the lhs of every subset, then the two right-hand norms of the gathered
+            # columns, if any, never more than the block's subsets
+            subsets = work.weights.shape[0]
+            assert widths[0] == subsets and widths[1:2] == widths[2:]
+            assert all(width <= subsets for width in widths)
+            formed.append(widths[1] / subsets if len(widths) > 1 else 0.0)
+        return result
 
     def verdicts():
         rows = []
@@ -1072,13 +1083,12 @@ def test_the_bound_stage_changes_no_verdict(name, params, monkeypatch):
                          v.worst_probe.dtype, v.worst_probe.tobytes()))
         return rows
 
-    monkeypatch.setattr(perturbation, "_pending_violations", counted)
+    monkeypatch.setattr(perturbation, "_violations", counted)
     bounded = verdicts()
     # only the sqrt-sum modes bound their pairs, and there the bound decides most
     assert bool(formed) is (params in SQRT_SUM_PARAMS)
     assert not formed or min(formed) < 0.5
-    violations = perturbation._violations
-    monkeypatch.setattr(perturbation, "_violations", lambda *args: violations(*args[:7]))
+    monkeypatch.setattr(perturbation, "_violations", lambda *args: violations(*args[:5]))
     assert verdicts() == bounded
 
 
@@ -1121,21 +1131,22 @@ def test_a_block_that_keeps_one_subset_keeps_its_bits(name, params):
         k_mat = np.diag(np.linspace(0.5, 2.0, 10)) + 0.25j * np.eye(10, k=1)
     family = nudged(system)
     probes = kernel_case(system)[2]
-    masks, data, work, members, terms = bound_stage(system, family, k_mat, params, probes)
-    gaps, scales = _violations(masks, data, k_mat, probes, params)
+    work, members, terms = bound_stage(system, family, k_mat, params, probes)
+    gaps, scales = _violations(work, k_mat, probes, params)
     # the pairs whose base norm, summed as a lone column, rounds otherwise
     sums = np.matmul(members[2].transpose(0, 2, 1), work.weights_t)
-    lone = np.stack([column_norms(sums[..., s:s + 1])[:, 0] for s in range(masks.shape[0])], 1)
+    lone = np.stack([column_norms(sums[..., s:s + 1])[:, 0] for s in range(sums.shape[2])], 1)
     traps = np.argwhere(lone != column_norms(sums))
     assert len(traps) > 0
     for i, s in traps[::max(1, len(traps) // 8)]:
         pending = np.zeros(gaps.shape, bool)
         pending[i, s] = True
-        kept_gaps, kept_scales = _violations(masks, data, k_mat, probes, params, work,
-                                             members, (terms, lambda b: pending))
-        assert_bits(kept_gaps[pending], gaps[pending])
-        assert_bits(kept_scales[pending], scales[pending])
-        assert (kept_gaps[~pending] == -np.inf).all()
+        kept_gaps, kept_scales = _violations(work, k_mat, probes, params, members,
+                                             (terms, lambda b: pending))
+        # its column is formed at every probe, with the full sweep's bits
+        assert_bits(kept_gaps[:, s], gaps[:, s])
+        assert_bits(kept_scales[:, s], scales[:, s])
+        assert (np.delete(kept_gaps, s, axis=1) == -np.inf).all()
 
 
 # -- the row stage of C-p2-normsum and T-sqsum ---------------------------------
@@ -1150,7 +1161,7 @@ def row_gaps_and_bounds(system, family, k_mat, params):
     masks, data = subset_masks(system.size), _member_data(system, family)
     work = perturbation._Workspace(masks, data)
     members = perturbation._member_terms(work, k_mat, probes, params)
-    gaps = [_violations(masks, data, k_mat, probes[s:s + 8], params, work,
+    gaps = [_violations(work, k_mat, probes[s:s + 8], params,
                         [a[s:s + 8] for a in members])[0].max(axis=1)
             for s in range(0, probes.shape[0], 8)]
     return np.concatenate(gaps), perturbation._row_bounds(members, params)
@@ -1185,9 +1196,9 @@ def formed_rows(monkeypatch):
     formed = []
     violations = perturbation._violations
 
-    def counted(masks, data, k_mat, probes, *rest):
+    def counted(work, k_mat, probes, *rest):
         formed.extend(probes)
-        return violations(masks, data, k_mat, probes, *rest)
+        return violations(work, k_mat, probes, *rest)
 
     monkeypatch.setattr(perturbation, "_violations", counted)
     return formed

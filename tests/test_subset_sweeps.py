@@ -63,10 +63,10 @@ def walked_masks(size):
 
 
 def cli_extensions(masks):
-    """Per subset I: the empty set, I^c and the first member of I^c."""
+    """Per subset I: I^c and the first member of I^c."""
     comp = ~masks
     first = comp & (np.cumsum(comp, axis=1) == 1)
-    return np.stack([np.zeros_like(masks), comp, first], axis=1)
+    return np.stack([comp, first], axis=1)
 
 
 def members(mask):
