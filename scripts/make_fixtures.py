@@ -47,13 +47,17 @@ from framelab.documents import (
 from framelab.duality import (
     canonical_dual,
     construct_q_dual,
-    dual_subset_sweep,
     parsevalize,
     qdual_bound_corollary,
     verify_kgf_dual,
     verify_q_dual,
 )
-from framelab.frame_ops import frame_operator, optimal_bounds, verify_k_g_fusion
+from framelab.frame_ops import (
+    frame_operator,
+    optimal_bounds,
+    subset_frame_operators,
+    verify_k_g_fusion,
+)
 from framelab.model import (
     BoundedOperator,
     GFusionSystem,
@@ -61,7 +65,7 @@ from framelab.model import (
     LocalOperator,
     WeightedSubspace,
 )
-from framelab.numerics import ToleranceProfile, orthonormalize
+from framelab.numerics import ToleranceProfile, operator_norm, orthonormalize
 from framelab.oracle import oracle_payload, reference_lower_bound
 
 TOL = ToleranceProfile()
@@ -146,9 +150,9 @@ def validate_candidate(system, k):
         return "canonical dual verification"
     if max(creport.operator_residual, creport.probe_residual) > 1e-9:
         return "canonical dual residual"
-    first = (np.arange(system.size) == 0)[None, :]
-    complement = dual_subset_sweep(cpair, first, np.eye(system.dim)[:1], TOL).complement_residual
-    if complement[0] > 1e-10 * max(1.0, k.norm):
+    first = np.arange(system.size) == 0
+    s_first, s_rest = subset_frame_operators(system, np.stack([first, ~first]), cpair.dual)
+    if operator_norm(s_first + s_rest - k.matrix) > 1e-10 * max(1.0, k.norm):
         return "partial-operator identity"
 
     root = parsevalize(system, TOL)

@@ -233,7 +233,7 @@ def paley_wiener_check(u, lambda1: float, lambda2: float,
         certified=bool(certified), defect_norm=float(defect), sigma_min=sigma_min,
         sigma_max=sigma_max, predicted_sigma_lower=float(lower),
         predicted_sigma_upper=float(upper), inverse_lower=1.0 / upper,
-        inverse_upper=1.0 / lower if lower > 0 else math.inf, conclusion_ok=None)
+        inverse_upper=1.0 / lower, conclusion_ok=None)
     if certified:
         # the inverse bounds are read only where sigma_min clears the tolerance
         report.conclusion_ok = bool(

@@ -761,11 +761,14 @@ def test_block_kernel_does_not_depend_on_the_blocking(name):
 
 def search_case(name):
     """(system, k) of a search: a real fixture, a complex system whose shape groups
-    interleave, or the 14-member system whose subsets are sampled."""
+    interleave, the 14-member system whose subsets are sampled, or the 12-member
+    system at the exhaustive limit."""
     if name == "interleaved":
         return interleaved_complex_system(), BoundedOperator(np.diag([1.0, 0.5 + 0.5j, 2.0j]))
     if name == "fourteen-members":
         return fourteen_member_system(), BoundedOperator(np.eye(3))
+    if name == "twelve-members":
+        return twelve_member_system(), BoundedOperator(np.diag([0.5, 1.0, 1.5, 2.0]))
     bundle = fixture(name)
     return bundle.system, bundle.operators["k"]
 
@@ -1052,7 +1055,8 @@ def test_every_gap_is_at_most_its_bound(name, params, monkeypatch):
             monkeypatch.undo()
 
 
-@pytest.mark.parametrize("name", ["FIX-R003", "interleaved", "fourteen-members"])
+@pytest.mark.parametrize("name", ["FIX-R003", "interleaved", "fourteen-members",
+                                  "twelve-members"])
 @pytest.mark.parametrize("params", MODE_PARAMS, ids=lambda p: p.mode.value)
 def test_the_bound_stage_changes_no_verdict(name, params, monkeypatch):
     system, k = search_case(name)
