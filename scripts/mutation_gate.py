@@ -3,18 +3,20 @@
 
 Run from the repository root:
 
-    python3 scripts/mutation_gate.py [NAME ...] [--workdir DIR]
+    python3 scripts/mutation_gate.py
 
 Each entry of ``MUTATIONS`` names a file, one exact source line (with its
 indentation), the line that replaces it, and the tests that must fail under
-the change.  For every entry (or the named ones) the script copies ``src``,
-``tests`` and ``scripts`` to a temporary directory, replaces the line there,
-runs only the entry's tests with pytest, and prints the mutation as
-``caught`` when every listed test fails and ``survived`` otherwise.  A test
-id without a parameter list counts as failed when any of its cases fails.
-First, the same tests run on an unmutated copy and must all pass.  The exit
-status is 0 when every mutation is caught, 1 otherwise, and 2 when an entry's
-line is not found exactly once or its replacement does not compile.
+the change.  For every entry the script copies ``src``, ``tests``,
+``scripts`` and ``pyproject.toml`` (so pytest runs with the tier-1 settings,
+warnings turned into errors among them) to a temporary directory, replaces
+the line there, runs only the entry's tests with pytest, and prints the
+mutation as ``caught`` when every listed test fails and ``survived``
+otherwise.  A test id without a parameter list counts as failed when any of
+its cases fails.  First, the same tests run on an unmutated copy and must
+all pass.  The exit status is 0 when every mutation is caught, 1 otherwise,
+and 2 when an entry's line is not found exactly once or its replacement does
+not compile.
 
 A surviving mutation is a gap in the tests: close it with a test that fails
 under the mutation, never by deleting the entry.  The gate runs the test
@@ -22,7 +24,6 @@ suite once per entry, so it is kept out of the tier-1 run.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -133,25 +134,18 @@ def mutate(root: Path, mutation: Mutation) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", metavar="NAME", help="run only these entries")
-    parser.add_argument("--workdir", help="parent directory of the temporary copies")
-    args = parser.parse_args()
-    unknown = set(args.names) - {m.name for m in MUTATIONS}
-    if unknown:
-        parser.error(f"unknown mutations: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTATIONS if not args.names or m.name in args.names]
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
         for top in COPIED:
             shutil.copytree(ROOT / top, clean / top, ignore=ignore)
-        baseline = run_tests(clean, sorted({t for m in chosen for t in m.tests}))
+        shutil.copyfile(ROOT / "pyproject.toml", clean / "pyproject.toml")
+        baseline = run_tests(clean, sorted({t for m in MUTATIONS for t in m.tests}))
         if baseline:
             print("tests fail without a mutation:", *sorted(baseline), sep="\n  ")
             return 1
         survived = []
-        for mutation in chosen:
+        for mutation in MUTATIONS:
             copy = Path(tmp) / mutation.name
             shutil.copytree(clean, copy)
             mutate(copy, mutation)
@@ -163,7 +157,7 @@ def main() -> int:
             if missed:
                 survived.append(mutation.name)
             shutil.rmtree(copy)
-    print(f"{len(chosen) - len(survived)} caught, {len(survived)} survived")
+    print(f"{len(MUTATIONS) - len(survived)} caught, {len(survived)} survived")
     return 1 if survived else 0
 
 

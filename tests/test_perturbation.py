@@ -768,7 +768,8 @@ def search_case(name):
     if name == "fourteen-members":
         return fourteen_member_system(), BoundedOperator(np.eye(3))
     if name == "twelve-members":
-        return twelve_member_system(), BoundedOperator(np.diag([0.5, 1.0, 1.5, 2.0]))
+        build, k_mat = SEARCH_CASES["real-m12"]
+        return build(), BoundedOperator(k_mat)
     bundle = fixture(name)
     return bundle.system, bundle.operators["k"]
 
