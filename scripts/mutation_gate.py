@@ -47,6 +47,7 @@ class Mutation(NamedTuple):
 PERTURBATION = "src/framelab/perturbation.py"
 NUMERICS = "src/framelab/numerics.py"
 PERTURBATION_TESTS = "tests/test_perturbation.py"
+CLI_TESTS = "tests/test_io_cli.py"
 
 MUTATIONS = (
     # the sqrt-sum bound stage forms every subset holding an undecided pair; gathering
@@ -97,9 +98,30 @@ MUTATIONS = (
     # T-sqsum's exact test checks R kk* - S_delta >= 0, not its negative
     Mutation(
         "square-sum-exact-test-sign", PERTURBATION,
-        "        holds, w, v = psd_eig(-_witness(base, family, k, params, range(base.size)), tol)",
-        "        holds, w, v = psd_eig(_witness(base, family, k, params, range(base.size)), tol)",
+        "        holds, w, v = psd_eig(-_witness(base, family, k, params, full), tol)",
+        "        holds, w, v = psd_eig(_witness(base, family, k, params, full), tol)",
         (f"{PERTURBATION_TESTS}::test_square_sum_verdict_is_the_exact_spectral_test",)),
+    # the other modes' witness is built at the sweep's worst row, not at another one
+    Mutation(
+        "witness-at-another-row", PERTURBATION,
+        "        _, w, v = psd_eig(-_witness(base, family, k, params, worst_row, worst_probe, "
+        "worst), tol)",
+        "        _, w, v = psd_eig(-_witness(base, family, k, params, masks[0], worst_probe, "
+        "worst), tol)",
+        (f"{PERTURBATION_TESTS}::test_a_falsified_witness_reads_at_least_the_sweep_at_its_"
+         "subset",)),
+    # a document is written to a new file beside the target, never straight onto it
+    Mutation(
+        "save-text-straight-to-target", "src/framelab/documents.py",
+        '    out = partial.open("x", encoding="utf-8")',
+        '    out = path.open("w", encoding="utf-8")',
+        (f"{CLI_TESTS}::test_a_failed_write_keeps_the_old_file_and_leaves_no_partial_file",)),
+    # dual --method q records a rejected literal reading as an erratum
+    Mutation(
+        "literal-reading-record-dropped", "src/framelab/cli.py",
+        "        if pair.rejected_residuals:  # the paper's literal reading did not certify",
+        "        if False:  # the paper's literal reading did not certify",
+        (f"{CLI_TESTS}::test_dual_q_reports_a_failed_literal_reading_as_an_erratum",)),
 )
 
 

@@ -172,6 +172,10 @@ def cmd_dual(args, tol):
                 "upper_ok": bool(report.upper_ok),
             },
         }
+        if pair.rejected_residuals:  # the paper's literal reading did not certify
+            body["erratum_records"] = [{
+                "kind": "literal-reading-failed", "reading": pair.reading,
+                "residuals": {n: float(v) for n, v in pair.rejected_residuals.items()}}]
         meta = {"kind": "q-dual", "reading": pair.reading}
     else:
         pair = duality.canonical_dual(system, k, tol)

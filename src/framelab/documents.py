@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from itertools import chain
@@ -268,10 +269,21 @@ def save_document(doc: FrameDocument, path) -> None:
 
 
 def save_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as a new file, unlinking what is there: ext4 flushes a
-    file truncated and rewritten in place to disk on close, tens of ms on a busy disk."""
-    Path(path).unlink(missing_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
+    """Write ``text`` to a new file beside ``path``, then move it to ``path``'s name, so a
+    failed write leaves ``path`` as it was and removes the new file.  The old file is
+    unlinked before the rename, not renamed over: ext4 flushes a file renamed over another,
+    or truncated and rewritten in place, to disk, tens of ms on a busy disk."""
+    path = Path(path)
+    partial = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    out = partial.open("x", encoding="utf-8")
+    try:
+        with out:
+            out.write(text)
+        path.unlink(missing_ok=True)
+        partial.rename(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_document(path) -> FrameDocument:

@@ -85,7 +85,9 @@ class QDualPair:
 
     ``q`` maps the base's coordinate sum into the dual's, so the defining
     identity reads T_base Q* T_dual* = k; ``residual`` is its defect, formed
-    with the pair.  ``reading`` names the subspace construction of the dual;
+    with the pair.  ``reading`` names the subspace construction of the dual,
+    and ``rejected_residuals`` the coupling residual of each reading
+    :func:`construct_q_dual` tried and rejected before it;
     ``well_defined_residual`` is the mass of the factor u on ker(T_dual*),
     which the construction must annihilate for the coupling to be canonical.
     """
@@ -95,6 +97,7 @@ class QDualPair:
     q: np.ndarray
     k: BoundedOperator
     reading: str = "given"
+    rejected_residuals: dict = field(default_factory=dict)
     well_defined_residual: float = float("nan")
     residual: float = field(init=False)
 
@@ -166,8 +169,9 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
     subspaces.  Three readings of the moved subspace are tried in order until
     one certifies: ``literal`` uses ran(u_j* u_j pi_Wj), ``range`` uses
     ran(u_j*), and ``gram`` uses ran(u* u pi_Wj) with the whole factor's Gram
-    operator.  The accepted reading is recorded on the returned pair; if none
-    certifies a :class:`DualConstructionError` carries all three residuals.
+    operator.  The returned pair records the accepted reading and the residuals
+    of the readings it rejected; if none certifies a
+    :class:`DualConstructionError` carries all three residuals.
     """
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
@@ -188,20 +192,21 @@ def construct_q_dual(system: GFusionSystem, k: BoundedOperator,
         return orthonormalize(gram @ sub.basis, tol)
 
     readings = (("literal", literal_basis), ("range", range_basis), ("gram", gram_basis))
-    residuals = {}
+    rejected = {}
     for name, make in readings:
         bases = [make(j) for j in range(system.size)]
         dual = _dual_candidate(system, bases)
         t_dual_adj = adjoint(dual.synthesis_matrix)
         t_dual_pinv = pinv(t_dual_adj, tol)
-        pair = QDualPair(system, dual, adjoint(u @ t_dual_pinv), k, reading=name)
-        residuals[name] = pair.residual
+        pair = QDualPair(system, dual, adjoint(u @ t_dual_pinv), k, reading=name,
+                         rejected_residuals=dict(rejected))
         if within_scale(pair.residual, k.norm, tol):
             pair.well_defined_residual = operator_norm(u - u @ (t_dual_pinv @ t_dual_adj))
             verify_q_dual(pair, tol)
             return pair
+        rejected[name] = pair.residual
     raise DualConstructionError(
-        "no subspace reading certified the coupling identity", residuals)
+        "no subspace reading certified the coupling identity", rejected)
 
 
 @dataclass

@@ -75,18 +75,6 @@ class FrameBounds:
         object.__setattr__(self, "upper", up)
 
 
-def _index_mask(size: int, index_set=None) -> np.ndarray:
-    """Boolean row selecting ``index_set`` (every member when None)."""
-    if index_set is None:
-        return np.ones(size, dtype=bool)
-    idx = sorted(frozenset(int(j) for j in index_set))
-    if any(j < 0 or j >= size for j in idx):
-        raise InputError(f"index set {idx} escapes range(0, {size})")
-    mask = np.zeros(size, dtype=bool)
-    mask[idx] = True
-    return mask
-
-
 def _probe_block(probes, dim: int) -> np.ndarray:
     """Finite probe vectors as the rows of a (probes, dim) block, else InputError."""
     block = as_matrix(probes, "probe vector")
@@ -173,18 +161,16 @@ def subset_frame_operators(system: GFusionSystem, masks,
     return out
 
 
-def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None,
-                   index_set=None) -> np.ndarray:
-    """S_I = sum_{j in I} v_j^2 (Lj pi_Wj)* (L'j pi_W'j), summed in ascending j.
+def frame_operator(system: GFusionSystem, other: GFusionSystem | None = None) -> np.ndarray:
+    """S = sum_j v_j^2 (Lj pi_Wj)* (L'j pi_W'j), summed in ascending j.
 
     With ``other`` omitted this is the frame operator of ``system``; with a
-    dual system it is the reconstruction coupling, and with an ``index_set``
-    as well the partial coupling S_I of the subset identities.
-    ``index_set`` defaults to every member.  The weights are always those of
-    ``system``.  This is the one-subset view of :func:`subset_frame_operators`.
+    dual system it is the reconstruction coupling.  The weights are always
+    those of ``system``.  This is the full-set view of
+    :func:`subset_frame_operators`; a partial operator S_I is that
+    function's row at I's mask.
     """
-    mask = _index_mask(system.size, index_set)
-    return subset_frame_operators(system, mask[None, :], other)[0]
+    return subset_frame_operators(system, np.ones((1, system.size), dtype=bool), other)[0]
 
 
 def _memoized(owner, key, compute):

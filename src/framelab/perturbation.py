@@ -76,8 +76,8 @@ from .frame_ops import (
     FrameReport,
     _require_compatible,
     _require_shared_space,
-    frame_operator,
     optimal_bounds,
+    subset_frame_operators,
     subset_masks,
     verify_k_g_fusion,
 )
@@ -504,8 +504,8 @@ def _violations(work: _Workspace, k_mat, probes, params: PerturbationParams,
 
 
 def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
-             params: PerturbationParams, subset, probe=None, excess=0.0) -> np.ndarray:
-    """The Hermitian M whose top eigenvector is the mode's witness at ``subset``.
+             params: PerturbationParams, row, probe=None, excess=0.0) -> np.ndarray:
+    """The Hermitian M whose top eigenvector is the mode's witness at the subset I of ``row``.
 
     T-sqsum's M is S_delta - R kk*, whose eigenvalues at the full set are its exact gaps;
     C-p2-normsum's is D_I^2 - R^2 kk*.  The sqrt-sum modes' is D_I^2 - (sum v_i) sum T_i /
@@ -514,17 +514,17 @@ def _witness(base: GFusionSystem, family: GFusionSystem, k: BoundedOperator,
     a positive ``<M f, f>`` is a gap above ``excess`` at (I, f) for any positive weights;
     v_i = <T_i f, f>^(1/2) at ``probe``, the sweep's worst, makes M tight there: at I, its top
     eigenvector's gap (or, below 0, |D_I f|^2 - rhs^2) is at least that probe's.
-    A zero T_i is left out, and all weigh 1 if another is 0 at ``probe``.  These three Ms
-    are formed from S_I and S'_I over one common scale, the largest of their entries and
-    of the right-hand operand (R |k|, g |k| or g sqrt|S_I|), so M stays finite wherever the
-    hypothesis's two sides do, with the same eigenvectors.
+    A zero T_i is left out, and all weigh 1 if another is 0 at ``probe``.  S_I, S'_I and
+    S_delta are the rows of :func:`subset_frame_operators` at the mask ``row``, and the last
+    three Ms share one scale, the largest entry of S_I, S'_I and the right-hand operand (R |k|,
+    g |k| or g sqrt|S_I|), so M stays finite where the two sides do, with the same eigenvectors.
     """
     mode, gamma = params.mode, params.gamma
     if mode is PerturbationMode.SQUARE_SUM:
         deltas = [op.matrix - th.matrix for (_, op), (_, th) in zip(base.members, family.members)]
-        return (frame_operator(base.with_local_operators(deltas), index_set=subset)
+        return (subset_frame_operators(base.with_local_operators(deltas), row[None])[0]
                 - params.R * k.times_adjoint)
-    s_base, s_pert = (frame_operator(system, index_set=subset) for system in (base, family))
+    s_base, s_pert = (subset_frame_operators(system, row[None])[0] for system in (base, family))
     size = np.abs(s_base).max()
     reach = params.R if mode is PerturbationMode.AGGREGATE_NORM else gamma
     operand = (gamma * math.sqrt(size) if mode is PerturbationMode.SQRT_SUM
@@ -564,9 +564,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     bounded first, per pair (:func:`_bound_terms`) or per row (:func:`_row_bounds`), and a
     bound settles only what can change no field of the verdict.  Every search then tests
     one more probe over every subset, the witness: the top eigenvector of :func:`_witness`'s
-    M, at the full set for T-sqsum and at the sweep's worst subset and probe for the other
-    modes.  T-sqsum also falsifies when ``psd_check(R kk* - S_delta)`` fails, and reports at
-    least lambda_max(S_delta - R kk*); the other modes' not-falsified verdict is evidence.
+    M, at the all-true mask row for T-sqsum and at the worst row and probe of the sweep,
+    whose fold carries that row (all false before a probe), for the other modes; the
+    verdict's ``worst_subset`` lists its members.  T-sqsum also falsifies when
+    ``psd_check(R kk* - S_delta)`` fails, and reports at least lambda_max(S_delta - R kk*).
     A NaN or +inf gap, or a non-finite scale, which finite inputs give only by overflow,
     raises InputError; a subset a bound settles at every probe of a block reads gap -inf.
     """
@@ -582,9 +583,10 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
     work = _Workspace(masks, data)
     members = _member_terms(work, k_mat, probes, params)
     exact = params.mode is PerturbationMode.SQUARE_SUM
+    full = np.ones(base.size, dtype=bool)
     if exact:  # the exact test of S_delta <= R kk*; once it fails, no pair need be tested
-        holds, w, v = psd_eig(-_witness(base, family, k, params, range(base.size)), tol)
-    worst, worst_subset, worst_probe = -math.inf, (), None
+        holds, w, v = psd_eig(-_witness(base, family, k, params, full), tol)
+    worst, worst_row, worst_probe = -math.inf, ~full, None
     falsified = exact and not holds
     probes_tested = 0
     # the bound stage: every block but the first, which has no worst gap to compare with;
@@ -608,7 +610,7 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     def consider(fs, rows=None, bound=None):
         """Fold a block of probes and its member-stage rows in."""
-        nonlocal worst, worst_subset, worst_probe, falsified, probes_tested
+        nonlocal worst, worst_row, worst_probe, falsified, probes_tested
         gaps, scales = _violations(work, k_mat, fs, params, rows, bound)
         best = np.argmax(gaps, axis=1)  # each row's worst gap, or its first NaN
         row_worst = gaps[np.arange(best.size), best]
@@ -618,13 +620,11 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
             raise InputError("the perturbation search overflowed: a gap or its scale is not "
                              "finite; rescale the systems and constants")
         falsified = falsified or not at_most(gaps, 0.0, scales, tol).all()
-        for f, gap, row in zip(fs, row_worst.tolist(), best):
+        for f, gap, column in zip(fs, row_worst.tolist(), best):
             probes_tested += 1
             # ties go to the earliest probe: noise-level gains never displace it
             if worst_probe is None or gap > worst + 1e-12 * max(1.0, abs(worst)):
-                worst = gap
-                worst_subset = tuple(int(j) for j in np.flatnonzero(masks[row]))
-                worst_probe = np.array(f)
+                worst, worst_row, worst_probe = gap, masks[column], np.array(f)
 
     for start in range(0, probes.shape[0], block):
         rows = slice(start, start + block)
@@ -642,14 +642,14 @@ def perturb_hypothesis(base: GFusionSystem, theta, k: BoundedOperator,
 
     # the witness: the top eigenvector of M, at the full set (T-sqsum) or the worst subset
     if not exact:
-        _, w, v = psd_eig(-_witness(base, family, k, params, worst_subset, worst_probe, worst), tol)
+        _, w, v = psd_eig(-_witness(base, family, k, params, worst_row, worst_probe, worst), tol)
     consider(v[:, :1].T)
     if exact and -w[0] > worst:  # the exact supremum, where the kernel's rounding read less
-        worst, worst_subset, worst_probe = -float(w[0]), tuple(range(base.size)), v[:, 0]
+        worst, worst_row, worst_probe = -float(w[0]), full, v[:, 0]
 
     return HypothesisVerdict(
-        falsified=bool(falsified), worst_violation=float(worst), subsets_tested=int(masks.shape[0]),
-        probes_tested=probes_tested, worst_subset=worst_subset, worst_probe=worst_probe)
+        bool(falsified), float(worst), subsets_tested=len(masks), probes_tested=probes_tested,
+        worst_subset=tuple(np.flatnonzero(worst_row).tolist()), worst_probe=worst_probe)
 
 
 def _sqrt_sum_reading(params: PerturbationParams, gamma_eff: float, lower: float,

@@ -232,12 +232,11 @@ def test_canonical_dual_probe_oracle_agreement(fix_a):
 
 def test_partial_operators_split_the_target(fix_i):
     pair = canonical_dual(fix_i.system, fix_i.operators["k"])
-    npt.assert_allclose(frame_operator(pair.base, pair.dual, (0,)),
-                        np.diag([1.0, 0.0]), atol=1e-12)
-    npt.assert_allclose(frame_operator(pair.base, pair.dual, (0, 1)),
-                        np.eye(2), atol=1e-12)
-    npt.assert_allclose(frame_operator(pair.base, pair.dual, ()),
-                        np.zeros((2, 2)), atol=0.0)
+    first, both, none = subset_frame_operators(
+        pair.base, np.array([[True, False], [True, True], [False, False]]), pair.dual)
+    npt.assert_allclose(first, np.diag([1.0, 0.0]), atol=1e-12)
+    npt.assert_allclose(both, np.eye(2), atol=1e-12)
+    npt.assert_allclose(none, np.zeros((2, 2)), atol=0.0)
     masks = subset_rows(pair.base.size, all_subsets(pair.base.size))
     splits = (subset_frame_operators(pair.base, masks, pair.dual)
               + subset_frame_operators(pair.base, ~masks, pair.dual))

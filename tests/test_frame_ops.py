@@ -21,6 +21,7 @@ from framelab import (
     optimal_bounds,
     reconstruction_check,
     restricted_inverse,
+    subset_frame_operators,
     verify_k_g_fusion,
 )
 from framelab.documents import load_packaged_fixture, packaged_fixture_names, to_system
@@ -331,20 +332,24 @@ def test_partial_frame_operators_split_the_frame_operator():
     for name in fix_r_names():
         system = fixture(name).system
         s = frame_operator(system)
-        for _ in range(4):
-            mask = rng.random(system.size) < 0.5
-            subset = np.flatnonzero(mask)
-            complement = np.flatnonzero(~mask)
-            s_i = frame_operator(system, index_set=subset)
-            s_c = frame_operator(system, index_set=complement)
+        masks = rng.random((4, system.size)) < 0.5
+        stack = subset_frame_operators(system, np.vstack([masks, ~masks]))
+        for row, s_i, s_c in zip(masks, stack[:4], stack[4:]):
+            assert np.array_equal(subset_frame_operators(system, row[None])[0], s_i), name
+            assert np.array_equal(subset_frame_operators(system, ~row[None])[0], s_c), name
             assert np.linalg.norm(s_i + s_c - s, 2) <= 1e-12 * np.linalg.norm(s, 2), name
+        full = subset_frame_operators(system, np.ones((1, system.size), dtype=bool))[0]
+        assert np.array_equal(s, full), name
 
 
-def test_frame_operator_rejects_foreign_index_sets(fix_i):
-    with pytest.raises(InputError):
-        frame_operator(fix_i.system, index_set=(0, 2))
-    with pytest.raises(InputError):
-        frame_operator(fix_i.system, fixture("FIX-A").system)
+@pytest.mark.parametrize("call", [
+    lambda system: frame_operator(system, fixture("FIX-A").system),
+    lambda system: subset_frame_operators(system, np.ones((1, system.size + 1), dtype=bool)),
+    lambda system: subset_frame_operators(system, np.ones((1, system.size), dtype=int)),
+], ids=["foreign-system", "wrong-width-mask", "non-boolean-mask"])
+def test_frame_operators_reject_a_foreign_system_and_malformed_masks(fix_i, call):
+    with pytest.raises(InputError, match="share its base's space|masks must be a boolean"):
+        call(fix_i.system)
 
 
 def test_frame_bounds_need_not_be_ordered():

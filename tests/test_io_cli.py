@@ -266,6 +266,28 @@ def test_written_documents_replace_the_old_file_instead_of_rewriting_it(tmp_path
         assert path.read_text(encoding="utf-8") != "stale"
 
 
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_partial_file(tmp_path):
+    # a file size limit of 11 bytes cuts the write short: an I/O error part-way, as a
+    # full disk gives, with SIGXFSZ ignored so that write(2) fails with EFBIG
+    target = tmp_path / "report.json"
+    target.write_text('{"old": "document"}\n', encoding="utf-8")
+    script = ("import resource, signal, sys\n"
+              "from framelab.documents import save_text\n"
+              "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+              "resource.setrlimit(resource.RLIMIT_FSIZE, (11, 11))\n"
+              "try:\n"
+              "    save_text(sys.argv[1], '{\"partial\": \"' + 'x' * 64 + '\"}\\n')\n"
+              "except OSError:\n"
+              "    sys.exit(3)\n")
+    path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    proc = subprocess.run([sys.executable, "-c", script, str(target)],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert target.read_text(encoding="utf-8") == '{"old": "document"}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_gen_spec_systems_are_valid_and_deterministic(tmp_path):
     argv = ["gen", "--spec", "3", "2x2", "3x2", "--seed", "11",
             "--out", str(tmp_path)]
@@ -436,6 +458,22 @@ def test_dual_reports_a_failed_q_construction_with_its_residuals(repo_cwd, monke
     assert report["certified"] is False
     assert report["error"] == "no subspace reading certified the coupling identity"
     assert report["reading_residuals"] == {"literal": 0.5, "range": 0.25, "gram": 0.125}
+
+
+def test_dual_q_reports_a_failed_literal_reading_as_an_erratum(repo_cwd):
+    # FIX-A: the literal and range readings leave coupling residual 1, gram certifies
+    code, out = run_cli(["dual", "src/framelab/fixtures/fix_a.json", "--method", "q"])
+    report = json.loads(out)
+    assert code == report["exit_code"] == 0
+    assert report["certified"] is True and report["reading"] == "gram"
+    (record,) = report["erratum_records"]
+    residuals = record.pop("residuals")
+    assert record == {"kind": "literal-reading-failed", "reading": "gram"}
+    assert residuals == pytest.approx({"literal": 1.0, "range": 1.0}, abs=1e-12)
+    # where the literal reading certifies there is no record
+    code, out = run_cli(["dual", "src/framelab/fixtures/fix_i.json", "--method", "q"])
+    assert json.loads(out)["reading"] == "literal"
+    assert "erratum_records" not in json.loads(out)
 
 
 def test_perturb_refuses_a_theta_over_another_space(tmp_path):

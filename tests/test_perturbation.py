@@ -938,13 +938,15 @@ def test_a_falsified_witness_reads_at_least_the_sweep_at_its_subset(name, monkey
         witness(*args)))
     for params in MODE_PARAMS[:2]:
         assert perturb_hypothesis(system, family, k, params).falsified
-        *_, subset, probe, excess = calls.pop()
+        *_, row, probe, excess = calls.pop()
         assert excess > 0
-        _, _, v = psd_eig(-witness(system, family, k, params, subset, probe, excess),
+        _, _, v = psd_eig(-witness(system, family, k, params, row, probe, excess),
                           DEFAULT_TOL)
         gaps, _ = _violations(work, k.matrix, v[:, :1].T, params)
-        row = int(np.flatnonzero((masks == np.isin(np.arange(system.size), subset)).all(1))[0])
-        assert gaps[0, row] >= excess * (1 - 1e-9)
+        column = int(np.flatnonzero((masks == row).all(1))[0])
+        assert gaps[0, column] >= excess * (1 - 1e-9)
+        # the witness is built at the row and probe where the sweep read its worst gap
+        assert _violations(work, k.matrix, probe[None], params)[0][0, column] == excess
 
 
 def test_the_witness_falsification_holds_member_by_member():

@@ -289,7 +289,8 @@ def test_frame_operator_is_the_one_row_view_of_the_stack():
     masks = walked_masks(system.size)
     stack = subset_frame_operators(system, masks)
     for mask, s_i in zip(masks, stack):
-        assert np.array_equal(frame_operator(system, index_set=members(mask)), s_i)
+        assert np.array_equal(subset_frame_operators(system, mask[None])[0], s_i)
+    assert masks[-1].all() and np.array_equal(frame_operator(system), stack[-1])
 
 
 FIRST, SECOND = np.eye(2, dtype=bool)
