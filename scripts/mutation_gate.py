@@ -46,6 +46,7 @@ class Mutation(NamedTuple):
 
 PERTURBATION = "src/framelab/perturbation.py"
 NUMERICS = "src/framelab/numerics.py"
+DOCUMENTS = "src/framelab/documents.py"
 PERTURBATION_TESTS = "tests/test_perturbation.py"
 CLI_TESTS = "tests/test_io_cli.py"
 
@@ -112,10 +113,23 @@ MUTATIONS = (
          "subset",)),
     # a document is written to a new file beside the target, never straight onto it
     Mutation(
-        "save-text-straight-to-target", "src/framelab/documents.py",
-        '    out = partial.open("x", encoding="utf-8")',
-        '    out = path.open("w", encoding="utf-8")',
+        "save-text-straight-to-target", DOCUMENTS,
+        '        out = partial.open("x", encoding="utf-8")',
+        '        out = path.open("w", encoding="utf-8")',
         (f"{CLI_TESTS}::test_a_failed_write_keeps_the_old_file_and_leaves_no_partial_file",)),
+    # a failed write names the target, not the new file's random name
+    Mutation(
+        "save-text-names-the-new-file", DOCUMENTS,
+        "        raise OSError(exc.errno, exc.strerror, str(path)) from exc",
+        "        raise",
+        (f"{CLI_TESTS}::test_an_unwritable_output_is_reported_by_the_name_given",)),
+    # the analysis certifies a frame's lower bound A by S - A kk* >= 0
+    Mutation(
+        "analysis-certificate-dropped", "src/framelab/frame_ops.py",
+        "    if is_frame and not psd_check(s - lower * kk, tol):",
+        "    if False:",
+        ("tests/test_frame_ops.py::test_the_analysis_certifies_its_lower_bound_against_the_"
+         "frame_operator",)),
     # dual --method q records a rejected literal reading as an erratum
     Mutation(
         "literal-reading-record-dropped", "src/framelab/cli.py",

@@ -272,18 +272,22 @@ def save_text(path, text: str) -> None:
     """Write ``text`` to a new file beside ``path``, then move it to ``path``'s name, so a
     failed write leaves ``path`` as it was and removes the new file.  The old file is
     unlinked before the rename, not renamed over: ext4 flushes a file renamed over another,
-    or truncated and rewritten in place, to disk, tens of ms on a busy disk."""
+    or truncated and rewritten in place, to disk, tens of ms on a busy disk.  An OSError
+    names ``path``, never the new file, whose name is random."""
     path = Path(path)
     partial = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-    out = partial.open("x", encoding="utf-8")
     try:
-        with out:
-            out.write(text)
-        path.unlink(missing_ok=True)
-        partial.rename(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+        out = partial.open("x", encoding="utf-8")
+        try:
+            with out:
+                out.write(text)
+            path.unlink(missing_ok=True)
+            partial.rename(path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def load_document(path) -> FrameDocument:
@@ -316,7 +320,11 @@ def from_system(system: GFusionSystem, operators=None, meta=None) -> FrameDocume
 
 
 def spec_document(tokens, seed: int) -> FrameDocument:
-    """A seeded real system and invertible k from ``gen --spec`` tokens: dim, then MxD shapes."""
+    """A seeded real system and invertible k from ``gen --spec`` tokens: dim, then MxD shapes.
+
+    The document holds the drawn arrays as they stand; ``gen`` validates it
+    as a system once, through :func:`to_system`.
+    """
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
     if len(tokens) < 2:
@@ -337,19 +345,17 @@ def spec_document(tokens, seed: int) -> FrameDocument:
             raise InputError(f"member shape {token!r} out of range for dim {dim}")
         shapes.append((m, d))
     rng = np.random.Generator(np.random.PCG64(seed))
-    members = []
+    weights, subspaces, local_operators = [], [], []
     for m, d in shapes:
-        basis = orthonormalize(rng.standard_normal((dim, m)))
-        local = rng.standard_normal((d, dim))
-        weight = 0.5 + rng.random()
-        members.append((WeightedSubspace(basis, float(weight)), LocalOperator(local)))
-    system = GFusionSystem(HilbertSpace("real", dim), tuple(members))
+        subspaces.append(orthonormalize(rng.standard_normal((dim, m))).T)
+        local_operators.append(rng.standard_normal((d, dim)))
+        weights.append(0.5 + rng.random())
     q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     k = q1 @ np.diag(0.6 + rng.random(dim)) @ q2
     spec = [str(dim)] + [f"{m}x{d}" for m, d in shapes]
     meta = {"name": "spec_" + "_".join(spec) + f"_seed{seed}", "seed": seed, "spec": spec}
-    return from_system(system, {"k": k}, meta)
+    return FrameDocument("real", dim, weights, subspaces, local_operators, {"k": k}, meta)
 
 
 def _fixture_filename(name: str) -> str:
@@ -371,18 +377,12 @@ def load_packaged_fixture(name: str) -> FrameDocument:
 def packaged_fixture_names() -> list:
     """Names of all fixture documents shipped inside the package."""
     root = resources.files(__package__) / "fixtures"
-    names = []
     try:
-        entries = list(root.iterdir())
+        names = [entry.name for entry in root.iterdir()]
     except (FileNotFoundError, OSError):
         return []
-    for entry in entries:
-        stem = entry.name
-        if stem.endswith(".oracle.json"):
-            continue
-        if stem.endswith(".json"):
-            names.append(stem[:-5].upper().replace("_", "-"))
-    return sorted(names)
+    return sorted(name[:-5].upper().replace("_", "-") for name in names
+                  if name.endswith(".json") and not name.endswith(".oracle.json"))
 
 
 def oracle_sidecar_path(document_path) -> Path:

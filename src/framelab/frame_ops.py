@@ -192,7 +192,8 @@ class FrameReport:
     ``is_bessel`` always holds in finite dimension and carries the optimal
     upper bound; ``is_frame`` is the range-inclusion verdict ran(k) in ran(T);
     ``is_parseval`` means S = k k* within tolerance.  ``optimal`` holds the
-    optimal bound pair (lower is 0.0 when the system is not a k-frame).  When
+    optimal bound pair (lower is 0.0 when the system is not a k-frame); a
+    frame's lower bound A is certified by S - A k k* >= 0.  When
     claimed bounds were supplied, ``claimed_lower_ok``/``claimed_upper_ok``
     record the PSD sandwich verdicts, else they are None.  The report does
     not carry its tolerance: the memo that holds it is keyed by it.
@@ -243,8 +244,10 @@ def verify_k_g_fusion(system: GFusionSystem, k: BoundedOperator,
     Bessel always holds on a finite family; the frame verdict is decided by
     the range-inclusion test ran(k) in ran(T); Parseval means S = k k*.
     The optimal lower bound is |u0|^-2 for the minimal-norm solution
-    u0 = pinv(T) k, the optimal upper bound is |S|.  The analysis runs once
-    per (system, k, tol); claimed bounds add their two PSD verdicts to it.
+    u0 = pinv(T) k, and a frame's is certified by the PSD check S - A k k* >= 0
+    (:class:`InternalConsistencyError` when it fails); the optimal upper bound
+    is |S|.  The analysis runs once per (system, k, tol); claimed bounds add
+    their two PSD verdicts to it.
     """
     _require_compatible(system, k)
     report = _memoized(system, ("analysis", k, tol), lambda: _analyze(system, k, tol))
@@ -274,6 +277,9 @@ def _analyze(system: GFusionSystem, k: BoundedOperator, tol: ToleranceProfile) -
         raise InternalConsistencyError(
             f"optimal lower bound {lower} times |k|^2 = {k.norm**2} exceeded "
             f"upper bound {upper}")
+    if is_frame and not psd_check(s - lower * kk, tol):
+        raise InternalConsistencyError(
+            "optimal lower bound failed its own PSD certification")
     return FrameReport(
         is_bessel=True,
         is_frame=bool(is_frame),
@@ -290,40 +296,31 @@ def optimal_bounds(system: GFusionSystem, k: BoundedOperator,
     """Optimal bound pair for a k-relative frame, PSD-certified.
 
     Raises :class:`NotAFrameError` when ran(k) is not contained in ran(T).
-    The returned lower bound A satisfies S - A k k* >= 0 while inflating A by
-    a relative 1e-6 breaks positivity; the upper bound is |S| exactly.  The
-    bounds are read from :func:`verify_k_g_fusion`'s report, and the PSD
-    certificate runs once per (system, k, tol).
+    The bounds are :func:`verify_k_g_fusion`'s ``optimal``: the lower bound A
+    satisfies S - A k k* >= 0 while inflating A by a relative 1e-6 breaks
+    positivity, and the upper bound is |S| exactly.
     """
     report = verify_k_g_fusion(system, k, tol=tol)
     if not report.is_frame:
         raise NotAFrameError(
             f"range inclusion fails: residual {report.range_inclusion_residual:g} "
             "outside ran(T)")
-    return _memoized(system, ("certificate", k, tol),
-                     lambda: _certified_lower(system, k, report.optimal, tol))
-
-
-def _certified_lower(system: GFusionSystem, k: BoundedOperator, bounds: FrameBounds,
-                     tol: ToleranceProfile) -> FrameBounds:
-    if not psd_check(system.frame_matrix - bounds.lower * k.times_adjoint, tol):
-        raise InternalConsistencyError(
-            "optimal lower bound failed its own PSD certification")
-    return bounds
+    return report.optimal
 
 
 def restricted_inverse(system: GFusionSystem, k: BoundedOperator,
                        tol: ToleranceProfile = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The inverse X of the frame operator along ran(k) and the projection P onto S(ran k).
 
-    ``optimal_bounds`` certifies the k-frame, so S is injective on ran(k):
+    ``optimal_bounds`` gives a certified k-frame, so S is injective on ran(k):
     the rank of S B_k is B_k's column count, not the package cutoff, and one
     SVD ``S B_k = U Sigma V*`` gives X = B_k V Sigma^-1 U* and P = U U*.
     X maps S(ran k) back onto ran(k) and annihilates its orthogonal complement.
-    The certificate only bounds that SVD's least singular value below by
-    ``A s_r(k)^2 + psd_floor(B + A |k|^2)`` (s_r(k) the least kept singular
-    value of k); one not above both that bound and zero means S annihilates
-    a direction of ran(k) inside the tolerance, a :class:`NotAFrameError`.
+    The analysis's certificate S - A k k* >= 0 only bounds that SVD's least
+    singular value below by ``A s_r(k)^2 + psd_floor(B + A |k|^2)`` (s_r(k)
+    the least kept singular value of k); one not above both that bound and
+    zero means S annihilates a direction of ran(k) inside the tolerance, a
+    :class:`NotAFrameError`.
     For f in S(ran k) the quadratic form satisfies
     ``B^-1 |f|^2 <= <X f, f> <= A^-1 |pinv(k)|^2 |f|^2`` with (A, B) the
     optimal bounds.

@@ -48,9 +48,8 @@ def decode_case_matrix(case, key):
 def count_calls(monkeypatch, module, name):
     """The argument tuples of every call to ``module.name``, from any framelab module.
 
-    Counted on the uncached workers (``_analyze``, ``_certified_lower``,
-    ``_q_dual_forms``), this counts the work done, not the entries into the
-    memoized public functions.
+    Counted on the uncached workers (``_analyze``, ``_q_dual_forms``), this
+    counts the work done, not the entries into the memoized public functions.
     """
     real = getattr(module, name)
     calls = []

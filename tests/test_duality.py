@@ -126,6 +126,9 @@ def test_q_dual_wrong_coupling_fails(fix_i):
     assert report.adjoint_residual == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PreconditionError):
         qdual_bound_corollary(bad)
+    with pytest.raises(InputError,
+                       match=r"coupling operator has shape \(2, 3\), expected \(2, 2\)"):
+        QDualPair(good.base, good.dual, np.ones((2, 3)), good.k)
 
 
 def test_q_dual_construction_error_reports_all_readings():
@@ -328,6 +331,8 @@ def test_parseval_subset_identity_values(fix_i):
     assert result.lhs[0, 1, 0] == pytest.approx(5.0, abs=1e-12)
     with pytest.raises(InputError):  # an extension inside I
         parseval_subset_sweep(fix_i.system, k, masks, masks[None], f)
+    with pytest.raises(InputError, match=r"extensions must be a boolean \(1, extensions, 2\)"):
+        parseval_subset_sweep(fix_i.system, k, masks, subset_rows(2, [(1,)]), f)
 
 
 def test_parseval_subset_identity_exhaustive(fix_i):
@@ -498,10 +503,11 @@ def test_q_dual_forms_run_once_per_pair_and_tolerance(monkeypatch):
     bundle = fixture("FIX-A")
     pair = construct_q_dual(bundle.system, bundle.operators["k"])
     checked = count_calls(monkeypatch, duality, "_q_dual_forms")
-    certified = count_calls(monkeypatch, frame_ops, "_certified_lower")
+    analyzed = count_calls(monkeypatch, frame_ops, "_analyze")
     same = qdual_bound_corollary(pair)
     assert checked == [] and same.coupling is verify_q_dual(pair)
-    assert [id(args[0]) for args in certified] == [id(bundle.system), id(pair.dual)]
+    # the base was analysed, and so certified, when the pair was built
+    assert [id(args[0]) for args in analyzed] == [id(pair.dual)]
     other = qdual_bound_corollary(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
     assert [id(args[0]) for args in checked] == [id(pair)] and other.coupling == same.coupling
     assert (other.dual_lower, other.dual_upper) == (same.dual_lower, same.dual_upper)
@@ -511,12 +517,10 @@ def test_kgf_dual_certifies_the_base_once_per_tolerance(monkeypatch):
     bundle = fixture("FIX-R003")
     pair = canonical_dual(bundle.system, bundle.operators["k"])
     analyzed = count_calls(monkeypatch, frame_ops, "_analyze")
-    certified = count_calls(monkeypatch, frame_ops, "_certified_lower")
     same = verify_kgf_dual(pair)
-    assert [id(args[0]) for args in analyzed] == [id(pair.dual)] and certified == []
+    assert [id(args[0]) for args in analyzed] == [id(pair.dual)]
     other = verify_kgf_dual(pair, ToleranceProfile(tau_abs=1e-9, tau_rel=1e-8))
     assert [id(args[0]) for args in analyzed] == [id(pair.dual), id(bundle.system), id(pair.dual)]
-    assert [id(args[0]) for args in certified] == [id(bundle.system)]
     assert same.passed and other.passed
     assert same.certified_lower == other.certified_lower == \
         1.0 / optimal_bounds(bundle.system, bundle.operators["k"]).upper

@@ -10,6 +10,7 @@ from framelab import (
     GFusionSystem,
     HilbertSpace,
     InputError,
+    InternalConsistencyError,
     LocalOperator,
     NotAFrameError,
     ToleranceProfile,
@@ -261,6 +262,28 @@ def test_one_factorization_per_system_target_and_tolerance(monkeypatch):
     assert len(factored) == 3
 
 
+def test_the_analysis_certifies_its_lower_bound_against_the_frame_operator():
+    """The analysis raises when S - A kk* >= 0 fails, before any caller reads A.
+
+    A copy of FIX-R003's system gets the frame operator lowered by 1e-6 |S|
+    along the direction where A is attained.  T, and so the Douglas
+    factorization and A, stay as they were, and A |k|^2 <= |S| still holds,
+    so only the PSD certificate can see the change.
+    """
+    bundle = fixture("FIX-R003")
+    k = bundle.operators["k"]
+    a = verify_k_g_fusion(bundle.system, k).optimal.lower
+    s = bundle.system.frame_matrix
+    _, v = np.linalg.eigh(s - a * k.times_adjoint)
+    lowered = GFusionSystem(bundle.system.space, bundle.system.members)
+    drop = 1e-6 * operator_norm(s) * np.outer(v[:, 0], v[:, 0].conj())
+    vars(lowered)["frame_matrix"] = s - drop
+    assert a * k.norm**2 <= operator_norm(lowered.frame_matrix)
+    for call in (verify_k_g_fusion, optimal_bounds):
+        with pytest.raises(InternalConsistencyError, match="PSD certification"):
+            call(lowered, k)
+
+
 def test_reconstruction_check(fix_i):
     report = reconstruction_check(fix_i.system, fix_i.operators["k"],
                                   np.array([1.0, 2.0]))
@@ -296,6 +319,11 @@ def test_cross_frame_premise_violation(fix_i):
 def test_dimension_mismatch_rejected(fix_i):
     with pytest.raises(InputError):
         verify_k_g_fusion(fix_i.system, BoundedOperator.identity(3))
+    doubled = GFusionSystem(fix_i.system.space, tuple(
+        (sub, LocalOperator(np.vstack([op.matrix, op.matrix])))
+        for sub, op in fix_i.system.members))
+    with pytest.raises(InputError, match="share their local coordinate dimensions"):
+        cross_frame_check(fix_i.system, doubled, fix_i.operators["k"])
 
 
 def test_a_complex_target_on_a_real_system_is_rejected(fix_i):

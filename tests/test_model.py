@@ -99,6 +99,19 @@ def test_system_validation_and_views(fix_a):
         GFusionSystem(space, (bad_member,))
 
 
+@pytest.mark.parametrize("members, message", [
+    ((), "a system needs at least one member"),
+    (((WeightedSubspace(np.eye(2), 1.0), np.eye(2)),),
+     "member 0 must be a (WeightedSubspace, LocalOperator) pair"),
+    (((WeightedSubspace(np.eye(2), 1.0), LocalOperator(np.eye(3))),),
+     "member 0: local operator domain 3 != space dimension 2"),
+], ids=["no-members", "not-a-pair", "local-operator-domain"])
+def test_a_system_rejects_malformed_members(members, message):
+    with pytest.raises(InputError) as exc:
+        GFusionSystem(HilbertSpace("real", 2), members)
+    assert str(exc.value) == message
+
+
 def test_a_bool_is_not_a_dimension():
     # isinstance(True, int) holds, so the space tests for bool first
     with pytest.raises(InputError, match="dim must be a positive integer, got True"):

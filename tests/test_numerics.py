@@ -352,6 +352,8 @@ def test_unit_probes_deterministic_and_unit_norm():
     complex_probes = unit_probes(2, 3, complex_field=True, seed=9)
     assert complex_probes.dtype == np.complex128
     npt.assert_allclose(np.linalg.norm(complex_probes, axis=1), 1.0, atol=1e-12)
+    with pytest.raises(InputError, match="dim must be positive"):
+        unit_probes(0, 5)
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])

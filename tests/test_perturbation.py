@@ -340,6 +340,16 @@ def test_variant_negative_lower_is_rejected():
         predicted_bounds(params, 1.0, 1.0, 3.0)
 
 
+@pytest.mark.parametrize("mode, term", [("P1-sqrt-sum", "gamma/sqrt(A)"),
+                                        ("P-variant-kstar", "gamma/(sqrt(A)|k|)")])
+def test_p_mode_parameters_at_the_admissibility_gate_are_rejected(mode, term):
+    params = PerturbationParams(0.6, 0.0, 0.5, 0.0, mode)
+    with pytest.raises(InputError) as exc:
+        predicted_bounds(params, 1.0, 2.0, 1.0)
+    assert str(exc.value) == (f"inadmissible parameters: max(lambda1 + {term}, lambda2) "
+                              "= 1.1 must stay below 1")
+
+
 @pytest.mark.parametrize("lambda1, lower, k_norm, gamma", [
     (0.5, 1.1521681836790942, 0.31472586702134514, 0.16891195251755653),
     (0.25, 3.7309675323265044, 0.31342999132761695, 0.45405927244485483),

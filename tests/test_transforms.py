@@ -41,6 +41,8 @@ def test_transform_invertible_rejects_singular(fix_i):
     with pytest.raises(InputError):
         transform_invertible(fix_i.system, fix_i.operators["k"],
                              BoundedOperator.identity(3))
+    with pytest.raises(InputError, match="target operator u is numerically zero"):
+        reduce_operator(fix_i.system, fix_i.operators["k"], BoundedOperator(np.zeros((2, 2))))
 
 
 def test_transform_unitary_round_trip(fix_a):
